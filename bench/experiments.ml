@@ -42,7 +42,8 @@ end
    {!Scheduler.default} (fifo_link, or the SIMNET_SCHEDULER override).
    [sink] (present under --trace-out) collects the full causal event trace
    of every Net-backed experiment; [profile] accumulates the per-phase GC
-   probes surfaced as the --json gc_phases columns. *)
+   probes surfaced as the --json gc_phases columns, timed by [clock] (the
+   library takes no ambient time, so without one wall_s stays 0). *)
 type ctx = {
   ppf : Format.formatter;
   tally : Results.tally;
@@ -50,11 +51,12 @@ type ctx = {
   jobs : int;
   sink : Telemetry.Sink.t option;
   profile : Telemetry.Profile.t option;
+  clock : (unit -> float) option;
 }
 
 let make_ctx ?scheduler ?(jobs = 1) ?(ppf = Format.std_formatter) ?sink ?profile
-    () =
-  { ppf; tally = Results.make (); scheduler; jobs; sink; profile }
+    ?clock () =
+  { ppf; tally = Results.make (); scheduler; jobs; sink; profile; clock }
 
 let effective_scheduler ctx =
   Option.value ~default:(Scheduler.default ()) ctx.scheduler
@@ -110,14 +112,15 @@ let rows ctx items f =
         profile =
           (match ctx.profile with
           | None -> None
-          | Some _ -> Some (Telemetry.Profile.create ()));
+          | Some _ -> Some (Telemetry.Profile.create ?clock:ctx.clock ()));
+        clock = ctx.clock;
       }
     in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Telemetry.Profile.allocated_bytes () in
     f sub item;
     sub.tally.Results.alloc_bytes <-
       sub.tally.Results.alloc_bytes
-      + int_of_float (Gc.allocated_bytes () -. a0);
+      + int_of_float (Telemetry.Profile.allocated_bytes () -. a0);
     Format.pp_print_flush sub.ppf ();
     (Buffer.contents buf, sub.tally, sub.sink, sub.profile)
   in

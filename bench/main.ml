@@ -274,8 +274,9 @@ let () =
         match List.assoc_opt name Experiments.all with
         | Some f ->
             let sink = trace_sink () in
-            let profile = Telemetry.Profile.create ~clock:Unix.gettimeofday () in
-            let ctx = Experiments.make_ctx ?scheduler ~jobs ?sink ~profile () in
+            let clock = Unix.gettimeofday in
+            let profile = Telemetry.Profile.create ~clock () in
+            let ctx = Experiments.make_ctx ?scheduler ~jobs ?sink ~profile ~clock () in
             let t0 = Unix.gettimeofday () in
             Telemetry.Profile.run profile ~name (fun () -> f ctx);
             let wall_s = Unix.gettimeofday () -. t0 in

@@ -26,7 +26,9 @@ let no_hooks =
 type t = {
   params : Params.t;
   tree : Dtree.t;
-  stores : (Dtree.node, Store.t) Hashtbl.t;
+  mutable stores : Store.t array;
+    (* indexed by node id; [vacant] marks a node with no store *)
+  vacant : Store.t;
   alloc : Package.allocator;
   mutable storage : int;
   mutable moves : int;
@@ -46,7 +48,8 @@ let create ?(track_domains = false) ?(reject_mode = Types.Wave) ?(hooks = no_hoo
   {
     params;
     tree;
-    stores = Hashtbl.create 64;
+    stores = [||];
+    vacant = Store.empty ();
     alloc = Package.allocator ();
     storage = params.Params.m;
     moves = 0;
@@ -72,16 +75,37 @@ let emit t kind =
 let with_metrics t f =
   match t.telemetry with None -> () | Some s -> f (Telemetry.Sink.metrics s)
 
+(* The store of [v], or [t.vacant] when [v] has none: a bounds check and
+   one array read, the whole cost of a climb hop's lookup. *)
+let find_store t v = if v < Array.length t.stores then t.stores.(v) else t.vacant
+  [@@dynlint.zero_alloc]
+
+(* First touch of [v]: grow the column by doubling so that slot [v]
+   exists, and mint its store. *)
+let install t v =
+  if v >= Array.length t.stores then begin
+    let cap = max 64 (max (2 * Array.length t.stores) (v + 1)) in
+    let bigger = Array.make cap t.vacant in
+    Array.blit t.stores 0 bigger 0 (Array.length t.stores);
+    t.stores <- bigger
+  end;
+  let s = Store.empty () in
+  t.stores.(v) <- s;
+  s
+
 let store t v =
-  (* exception form rather than [find_opt]: this lookup runs once per hop
-     of every climb, and the [Some] the option form allocates per hop was
-     a top allocator in the e2-e4 gc_phases profiles *)
-  match Hashtbl.find t.stores v with
-  | s -> s
-  | exception Not_found ->
-      let s = Store.empty () in
-      Hashtbl.replace t.stores v s;
-      s
+  let s = find_store t v in
+  if s != t.vacant then s
+  else
+    (* dynlint: allow zero-alloc — a node's first touch mints its store *)
+    install t v
+  [@@dynlint.zero_alloc]
+
+(* Fold over the node ids holding a store, in ascending order. *)
+let fold_slots t ~init ~f =
+  let acc = ref init in
+  Array.iteri (fun v s -> if s != t.vacant then acc := f !acc v s) t.stores;
+  !acc
 
 let moves t = t.moves
 let granted t = t.granted
@@ -89,14 +113,13 @@ let rejected t = t.rejected
 let counters t = { Types.moves = t.moves; granted = t.granted; rejected = t.rejected }
 let storage t = t.storage
 
-let leftover t =
-  Hashtbl.fold (fun _ s acc -> acc + Store.permits s) t.stores t.storage
+let leftover t = fold_slots t ~init:t.storage ~f:(fun acc _ s -> acc + Store.permits s)
 
 let wave_done t = t.wave
 let params t = t.params
 
 let fold_stores t ~init ~f =
-  Hashtbl.fold (fun v s acc -> if Store.is_empty s then acc else f acc v s) t.stores init
+  fold_slots t ~init ~f:(fun acc v s -> if Store.is_empty s then acc else f acc v s)
 
 let check_domains t =
   match t.tracker with
@@ -140,7 +163,7 @@ let apply_event t op =
              t.hooks.on_package_event (Store_moved { from_ = v; to_ = p });
              emit t (Telemetry.Event.Package_join { ctrl = "central"; from_ = v; to_ = p });
              t.moves <- t.moves + 1);
-      Hashtbl.remove t.stores v
+      t.stores.(v) <- t.vacant
   | Workload.Add_leaf _ | Workload.Add_internal _ | Workload.Non_topological _ -> ());
   let info = Workload.apply_info t.tree op in
   (match info with
@@ -200,16 +223,16 @@ let grant t u op =
   apply_event t op
 
 (* Filler lookup that leaves absent stores absent: a climb over a 10^6-node
-   path must not populate the store table with one empty record per hop. *)
+   path must not populate the store column with one empty record per hop. *)
 let take_filler t w ~d =
-  match Hashtbl.find t.stores w with
-  | s -> (
-      match Store.find_filler s ~params:t.params ~distance:d with
-      | Some pkg as found ->
-          Store.remove_mobile s pkg;
-          found
-      | None -> None)
-  | exception Not_found -> None
+  let s = find_store t w in
+  if s == t.vacant then None
+  else
+    match Store.find_filler s ~params:t.params ~distance:d with
+    | Some pkg as found ->
+        Store.remove_mobile s pkg;
+        found
+    | None -> None
 
 (* Climb from [u] towards the root looking for the closest filler node.
    [parent_id] keeps the per-hop loop allocation-free. *)

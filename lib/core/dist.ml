@@ -101,7 +101,9 @@ type t = {
   params : Params.t;
   net : Net.t;
   config : config;
-  wbs : (Dtree.node, wb) Hashtbl.t;
+  mutable wbs : wb array;
+    (* indexed by node id; [blank] marks a node with no whiteboard *)
+  blank : wb;
   tag_ids : Tag.id array;
     (* indexed by [suffix_index]; interned once at [create] so a send is
        an array read, no string join or hash per message *)
@@ -119,9 +121,9 @@ type t = {
 
 let tree t = Net.tree t.net
 
-let fresh_wb t =
+let fresh_wb params =
   {
-    mobiles = Array.make (t.params.Params.max_level + 3) 0;
+    mobiles = Array.make (params.Params.max_level + 3) 0;
     static = 0;
     reject = false;
     locked = false;
@@ -129,33 +131,56 @@ let fresh_wb t =
     queue = Queue.create ();
   }
 
+(* The whiteboard of [v], or [t.blank] when [v] has none. *)
+let find_wb t v = if v < Array.length t.wbs then t.wbs.(v) else t.blank
+  [@@dynlint.zero_alloc]
+
+(* First touch of [v]: grow the column by doubling so that slot [v] exists,
+   and mint its whiteboard. *)
+let install t v =
+  if v >= Array.length t.wbs then begin
+    let cap = max 64 (max (2 * Array.length t.wbs) (v + 1)) in
+    let bigger = Array.make cap t.blank in
+    Array.blit t.wbs 0 bigger 0 (Array.length t.wbs);
+    t.wbs <- bigger
+  end;
+  let w = fresh_wb t.params in
+  t.wbs.(v) <- w;
+  w
+
+(* Every agent hop reads a whiteboard: on a hit, a bounds check and one
+   array read. *)
 let wb t v =
-  (* exception form rather than [find_opt]: every agent hop does this
-     lookup, and the [Some] would be a per-hop allocation *)
-  match Hashtbl.find t.wbs v with
-  | w -> w
-  | exception Not_found ->
-      let w = fresh_wb t in
-      Hashtbl.replace t.wbs v w;
-      w
+  let w = find_wb t v in
+  if w != t.blank then w
+  else
+    (* dynlint: allow zero-alloc — a node's first touch mints its whiteboard *)
+    install t v
+  [@@dynlint.zero_alloc]
+
+(* Fold over the node ids holding a whiteboard, in ascending order. *)
+let fold_wbs t ~init ~f =
+  let acc = ref init in
+  Array.iteri (fun v b -> if b != t.blank then acc := f !acc v b) t.wbs;
+  !acc
 
 let log_n t = Stats.ceil_log2 (max 2 t.nmax)
 let log_u t = Stats.ceil_log2 (max 2 t.params.Params.u)
 
 (* Whiteboard size under the encoding of Claim 4.8. *)
 let wb_bits t v =
-  match Hashtbl.find_opt t.wbs v with
-  | None -> 0
-  | Some b ->
-      let levels_present = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 b.mobiles in
-      let static_bits =
-        if b.static > 0 then Stats.ceil_log2 (max 2 (t.params.Params.m + 1)) else 0
-      in
-      (levels_present * log_u t)
-      + static_bits
-      + (Queue.length b.queue * log_n t)
-      + log_n t (* down pointer *)
-      + 2 (* lock and reject flags *)
+  let b = find_wb t v in
+  if b == t.blank then 0
+  else
+    let levels_present = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 b.mobiles in
+    let static_bits =
+      if b.static > 0 then Stats.ceil_log2 (max 2 (t.params.Params.m + 1)) else 0
+    in
+    (levels_present * log_u t)
+    + static_bits
+    + (Queue.length b.queue * log_n t)
+    + log_n t (* down pointer *)
+    + 2 (* lock and reject flags *)
 
 let touch_mem t v = t.wb_bits_max <- max t.wb_bits_max (wb_bits t v)
 
@@ -220,19 +245,20 @@ let can_apply t op =
       live v && (not (wb t v).locked) && Queue.is_empty (wb t v).queue
 
 let absorb t ~parent ~child =
-  match Hashtbl.find_opt t.wbs child with
-  | None -> false
-  | Some cb ->
-      assert (Queue.is_empty cb.queue);
-      let pb = wb t parent in
-      Array.iteri (fun i c -> pb.mobiles.(i) <- pb.mobiles.(i) + c) cb.mobiles;
-      pb.static <- pb.static + cb.static;
-      let had_reject = cb.reject in
-      pb.reject <- pb.reject || cb.reject;
-      Hashtbl.remove t.wbs child;
-      touch_mem t parent;
-      emit t (Telemetry.Event.Package_join { ctrl = t.config.name; from_ = child; to_ = parent });
-      had_reject
+  let cb = find_wb t child in
+  if cb == t.blank then false
+  else begin
+    assert (Queue.is_empty cb.queue);
+    let pb = wb t parent in
+    Array.iteri (fun i c -> pb.mobiles.(i) <- pb.mobiles.(i) + c) cb.mobiles;
+    pb.static <- pb.static + cb.static;
+    let had_reject = cb.reject in
+    pb.reject <- pb.reject || cb.reject;
+    t.wbs.(child) <- t.blank;
+    touch_mem t parent;
+    emit t (Telemetry.Event.Package_join { ctrl = t.config.name; from_ = child; to_ = parent });
+    had_reject
+  end
 
 let note_applied t info =
   t.nmax <- max t.nmax (Dtree.size (tree t));
@@ -543,7 +569,8 @@ let create ?(config = default_config) ~params ~net () =
       params;
       net;
       config;
-      wbs = Hashtbl.create 64;
+      wbs = [||];
+      blank = fresh_wb params;
       tag_ids;
       k_flood = ignore;
       storage = params.Params.m;
@@ -601,63 +628,54 @@ let outstanding t = t.outstanding
 let storage t = t.storage
 
 let leftover t =
-  Hashtbl.fold
-    (fun _ b acc ->
+  fold_wbs t ~init:t.storage ~f:(fun acc _ b ->
       let mob = ref 0 in
       Array.iteri
         (fun k c -> mob := !mob + (c * Params.mobile_size t.params k))
         b.mobiles;
       acc + b.static + !mob)
-    t.wbs t.storage
 
 let wave_started t = t.wave
 
 let reset_whiteboards t =
   if t.outstanding > 0 then
     invalid_arg "Dist.reset_whiteboards: requests outstanding";
-  let n = Dtree.size (tree t) in
-  Hashtbl.reset t.wbs;
-  n
+  Array.fill t.wbs 0 (Array.length t.wbs) t.blank;
+  Dtree.size (tree t)
 
 let max_wb_bits t = t.wb_bits_max
 
-let locked_count t = Hashtbl.fold (fun _ b acc -> if b.locked then acc + 1 else acc) t.wbs 0
+let locked_count t = fold_wbs t ~init:0 ~f:(fun acc _ b -> if b.locked then acc + 1 else acc)
 
 let check_locks t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let tree = tree t in
-  let bad = ref None in
-  Hashtbl.iter
-    (fun v b ->
-      if !bad = None && b.locked then
-        if not (Dtree.live tree v) then bad := Some (v, "locked node is dead")
-        else if b.down_child >= 0 then
-          if not (Dtree.live tree b.down_child) then
-            bad := Some (v, "down pointer to a dead node")
-          else if Dtree.parent tree b.down_child <> Some v then
-            bad := Some (v, "down pointer is not a child"))
-    t.wbs;
-  match !bad with
+  let bad =
+    fold_wbs t ~init:None ~f:(fun bad v b ->
+        if Option.is_some bad || not b.locked then bad
+        else if not (Dtree.live tree v) then Some (v, "locked node is dead")
+        else if b.down_child < 0 then None
+        else if not (Dtree.live tree b.down_child) then
+          Some (v, "down pointer to a dead node")
+        else if Dtree.parent tree b.down_child <> Some v then
+          Some (v, "down pointer is not a child")
+        else None)
+  in
+  match bad with
   | Some (v, msg) -> err "node %d: %s" v msg
   | None -> Ok ()
 
+(* Ascending node order falls out of walking the column downwards. *)
 let snapshot t =
-  Hashtbl.fold
-    (fun v b acc ->
-      let levels = ref [] in
-      Array.iteri
-        (fun k c ->
-          for _ = 1 to c do
-            levels := k :: !levels
-          done)
-        b.mobiles;
-      let levels = List.sort Int.compare !levels in
-      if levels = [] && b.static = 0 then acc else (v, levels, b.static) :: acc)
-    t.wbs []
-  |> List.sort (fun (v1, l1, s1) (v2, l2, s2) ->
-         match Int.compare v1 v2 with
-         | 0 -> (
-             match List.compare Int.compare l1 l2 with
-             | 0 -> Int.compare s1 s2
-             | c -> c)
-         | c -> c)
+  let acc = ref [] in
+  for v = Array.length t.wbs - 1 downto 0 do
+    let b = t.wbs.(v) in
+    let levels = ref [] in
+    for k = Array.length b.mobiles - 1 downto 0 do
+      for _ = 1 to b.mobiles.(k) do
+        levels := k :: !levels
+      done
+    done;
+    if !levels <> [] || b.static <> 0 then acc := (v, !levels, b.static) :: !acc
+  done;
+  !acc

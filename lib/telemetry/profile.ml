@@ -1,5 +1,5 @@
 (* Phase-scoped GC/allocation probes. A profile is a named-phase table;
-   [run] brackets a stretch of work with [Gc.quick_stat]/[Gc.allocated_bytes]
+   [run] brackets a stretch of work with [Gc.quick_stat]/{!allocated_bytes}
    readings and folds the deltas into the phase. All counters are read on the
    calling domain, so under [Pool]-style parallelism each task profiles into
    its own instance and the instances are {!merge}d afterwards — the same
@@ -53,14 +53,23 @@ let phase_of t name =
 
 let now t = match t.clock with Some c -> c () | None -> 0.0
 
+(* [Gc.minor_words] reads the minor heap's allocation pointer, so it is
+   exact at any instant; [Gc.allocated_bytes] and [Gc.quick_stat] only
+   account the minor heap at collections. Direct major allocations are the
+   major heap's words minus those promoted into it, read from
+   [Gc.counters], which (unlike [Gc.quick_stat]) counts this domain only. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 let run t ~name f =
   let p = phase_of t name in
   let w0 = now t in
   let s0 = Gc.quick_stat () in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   Fun.protect
     ~finally:(fun () ->
-      let a1 = Gc.allocated_bytes () in
+      let a1 = allocated_bytes () in
       let s1 = Gc.quick_stat () in
       p.p_count <- p.p_count + 1;
       p.p_alloc <- p.p_alloc +. (a1 -. a0);

@@ -1,7 +1,7 @@
 (** Phase-scoped GC and allocation probes.
 
     A profile accumulates, per named phase, the deltas of [Gc.quick_stat] /
-    [Gc.allocated_bytes] readings taken around {!run}: bytes allocated,
+    {!allocated_bytes} readings taken around {!run}: bytes allocated,
     minor/major collections, the peak top-of-heap observed, and (when a
     clock was injected) wall time. The bench harness surfaces the totals as
     the per-phase [gc_phases] columns of its [--json] output; {!emit} turns
@@ -29,6 +29,12 @@ val create : ?clock:(unit -> float) -> unit -> t
 (** A fresh profile. [clock] supplies wall time in seconds (the library
     takes no ambient time; inject [Unix.gettimeofday] from the binary
     layer); without it [wall_s] stays 0. *)
+
+val allocated_bytes : unit -> float
+(** Bytes allocated so far by the calling domain, exact at any instant:
+    [Gc.minor_words] plus the words this domain allocated directly in the
+    major heap. ([Gc.allocated_bytes] counts the minor heap only at
+    collections on OCaml 5.1, so a short bracket can read zero.) *)
 
 val run : t -> name:string -> (unit -> 'a) -> 'a
 (** [run t ~name f] measures [f ()] and folds the deltas into phase [name]

@@ -144,6 +144,49 @@ let test_deletion_moves_packages () =
       in
       Alcotest.(check bool) "parent inherited packages" true parent_store_nonempty
 
+(* The store column starts empty and grows on demand: a first request at a
+   node id far past any initial capacity lands its static remainder there,
+   and no permit is lost across the growth. *)
+let test_far_node_id () =
+  let rng = Rng.create ~seed:7 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Path 5000) in
+  let u = 6000 in
+  let m = 1_000_000 in
+  let params = Params.make ~m ~w:(4 * u) ~u in
+  let c = Central.create ~params ~tree () in
+  let leaf = List.hd (Dtree.leaves tree) in
+  Alcotest.(check bool) "leaf id far past 64" true (leaf >= 4096);
+  Alcotest.(check Helpers.outcome) "granted" Types.Granted
+    (Central.request c (Workload.Non_topological leaf));
+  let hosts = List.rev (Central.fold_stores c ~init:[] ~f:(fun acc v _ -> v :: acc)) in
+  Alcotest.(check bool) "leaf keeps its static remainder" true (List.mem leaf hosts);
+  Alcotest.(check (list int)) "ascending node order" (List.sort Int.compare hosts) hosts;
+  Alcotest.(check int) "conservation" m (Central.granted c + Central.leftover c)
+
+(* A deleted node's slot is cleared: its packages moved to the parent, and
+   no later fold names the dead node. *)
+let test_removal_clears_slot () =
+  let rng = Rng.create ~seed:8 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Path 300) in
+  let u = 600 in
+  let params = Params.make ~m:100000 ~w:(4 * u) ~u in
+  let c = Central.create ~params ~tree () in
+  let leaf = List.hd (Dtree.leaves tree) in
+  ignore (Central.request c (Workload.Non_topological leaf));
+  let named () = Central.fold_stores c ~init:[] ~f:(fun acc v _ -> v :: acc) in
+  let remove op =
+    Alcotest.(check Helpers.outcome) "removal granted" Types.Granted (Central.request c op)
+  in
+  remove (Workload.Remove_leaf leaf);
+  let internal =
+    List.find (fun v -> v <> Dtree.root tree && not (Dtree.is_leaf tree v)) (named ())
+  in
+  remove (Workload.Remove_internal internal);
+  let named = named () in
+  Alcotest.(check bool) "removed leaf not named" false (List.mem leaf named);
+  Alcotest.(check bool) "removed internal not named" false (List.mem internal named);
+  Alcotest.(check bool) "only live nodes named" true (List.for_all (Dtree.live tree) named)
+
 (* Safety: a controller never grants more than M, on any workload. *)
 let prop_safety =
   Helpers.qcheck ~count:25 "safety: grants <= M"
@@ -234,6 +277,34 @@ let prop_conservation =
       done;
       !ok)
 
+(* Under random churn the store column stays consistent with its folds:
+   leftover is the root storage plus every non-empty store's permits, and
+   only live nodes hold a store. *)
+let prop_leftover_matches_stores =
+  Helpers.qcheck ~count:25 "leftover = storage + stored permits, live hosts only"
+    QCheck2.Gen.(pair (int_range 0 99999) (int_range 0 3))
+    (fun (seed, shape_idx) ->
+      let shape = List.nth Helpers.shapes_small shape_idx in
+      let steps = 150 in
+      let tree, params =
+        make_setup ~seed ~shape ~steps
+          ~m_of:(fun n0 -> 10 * n0)
+          ~w_of:(fun n0 -> n0)
+      in
+      let c = Central.create ~reject_mode:Types.Report ~params ~tree () in
+      let w = Workload.make ~seed ~mix:Workload.Mix.churn () in
+      let ok = ref true in
+      for _ = 1 to steps do
+        ignore (Central.request c (Workload.next_op w tree));
+        let stored =
+          Central.fold_stores c ~init:0 ~f:(fun acc v s ->
+              if not (Dtree.live tree v) then ok := false;
+              acc + Store.permits s)
+        in
+        if Central.leftover c <> Central.storage c + stored then ok := false
+      done;
+      !ok)
+
 let suite =
   ( "central",
     [
@@ -245,8 +316,11 @@ let suite =
       Alcotest.test_case "report mode has no side effects" `Quick test_report_mode;
       Alcotest.test_case "wave mode rejects everywhere" `Quick test_wave_mode_rejects;
       Alcotest.test_case "deletion relocates packages" `Quick test_deletion_moves_packages;
+      Alcotest.test_case "request far past initial capacity" `Quick test_far_node_id;
+      Alcotest.test_case "removal clears the node's slot" `Quick test_removal_clears_slot;
       prop_safety;
       prop_liveness;
       prop_domain_invariants;
       prop_conservation;
+      prop_leftover_matches_stores;
     ] )

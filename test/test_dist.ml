@@ -225,6 +225,91 @@ let test_memory_bound () =
     true
     (stats.Dist_harness.max_wb_bits <= bound)
 
+(* The whiteboard column starts empty and grows on demand: an agent born at
+   a node id far past any initial capacity still grants, leaving its static
+   remainder on that node's whiteboard. *)
+let test_far_node_id () =
+  let rng = Rng.create ~seed:69 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Path 3000) in
+  let net = Net.create ~seed:70 ~tree () in
+  let u = 4000 in
+  let m = 1_000_000 in
+  let d = Dist.create ~params:(Params.make ~m ~w:(4 * u) ~u) ~net () in
+  let leaf = List.hd (Dtree.leaves tree) in
+  Alcotest.(check bool) "leaf id far past 64" true (leaf >= 2048);
+  let result = ref None in
+  Dist.submit d (Workload.Non_topological leaf) ~k:(fun o -> result := Some o);
+  Net.run net;
+  Alcotest.(check (option Helpers.outcome)) "granted" (Some Types.Granted) !result;
+  let named = List.map (fun (v, _, _) -> v) (Dist.snapshot d) in
+  Alcotest.(check bool) "leaf keeps its static remainder" true (List.mem leaf named);
+  Alcotest.(check (list int)) "ascending node order" (List.sort Int.compare named) named;
+  Alcotest.(check int) "conservation" m (Dist.granted d + Dist.leftover d);
+  Alcotest.(check int) "no locks left" 0 (Dist.locked_count d)
+
+(* A deleted node's whiteboard is absorbed by its parent and its slot
+   cleared: no snapshot names the dead node, and it has no whiteboard. *)
+let test_removal_clears_whiteboard () =
+  let rng = Rng.create ~seed:75 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Path 300) in
+  let net = Net.create ~seed:76 ~tree () in
+  let u = 600 in
+  let d = Dist.create ~params:(Params.make ~m:100000 ~w:(4 * u) ~u) ~net () in
+  let leaf = List.hd (Dtree.leaves tree) in
+  let serve op =
+    let result = ref None in
+    Dist.submit d op ~k:(fun o -> result := Some o);
+    Net.run net;
+    Alcotest.(check (option Helpers.outcome)) "granted" (Some Types.Granted) !result
+  in
+  serve (Workload.Non_topological leaf);
+  serve (Workload.Remove_leaf leaf);
+  let internal =
+    List.find_map
+      (fun (v, _, _) ->
+        if v <> Dtree.root tree && not (Dtree.is_leaf tree v) then Some v else None)
+      (Dist.snapshot d)
+    |> Option.get
+  in
+  serve (Workload.Remove_internal internal);
+  let named = List.map (fun (v, _, _) -> v) (Dist.snapshot d) in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "removed node not named" false (List.mem v named);
+      Alcotest.(check int) "removed node has no whiteboard" 0 (Dist.wb_bits d v))
+    [ leaf; internal ];
+  Alcotest.(check bool) "only live nodes named" true (List.for_all (Dtree.live tree) named)
+
+(* After [reset_whiteboards] every slot is blank, and a fresh round of
+   concurrent requests keeps the locking discipline at every step. *)
+let test_reset_then_requests () =
+  let rng = Rng.create ~seed:77 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Random 80) in
+  let net = Net.create ~seed:78 ~max_delay:4 ~tree () in
+  let params = Params.make ~m:5000 ~w:500 ~u:(80 + 150) in
+  let d = Dist.create ~params ~net () in
+  let g, r, _ =
+    Dist_harness.run_on ~seed:79 ~concurrency:8 ~net ~mix:Workload.Mix.churn
+      ~requests:150 ~submit:(Dist.submit d) ()
+  in
+  Alcotest.(check int) "first round answered" 150 (g + r);
+  Alcotest.(check int) "reset visits every node" (Dtree.size tree) (Dist.reset_whiteboards d);
+  Alcotest.(check int) "whiteboards blank" 0 (List.length (Dist.snapshot d));
+  let leaves = Dtree.leaves tree in
+  let answered = ref 0 in
+  List.iter
+    (fun v -> Dist.submit d (Workload.Non_topological v) ~k:(fun _ -> incr answered))
+    leaves;
+  let steps = ref 0 in
+  while Net.step net do
+    incr steps;
+    match Dist.check_locks d with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "step %d: lock invariant violated: %s" !steps msg
+  done;
+  Alcotest.(check int) "second round answered" (List.length leaves) !answered;
+  Alcotest.(check int) "no locks left" 0 (Dist.locked_count d)
+
 let suite =
   ( "dist",
     [
@@ -240,4 +325,9 @@ let suite =
       prop_permit_conservation;
       Alcotest.test_case "deep-path serialized equivalence" `Quick test_deep_path_equivalence;
       Alcotest.test_case "whiteboard memory bound" `Quick test_memory_bound;
+      Alcotest.test_case "request far past initial capacity" `Quick test_far_node_id;
+      Alcotest.test_case "removal clears the whiteboard slot" `Quick
+        test_removal_clears_whiteboard;
+      Alcotest.test_case "reset then requests keeps the locks sound" `Quick
+        test_reset_then_requests;
     ] )
