@@ -1,7 +1,3 @@
-module Central = Controller.Central
-module Params = Controller.Params
-module Terminating = Controller.Terminating
-
 (* Endpoint cells form a doubly-linked list in DFS order; each carries an
    integer position. Labels are the positions of a node's two cells. *)
 type cell = {
@@ -10,13 +6,13 @@ type cell = {
   mutable next : cell option;
 }
 
-type t = {
+type state = {
   tree : Dtree.t;
   cells : (Dtree.node, cell * cell) Hashtbl.t;  (* node -> (lo, hi) *)
-  mutable ctrl : Terminating.t option;
   mutable relabels : int;
-  mutable done_moves : int;
 }
+
+type t = { state : state; engine : Epochs.Central.t }
 
 let gap = 8
 
@@ -30,9 +26,9 @@ let cells_of t v =
   | None -> invalid_arg (Printf.sprintf "Ancestry_labeling: node %d has no label" v)
 
 (* Fresh DFS labeling with gap-spaced positions: 2n messages. *)
-let relabel t =
+let relabel t e =
   t.relabels <- t.relabels + 1;
-  t.done_moves <- t.done_moves + (2 * Dtree.size t.tree);
+  Epochs.Central.charge e (2 * Dtree.size t.tree);
   Hashtbl.reset t.cells;
   let counter = ref 0 in
   let fresh_pos () =
@@ -53,23 +49,6 @@ let relabel t =
     Hashtbl.replace t.cells v (lo, hi)
   in
   go (Dtree.root t.tree)
-
-let make_ctrl t =
-  let n = Dtree.size t.tree in
-  let budget = max 2 (n / 2) in
-  let u = max 4 (n + budget) in
-  let make_base ~m ~w =
-    Central.create ~reject_mode:Controller.Types.Report
-      ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-  in
-  Terminating.create_custom ~make_base ~m:budget ~w:(max 1 (budget / 2)) ~tree:t.tree ()
-
-let create ~tree () =
-  let t = { tree; cells = Hashtbl.create 64; ctrl = None; relabels = 0; done_moves = 0 } in
-  relabel t;
-  t.relabels <- 0;
-  t.ctrl <- Some (make_ctrl t);
-  t
 
 (* Insert a node's two fresh cells into a gap, or fail if no room. *)
 let try_insert_pair after =
@@ -105,51 +84,40 @@ let splice (lo, hi) =
   (match hi.prev with Some p -> p.next <- hi.next | None -> ());
   (match hi.next with Some n -> n.prev <- hi.prev | None -> ())
 
-let note_applied t info =
+let note_applied t e info =
   match info with
   | Workload.Leaf_added { parent; leaf } -> (
       let p_lo, _ = cells_of t parent in
       match try_insert_pair p_lo with
       | Some pair -> Hashtbl.replace t.cells leaf pair
-      | None -> relabel t)
+      | None -> relabel t e)
   | Workload.Internal_added { below; fresh } -> (
       match try_insert_around (cells_of t below) with
       | Some pair -> Hashtbl.replace t.cells fresh pair
-      | None -> relabel t)
+      | None -> relabel t e)
   | Workload.Leaf_removed { node; _ } | Workload.Internal_removed { node; _ } ->
       (* the paper's observation: deletions do not affect ancestry labels *)
       splice (cells_of t node);
       Hashtbl.remove t.cells node
   | Workload.Event_occurred _ -> ()
 
-let ctrl_exn t = match t.ctrl with Some c -> c | None -> assert false  (* dynlint: allow unsafe -- attach installs the controller before any use *)
+let create ~tree () =
+  (* the initial labeling is no relabel *)
+  let state = { tree; cells = Hashtbl.create 64; relabels = -1 } in
+  let engine =
+    Epochs.Central.create
+      ~hooks:(fun e -> { Controller.Central.no_hooks with on_grant = note_applied state e })
+      ~budget:(fun n ->
+        let m = max 2 (n / 2) in
+        (m, max 1 (m / 2)))
+      ~boundary:(relabel state) ~tree ()
+  in
+  { state; engine }
 
-let rec submit t op =
-  let c = ctrl_exn t in
-  match Terminating.request c op with
-  | Terminating.Granted -> (
-      (* reconstruct the applied change: the controller mutated the tree *)
-      match op with
-      | Workload.Add_leaf p ->
-          note_applied t
-            (Workload.Leaf_added { parent = p; leaf = Dtree.ever_created t.tree - 1 })
-      | Workload.Add_internal w ->
-          note_applied t
-            (Workload.Internal_added { below = w; fresh = Dtree.ever_created t.tree - 1 })
-      | Workload.Remove_leaf v ->
-          note_applied t (Workload.Leaf_removed { node = v; parent = 0 })
-      | Workload.Remove_internal v ->
-          note_applied t (Workload.Internal_removed { node = v; parent = 0; children = [] })
-      | Workload.Non_topological v -> note_applied t (Workload.Event_occurred v))
-  | Terminating.Terminated ->
-      (* size-estimation epoch rotation: relabel and start a fresh epoch *)
-      t.done_moves <- t.done_moves + Terminating.moves c;
-      relabel t;
-      t.ctrl <- Some (make_ctrl t);
-      submit t op
+let submit t op = Epochs.Central.request t.engine op
 
 let label t v =
-  let lo, hi = cells_of t v in
+  let lo, hi = cells_of t.state v in
   (lo.pos, hi.pos)
 
 let is_ancestor t ~anc ~desc =
@@ -157,11 +125,8 @@ let is_ancestor t ~anc ~desc =
   a_lo <= d_lo && d_hi <= a_hi
 
 let label_bits t =
-  let max_pos =
-    Hashtbl.fold (fun _ (_, hi) acc -> max acc hi.pos) t.cells 0
-  in
+  let max_pos = Hashtbl.fold (fun _ (_, hi) acc -> max acc hi.pos) t.state.cells 0 in
   2 * Stats.ceil_log2 (max 2 (max_pos + 1))
 
-let relabels t = t.relabels
-
-let messages t = t.done_moves + Terminating.moves (ctrl_exn t)
+let relabels t = t.state.relabels
+let messages t = Epochs.Central.moves t.engine

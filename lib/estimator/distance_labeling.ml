@@ -1,14 +1,10 @@
-module Central = Controller.Central
-module Params = Controller.Params
-module Terminating = Controller.Terminating
-
-type t = {
+type state = {
   tree : Dtree.t;
   labels : (Dtree.node, (int * int) list) Hashtbl.t;  (* separator id, distance *)
-  mutable ctrl : Terminating.t option;
   mutable relabels : int;
-  mutable done_moves : int;
 }
+
+type t = { state : state; engine : Epochs.Central.t }
 
 (* Undirected tree neighbours among live nodes not yet removed from the
    decomposition. *)
@@ -78,11 +74,10 @@ let bfs_distances t removed from_ =
   done;
   dist
 
-let relabel t =
+let relabel t e =
   t.relabels <- t.relabels + 1;
   (* one broadcast/upcast per decomposition level: O(n log n) messages *)
-  t.done_moves <-
-    t.done_moves + (Dtree.size t.tree * Stats.ceil_log2 (max 2 (Dtree.size t.tree)));
+  Epochs.Central.charge e (Dtree.size t.tree * Stats.ceil_log2 (max 2 (Dtree.size t.tree)));
   Hashtbl.reset t.labels;
   Dtree.iter_nodes t.tree ~f:(fun v -> Hashtbl.replace t.labels v []);
   let removed = Hashtbl.create 16 in
@@ -101,28 +96,28 @@ let relabel t =
   in
   decompose (Dtree.root t.tree)
 
-let make_ctrl t =
-  let n = Dtree.size t.tree in
-  let budget = max 2 (n / 2) in
-  let u = max 4 (n + budget) in
-  let make_base ~m ~w =
-    Central.create ~reject_mode:Controller.Types.Report
-      ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-  in
-  Terminating.create_custom ~make_base ~m:budget ~w:(max 1 (budget / 2)) ~tree:t.tree ()
-
 let create ~tree () =
-  let t =
-    { tree; labels = Hashtbl.create 64; ctrl = None; relabels = 0; done_moves = 0 }
+  (* the initial labeling is no relabel *)
+  let state = { tree; labels = Hashtbl.create 64; relabels = -1 } in
+  (* deletions of degree-one vertices leave every distance (and thus every
+     label) untouched: the paper's key observation *)
+  let on_grant = function
+    | Workload.Leaf_removed { node; _ } -> Hashtbl.remove state.labels node
+    | _ -> ()
   in
-  relabel t;
-  t.relabels <- 0;
-  t.ctrl <- Some (make_ctrl t);
-  t
+  let engine =
+    Epochs.Central.create
+      ~hooks:(fun _ -> { Controller.Central.no_hooks with on_grant })
+      ~budget:(fun n ->
+        let m = max 2 (n / 2) in
+        (m, max 1 (m / 2)))
+      (* the network shrinks by ~half per epoch: recompute to restore
+         optimal size *)
+      ~boundary:(relabel state) ~tree ()
+  in
+  { state; engine }
 
-let ctrl_exn t = match t.ctrl with Some c -> c | None -> assert false  (* dynlint: allow unsafe -- attach installs the controller before any use *)
-
-let rec submit t op =
+let submit t op =
   (match op with
   | Workload.Remove_leaf _ | Workload.Non_topological _ -> ()
   | Workload.Add_leaf _ | Workload.Add_internal _ | Workload.Remove_internal _ ->
@@ -130,23 +125,10 @@ let rec submit t op =
         (Format.asprintf
            "Distance_labeling.submit: %a is outside the shrink-only scope of Cor. 5.6"
            Workload.pp_op op));
-  let c = ctrl_exn t in
-  match Terminating.request c op with
-  | Terminating.Granted -> (
-      (* deletions of degree-one vertices leave every distance (and thus
-         every label) untouched: the paper's key observation *)
-      match op with
-      | Workload.Remove_leaf v -> Hashtbl.remove t.labels v
-      | _ -> ())
-  | Terminating.Terminated ->
-      (* the network shrank by ~half: recompute to restore optimal size *)
-      t.done_moves <- t.done_moves + Terminating.moves c;
-      relabel t;
-      t.ctrl <- Some (make_ctrl t);
-      submit t op
+  Epochs.Central.request t.engine op
 
 let dist t u v =
-  let lu = Hashtbl.find t.labels u and lv = Hashtbl.find t.labels v in
+  let lu = Hashtbl.find t.state.labels u and lv = Hashtbl.find t.state.labels v in
   let by_id = Hashtbl.create 8 in
   List.iter (fun (id, d) -> Hashtbl.replace by_id id d) lu;
   List.fold_left
@@ -156,11 +138,11 @@ let dist t u v =
       | None -> acc)
     max_int lv
 
-let label_entries t v = List.length (Hashtbl.find t.labels v)
+let label_entries t v = List.length (Hashtbl.find t.state.labels v)
 
 let max_label_bits t =
-  let bits = 2 * Stats.ceil_log2 (max 2 (2 * Dtree.size t.tree)) in
-  Hashtbl.fold (fun _ l acc -> max acc (List.length l * bits)) t.labels 0
+  let bits = 2 * Stats.ceil_log2 (max 2 (2 * Dtree.size t.state.tree)) in
+  Hashtbl.fold (fun _ l acc -> max acc (List.length l * bits)) t.state.labels 0
 
-let relabels t = t.relabels
-let messages t = t.done_moves + Terminating.moves (ctrl_exn t)
+let relabels t = t.state.relabels
+let messages t = Epochs.Central.moves t.engine

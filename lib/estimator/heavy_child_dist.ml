@@ -1,10 +1,7 @@
-type t = { core : Heavy_core.t; mutable est : Subtree_estimator_dist.t option }
-
-let est_exn t = match t.est with Some e -> e | None -> assert false  (* dynlint: allow unsafe -- attach installs the estimator before any use *)
+type t = { core : Heavy_core.t; est : Subtree_estimator_dist.t }
 
 let create ?(beta = sqrt 3.0) ~net () =
   let core = Heavy_core.create ~tree:(Net.tree net) () in
-  let t = { core; est = None } in
   let est =
     Subtree_estimator_dist.create ~beta
       ~on_change:(fun v -> Heavy_core.on_change core v)
@@ -12,19 +9,18 @@ let create ?(beta = sqrt 3.0) ~net () =
       ~on_applied:(fun info -> Heavy_core.on_applied core info)
       ~net ()
   in
-  t.est <- Some est;
   Heavy_core.set_estimate core (fun v -> Subtree_estimator_dist.estimate est v);
   (* seed the initial epoch's reports (create ran on_epoch before wiring) *)
   Heavy_core.on_epoch core;
-  t
+  { core; est }
 
-let submit t op ~k = Subtree_estimator_dist.submit (est_exn t) op ~k
+let submit t op ~k = Subtree_estimator_dist.submit t.est op ~k
 let heavy t v = Heavy_core.heavy t.core v
 let light_ancestors t v = Heavy_core.light_ancestors t.core v
 let max_light_ancestors t = Heavy_core.max_light_ancestors t.core
 
 let messages t =
-  Subtree_estimator_dist.overhead_messages (est_exn t) + Heavy_core.report_messages t.core
+  Subtree_estimator_dist.overhead_messages t.est + Heavy_core.report_messages t.core
 
-let epochs t = Subtree_estimator_dist.epochs (est_exn t)
-let estimator t = est_exn t
+let epochs t = Subtree_estimator_dist.epochs t.est
+let estimator t = t.est

@@ -1,127 +1,31 @@
-module Central = Controller.Central
-module Params = Controller.Params
-module Terminating = Controller.Terminating
-
-type decision = Commit | Abort
-
-type t = {
-  tree : Dtree.t;
-  votes : (Dtree.node, bool) Hashtbl.t;
-  mutable ctrl : Terminating.t option;
-  mutable remaining : int;  (* joins the controller may still admit *)
-  mutable root_yes : int;  (* tally as known at the root (epoch boundary) *)
-  mutable root_no : int;
-  mutable pending_vote : bool;  (* vote of the join being granted *)
-  mutable joins : int;
-  mutable epochs : int;
-  mutable decision : decision option;
-  mutable done_moves : int;
-}
-
-let tally t =
-  Hashtbl.fold (fun _ vote (y, n) -> if vote then (y + 1, n) else (y, n + 1)) t.votes (0, 0)
-
-let ground_truth t =
-  let y, n = tally t in
-  if y > n then Commit else Abort
-
-(* The root re-examines its knowledge: exact tally as of the last boundary
-   plus a sound bound on future voters. *)
-let try_decide t =
-  if t.decision = None then begin
-    let n = t.root_yes + t.root_no in
-    let horizon = n + t.remaining in
-    if 2 * t.root_yes > horizon then t.decision <- Some Commit
-    else if 2 * t.root_no >= horizon then t.decision <- Some Abort
-  end
-
-let boundary t =
-  (* the tally rides the epoch-boundary upcast, already charged *)
-  let y, n = tally t in
-  t.root_yes <- y;
-  t.root_no <- n;
-  try_decide t
-
-let make_ctrl t =
-  let n = Dtree.size t.tree in
-  let budget = min t.remaining (max 1 (n / 2)) in
-  let u = max 4 (n + budget) in
-  let make_base ~m ~w =
-    Central.create ~reject_mode:Controller.Types.Report
-      ~hooks:
-        {
-          Central.on_grant =
-            (fun info ->
-              match info with
-              | Workload.Leaf_added { leaf; _ } ->
-                  Hashtbl.replace t.votes leaf t.pending_vote
-              | Workload.Internal_added _ | Workload.Leaf_removed _
-              | Workload.Internal_removed _ | Workload.Event_occurred _ ->
-                  ());
-          on_package_down = (fun ~requester:_ ~from_dist:_ ~to_dist:_ ~size:_ -> ());
-          on_package_event = (fun _ -> ());
-        }
-      ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-  in
-  (budget, Terminating.create_custom ~make_base ~m:budget ~w:(max 1 (budget / 2)) ~tree:t.tree ())
+type decision = Majority_core.decision = Commit | Abort
+type t = { tree : Dtree.t; core : Majority_core.t; engine : Epochs.Central.t }
 
 let create ~m ~tree ~initial_votes () =
   if m < 0 then invalid_arg "Majority_commit.create: negative budget";
-  let t =
-    {
-      tree;
-      votes = Hashtbl.create 64;
-      ctrl = None;
-      remaining = m;
-      root_yes = 0;
-      root_no = 0;
-      pending_vote = false;
-      joins = 0;
-      epochs = 0;
-      decision = None;
-      done_moves = 0;
-    }
+  let core = Majority_core.create ~m ~tree ~initial_votes in
+  let boundary e =
+    (* the first boundary is the initial upcast; rotations add the
+       broadcast *)
+    let waves = if Epochs.Central.epochs e = 0 then 1 else 2 in
+    Epochs.Central.charge e (waves * Dtree.size tree);
+    Majority_core.boundary core
   in
-  Dtree.iter_nodes tree ~f:(fun v -> Hashtbl.replace t.votes v (initial_votes v));
-  (* initial upcast: the root learns the starting tally *)
-  t.done_moves <- t.done_moves + Dtree.size tree;
-  boundary t;
-  (if t.remaining > 0 then
-     let _, c = make_ctrl t in
-     t.ctrl <- Some c);
-  t
+  let engine = Epochs.Central.create ~budget:(Majority_core.budget core) ~boundary ~tree () in
+  { tree; core; engine }
 
-let rec submit_join t ~parent ~vote =
-  if t.remaining <= 0 then false
-  else
-    match t.ctrl with
-    | None -> false
-    | Some c -> (
-        t.pending_vote <- vote;
-        match Terminating.request c (Workload.Add_leaf parent) with
-        | Terminating.Granted ->
-            t.joins <- t.joins + 1;
-            t.remaining <- t.remaining - 1;
-            if t.remaining = 0 then begin
-              (* final boundary: exact decision *)
-              t.done_moves <- t.done_moves + Terminating.moves c + Dtree.size t.tree;
-              t.ctrl <- None;
-              boundary t
-            end;
-            true
-        | Terminating.Terminated ->
-            (* epoch rotation: charge the boundary waves, refresh the tally *)
-            t.done_moves <- t.done_moves + Terminating.moves c + (2 * Dtree.size t.tree);
-            t.epochs <- t.epochs + 1;
-            boundary t;
-            let granted_bound, c' = make_ctrl t in
-            ignore granted_bound;
-            t.ctrl <- Some c';
-            submit_join t ~parent ~vote)
+let submit_join t ~parent ~vote =
+  Majority_core.remaining t.core > 0
+  && begin
+       Epochs.Central.request t.engine (Workload.Add_leaf parent);
+       (* the final boundary's upcast *)
+       if Majority_core.admit t.core ~vote then
+         Epochs.Central.charge t.engine (Dtree.size t.tree);
+       true
+     end
 
-let decision t = t.decision
-let joins t = t.joins
-let epochs t = t.epochs
-
-let messages t =
-  t.done_moves + match t.ctrl with Some c -> Terminating.moves c | None -> 0
+let decision t = Majority_core.decision t.core
+let joins t = Majority_core.joins t.core
+let epochs t = Epochs.Central.epochs t.engine
+let messages t = Epochs.Central.moves t.engine
+let ground_truth t = Majority_core.ground_truth t.core

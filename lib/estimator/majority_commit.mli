@@ -17,7 +17,7 @@
     The decision is therefore always {e eventually} made, and any early
     decision agrees with the final ground truth. *)
 
-type decision = Commit | Abort
+type decision = Majority_core.decision = Commit | Abort
 
 type t
 

@@ -1,160 +1,38 @@
-module Dist = Controller.Dist
-module Params = Controller.Params
-module Types = Controller.Types
-
 let protocol_name = "census"
-let tag_universe = Dist.tag_universe ~name:protocol_name
+let tag_universe = Controller.Dist.tag_universe ~name:protocol_name
 
 type decision = Majority_commit.decision = Commit | Abort
-
-type request = { parent : Dtree.node; vote : bool; k : bool -> unit }
-
-type t = {
-  net : Net.t;
-  votes : (Dtree.node, bool) Hashtbl.t;
-  mutable ctrl : Dist.t option;  (* [None] once the budget is spent *)
-  mutable remaining : int;
-  mutable root_yes : int;
-  mutable root_no : int;
-  mutable joins : int;
-  mutable epochs : int;
-  mutable decision : decision option;
-  mutable rotating : bool;
-  mutable applying : int;
-  mutable overhead : int;
-  held : request Queue.t;
-}
-
-let tree t = Net.tree t.net
-
-let tally t =
-  Hashtbl.fold (fun _ vote (y, n) -> if vote then (y + 1, n) else (y, n + 1)) t.votes (0, 0)
-
-let ground_truth t =
-  let y, n = tally t in
-  if y > n then Commit else Abort
-
-let try_decide t =
-  if t.decision = None then begin
-    let n = t.root_yes + t.root_no in
-    let horizon = n + t.remaining in
-    if 2 * t.root_yes > horizon then t.decision <- Some Commit
-    else if 2 * t.root_no >= horizon then t.decision <- Some Abort
-  end
-
-(* The tally rides the epoch-boundary upcast, which the rotation charges. *)
-let boundary t =
-  let y, n = tally t in
-  t.root_yes <- y;
-  t.root_no <- n;
-  try_decide t
-
-let make_ctrl t =
-  if t.remaining <= 0 then None
-  else begin
-    let n = Dtree.size (tree t) in
-    let budget = min t.remaining (max 1 (n / 2)) in
-    let u = max 4 (n + budget) in
-    Some
-      (Dist.create
-         ~config:{ Dist.default_config with auto_apply = false; exhaustion = `Hold; name = protocol_name }
-         ~params:(Params.make ~m:budget ~w:(max 1 (budget / 2)) ~u)
-         ~net:t.net ())
-  end
+type t = { net : Net.t; core : Majority_core.t; engine : Epochs.Dist.t }
 
 let create ~m ~net ~initial_votes () =
   if m < 0 then invalid_arg "Majority_commit_dist.create: negative budget";
-  let t =
-    {
-      net;
-      votes = Hashtbl.create 64;
-      ctrl = None;
-      remaining = m;
-      root_yes = 0;
-      root_no = 0;
-      joins = 0;
-      epochs = 0;
-      decision = None;
-      rotating = false;
-      applying = 0;
-      overhead = 0;
-      held = Queue.create ();
-    }
+  let core = Majority_core.create ~m ~tree:(Net.tree net) ~initial_votes in
+  let boundary e =
+    (* the first boundary is the initial upcast; rotations add the
+       broadcast and the whiteboard reset *)
+    let waves = if Epochs.Dist.epochs e = 0 then 1 else 3 in
+    Epochs.Dist.charge e (waves * Dtree.size (Net.tree net));
+    Majority_core.boundary core
   in
-  Dtree.iter_nodes (Net.tree net) ~f:(fun v -> Hashtbl.replace t.votes v (initial_votes v));
-  (* initial upcast: the root learns the starting tally *)
-  t.overhead <- t.overhead + Dtree.size (Net.tree net);
-  boundary t;
-  t.ctrl <- make_ctrl t;
-  t
-
-let rec apply_join t ctrl r =
-  let op = Workload.Add_leaf r.parent in
-  if Workload.valid_op (tree t) op && Dist.can_apply ctrl op then begin
-    let info = Workload.apply_info (tree t) op in
-    (match info with
-    | Workload.Leaf_added { leaf; _ } -> Hashtbl.replace t.votes leaf r.vote
-    | _ -> assert false);  (* dynlint: allow unsafe -- Add_leaf can only report Leaf_added *)
-    Dist.note_applied ctrl info;
-    t.applying <- t.applying - 1;
-    t.joins <- t.joins + 1;
-    t.remaining <- t.remaining - 1;
-    if t.remaining = 0 then begin
-      (* final boundary: the tally is now exact and the decision definitive *)
-      t.overhead <- t.overhead + Dtree.size (tree t);
-      t.ctrl <- None;
-      boundary t
-    end;
-    r.k true
-  end
-  else Net.schedule t.net ~delay:2 (fun () -> apply_join t ctrl r)
-
-let rec route t r =
-  match t.ctrl with
-  | None -> r.k false
-  | Some _ when t.rotating -> Queue.push r t.held
-  | Some ctrl ->
-      if not (Dtree.live (tree t) r.parent) then r.k false
-      else
-        Dist.submit ctrl (Workload.Add_leaf r.parent) ~k:(fun outcome ->
-            match outcome with
-            | Types.Granted ->
-                t.applying <- t.applying + 1;
-                apply_join t ctrl r
-            | Types.Exhausted ->
-                Queue.push r t.held;
-                start_rotation t
-            | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- report mode: the controller never rejects *)
-
-and start_rotation t =
-  if not t.rotating then begin
-    t.rotating <- true;
-    await_drain t
-  end
-
-and await_drain t =
-  match t.ctrl with
-  | None -> rotate t
-  | Some ctrl ->
-      if Dist.outstanding ctrl = 0 && t.applying = 0 then rotate t
-      else Net.schedule t.net ~delay:2 (fun () -> await_drain t)
-
-and rotate t =
-  let n = Dtree.size (tree t) in
-  (* boundary broadcast/upcast carrying the tally, plus whiteboard reset *)
-  t.overhead <- t.overhead + (3 * n);
-  t.epochs <- t.epochs + 1;
-  boundary t;
-  t.ctrl <- make_ctrl t;
-  t.rotating <- false;
-  let parked = Queue.create () in
-  Queue.transfer t.held parked;
-  Queue.iter (fun r -> Net.schedule t.net ~delay:1 (fun () -> route t r)) parked
+  {
+    net;
+    core;
+    engine =
+      Epochs.Dist.create ~name:protocol_name ~budget:(Majority_core.budget core) ~boundary
+        ~net ();
+  }
 
 let submit_join t ~parent ~vote ~k =
-  Net.schedule t.net ~delay:1 (fun () -> route t { parent; vote; k })
+  Epochs.Dist.submit t.engine (Workload.Add_leaf parent) ~k:(fun info ->
+      if info <> None && Majority_core.admit t.core ~vote then begin
+        (* the final boundary's upcast; no controller is left *)
+        Epochs.Dist.charge t.engine (Dtree.size (Net.tree t.net));
+        Epochs.Dist.retire t.engine
+      end;
+      k (info <> None))
 
-let decision t = t.decision
-let joins t = t.joins
-let epochs t = t.epochs
-let overhead_messages t = t.overhead
+let decision t = Majority_core.decision t.core
+let joins t = Majority_core.joins t.core
+let epochs t = Epochs.Dist.epochs t.engine
+let overhead_messages t = Epochs.Dist.overhead t.engine
+let ground_truth t = Majority_core.ground_truth t.core

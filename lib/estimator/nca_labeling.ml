@@ -1,18 +1,14 @@
-module Central = Controller.Central
-module Params = Controller.Params
-module Terminating = Controller.Terminating
-
 type entry = { path : int; pos : int }
 
-type t = {
+type state = {
   tree : Dtree.t;
   labels : (Dtree.node, entry array) Hashtbl.t;
   members : (int, Dtree.node array ref) Hashtbl.t;  (* path id -> nodes by position *)
   mutable next_path : int;
-  mutable ctrl : Terminating.t option;
   mutable relabels : int;
-  mutable done_moves : int;
 }
+
+type t = { state : state; engine : Epochs.Central.t }
 
 let fresh_path t =
   let id = t.next_path in
@@ -36,9 +32,9 @@ let member t path pos = !(Hashtbl.find t.members path).(pos)
 (* Heavy-path relabeling: each node's heavy child is the one with the
    largest subtree (the snapshot the Theorem 5.4 protocol maintains up to a
    constant factor). Costs 2n messages. *)
-let relabel t =
+let relabel t e =
   t.relabels <- t.relabels + 1;
-  t.done_moves <- t.done_moves + (2 * Dtree.size t.tree);
+  Epochs.Central.charge e (2 * Dtree.size t.tree);
   Hashtbl.reset t.labels;
   Hashtbl.reset t.members;
   let sizes = Hashtbl.create 64 in
@@ -64,34 +60,7 @@ let relabel t =
   in
   go (Dtree.root t.tree) [||] (fresh_path t) 0
 
-let make_ctrl t =
-  let n = Dtree.size t.tree in
-  let budget = max 2 (n / 2) in
-  let u = max 4 (n + budget) in
-  let make_base ~m ~w =
-    Central.create ~reject_mode:Controller.Types.Report
-      ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-  in
-  Terminating.create_custom ~make_base ~m:budget ~w:(max 1 (budget / 2)) ~tree:t.tree ()
-
-let create ~tree () =
-  let t =
-    {
-      tree;
-      labels = Hashtbl.create 64;
-      members = Hashtbl.create 64;
-      next_path = 0;
-      ctrl = None;
-      relabels = 0;
-      done_moves = 0;
-    }
-  in
-  relabel t;
-  t.relabels <- 0;
-  t.ctrl <- Some (make_ctrl t);
-  t
-
-let note_applied t info =
+let note_applied t e info =
   match info with
   | Workload.Leaf_added { parent; leaf } ->
       (* a fresh leaf starts its own singleton heavy path below its parent *)
@@ -105,39 +74,37 @@ let note_applied t info =
       let last = label.(Array.length label - 1) in
       pop_member t last.path;
       Hashtbl.remove t.labels node
-  | Workload.Internal_added _ | Workload.Internal_removed _ -> relabel t
+  | Workload.Internal_added _ | Workload.Internal_removed _ -> relabel t e
   | Workload.Event_occurred _ -> ()
 
-let ctrl_exn t = match t.ctrl with Some c -> c | None -> assert false  (* dynlint: allow unsafe -- attach installs the controller before any use *)
+let create ~tree () =
+  let state =
+    {
+      tree;
+      labels = Hashtbl.create 64;
+      members = Hashtbl.create 64;
+      next_path = 0;
+      relabels = -1;  (* the initial labeling is no relabel *)
+    }
+  in
+  let engine =
+    Epochs.Central.create
+      ~hooks:(fun e -> { Controller.Central.no_hooks with on_grant = note_applied state e })
+      ~budget:(fun n ->
+        let m = max 2 (n / 2) in
+        (m, max 1 (m / 2)))
+      ~boundary:(relabel state) ~tree ()
+  in
+  { state; engine }
 
-let rec submit t op =
-  let c = ctrl_exn t in
-  match Terminating.request c op with
-  | Terminating.Granted -> (
-      match op with
-      | Workload.Add_leaf p ->
-          note_applied t
-            (Workload.Leaf_added { parent = p; leaf = Dtree.ever_created t.tree - 1 })
-      | Workload.Add_internal w ->
-          note_applied t
-            (Workload.Internal_added { below = w; fresh = Dtree.ever_created t.tree - 1 })
-      | Workload.Remove_leaf v ->
-          note_applied t (Workload.Leaf_removed { node = v; parent = 0 })
-      | Workload.Remove_internal v ->
-          note_applied t (Workload.Internal_removed { node = v; parent = 0; children = [] })
-      | Workload.Non_topological v -> note_applied t (Workload.Event_occurred v))
-  | Terminating.Terminated ->
-      t.done_moves <- t.done_moves + Terminating.moves c;
-      relabel t;
-      t.ctrl <- Some (make_ctrl t);
-      submit t op
+let submit t op = Epochs.Central.request t.engine op
 
 (* NCA from the two labels. At the first differing entry: if both name the
    same heavy path, the NCA sits at the smaller position on it; if they name
    different paths, the two nodes branched off the same node via different
    light edges, and that node is the previous (common) entry. If one label
    is a prefix of the other, that node itself is the NCA. *)
-let nca t u v =
+let nca { state = t; _ } u v =
   let lu = Hashtbl.find t.labels u and lv = Hashtbl.find t.labels v in
   let len = min (Array.length lu) (Array.length lv) in
   let rec go k =
@@ -153,11 +120,11 @@ let nca t u v =
   in
   go 0
 
-let label_entries t v = Array.length (Hashtbl.find t.labels v)
+let label_entries t v = Array.length (Hashtbl.find t.state.labels v)
 
 let max_label_bits t =
-  let bits = 2 * Stats.ceil_log2 (max 2 (2 * Dtree.size t.tree)) in
-  Hashtbl.fold (fun _ l acc -> max acc (Array.length l * bits)) t.labels 0
+  let bits = 2 * Stats.ceil_log2 (max 2 (2 * Dtree.size t.state.tree)) in
+  Hashtbl.fold (fun _ l acc -> max acc (Array.length l * bits)) t.state.labels 0
 
-let relabels t = t.relabels
-let messages t = t.done_moves + Terminating.moves (ctrl_exn t)
+let relabels t = t.state.relabels
+let messages t = Epochs.Central.moves t.engine

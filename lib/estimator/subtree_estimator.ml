@@ -1,172 +1,64 @@
-module Central = Controller.Central
-module Params = Controller.Params
-module Terminating = Controller.Terminating
-
-(* Per-node counters are dense int arrays indexed by the arena node id
-   (bounded by [Dtree.ever_created], grown on demand): [estimate] — the
-   innermost read of the permit-observation hot loop — is two array reads,
-   no hashing and no [Some] box per lookup. *)
-type t = {
-  tree : Dtree.t;
-  beta : float;
-  on_change : Dtree.node -> unit;
-  on_epoch : unit -> unit;
-  on_applied : Workload.applied -> unit;
-  mutable omega0 : int array;
-  mutable s : int array;  (* permits seen passing down via v *)
-  mutable sw : int array;  (* ground truth, analysis only *)
-  mutable ctrl : Terminating.t option;
-  mutable epochs : int;
-  mutable done_moves : int;
-}
-
-let get a v = if v < Array.length a then a.(v) else 0
-
-let ensure t v =
-  if v >= Array.length t.omega0 then begin
-    let cap = max 64 (max (2 * Array.length t.omega0) (v + 1)) in
-    let grow a =
-      let bigger = Array.make cap 0 in
-      Array.blit a 0 bigger 0 (Array.length a);
-      bigger
-    in
-    t.omega0 <- grow t.omega0;
-    t.s <- grow t.s;
-    t.sw <- grow t.sw
-  end
+type t = { core : Subtree_core.t; engine : Epochs.Central.t }
 
 (* The permits of a package moving from [from_dist] to [to_dist] above the
    requester enter every node strictly below the source; a package leaving
    the root's storage also "enters" the root itself (otherwise permits
    created at the root would never be charged to it, and by induction nodes
    served out of such packages could under-count). *)
-let observe_package t ~requester ~from_dist ~to_dist ~size =
+let observe_package core tree ~requester ~from_dist ~to_dist ~size =
   let top =
-    match Dtree.ancestor_at t.tree requester from_dist with
-    | Some v when v = Dtree.root t.tree -> from_dist
+    match Dtree.ancestor_at tree requester from_dist with
+    | Some v when v = Dtree.root tree -> from_dist
     | Some _ | None -> from_dist - 1
   in
   if to_dist <= top then begin
     (* one climb from the [to_dist] ancestor instead of an O(d) ancestor
        walk per distance: the loop body sees each node exactly once *)
-    match Dtree.ancestor_at t.tree requester to_dist with
+    match Dtree.ancestor_at tree requester to_dist with
     | None -> assert false  (* dynlint: allow unsafe -- to_dist <= depth of requester, so the ancestor exists *)
     | Some v0 ->
         let v = ref v0 in
         for d = to_dist to top do
           let u = !v in
-          ensure t u;
-          t.s.(u) <- t.s.(u) + size;
-          t.on_change u;
+          Subtree_core.observe core ~node:u ~size;
           if d < top then begin
-            let p = Dtree.parent_id t.tree u in
+            let p = Dtree.parent_id tree u in
             assert (p >= 0);  (* d < top <= depth, so an ancestor remains *)
             v := p
           end
         done
   end
 
-(* Ground-truth super-weights: a fresh node starts its own and increments
-   every current ancestor's; deletions change nothing. *)
-let bump_ancestors t v =
-  (* [v] inclusive up to the root, allocation-free *)
-  let u = ref v in
-  while !u >= 0 do
-    ensure t !u;
-    t.sw.(!u) <- t.sw.(!u) + 1;
-    u := Dtree.parent_id t.tree !u
-  done
-
-let note_applied t info =
-  match info with
-  | Workload.Leaf_added { leaf; parent } ->
-      ensure t leaf;
-      t.sw.(leaf) <- 1;
-      t.omega0.(leaf) <- 1;
-      bump_ancestors t parent
-  | Workload.Internal_added { fresh; _ } ->
-      ensure t fresh;
-      t.sw.(fresh) <- Dtree.subtree_size t.tree fresh;
-      t.omega0.(fresh) <- Dtree.subtree_size t.tree fresh;
-      let p = Dtree.parent_id t.tree fresh in
-      if p >= 0 then bump_ancestors t p
-  | Workload.Leaf_removed _ | Workload.Internal_removed _ | Workload.Event_occurred _ -> ()
-
-let make_ctrl t =
-  let n = Dtree.size t.tree in
-  let alpha = 1.0 -. (1.0 /. t.beta) in
-  let budget = max 2 (int_of_float (alpha *. float_of_int n)) in
-  let u = max 4 (n + budget) in
-  let hooks =
-    {
-      Central.on_grant =
-        (fun info ->
-          note_applied t info;
-          t.on_applied info);
-      on_package_down =
-        (fun ~requester ~from_dist ~to_dist ~size ->
-          observe_package t ~requester ~from_dist ~to_dist ~size);
-      on_package_event = (fun _ -> ());
-    }
-  in
-  let make_base ~m ~w =
-    Central.create ~reject_mode:Controller.Types.Report ~hooks
-      ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-  in
-  Terminating.create_custom ~make_base ~m:budget ~w:(max 1 (budget / 2))
-    ~tree:t.tree ()
-
-let start_epoch t =
-  Array.fill t.omega0 0 (Array.length t.omega0) 0;
-  Array.fill t.s 0 (Array.length t.s) 0;
-  Array.fill t.sw 0 (Array.length t.sw) 0;
-  let rec fill v =
-    let s = Dtree.fold_children t.tree v ~init:1 ~f:(fun acc c -> acc + fill c) in
-    ensure t v;
-    t.omega0.(v) <- s;
-    t.sw.(v) <- s;
-    s
-  in
-  ignore (fill (Dtree.root t.tree));
-  (* broadcast + upcast delivering omega_0 to every node *)
-  t.done_moves <- t.done_moves + (2 * Dtree.size t.tree);
-  t.ctrl <- Some (make_ctrl t);
-  t.on_epoch ()
-
 let create ?(beta = sqrt 3.0) ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ())
     ?(on_applied = fun _ -> ()) ~tree () =
   if beta <= 1.0 then invalid_arg "Subtree_estimator.create: beta must exceed 1";
-  let t =
+  let core = Subtree_core.create ~on_change ~tree in
+  let hooks =
     {
-      tree;
-      beta;
-      on_change;
-      on_epoch;
-      on_applied;
-      omega0 = Array.make 64 0;
-      s = Array.make 64 0;
-      sw = Array.make 64 0;
-      ctrl = None;
-      epochs = 0;
-      done_moves = 0;
+      Controller.Central.on_grant =
+        (fun info ->
+          Subtree_core.note_applied core info;
+          on_applied info);
+      on_package_down =
+        (fun ~requester ~from_dist ~to_dist ~size ->
+          observe_package core tree ~requester ~from_dist ~to_dist ~size);
+      on_package_event = (fun _ -> ());
     }
   in
-  start_epoch t;
-  t
+  let budget n =
+    let m = max 2 (int_of_float ((1.0 -. (1.0 /. beta)) *. float_of_int n)) in
+    (m, max 1 (m / 2))
+  in
+  let boundary e =
+    Subtree_core.start_epoch core;
+    (* broadcast + upcast delivering omega_0 to every node *)
+    Epochs.Central.charge e (2 * Dtree.size tree);
+    on_epoch ()
+  in
+  { core; engine = Epochs.Central.create ~hooks:(fun _ -> hooks) ~budget ~boundary ~tree () }
 
-let ctrl_exn t = match t.ctrl with Some c -> c | None -> assert false  (* dynlint: allow unsafe -- attach installs the controller before any use *)
-
-let rec submit t op =
-  let c = ctrl_exn t in
-  match Terminating.request c op with
-  | Terminating.Granted -> ()
-  | Terminating.Terminated ->
-      t.done_moves <- t.done_moves + Terminating.moves c;
-      t.epochs <- t.epochs + 1;
-      start_epoch t;
-      submit t op
-
-let estimate t v = get t.omega0 v + get t.s v
-let super_weight t v = get t.sw v
-let epochs t = t.epochs
-let moves t = t.done_moves + Terminating.moves (ctrl_exn t)
+let submit t op = Epochs.Central.request t.engine op
+let estimate t v = Subtree_core.estimate t.core v
+let super_weight t v = Subtree_core.super_weight t.core v
+let epochs t = Epochs.Central.epochs t.engine
+let moves t = Epochs.Central.moves t.engine

@@ -1,192 +1,47 @@
-module Dist = Controller.Dist
-module Params = Controller.Params
-module Types = Controller.Types
-
 let protocol_name = "subtree-est"
-let tag_universe = Dist.tag_universe ~name:protocol_name
+let tag_universe = Controller.Dist.tag_universe ~name:protocol_name
 
-type request = { op : Workload.op; k : unit -> unit }
-
-(* Per-node counters are dense int arrays indexed by the arena node id,
-   mirroring the centralized estimator: the permit-observation callback and
-   [estimate] are bare array reads, no hashing and no [Some] box per
-   message delivered. *)
 type t = {
-  net : Net.t;
-  beta : float;
-  on_change : Dtree.node -> unit;
-  on_epoch : unit -> unit;
+  core : Subtree_core.t;
   on_applied : Workload.applied -> unit;
-  mutable omega0 : int array;
-  mutable s : int array;
-  mutable sw : int array;  (* ground truth, analysis only *)
-  mutable ctrl : Dist.t option;
-  mutable epochs : int;
-  mutable rotating : bool;
-  mutable applying : int;
-  mutable overhead : int;
-  held : request Queue.t;
+  engine : Epochs.Dist.t;
 }
-
-let tree t = Net.tree t.net
-let get a v = if v < Array.length a then a.(v) else 0
-
-let ensure t v =
-  if v >= Array.length t.omega0 then begin
-    let cap = max 64 (max (2 * Array.length t.omega0) (v + 1)) in
-    let grow a =
-      let bigger = Array.make cap 0 in
-      Array.blit a 0 bigger 0 (Array.length a);
-      bigger
-    in
-    t.omega0 <- grow t.omega0;
-    t.s <- grow t.s;
-    t.sw <- grow t.sw
-  end
-
-let observe t ~node ~size =
-  if Dtree.live (tree t) node then begin
-    ensure t node;
-    t.s.(node) <- t.s.(node) + size;
-    t.on_change node
-  end
-
-let make_ctrl t =
-  let n = Dtree.size (tree t) in
-  let alpha = 1.0 -. (1.0 /. t.beta) in
-  let budget = max 1 (int_of_float (alpha *. float_of_int n)) in
-  let u = max 4 (n + budget) in
-  Dist.create
-    ~config:
-      {
-        Dist.auto_apply = false;
-        exhaustion = `Hold;
-        name = protocol_name;
-        on_permits_down = (fun ~node ~size -> observe t ~node ~size);
-      }
-    ~params:(Params.make ~m:budget ~w:(max 1 (budget / 2)) ~u)
-    ~net:t.net ()
-
-let start_epoch t =
-  Array.fill t.omega0 0 (Array.length t.omega0) 0;
-  Array.fill t.s 0 (Array.length t.s) 0;
-  Array.fill t.sw 0 (Array.length t.sw) 0;
-  let rec fill v =
-    let s = Dtree.fold_children (tree t) v ~init:1 ~f:(fun acc c -> acc + fill c) in
-    ensure t v;
-    t.omega0.(v) <- s;
-    t.sw.(v) <- s;
-    s
-  in
-  ignore (fill (Dtree.root (tree t)));
-  (* broadcast + upcast delivering omega_0, plus whiteboard reset *)
-  t.overhead <- t.overhead + (3 * Dtree.size (tree t));
-  t.ctrl <- Some (make_ctrl t);
-  t.on_epoch ()
 
 let create ?(beta = sqrt 3.0) ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ())
     ?(on_applied = fun _ -> ()) ~net () =
   if beta <= 1.0 then invalid_arg "Subtree_estimator_dist.create: beta must exceed 1";
-  let t =
-    {
-      net;
-      beta;
-      on_change;
-      on_epoch;
-      on_applied;
-      omega0 = Array.make 64 0;
-      s = Array.make 64 0;
-      sw = Array.make 64 0;
-      ctrl = None;
-      epochs = 0;
-      rotating = false;
-      applying = 0;
-      overhead = 0;
-      held = Queue.create ();
-    }
+  let tree = Net.tree net in
+  let core = Subtree_core.create ~on_change ~tree in
+  let budget n =
+    let m = max 1 (int_of_float ((1.0 -. (1.0 /. beta)) *. float_of_int n)) in
+    (m, max 1 (m / 2))
   in
-  start_epoch t;
-  t
+  let boundary e =
+    Subtree_core.start_epoch core;
+    (* broadcast + upcast delivering omega_0, plus whiteboard reset *)
+    Epochs.Dist.charge e (3 * Dtree.size tree);
+    on_epoch ()
+  in
+  let on_permits_down ~node ~size =
+    if Dtree.live tree node then Subtree_core.observe core ~node ~size
+  in
+  {
+    core;
+    on_applied;
+    engine =
+      Epochs.Dist.create ~on_permits_down ~name:protocol_name ~budget ~boundary ~net ();
+  }
 
-let ctrl_exn t = match t.ctrl with Some c -> c | None -> assert false  (* dynlint: allow unsafe -- attach installs the controller before any use *)
+let submit t op ~k =
+  Epochs.Dist.submit t.engine op ~k:(fun info ->
+      (match info with
+      | Some info ->
+          Subtree_core.note_applied t.core info;
+          t.on_applied info
+      | None -> ());
+      k ())
 
-(* [v] inclusive up to the root, allocation-free: the ancestor-list walk
-   this replaces built an O(depth) list per applied change. *)
-let bump_ancestors t v =
-  let u = ref v in
-  while !u >= 0 do
-    ensure t !u;
-    t.sw.(!u) <- t.sw.(!u) + 1;
-    u := Dtree.parent_id (tree t) !u
-  done
-
-let note_applied t info =
-  match info with
-  | Workload.Leaf_added { leaf; parent } ->
-      ensure t leaf;
-      t.sw.(leaf) <- 1;
-      t.omega0.(leaf) <- 1;
-      bump_ancestors t parent
-  | Workload.Internal_added { fresh; _ } ->
-      ensure t fresh;
-      t.sw.(fresh) <- Dtree.subtree_size (tree t) fresh;
-      t.omega0.(fresh) <- Dtree.subtree_size (tree t) fresh;
-      let p = Dtree.parent_id (tree t) fresh in
-      if p >= 0 then bump_ancestors t p
-  | Workload.Leaf_removed _ | Workload.Internal_removed _ | Workload.Event_occurred _ -> ()
-
-let rec apply_change t r =
-  let ctrl = ctrl_exn t in
-  if Dist.can_apply ctrl r.op then begin
-    let info = Workload.apply_info (tree t) r.op in
-    (match info with
-    | Workload.Leaf_removed { node; parent } | Workload.Internal_removed { node; parent; _ }
-      ->
-        Net.node_deleted t.net node ~parent
-    | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ -> ());
-    Dist.note_applied ctrl info;
-    note_applied t info;
-    t.on_applied info;
-    t.applying <- t.applying - 1;
-    r.k ()
-  end
-  else Net.schedule t.net ~delay:2 (fun () -> apply_change t r)
-
-let rec route t r =
-  if t.rotating then Queue.push r t.held
-  else
-    Dist.submit (ctrl_exn t) r.op ~k:(fun outcome ->
-        match outcome with
-        | Types.Granted ->
-            t.applying <- t.applying + 1;
-            apply_change t r
-        | Types.Exhausted ->
-            (* park first: the rotation can complete synchronously *)
-            Queue.push r t.held;
-            start_rotation t
-        | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- report mode: the controller never rejects *)
-
-and start_rotation t =
-  if not t.rotating then begin
-    t.rotating <- true;
-    await_drain t
-  end
-
-and await_drain t =
-  if Dist.outstanding (ctrl_exn t) = 0 && t.applying = 0 then rotate t
-  else Net.schedule t.net ~delay:2 (fun () -> await_drain t)
-
-and rotate t =
-  t.epochs <- t.epochs + 1;
-  start_epoch t;
-  t.rotating <- false;
-  let parked = Queue.create () in
-  Queue.transfer t.held parked;
-  Queue.iter (fun r -> Net.schedule t.net ~delay:1 (fun () -> route t r)) parked
-
-let submit t op ~k = Net.schedule t.net ~delay:1 (fun () -> route t { op; k })
-
-let estimate t v = get t.omega0 v + get t.s v
-let super_weight t v = get t.sw v
-let epochs t = t.epochs
-let overhead_messages t = t.overhead
+let estimate t v = Subtree_core.estimate t.core v
+let super_weight t v = Subtree_core.super_weight t.core v
+let epochs t = Epochs.Dist.epochs t.engine
+let overhead_messages t = Epochs.Dist.overhead t.engine

@@ -129,6 +129,28 @@ let test_nca_internal_ops_relabel () =
     if i mod 20 = 0 then check_nca tree nl ~samples:60 ~rng
   done
 
+(* A recycled id (see [Dtree.create ~reuse_ids]) must carry the new leaf's
+   label. *)
+let test_nca_recycled_ids () =
+  let tree = Dtree.create ~reuse_ids:true () in
+  let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
+  let b = Dtree.add_leaf tree ~parent:a in
+  ignore (Dtree.add_leaf tree ~parent:(Dtree.root tree));
+  let nl = Estimator.Nca_labeling.create ~tree () in
+  Estimator.Nca_labeling.submit nl (Workload.Remove_leaf b);
+  Estimator.Nca_labeling.submit nl (Workload.Add_leaf a);
+  let nodes = Dtree.live_nodes tree in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun v ->
+          let expected = Dtree.lowest_common_ancestor tree u v in
+          let got = Estimator.Nca_labeling.nca nl u v in
+          if got <> expected then
+            Alcotest.failf "nca(%d,%d) = %d, expected %d" u v got expected)
+        nodes)
+    nodes
+
 let test_nca_label_size () =
   (* log^2 n bits: the heavy-path bound keeps entry counts logarithmic *)
   let rng = Rng.create ~seed:156 in
@@ -219,6 +241,7 @@ let suite =
       Alcotest.test_case "nca: static exactness" `Quick test_nca_static;
       Alcotest.test_case "nca: incremental leaf dynamics" `Quick test_nca_under_leaf_dynamics;
       Alcotest.test_case "nca: internal ops relabel" `Quick test_nca_internal_ops_relabel;
+      Alcotest.test_case "nca: recycled node ids" `Quick test_nca_recycled_ids;
       Alcotest.test_case "nca: label entries logarithmic" `Quick test_nca_label_size;
       Alcotest.test_case "distance: static exactness" `Quick test_distance_static;
       Alcotest.test_case "distance: shrink keeps labels small" `Quick test_distance_under_shrink;

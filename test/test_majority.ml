@@ -116,6 +116,36 @@ let test_dist_early_commit () =
   | _ -> Alcotest.fail "expected an early commit");
   Alcotest.(check bool) "messages flowed" true (Net.messages net > 0)
 
+(* Four joins in flight at a time. When the last admitted join spends the
+   budget, the others still come back [Exhausted]: each rotates the retired
+   engine once more, charging its boundary, and is then refused. The counts
+   are those of the recorded run. *)
+let test_dist_concurrent_joins () =
+  let tree = Workload.Shape.build (Rng.create ~seed:4) (Workload.Shape.Random 21) in
+  let net = Net.create ~seed:5 ~scheduler:Scheduler.Fifo_link ~tree () in
+  let votes = Rng.create ~seed:6 in
+  let mc = Md.create ~m:60 ~net ~initial_votes:(fun _ -> Rng.float votes < 0.5) () in
+  let pick = Rng.create ~seed:7 in
+  let refused = ref 0 and epochs_when_spent = ref 0 in
+  let rec pump () =
+    if !refused < 3 then
+      Md.submit_join mc ~parent:(Rng.pick pick (Dtree.live_nodes tree))
+        ~vote:(Rng.float votes < 0.5) ~k:(fun admitted ->
+          if not admitted then incr refused
+          else if Md.joins mc = 60 then epochs_when_spent := Md.epochs mc;
+          pump ())
+  in
+  for _ = 1 to 4 do
+    pump ()
+  done;
+  Net.run net;
+  Alcotest.(check (list int))
+    "messages, overhead, epochs, joins" [ 586; 1_269; 6; 60 ]
+    [ Net.messages net; Md.overhead_messages mc; Md.epochs mc; Md.joins mc ];
+  Alcotest.(check int) "three rotations after the budget was spent" 3
+    (Md.epochs mc - !epochs_when_spent);
+  Alcotest.(check bool) "decision correct" true (Md.decision mc = Some (Md.ground_truth mc))
+
 let prop_dist_correct =
   Helpers.qcheck ~count:6 "distributed decision always matches final majority"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 100))
@@ -136,5 +166,6 @@ let suite =
       prop_always_correct;
       Alcotest.test_case "distributed: decides correctly" `Quick test_dist_decides_correctly;
       Alcotest.test_case "distributed: landslide commits early" `Quick test_dist_early_commit;
+      Alcotest.test_case "distributed: concurrent joins" `Quick test_dist_concurrent_joins;
       prop_dist_correct;
     ] )

@@ -340,6 +340,49 @@ let test_forwarded_delivery_recorded () =
        (M.snapshot (Telemetry.Sink.metrics sink))
        "net_forwarded_deliveries_total")
 
+(* Every rotation of a distributed Section 5 protocol shows in its trace:
+   one [Epoch] event under the protocol's name and one [ctrl_epochs_total]
+   increment. Each protocol runs a sequential churn stream on its own sink. *)
+let test_epoch_events_per_rotation () =
+  let check name start =
+    let sink = Telemetry.Sink.create () in
+    let tree = Workload.Shape.build (Rng.create ~seed:21) (Workload.Shape.Random 24) in
+    let net = Net.create ~seed:22 ~sink ~tree () in
+    let submit, epochs = start net tree in
+    let wl = Workload.make ~seed:23 ~mix:Workload.Mix.churn () in
+    let rec pump i = if i > 0 then submit (Workload.next_op wl tree) (fun () -> pump (i - 1)) in
+    pump 120;
+    Net.run net;
+    let events =
+      List.length
+        (List.filter
+           (fun e -> match e.E.kind with E.Epoch { ctrl; _ } -> ctrl = name | _ -> false)
+           (Telemetry.Sink.events sink))
+    in
+    Alcotest.(check bool) (name ^ ": rotated") true (epochs () > 0);
+    Alcotest.(check int) (name ^ ": one Epoch event per rotation") (epochs ()) events;
+    Alcotest.(check int) (name ^ ": ctrl_epochs_total") (epochs ())
+      (find_counter (M.snapshot (Telemetry.Sink.metrics sink)) "ctrl_epochs_total")
+  in
+  let module Se = Estimator.Size_estimation in
+  let module Na = Estimator.Name_assignment in
+  let module St = Estimator.Subtree_estimator_dist in
+  let module Md = Estimator.Majority_commit_dist in
+  check "size-est" (fun net _ ->
+      let p = Se.create ~net () in
+      ((fun op k -> Se.submit p op ~k), fun () -> Se.epochs p));
+  check "names" (fun net _ ->
+      let p = Na.create ~net () in
+      ((fun op k -> Na.submit p op ~k), fun () -> Na.epochs p));
+  check "subtree-est" (fun net _ ->
+      let p = St.create ~net () in
+      ((fun op k -> St.submit p op ~k), fun () -> St.epochs p));
+  check "census" (fun net tree ->
+      let p = Md.create ~m:100 ~net ~initial_votes:(fun v -> v mod 2 = 0) () in
+      ( (fun op k ->
+          Md.submit_join p ~parent:(Workload.request_site tree op) ~vote:true ~k:(fun _ -> k ())),
+        fun () -> Md.epochs p ))
+
 let test_messages_by_tag_sorted () =
   let tree = Dtree.create () in
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
@@ -372,4 +415,5 @@ let suite =
       Alcotest.test_case "forwarded delivery recorded" `Quick
         test_forwarded_delivery_recorded;
       Alcotest.test_case "messages_by_tag sorted" `Quick test_messages_by_tag_sorted;
+      Alcotest.test_case "one Epoch event per rotation" `Quick test_epoch_events_per_rotation;
     ] )
