@@ -10,12 +10,14 @@
    where dune leaves _build artifacts) for .cmt files; the cmts are read
    ONCE into a shared unit list and every typed pass runs over it: the
    typedtree scan (D7-D9), the alloc pass (D11), the pool pass (D12) and
-   the flow pass (D13). A --cmt DIR yielding no .cmt files is a hard error
-   (exit 2), because silently skipping the typed passes would green-wash a
-   broken build graph. Source files referenced by the cmts are resolved
-   against --root for inline-allow suppression. After every pass, any
-   allow-file entry or inline allow comment that suppressed nothing is
-   itself reported (D10), so dead exceptions cannot accumulate.
+   the flow pass (D13). Every pass emits through one shared emitter. A
+   PATH that does not exist, a --cmt DIR yielding no .cmt files, or a cmt
+   that cannot be read is a hard error (exit 2), because silently linting
+   nothing would green-wash a broken build graph. Source files referenced
+   by the cmts are resolved against --root for inline-allow suppression.
+   After every pass, any allow-file entry or inline allow comment that
+   suppressed nothing is itself reported (D10), so dead exceptions cannot
+   accumulate.
 
    --graph FILE (repeatable) writes the D13 protocol message-flow graph:
    .dot for Graphviz, anything else as JSON. --rules prints the rule table
@@ -28,7 +30,8 @@
    Prints one "file:line:col [id name] message" per finding, writes the
    findings as SARIF 2.1.0 when --sarif is given (also when clean), and
    exits 1 when there are any findings, 0 on a clean tree. Artifacts
-   (--sarif, --graph) are written before any failing exit. See
+   (--sarif, --graph) are written before any failing exit; one that cannot
+   be written is exit 2. See
    tools/dynlint/lint.mli and DESIGN.md "Static analysis" for the rule
    set and the allowlist syntax. *)
 
@@ -73,6 +76,13 @@ let () =
   in
   Arg.parse spec (fun p -> paths := p :: !paths) usage;
   let paths = List.rev !paths and cmt_dirs = List.rev !cmt_dirs in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("dynlint: " ^ m);
+        exit 2)
+      fmt
+  in
   if paths = [] && cmt_dirs = [] then (
     prerr_endline usage;
     exit 2);
@@ -80,12 +90,37 @@ let () =
     match !allow_file with
     | None -> Lint.no_allow
     | Some f -> (
-        try Lint.load_allow_file f
-        with Sys_error m | Failure m ->
-          Printf.eprintf "dynlint: %s\n" m;
-          exit 2)
+        try Lint.load_allow_file f with Sys_error m | Failure m -> fail "%s" m)
+  in
+  let write file text =
+    try
+      let oc = open_out file in
+      output_string oc text;
+      close_out oc
+    with Sys_error m ->
+      (* open_out's message already leads with the path *)
+      let p = file ^ ": " in
+      let lp = String.length p in
+      if String.starts_with ~prefix:p m then
+        fail "cannot write %s: %s" file (String.sub m lp (String.length m - lp))
+      else fail "cannot write %s: %s" file m
   in
   let t_start = Unix.gettimeofday () in
+  List.iter
+    (fun p ->
+      if not (Sys.file_exists (Filename.concat !root p)) then
+        fail "%s: no such file or directory (under --root %s)" p !root)
+    paths;
+  (* An empty --cmt DIR means @check didn't run (or the dir is wrong): the
+     typed passes (D7-D9, D11-D13) would silently vacuously pass. *)
+  List.iter
+    (fun d ->
+      if Cmt_load.collect_cmt_files [ d ] = [] then
+        fail
+          "--cmt %s contains no .cmt files; run `dune build @check` first \
+           (typed rules D7-D9/D11-D13 cannot run without cmts)"
+          d)
+    cmt_dirs;
   let timings = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
@@ -93,37 +128,26 @@ let () =
     timings := (name, Unix.gettimeofday () -. t0) :: !timings;
     r
   in
-  let tracker = Lint.new_tracker () in
-  let syntactic =
-    timed "parsetree" (fun () ->
-        if paths = [] then []
-        else Lint.lint_tree ~allow ~tracker ~root:!root paths)
-  in
-  let typed, graph =
-    if cmt_dirs = [] then ([], None)
+  let emitter = Lint.make_emitter ~allow ~source_root:!root () in
+  timed "parsetree" (fun () ->
+      if paths <> [] then Lint.lint_tree emitter ~root:!root paths);
+  let graph =
+    if cmt_dirs = [] then None
     else begin
-      (* An empty --cmt DIR means @check didn't run (or the dir is wrong):
-         the typed passes (D7-D9, D11-D13) would silently vacuously pass. *)
-      List.iter
-        (fun d ->
-          if Cmt_load.collect_cmt_files [ d ] = [] then (
-            Printf.eprintf
-              "dynlint: --cmt %s contains no .cmt files; run `dune build \
-               @check` first (typed rules D7-D9/D11-D13 cannot run without \
-               cmts)\n"
-              d;
-            exit 2))
-        cmt_dirs;
-      (* one read of every cmt, shared by all four typed passes *)
-      let units = timed "load" (fun () -> Cmt_load.load_dirs cmt_dirs) in
-      let emitter = Lint.make_emitter ~allow ~tracker ~source_root:!root () in
-      timed "typed" (fun () -> Lint_typed.scan_units ~emitter units);
-      timed "alloc" (fun () -> Lint_typed.alloc_units ~emitter units);
-      timed "pool" (fun () -> Lint_pool.lint_units ~emitter units);
-      let graph =
-        timed "flow" (fun () -> Lint_flow.lint_units ~emitter units)
+      (* one read of every cmt, shared by all four typed passes; every
+         unit's source is registered for D10 before any pass runs *)
+      let units =
+        timed "load" (fun () ->
+            let units =
+              try Cmt_load.load_dirs cmt_dirs with Failure m -> fail "%s" m
+            in
+            Lint.register_units emitter units;
+            units)
       in
-      (Lint.emitter_findings emitter, Some graph)
+      timed "typed" (fun () -> Lint_typed.lint_units ~emitter units);
+      timed "alloc" (fun () -> Lint_alloc.lint_units ~emitter units);
+      timed "pool" (fun () -> Lint_pool.lint_units ~emitter units);
+      Some (timed "flow" (fun () -> Lint_flow.lint_units ~emitter units))
     end
   in
   (match (!graph_files, graph) with
@@ -131,31 +155,23 @@ let () =
   | files, Some g ->
       List.iter
         (fun f ->
-          let text =
-            if Filename.check_suffix f ".dot" then Lint_flow.to_dot g
-            else Lint_flow.to_json g
-          in
-          let oc = open_out f in
-          output_string oc text;
-          close_out oc)
+          write f
+            (if Filename.check_suffix f ".dot" then Lint_flow.to_dot g
+             else Lint_flow.to_json g))
         files
-  | _ :: _, None ->
-      prerr_endline "dynlint: --graph needs --cmt (the flow pass reads cmts)";
-      exit 2);
+  | _ :: _, None -> fail "--graph needs --cmt (the flow pass reads cmts)");
   let in_scope rule =
-    match rule with
-    | Lint.Parallel_race | Lint.Protocol | Lint.Rng_taint | Lint.Zero_alloc
-    | Lint.Pool_discipline | Lint.Message_flow ->
-        cmt_dirs <> []
-    | Lint.Stale_allow -> true
-    | _ -> paths <> []
+    match Lint.rule_pass rule with
+    | "parsetree" -> paths <> []
+    | "driver" -> true
+    | _ -> cmt_dirs <> []
   in
-  let stale = Lint.stale_findings ~in_scope ~allow tracker in
-  let findings = List.sort Lint.compare_findings (syntactic @ typed @ stale) in
+  let findings =
+    List.sort Lint.compare_findings
+      (Lint.emitter_findings emitter @ Lint.stale_findings ~in_scope emitter)
+  in
   List.iter (fun f -> print_endline (Lint.finding_to_string f)) findings;
-  (match !sarif_file with
-  | Some f -> Sarif.write ~file:f findings
-  | None -> ());
+  Option.iter (fun f -> write f (Sarif.render findings)) !sarif_file;
   let total_ms = (Unix.gettimeofday () -. t_start) *. 1000. in
   Printf.eprintf "dynlint: timings(ms) %s total=%.1f\n"
     (String.concat " "

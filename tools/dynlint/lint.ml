@@ -13,79 +13,84 @@ type rule =
   | Pool_discipline
   | Message_flow
 
-let rule_id = function
-  | Global_state -> "D1"
-  | Ambient -> "D2"
-  | Poly_compare -> "D3"
-  | Unsafe -> "D4"
-  | Mli -> "D5"
-  | Stdout -> "D6"
-  | Parallel_race -> "D7"
-  | Protocol -> "D8"
-  | Rng_taint -> "D9"
-  | Stale_allow -> "D10"
-  | Zero_alloc -> "D11"
-  | Pool_discipline -> "D12"
-  | Message_flow -> "D13"
+(* One record per rule: the allow key, the owning pass (the `--rules` table
+   prints it, the driver's per-pass timing summary uses the same names, and
+   its D10 in_scope gating reads it) and the SARIF description. *)
+type rule_info = { id : string; name : string; pass : string; help : string }
 
-let rule_name = function
-  | Global_state -> "global-state"
-  | Ambient -> "ambient"
-  | Poly_compare -> "poly-compare"
-  | Unsafe -> "unsafe"
-  | Mli -> "mli"
-  | Stdout -> "stdout"
-  | Parallel_race -> "parallel-race"
-  | Protocol -> "protocol-conformance"
-  | Rng_taint -> "rng-taint"
-  | Stale_allow -> "stale-allow"
-  | Zero_alloc -> "zero-alloc"
-  | Pool_discipline -> "pool-discipline"
-  | Message_flow -> "message-flow"
-
-let rule_help = function
+let info = function
   | Global_state ->
-      "Top-level mutable allocation in lib/ is shared across Pool domains."
+      { id = "D1"; name = "global-state"; pass = "parsetree";
+        help = "Top-level mutable allocation in lib/ is shared across Pool domains." }
   | Ambient ->
-      "Ambient randomness or wall-clock time breaks seeded replay; only the \
-       seeded Rng and simulated Net time exist in the model."
+      { id = "D2"; name = "ambient"; pass = "parsetree";
+        help =
+          "Ambient randomness or wall-clock time breaks seeded replay; only the \
+           seeded Rng and simulated Net time exist in the model." }
   | Poly_compare ->
-      "Polymorphic compare/hash is visit-order dependent on mutable values; \
-       use a monomorphic comparator."
-  | Unsafe -> "Obj.magic, Marshal and unannotated assert false are forbidden."
-  | Mli -> "Every lib module declares its surface in an .mli."
-  | Stdout -> "lib/ code must not write to stdout; use telemetry or return values."
+      { id = "D3"; name = "poly-compare"; pass = "parsetree";
+        help =
+          "Polymorphic compare/hash is visit-order dependent on mutable values; \
+           use a monomorphic comparator." }
+  | Unsafe ->
+      { id = "D4"; name = "unsafe"; pass = "parsetree";
+        help = "Obj.magic, Marshal and unannotated assert false are forbidden." }
+  | Mli ->
+      { id = "D5"; name = "mli"; pass = "parsetree";
+        help = "Every lib module declares its surface in an .mli." }
+  | Stdout ->
+      { id = "D6"; name = "stdout"; pass = "parsetree";
+        help = "lib/ code must not write to stdout; use telemetry or return values." }
   | Parallel_race ->
-      "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
-       value defined outside it: that value is shared across domains and the \
-       -j N = -j 1 byte-determinism contract breaks."
+      { id = "D7"; name = "parallel-race"; pass = "typedtree";
+        help =
+          "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
+           value defined outside it: that value is shared across domains and the \
+           -j N = -j 1 byte-determinism contract breaks." }
   | Protocol ->
-      "Every tag literal sent through Net.send or handed to the intern \
-       boundary (Net.intern_tag / Tag.intern) must appear in a declared tag \
-       universe ([@@dynlint.tag_universe]); list-form universe entries must \
-       also be sent somewhere. Variant renderers declare their universe as a \
-       function, where dead arms are already a compiler guarantee."
+      { id = "D8"; name = "protocol-conformance"; pass = "typedtree";
+        help =
+          "Every tag literal sent through Net.send or handed to the intern \
+           boundary (Net.intern_tag / Tag.intern) must appear in a declared tag \
+           universe ([@@dynlint.tag_universe]); list-form universe entries must \
+           also be sent somewhere. Variant renderers declare their universe as a \
+           function, where dead arms are already a compiler guarantee." }
   | Rng_taint ->
-      "Every Rng.t must flow from a function parameter or an explicit \
-       Rng.create ~seed, never from a module-level binding: module-level RNG \
-       state is drawn from in whatever order domains interleave."
+      { id = "D9"; name = "rng-taint"; pass = "typedtree";
+        help =
+          "Every Rng.t must flow from a function parameter or an explicit \
+           Rng.create ~seed, never from a module-level binding: module-level RNG \
+           state is drawn from in whatever order domains interleave." }
   | Stale_allow ->
-      "This allowlist entry or inline allow comment suppresses nothing; dead \
-       exceptions accumulate until they hide a real regression."
+      { id = "D10"; name = "stale-allow"; pass = "driver";
+        help =
+          "This allowlist entry or inline allow comment suppresses nothing; dead \
+           exceptions accumulate until they hide a real regression." }
   | Zero_alloc ->
-      "A function annotated [@@dynlint.zero_alloc] must allocate nothing on \
-       any non-raising path: no closures, tuples, records, boxed floats, \
-       refs, partial applications, polymorphic compares, or calls into \
-       functions not themselves proven or assumed zero-alloc."
+      { id = "D11"; name = "zero-alloc"; pass = "alloc";
+        help =
+          "A function annotated [@@dynlint.zero_alloc] must allocate nothing on \
+           any non-raising path: no closures, tuples, records, boxed floats, \
+           refs, partial applications, polymorphic compares, or calls into \
+           functions not themselves proven or assumed zero-alloc." }
   | Pool_discipline ->
-      "A value acquired from a [@@dynlint.pool_acquire] function must be \
-       released exactly once on every path, including exception paths: a \
-       leaked or double-released cell silently corrupts the pool. Hand-offs \
-       go through [@dynlint.transfers_ownership] functions or a tail return."
+      { id = "D12"; name = "pool-discipline"; pass = "pool";
+        help =
+          "A value acquired from a [@@dynlint.pool_acquire] function must be \
+           released exactly once on every path, including exception paths: a \
+           leaked or double-released cell silently corrupts the pool. Hand-offs \
+           go through [@dynlint.transfers_ownership] functions or a tail return." }
   | Message_flow ->
-      "Every constructor of a variant tag universe must have at least one \
-       Net.send site and at least one installed delivery continuation: an \
-       orphan or unreceivable tag is a protocol hole no runtime test walks."
+      { id = "D13"; name = "message-flow"; pass = "flow";
+        help =
+          "Every constructor of a variant tag universe must have at least one \
+           Net.send site and at least one installed delivery continuation: an \
+           orphan or unreceivable tag is a protocol hole no runtime test walks." }
+
+let rule_id r = (info r).id
+let rule_name r = (info r).name
+let rule_pass r = (info r).pass
+let rule_help r = (info r).help
 
 let all_rules =
   [
@@ -94,32 +99,15 @@ let all_rules =
     Message_flow;
   ]
 
-(* Which phase of the tool owns the rule — the `--rules` table prints it,
-   the driver's per-pass timing summary uses the same names, and the D10
-   in_scope gating mirrors it. *)
-let rule_pass = function
-  | Global_state | Ambient | Poly_compare | Unsafe | Mli | Stdout -> "parsetree"
-  | Parallel_race | Protocol | Rng_taint -> "typedtree"
-  | Zero_alloc -> "alloc"
-  | Pool_discipline -> "pool"
-  | Message_flow -> "flow"
-  | Stale_allow -> "driver"
-
 (* The `dynlint --rules` table: one line per rule. Kept as data (not
    Printf.printf'd in the driver) so the test suite can assert it against
    the SARIF rule table and the DESIGN.md table without spawning a
    process. *)
 let rules_table () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "%-4s %-20s %-10s %s\n" "ID" "ALLOW-KEY" "PASS" "SUMMARY");
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%-4s %-20s %-10s %s\n" (rule_id r) (rule_name r)
-           (rule_pass r) (rule_help r)))
-    all_rules;
-  Buffer.contents b
+  let row = Printf.sprintf "%-4s %-20s %-10s %s\n" in
+  String.concat ""
+    (row "ID" "ALLOW-KEY" "PASS" "SUMMARY"
+    :: List.map (fun r -> let i = info r in row i.id i.name i.pass i.help) all_rules)
 
 let rule_of_name s = List.find_opt (fun r -> rule_name r = s) all_rules
 
@@ -168,31 +156,6 @@ type allow = { entries : allow_entry list; allow_path : string }
 
 let no_allow = { entries = []; allow_path = "" }
 
-(* Which suppressions actually suppressed something, plus every inline
-   allow-comment site seen, so the driver can report stale ones. All three
-   lists are deduplicated on insert; the scale is tens of entries. *)
-type tracker = {
-  mutable used_entries : (rule * string) list;
-  mutable used_inline : (string * int) list;  (* file, comment line *)
-  mutable inline_sites : (string * int * rule) list;
-}
-
-let new_tracker () = { used_entries = []; used_inline = []; inline_sites = [] }
-
-let mark_entry tracker (e : allow_entry) =
-  match tracker with
-  | None -> ()
-  | Some t ->
-      let k = (e.arule, e.suffix) in
-      if not (List.mem k t.used_entries) then t.used_entries <- k :: t.used_entries
-
-let mark_inline tracker file line =
-  match tracker with
-  | None -> ()
-  | Some t ->
-      let k = (file, line) in
-      if not (List.mem k t.used_inline) then t.used_inline <- k :: t.used_inline
-
 let is_path_suffix ~suffix path =
   (* [suffix] matches [path] on whole /-separated components from the end *)
   let lp = String.length path and ls = String.length suffix in
@@ -200,161 +163,223 @@ let is_path_suffix ~suffix path =
   && String.sub path (lp - ls) ls = suffix
   && (ls = lp || path.[lp - ls - 1] = '/')
 
-let file_allowed ?tracker allow rule path =
-  List.exists
-    (fun e ->
-      if e.arule = rule && is_path_suffix ~suffix:e.suffix path then begin
-        mark_entry tracker e;
-        true
-      end
-      else false)
-    allow.entries
-
-let load_allow_file path =
-  let ic = open_in path in
+let read_file path =
+  let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let entries = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let raw = input_line ic in
-           incr lineno;
-           let line =
-             match String.index_opt raw '#' with
-             | Some i -> String.sub raw 0 i
-             | None -> raw
-           in
-           let entry ~pin name suffix =
-             match rule_of_name name with
-             | Some r ->
-                 entries := { arule = r; suffix; pin; aline = !lineno } :: !entries
-             | None ->
-                 failwith (Printf.sprintf "%s: unknown dynlint rule %S" path name)
-           in
-           match String.split_on_char ' ' (String.trim line) with
-           | [ "" ] -> ()
-           | [ name; suffix ] -> entry ~pin:false name suffix
-           | [ "pin"; name; suffix ] -> entry ~pin:true name suffix
-           | _ ->
-               failwith
-                 (Printf.sprintf
-                    "%s: malformed allow entry %S (want: [pin] <rule-name> \
-                     <path>)"
-                    path raw)
-         done
-       with End_of_file -> ());
-      { entries = List.rev !entries; allow_path = path })
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let split_lines source = Array.of_list (String.split_on_char '\n' source)
+
+let load_allow_file path =
+  let entry i raw =
+    let line =
+      match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw
+    in
+    let entry ~pin name suffix =
+      match rule_of_name name with
+      | Some r -> [ { arule = r; suffix; pin; aline = i + 1 } ]
+      | None -> failwith (Printf.sprintf "%s: unknown dynlint rule %S" path name)
+    in
+    match String.split_on_char ' ' (String.trim line) with
+    | [ "" ] -> []
+    | [ name; suffix ] -> entry ~pin:false name suffix
+    | [ "pin"; name; suffix ] -> entry ~pin:true name suffix
+    | _ ->
+        failwith
+          (Printf.sprintf
+             "%s: malformed allow entry %S (want: [pin] <rule-name> <path>)" path raw)
+  in
+  let lines = Array.to_list (split_lines (read_file path)) in
+  { entries = List.concat (List.mapi entry lines); allow_path = path }
 
 let contains_substring hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
 
+(* ------------------------------------------------------------------ *)
+(* the emitter                                                         *)
+
+(* Every pass, parsetree and typed alike, emits through one of these: it
+   owns allow-file and inline-allow suppression, records which
+   suppressions fired and every inline allow site seen (for D10), caches
+   source lines so each linted source is read once across all passes, and
+   accumulates the surviving findings. The three D10 lists are
+   deduplicated on insert; the scale is tens of entries. *)
+type emitter = {
+  em_allow : allow;
+  em_source_root : string;
+  em_lines : (string, string array option) Hashtbl.t;
+  mutable em_used_entries : (rule * string) list;
+  mutable em_used_inline : (string * int) list;  (* file, comment line *)
+  mutable em_inline_sites : (string * int * rule) list;
+  mutable em_findings : finding list;
+}
+
+let make_emitter ?(allow = no_allow) ?(source_root = ".") () =
+  {
+    em_allow = allow;
+    em_source_root = source_root;
+    em_lines = Hashtbl.create 16;
+    em_used_entries = [];
+    em_used_inline = [];
+    em_inline_sites = [];
+    em_findings = [];
+  }
+
+let add_new x l = if List.mem x l then l else x :: l
+let mark_inline em file line = em.em_used_inline <- add_new (file, line) em.em_used_inline
+
+let file_allowed em rule path =
+  List.exists
+    (fun e ->
+      if e.arule = rule && is_path_suffix ~suffix:e.suffix path then begin
+        em.em_used_entries <- add_new (e.arule, e.suffix) em.em_used_entries;
+        true
+      end
+      else false)
+    em.em_allow.entries
+
 (* A finding on line [l] is suppressed by "dynlint: allow <rule-name>" on
    line [l] or [l-1] (1-indexed). *)
-let line_allowed ?tracker ~file lines rule l =
+let line_allowed em ~file lines rule l =
   let tag = "dynlint: allow " ^ rule_name rule in
   let has l = l >= 1 && l <= Array.length lines && contains_substring lines.(l - 1) tag in
   if has l then begin
-    mark_inline tracker file l;
+    mark_inline em file l;
     true
   end
   else if has (l - 1) then begin
-    mark_inline tracker file (l - 1);
+    mark_inline em file (l - 1);
     true
   end
   else false
 
-(* Register every "dynlint: allow <rule-name>" site in [lines] with the
-   tracker, so unused ones can be reported as stale. The rule name is the
-   longest [a-z-] token following the marker; unknown names are ignored
-   (they never suppress anything either). *)
+(* Register every "dynlint: allow <rule-name>" site in [lines], so unused
+   ones can be reported as stale. The rule name is the longest [a-z-]
+   token following the marker; unknown names are ignored (they never
+   suppress anything either). *)
 let inline_marker = "dynlint: allow "
 
-let scan_inline_allows ?tracker ~file lines =
-  match tracker with
-  | None -> ()
-  | Some t ->
-      Array.iteri
-        (fun i line ->
-          let lm = String.length inline_marker in
-          let ll = String.length line in
-          let rec find_from ofs =
-            if ofs + lm > ll then ()
-            else if String.sub line ofs lm = inline_marker then begin
-              let start = ofs + lm in
-              let stop = ref start in
-              while
-                !stop < ll
-                && (match line.[!stop] with 'a' .. 'z' | '-' -> true | _ -> false)
-              do
-                incr stop
-              done;
-              (match rule_of_name (String.sub line start (!stop - start)) with
-              | Some r ->
-                  let k = (file, i + 1, r) in
-                  if not (List.mem k t.inline_sites) then
-                    t.inline_sites <- k :: t.inline_sites
-              | None -> ());
-              find_from !stop
-            end
-            else find_from (ofs + 1)
-          in
-          find_from 0)
-        lines
+let scan_inline_allows em ~file lines =
+  Array.iteri
+    (fun i line ->
+      let lm = String.length inline_marker in
+      let ll = String.length line in
+      let rec find_from ofs =
+        if ofs + lm > ll then ()
+        else if String.sub line ofs lm = inline_marker then begin
+          let start = ofs + lm in
+          let stop = ref start in
+          while
+            !stop < ll
+            && (match line.[!stop] with 'a' .. 'z' | '-' -> true | _ -> false)
+          do
+            incr stop
+          done;
+          (match rule_of_name (String.sub line start (!stop - start)) with
+          | Some r -> em.em_inline_sites <- add_new (file, i + 1, r) em.em_inline_sites
+          | None -> ());
+          find_from !stop
+        end
+        else find_from (ofs + 1)
+      in
+      find_from 0)
+    lines
+
+(* The lines of [file] (the key findings carry), read once and registered
+   for D10 on first touch. *)
+let cached_lines em file read =
+  match Hashtbl.find_opt em.em_lines file with
+  | Some l -> l
+  | None ->
+      let l = read () in
+      Option.iter (scan_inline_allows em ~file) l;
+      Hashtbl.add em.em_lines file l;
+      l
+
+(* Sources that cannot be found (a cmt linted outside its workspace) fall
+   back to allow-file-only suppression. *)
+let touch_source em file =
+  cached_lines em file (fun () ->
+      let p = Filename.concat em.em_source_root file in
+      if Sys.file_exists p then Some (split_lines (read_file p)) else None)
+
+let register_units em units =
+  List.iter
+    (fun (u : Cmt_load.unit_info) -> ignore (touch_source em u.ui_source))
+    units
+
+let add em f = em.em_findings <- f :: em.em_findings
+
+let emit ?(related = []) em rule (loc : Location.t) msg =
+  let p = loc.loc_start in
+  let f =
+    {
+      file = p.pos_fname;
+      line = p.pos_lnum;
+      col = p.pos_cnum - p.pos_bol;
+      rule;
+      msg;
+      related;
+    }
+  in
+  if not (file_allowed em rule f.file) then
+    match touch_source em f.file with
+    | Some lines when line_allowed em ~file:f.file lines rule f.line -> ()
+    | _ -> add em f
+
+let related_of_loc ?(msg = "") (loc : Location.t) =
+  let p = loc.loc_start in
+  {
+    r_file = p.pos_fname;
+    r_line = p.pos_lnum;
+    r_col = p.pos_cnum - p.pos_bol;
+    r_msg = msg;
+  }
+
+let emitter_findings em = List.sort_uniq Stdlib.compare em.em_findings
 
 (* Stale-suppression report: allow-file entries (unless pinned) and inline
-   allow comments that suppressed no finding across every pass the tracker
-   saw. [in_scope] restricts the report to rules a pass actually ran — a
-   typed-only invocation must not call the parsetree rules' suppressions
-   stale (and vice versa). *)
-let stale_findings ?(in_scope = fun _ -> true) ~allow tracker =
+   allow comments that suppressed no finding across every pass the
+   emitter saw. [in_scope] restricts the report to rules a pass actually
+   ran — a typed-only invocation must not call the parsetree rules'
+   suppressions stale (and vice versa). *)
+let stale_findings ?(in_scope = fun _ -> true) em =
+  let stale file line msg =
+    { file; line; col = 0; rule = Stale_allow; related = []; msg }
+  in
   let entry_findings =
     List.filter_map
       (fun e ->
         if
           e.pin
           || (not (in_scope e.arule))
-          || List.mem (e.arule, e.suffix) tracker.used_entries
+          || List.mem (e.arule, e.suffix) em.em_used_entries
         then None
         else
           Some
-            {
-              file = allow.allow_path;
-              line = e.aline;
-              col = 0;
-              rule = Stale_allow;
-              related = [];
-              msg =
-                Printf.sprintf
+            (stale em.em_allow.allow_path e.aline
+               (Printf.sprintf
                   "allow entry \"%s %s\" suppresses nothing; delete it or mark \
                    it \"pin\" with a written policy reason"
-                  (rule_name e.arule) e.suffix;
-            })
-      allow.entries
+                  (rule_name e.arule) e.suffix)))
+      em.em_allow.entries
   in
   let inline_findings =
     List.filter_map
       (fun (file, line, r) ->
-        if (not (in_scope r)) || List.mem (file, line) tracker.used_inline then
+        if (not (in_scope r)) || List.mem (file, line) em.em_used_inline then
           None
         else
           Some
-            {
-              file;
-              line;
-              col = 0;
-              rule = Stale_allow;
-              related = [];
-              msg =
-                Printf.sprintf
+            (stale file line
+               (Printf.sprintf
                   "inline \"dynlint: allow %s\" suppresses nothing on this or \
                    the next line; delete it"
-                  (rule_name r);
-            })
-      tracker.inline_sites
+                  (rule_name r))))
+      em.em_inline_sites
   in
   List.sort compare_findings (entry_findings @ inline_findings)
 
@@ -369,8 +394,7 @@ let rec flatten_lid = function
   | Longident.Lapply _ -> []
 
 (* normalize away an explicit Stdlib. prefix so Stdlib.Sys.time = Sys.time *)
-let path_of_lid lid =
-  match flatten_lid lid with "Stdlib" :: (_ :: _ as rest) -> rest | p -> p
+let path_of_lid lid = Cmt_load.drop_stdlib (flatten_lid lid)
 
 let loc_pos (loc : Location.t) =
   let p = loc.loc_start in
@@ -457,30 +481,7 @@ let ctx_of_path path =
   in
   { lib; test }
 
-let parse_structure path source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let source_lines path =
-  Array.of_list (String.split_on_char '\n' (read_file path))
-
-let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
-  let findings = ref [] in
-  let flag rule loc msg =
-    let line, col = loc_pos loc in
-    if
-      (not (line_allowed ?tracker ~file:path lines rule line))
-      && not (file_allowed ?tracker allow rule path)
-    then
-      findings := { file = path; line; col; rule; msg; related = [] } :: !findings
-  in
+let lint_structure em ~ctx str =
   (* D1: scan a top-level binding's RHS, stopping at function boundaries —
      allocation inside a function body happens per call, not at module
      init. *)
@@ -497,7 +498,7 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
                 | Pexp_ident { txt; loc } ->
                     let p = path_of_lid txt in
                     if is_mutable_alloc p then
-                      flag Global_state loc
+                      emit em Global_state loc
                         (String.concat "." p
                        ^ " at module top level is shared mutable state and \
                           races under Pool domains; allocate inside the \
@@ -514,14 +515,14 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
   let on_ident lid loc =
     let p = path_of_lid lid in
     if ctx.lib then (
-      (match ambient_msg p with Some m -> flag Ambient loc m | None -> ());
+      (match ambient_msg p with Some m -> emit em Ambient loc m | None -> ());
       (match poly_compare_msg p with
-      | Some m -> flag Poly_compare loc m
+      | Some m -> emit em Poly_compare loc m
       | None -> ());
-      match stdout_msg p with Some m -> flag Stdout loc m | None -> ());
+      match stdout_msg p with Some m -> emit em Stdout loc m | None -> ());
     if not ctx.test then
       match unsafe_ident_msg p with
-      | Some m -> flag Unsafe loc m
+      | Some m -> emit em Unsafe loc m
       | None -> ()
   in
   let expr_rule self e =
@@ -530,7 +531,7 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
     | Pexp_assert inner when not ctx.test -> (
         match (strip_expr inner).pexp_desc with
         | Pexp_construct ({ txt = Longident.Lident "false"; _ }, None) ->
-            flag Unsafe e.pexp_loc
+            emit em Unsafe e.pexp_loc
               "assert false: if the branch is truly unreachable, annotate \
                with (* dynlint: allow unsafe -- reason *)"
         | _ -> ())
@@ -540,7 +541,7 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
         | [ op ], [ (_, a); (_, b) ]
           when List.mem op equality_ops
                && (is_record_literal a || is_record_literal b) ->
-            flag Poly_compare loc
+            emit em Poly_compare loc
               (Printf.sprintf
                  "polymorphic %s on a record literal is visit-order \
                   dependent when fields are mutable; compare a stable \
@@ -568,17 +569,21 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
       structure_item = structure_item_rule;
     }
   in
-  it.structure it str;
-  List.rev !findings
+  it.structure it str
 
-let lint_file ?(allow = no_allow) ?tracker ?display ~ctx path =
+(* The lexer's filename is the display path and the line cache is keyed by
+   it, so locations and suppression use the same key as the typed passes'
+   cmt source paths: each source is read once per run. *)
+let lint_file em ?display ~ctx path =
   let display = Option.value display ~default:path in
   let source = read_file path in
-  let lines = Array.of_list (String.split_on_char '\n' source) in
-  scan_inline_allows ?tracker ~file:display lines;
-  match parse_structure path source with
-  | str -> lint_structure ~allow ?tracker ~ctx ~path:display ~lines str
+  ignore (cached_lines em display (fun () -> Some (split_lines source)));
+  let lexbuf = Lexing.from_string source in
+  Lexing.set_filename lexbuf display;
+  match Parse.implementation lexbuf with
+  | str -> lint_structure em ~ctx str
   | exception exn ->
+      (* an unparseable file cannot be vouched for: not suppressible *)
       let line, col, detail =
         match Location.error_of_exn exn with
         | Some (`Ok err) ->
@@ -586,7 +591,7 @@ let lint_file ?(allow = no_allow) ?tracker ?display ~ctx path =
             (l, c, Format.asprintf "%t" err.main.txt)
         | _ -> (1, 0, Printexc.to_string exn)
       in
-      [
+      add em
         {
           file = display;
           line;
@@ -594,49 +599,42 @@ let lint_file ?(allow = no_allow) ?tracker ?display ~ctx path =
           rule = Unsafe;
           msg = "file does not parse: " ^ detail;
           related = [];
-        };
-      ]
+        }
 
-let check_mli ?(allow = no_allow) ?tracker ?display path =
+let check_mli em ?display path =
   let display = Option.value display ~default:path in
-  if file_allowed ?tracker allow Mli display then None
+  let mli = Filename.remove_extension path ^ ".mli" in
+  if file_allowed em Mli display || Sys.file_exists mli then None
   else
-    let mli = Filename.remove_extension path ^ ".mli" in
-    if Sys.file_exists mli then None
-    else
-      (* a leading "dynlint: allow mli" comment also suppresses *)
-      let head_allows =
-        match read_file path with
-        | source ->
-            let rec first_lines n = function
-              | x :: tl when n > 0 -> x :: first_lines (n - 1) tl
-              | _ -> []
-            in
-            let rec scan i = function
-              | [] -> None
-              | l :: tl ->
-                  if contains_substring l "dynlint: allow mli" then Some i
-                  else scan (i + 1) tl
-            in
-            scan 1 (first_lines 3 (String.split_on_char '\n' source))
-        | exception Sys_error _ -> None
-      in
-      match head_allows with
-      | Some l ->
-          mark_inline tracker display l;
-          None
-      | None ->
-          Some
-            {
-              file = display;
-              line = 1;
-              col = 0;
-              rule = Mli;
-              msg =
-                "missing interface " ^ Filename.basename mli
-                ^ ": every lib module declares its surface";
-              related = [];
-            }
+    (* a "dynlint: allow mli" comment in the first three lines also
+       suppresses *)
+    let lines =
+      cached_lines em display (fun () ->
+          try Some (split_lines (read_file path)) with Sys_error _ -> None)
+    in
+    let rec head_allow i =
+      match lines with
+      | Some ls when i <= 3 && i <= Array.length ls ->
+          if contains_substring ls.(i - 1) "dynlint: allow mli" then Some i
+          else head_allow (i + 1)
+      | _ -> None
+    in
+    match head_allow 1 with
+    | Some l ->
+        mark_inline em display l;
+        None
+    | None ->
+        Some
+          {
+            file = display;
+            line = 1;
+            col = 0;
+            rule = Mli;
+            msg =
+              "missing interface " ^ Filename.basename mli
+              ^ ": every lib module declares its surface";
+            related = [];
+          }
 
 (* ------------------------------------------------------------------ *)
 (* tree walk                                                           *)
@@ -654,17 +652,7 @@ let rec walk_dir acc dir =
         else acc)
     acc entries
 
-let lint_tree ?(allow = no_allow) ?tracker ~root dirs =
-  let files =
-    List.concat_map
-      (fun d ->
-        let abs = Filename.concat root d in
-        if Sys.file_exists abs && Sys.is_directory abs then
-          List.rev (walk_dir [] abs)
-        else if Sys.file_exists abs then [ abs ]
-        else [])
-      dirs
-  in
+let lint_tree em ~root dirs =
   let rel path =
     let prefix = root ^ "/" in
     let lp = String.length prefix in
@@ -672,91 +660,15 @@ let lint_tree ?(allow = no_allow) ?tracker ~root dirs =
       String.sub path lp (String.length path - lp)
     else path
   in
-  let findings =
-    List.concat_map
-      (fun abs ->
-        let path = rel abs in
-        let ctx = ctx_of_path path in
-        let fs = lint_file ~allow ?tracker ~display:path ~ctx abs in
-        if ctx.lib && not ctx.test then
-          match check_mli ~allow ?tracker ~display:path abs with
-          | Some f -> fs @ [ f ]
-          | None -> fs
-        else fs)
-      files
-  in
-  List.sort compare_findings findings
-
-(* ------------------------------------------------------------------ *)
-(* the shared typed-pass emitter                                       *)
-
-(* Every typed pass (D7-D9 scan, D11 alloc, D12 pool, D13 flow) emits
-   through one of these: it owns the allow-file and inline-allow
-   suppression (sharing the tracker for D10 staleness), caches source
-   lines so each linted source is read once across all passes, and
-   accumulates the surviving findings. *)
-type emitter = {
-  em_allow : allow;
-  em_tracker : tracker option;
-  em_source_root : string;
-  em_lines : (string, string array option) Hashtbl.t;
-  mutable em_findings : finding list;
-}
-
-let make_emitter ?(allow = no_allow) ?tracker ?(source_root = ".") () =
-  {
-    em_allow = allow;
-    em_tracker = tracker;
-    em_source_root = source_root;
-    em_lines = Hashtbl.create 16;
-    em_findings = [];
-  }
-
-(* Lines of a linted source, for inline-allow suppression; registering its
-   allow sites with the tracker on first touch. Sources that cannot be
-   found (a cmt linted outside its workspace) fall back to allow-file-only
-   suppression. *)
-let emitter_touch_source em file =
-  match Hashtbl.find_opt em.em_lines file with
-  | Some l -> l
-  | None ->
-      let l =
-        let p = Filename.concat em.em_source_root file in
-        if Sys.file_exists p then (
-          let lines = source_lines p in
-          scan_inline_allows ?tracker:em.em_tracker ~file lines;
-          Some lines)
-        else None
-      in
-      Hashtbl.add em.em_lines file l;
-      l
-
-let emit ?(related = []) em rule (loc : Location.t) msg =
-  let p = loc.loc_start in
-  let f =
-    {
-      file = p.pos_fname;
-      line = p.pos_lnum;
-      col = p.pos_cnum - p.pos_bol;
-      rule;
-      msg;
-      related;
-    }
-  in
-  if not (file_allowed ?tracker:em.em_tracker em.em_allow rule f.file) then
-    match emitter_touch_source em f.file with
-    | Some lines
-      when line_allowed ?tracker:em.em_tracker ~file:f.file lines rule f.line ->
-        ()
-    | _ -> em.em_findings <- f :: em.em_findings
-
-let related_of_loc ?(msg = "") (loc : Location.t) =
-  let p = loc.loc_start in
-  {
-    r_file = p.pos_fname;
-    r_line = p.pos_lnum;
-    r_col = p.pos_cnum - p.pos_bol;
-    r_msg = msg;
-  }
-
-let emitter_findings em = List.sort_uniq Stdlib.compare em.em_findings
+  List.iter
+    (fun d ->
+      let abs = Filename.concat root d in
+      List.iter
+        (fun abs ->
+          let path = rel abs in
+          let ctx = ctx_of_path path in
+          lint_file em ~display:path ~ctx abs;
+          if ctx.lib && not ctx.test then
+            Option.iter (add em) (check_mli em ~display:path abs))
+        (if Sys.is_directory abs then List.rev (walk_dir [] abs) else [ abs ]))
+    dirs

@@ -6,7 +6,7 @@
     so they are fast and run on any file that parses, at the cost of a few
     syntactic heuristics. D7-D9 need types and cross-module visibility and
     live in the typedtree pass ({!Lint_typed}, reading [.cmt] files); D10
-    is computed by the driver from the {!tracker} both passes share.
+    is computed by the driver from the {!emitter} every pass shares.
 
     {2 Rules}
 
@@ -100,8 +100,8 @@ val all_rules : rule list
 val rule_pass : rule -> string
 (** Which phase owns the rule: ["parsetree"] (D1-D6), ["typedtree"]
     (D7-D9), ["alloc"] (D11), ["pool"] (D12), ["flow"] (D13) or
-    ["driver"] (D10). The driver's per-pass timing summary uses the same
-    names. *)
+    ["driver"] (D10). The driver's per-pass timing summary and its D10
+    scope use the same names. *)
 
 val rules_table : unit -> string
 (** The [dynlint --rules] listing: a header line plus one line per rule
@@ -144,41 +144,6 @@ val load_allow_file : string -> allow
 (** @raise Sys_error if the file cannot be read.
     @raise Failure on a malformed line (unknown rule name). *)
 
-type tracker
-(** Mutable record of which suppressions (allow-file entries and inline
-    allow comments) actually fired, and of every inline allow site seen.
-    Share one tracker across the parsetree and typedtree passes, then call
-    {!stale_findings} for the D10 report. *)
-
-val new_tracker : unit -> tracker
-
-val stale_findings :
-  ?in_scope:(rule -> bool) -> allow:allow -> tracker -> finding list
-(** D10: non-[pin] allow entries and inline allow comments that suppressed
-    nothing across everything the tracker saw. [in_scope] (default:
-    everything) restricts the report to rules that actually ran — a
-    typed-only invocation must not call a parsetree rule's suppressions
-    stale. Sorted by (file, line). *)
-
-val file_allowed : ?tracker:tracker -> allow -> rule -> string -> bool
-(** Does an allow entry suppress [rule] for this path? Marks the entry used
-    in the tracker when it does. *)
-
-val line_allowed :
-  ?tracker:tracker -> file:string -> string array -> rule -> int -> bool
-(** Is a finding for [rule] on 1-indexed line [l] suppressed by an inline
-    allow comment on line [l] or [l-1]? Marks the comment used. *)
-
-val scan_inline_allows : ?tracker:tracker -> file:string -> string array -> unit
-(** Register every [dynlint: allow <rule-name>] site in the file's lines
-    with the tracker (so unused ones can be reported stale). No-op without
-    a tracker. *)
-
-val source_lines : string -> string array
-(** The file's lines, for {!line_allowed}/{!scan_inline_allows} callers
-    outside this module (the typedtree pass).
-    @raise Sys_error if the file cannot be read. *)
-
 (** Which rule groups apply to a file, by where it lives in the tree. *)
 type ctx = {
   lib : bool;  (** under [lib/]: D1, D2, D3, D6 (D5 checked separately) *)
@@ -189,56 +154,56 @@ val ctx_of_path : string -> ctx
 (** Classify a [/]-separated path: [lib/...] is lib code, [test/...] or any
     [.../test/...] segment is test code. *)
 
-val lint_file :
-  ?allow:allow -> ?tracker:tracker -> ?display:string -> ctx:ctx -> string ->
-  finding list
-(** Parse one [.ml] file and run every applicable syntactic rule (D1-D4,
-    D6). A file that does not parse yields a single D4 finding at the error
-    location (an unparseable file cannot be vouched for). Findings are in
-    source order and carry [display] (default: the path itself) as their
-    file. *)
-
-val check_mli :
-  ?allow:allow -> ?tracker:tracker -> ?display:string -> string ->
-  finding option
-(** D5 for one [.ml] path: [Some finding] when the sibling [.mli] is
-    missing. *)
-
-val lint_tree :
-  ?allow:allow -> ?tracker:tracker -> root:string -> string list ->
-  finding list
-(** Walk the given directories (relative to [root]) recursively in sorted
-    order, lint every [.ml] with {!lint_file} under its {!ctx_of_path}
-    classification, and apply {!check_mli} to lib files. [_build], [.git]
-    and hidden directories are skipped. Findings are sorted by
-    (file, line, col). *)
-
 type emitter
-(** The shared finding sink of the typed passes: owns allow-file and
-    inline-allow suppression (sharing the tracker for D10 staleness),
-    caches source lines so each linted source is read once across every
-    pass, and accumulates the surviving findings. Make one, hand it to
-    {!Lint_typed.scan_units}, {!Lint_typed.alloc_units},
-    {!Lint_pool.lint_units} and {!Lint_flow} in turn, then collect with
-    {!emitter_findings}. *)
+(** The one finding sink every pass shares: owns allow-file and
+    inline-allow suppression, records which suppressions fired and every
+    inline allow site seen (for the D10 report), caches source lines so
+    each linted source is read once across every pass, and accumulates
+    the surviving findings. Make one, hand it to {!lint_tree}, to
+    {!register_units} and to each typed pass's [lint_units] in turn, then
+    collect with {!emitter_findings} and {!stale_findings}. *)
 
-val make_emitter :
-  ?allow:allow -> ?tracker:tracker -> ?source_root:string -> unit -> emitter
+val make_emitter : ?allow:allow -> ?source_root:string -> unit -> emitter
 (** [source_root] (default ["."]) prefixes the workspace-relative source
     paths recorded in cmts when reading sources for inline-allow
     suppression. *)
 
 val emit : ?related:related list -> emitter -> rule -> Location.t -> string -> unit
-(** Record one finding at a typedtree location unless an allow-file entry
-    or inline allow comment suppresses it. *)
+(** Record one finding at a location unless an allow-file entry or an
+    inline allow comment suppresses it. *)
 
-val emitter_touch_source : emitter -> string -> string array option
-(** Read (and cache) a linted source's lines, registering its inline allow
-    sites with the tracker — call for every scanned unit so finding-free
-    files still report stale allows. [None] when the source is missing. *)
+val register_units : emitter -> Cmt_load.unit_info list -> unit
+(** Read (and cache) every loaded unit's source, registering its inline
+    allow sites, so files with no finding still report stale allows. Call
+    it once, after loading and before the typed passes. *)
 
 val related_of_loc : ?msg:string -> Location.t -> related
-(** Build a {!related} entry from a typedtree location. *)
+(** Build a {!related} entry from a location. *)
 
 val emitter_findings : emitter -> finding list
 (** Everything emitted so far, sorted and deduplicated. *)
+
+val stale_findings : ?in_scope:(rule -> bool) -> emitter -> finding list
+(** D10: non-[pin] allow entries and inline allow comments that suppressed
+    nothing across everything the emitter saw. [in_scope] (default:
+    everything) restricts the report to rules that actually ran — a
+    typed-only invocation must not call a parsetree rule's suppressions
+    stale. Sorted by (file, line). *)
+
+val lint_file : emitter -> ?display:string -> ctx:ctx -> string -> unit
+(** Parse one [.ml] file and emit every applicable syntactic finding
+    (D1-D4, D6) under [display] (default: the path itself). A file that
+    does not parse yields a single, unsuppressible D4 finding at the error
+    location (an unparseable file cannot be vouched for). *)
+
+val check_mli : emitter -> ?display:string -> string -> finding option
+(** D5 for one [.ml] path: [Some finding] when the sibling [.mli] is
+    missing and neither the allow file nor a ["dynlint: allow mli"]
+    comment in the first three lines excuses it. *)
+
+val lint_tree : emitter -> root:string -> string list -> unit
+(** Walk the given directories (relative to [root]) recursively in sorted
+    order, lint every [.ml] with {!lint_file} under its {!ctx_of_path}
+    classification, and add {!check_mli}'s finding for lib files. [_build],
+    [.git] and hidden directories are skipped.
+    @raise Sys_error when a path does not exist. *)

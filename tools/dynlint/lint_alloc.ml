@@ -39,38 +39,18 @@
    free, the call site proves its callback.
 
    Interprocedural reasoning is two-tier. Same-unit callees reached by
-   ident are chased and verified inline (memoized, cycle-safe); a chased
-   callee that allocates is reported at the *call site* inside the
-   annotated function, so a justified exception ([acquire]'s pool-miss
-   path) is one inline allow comment at that call. Cross-module callees
-   are looked up in the summary table built from every scanned cmt —
-   D8's universe-table pattern — keyed (unit, value-name); anything not
-   found there is flagged. [@@dynlint.zero_alloc assume] enters the table
-   without verification, the escape hatch for externals and wrappers the
-   checker cannot see into. *)
+   ident are chased through the unit's binding table and verified inline
+   (memoized, cycle-safe); a chased callee that allocates is reported at
+   the *call site* inside the annotated function, so a justified exception
+   ([acquire]'s pool-miss path) is one inline allow comment at that call.
+   Cross-module callees are looked up in the table of annotated values
+   built from every scanned unit's declarations — D8's universe-table
+   pattern — keyed (unit, value-name); anything not found there is
+   flagged. [@@dynlint.zero_alloc assume] enters the table without
+   verification, the escape hatch for externals and wrappers the checker
+   cannot see into. *)
 
 open Typedtree
-
-(* ---------- path normalization (same scheme as Lint_typed) ---------- *)
-
-let split_dunder s =
-  let n = String.length s in
-  let rec go acc start i =
-    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      go (String.sub s start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [ s ] else go [] 0 0
-
-let rec path_components acc = function
-  | Path.Pident id -> Ident.name id :: acc
-  | Path.Pdot (p, s) -> path_components (s :: acc) p
-  | Path.Papply (p, _) -> path_components acc p
-  | Path.Pextra_ty (p, _) -> path_components acc p
-
-let norm_path p = List.concat_map split_dunder (path_components [] p)
-let drop_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c
 
 (* ---------- classification tables ---------- *)
 
@@ -111,24 +91,14 @@ let poly_compare_heads =
 
 let apply_operators = [ [ "@@" ]; [ "|>" ] ]
 
-let raising_heads =
-  [ [ "invalid_arg" ]; [ "failwith" ]; [ "raise" ]; [ "raise_notrace" ];
-    [ "exit" ] ]
-
-let is_float_ty ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> drop_stdlib (norm_path p) = [ "float" ]
-  | _ -> false
-
-let is_arrow_ty ty =
-  match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
+let is_float_ty ty = Cmt_load.type_head ty = Some [ "float" ]
 
 (* Branches that can only raise are exempt from the allocation discipline:
    the error path may format its message; the steady state never runs it. *)
 let rec always_raises e =
   match e.exp_desc with
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
-      List.mem (drop_stdlib (norm_path p)) raising_heads
+  | Texp_apply (fn, _) ->
+      Option.fold ~none:false ~some:Cmt_load.raises (Cmt_load.callee fn)
   | Texp_assert
       ({ exp_desc = Texp_construct (_, { cstr_name = "false"; _ }, _); _ }, _)
     ->
@@ -152,142 +122,31 @@ let rec is_static e =
 
 (* ---------- the [@@dynlint.zero_alloc] attribute ---------- *)
 
-let zero_alloc_attr = "dynlint.zero_alloc"
-
 type mode = Check | Assume
 
-let attr_mode (attrs : Parsetree.attributes) =
-  List.fold_left
-    (fun acc (a : Parsetree.attribute) ->
-      if a.attr_name.txt <> zero_alloc_attr then acc
-      else
-        match a.attr_payload with
-        | Parsetree.PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ( {
-                        pexp_desc =
-                          Pexp_ident { txt = Longident.Lident "assume"; _ };
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
-            Some Assume
-        | _ -> Some Check)
-    None attrs
+(* [@@dynlint.zero_alloc assume] vouches; any other payload asks for a
+   proof. *)
+let attr_mode attrs =
+  Option.map
+    (fun (a : Parsetree.attribute) ->
+      match a.attr_payload with
+      | Parsetree.PStr
+          [
+            {
+              pstr_desc =
+                Pstr_eval
+                  ({ pexp_desc = Pexp_ident { txt = Longident.Lident "assume"; _ }; _ }, _);
+              _;
+            };
+          ] ->
+          Assume
+      | _ -> Check)
+    (Cmt_load.attr "dynlint.zero_alloc" attrs)
 
-(* ---------- summaries ---------- *)
-
-type summary = {
-  s_unit : string;  (* compilation unit, unwrapped: "Net", "Dtree", ... *)
-  s_name : string;  (* value name *)
-  s_mode : mode;
-  s_expr : expression option;  (* None for externals (always assume) *)
-  s_binds : (string, expression) Hashtbl.t;  (* unit's let-bound idents *)
-  s_verdicts : (string, verdict) Hashtbl.t;  (* per-unit local-chase memo *)
-  s_loc : Location.t;
-}
-
-and verdict =
+type verdict =
   | V_in_progress
   | V_ok
   | V_bad of string  (* one-line reason: "file:line: what allocates" *)
-
-(* Every let-bound ident in the unit, module- and expression-level, keyed
-   by unique name (same scheme as the D7 chase). *)
-let collect_value_binds (str : structure) =
-  let binds = Hashtbl.create 64 in
-  let add (vb : value_binding) =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) | Tpat_alias (_, id, _) ->
-        Hashtbl.replace binds (Ident.unique_name id) vb.vb_expr
-    | _ -> ()
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_let (_, vbs, _) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
-    }
-  in
-  it.structure it str;
-  binds
-
-let collect ~unit_name (str : structure) =
-  let binds = collect_value_binds str in
-  let verdicts = Hashtbl.create 32 in
-  let summaries = ref [] in
-  let add_value (vb : value_binding) =
-    match attr_mode vb.vb_attributes with
-    | None -> ()
-    | Some mode ->
-        let name =
-          match vb.vb_pat.pat_desc with
-          | Tpat_var (id, _) | Tpat_alias (_, id, _) -> Ident.name id
-          | _ -> "_"
-        in
-        summaries :=
-          {
-            s_unit = unit_name;
-            s_name = name;
-            s_mode = mode;
-            s_expr = Some vb.vb_expr;
-            s_binds = binds;
-            s_verdicts = verdicts;
-            s_loc = vb.vb_pat.pat_loc;
-          }
-          :: !summaries
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_let (_, vbs, _) -> List.iter add_value vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) -> List.iter add_value vbs
-          | Tstr_primitive vd -> (
-              (* an external has no body to verify: any zero_alloc
-                 annotation on it is an assumption by construction *)
-              match attr_mode vd.val_attributes with
-              | Some _ ->
-                  summaries :=
-                    {
-                      s_unit = unit_name;
-                      s_name = vd.val_name.txt;
-                      s_mode = Assume;
-                      s_expr = None;
-                      s_binds = binds;
-                      s_verdicts = verdicts;
-                      s_loc = vd.val_loc;
-                    }
-                    :: !summaries
-              | None -> ())
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
-    }
-  in
-  it.structure it str;
-  List.rev !summaries
 
 (* ---------- eliminable refs ---------- *)
 
@@ -296,27 +155,9 @@ let deref_ops = [ [ "!" ]; [ ":=" ]; [ "incr" ]; [ "decr" ] ]
 let is_ref_apply e =
   match e.exp_desc with
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some init) ])
-    when drop_stdlib (norm_path p) = [ "ref" ] ->
+    when Cmt_load.head p = [ "ref" ] ->
       Some init
   | _ -> None
-
-let ident_occurs key e =
-  let found = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_ident (Path.Pident id, _, _)
-            when Ident.unique_name id = key ->
-              found := true
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it e;
-  !found
 
 (* [let r = ref e in body] compiles to a stack slot (Simplif.eliminate_ref)
    exactly when every use of [r] in [body] is a direct [!]/[:=]/[incr]/
@@ -332,13 +173,13 @@ let ref_eliminable key body =
           | Texp_ident (Path.Pident id, _, _)
             when Ident.unique_name id = key ->
               ok := false
-          | Texp_function _ -> if ident_occurs key e then ok := false
+          | Texp_function _ -> if Cmt_load.ident_occurs key e then ok := false
           | Texp_apply
               ( { exp_desc = Texp_ident (p, _, _); _ },
                 (_, Some { exp_desc = Texp_ident (Path.Pident id, _, _); _ })
                 :: rest )
             when Ident.unique_name id = key
-                 && List.mem (drop_stdlib (norm_path p)) deref_ops ->
+                 && List.mem (Cmt_load.head p) deref_ops ->
               List.iter
                 (function _, Some a -> self.expr self a | _, None -> ())
                 rest
@@ -350,36 +191,11 @@ let ref_eliminable key body =
 
 (* ---------- free variables of a literal closure ---------- *)
 
-let bound_idents_within (e : expression) =
-  let bound = Hashtbl.create 16 in
-  let add id = Hashtbl.replace bound (Ident.unique_name id) () in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      pat =
-        (fun (type k) self (p : k general_pattern) ->
-          (match p.pat_desc with
-          | Tpat_var (id, _) -> add id
-          | Tpat_alias (_, id, _) -> add id
-          | _ -> ());
-          Tast_iterator.default_iterator.pat self p);
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_for (id, _, _, _, _, _) -> add id
-          | Texp_function { param; _ } -> add param
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it e;
-  bound
-
 (* Free idents of a closure: same-unit [Pident] references not bound inside
    it. Cross-module [Pdot] references resolve through the module block, not
    the closure environment, so they never force a capture. *)
 let free_idents (e : expression) =
-  let bound = bound_idents_within e in
+  let bound = Cmt_load.bound_idents e in
   let free = ref [] in
   let it =
     {
@@ -413,10 +229,9 @@ let short_loc (loc : Location.t) =
   Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_lnum
 
 let callee_trusted vctx comps =
-  match List.rev comps with
-  | f :: m :: _ -> Hashtbl.mem vctx.proven (m, f)
-  | [ f ] -> Hashtbl.mem vctx.proven (vctx.unit_name, f)
-  | [] -> false
+  match Cmt_load.qualify ~unit_name:vctx.unit_name comps with
+  | Some key -> Hashtbl.mem vctx.proven key
+  | None -> false
 
 let in_owner vctx base = Printf.sprintf "%s (in zero-alloc %s)" base vctx.owner
 
@@ -503,7 +318,7 @@ and check_expr vctx e =
         List.iter
           (function _, Some a -> check_expr vctx a | _, None -> ())
           args;
-        if is_arrow_ty e.exp_type then
+        if Cmt_load.is_arrow_ty e.exp_type then
           vctx.emit e.exp_loc
             (in_owner vctx
                "partial application allocates a closure for the remaining \
@@ -610,7 +425,7 @@ and check_expr vctx e =
 and check_callee vctx app fn =
   match fn.exp_desc with
   | Texp_ident (p, _, _) -> (
-      let comps = drop_stdlib (norm_path p) in
+      let comps = Cmt_load.head p in
       if is_float_ty app.exp_type && not (callee_trusted vctx comps) then
         vctx.emit app.exp_loc
           (in_owner vctx
@@ -684,7 +499,7 @@ and chase_local vctx key bound =
       | Texp_function _ -> check_body sub bound
       | Texp_ident (p, _, _) -> (
           (* alias: resolve one step *)
-          let comps = drop_stdlib (norm_path p) in
+          let comps = Cmt_load.head p in
           match p with
           | Path.Pident id' -> (
               let key' = Ident.unique_name id' in
@@ -716,25 +531,38 @@ and chase_local vctx key bound =
 
 (* ---------- driver ---------- *)
 
-let verify ~emit summaries =
+(* Every [@@dynlint.zero_alloc] declaration of every unit, check and
+   assume alike, forms the trusted table; then each checked one is verified
+   against it, with a local-chase memo per unit. *)
+let lint_units ~emitter units =
+  let emit loc msg = Lint.emit emitter Lint.Zero_alloc loc msg in
+  let name (d : Cmt_load.decl) = Option.value d.d_name ~default:"_" in
   let proven = Hashtbl.create 64 in
   List.iter
-    (fun s -> Hashtbl.replace proven (s.s_unit, s.s_name) ())
-    summaries;
+    (fun (u : Cmt_load.unit_info) ->
+      List.iter
+        (fun (d : Cmt_load.decl) ->
+          if attr_mode d.d_attrs <> None then
+            Hashtbl.replace proven (u.ui_name, name d) ())
+        u.ui_decls)
+    units;
   List.iter
-    (fun s ->
-      match (s.s_mode, s.s_expr) with
-      | Assume, _ | _, None -> ()
-      | Check, Some body ->
-          let vctx =
-            {
-              emit;
-              proven;
-              binds = s.s_binds;
-              verdicts = s.s_verdicts;
-              unit_name = s.s_unit;
-              owner = s.s_unit ^ "." ^ s.s_name;
-            }
-          in
-          check_body vctx body)
-    summaries
+    (fun (u : Cmt_load.unit_info) ->
+      let verdicts = Hashtbl.create 32 in
+      List.iter
+        (fun (d : Cmt_load.decl) ->
+          match (attr_mode d.d_attrs, d.d_expr) with
+          | Some Check, Some body ->
+              check_body
+                {
+                  emit;
+                  proven;
+                  binds = u.ui_binds;
+                  verdicts;
+                  unit_name = u.ui_name;
+                  owner = u.ui_name ^ "." ^ name d;
+                }
+                body
+          | _ -> ())
+        u.ui_decls)
+    units

@@ -17,22 +17,13 @@
 
     Interprocedural reasoning: same-unit callees reached by ident are
     chased and memoized, with failures reported at the annotated call
-    site; cross-module callees resolve through the summary table built
-    from every scanned [.cmt] (D8's universe-table pattern).
+    site; cross-module callees resolve through the table of annotated
+    declarations of every scanned unit (D8's universe-table pattern).
     [[@@dynlint.zero_alloc assume]] enters the table unverified — the
     escape hatch for externals. See DESIGN.md "Allocation discipline". *)
 
-type summary
-(** One annotated value from one compilation unit: its name, mode
-    (check/assume), body, and the unit's binding environment for the
-    same-unit chase. *)
-
-val collect : unit_name:string -> Typedtree.structure -> summary list
-(** First sweep: every [[@@dynlint.zero_alloc]]-annotated value binding or
-    external in the structure. [unit_name] is the unwrapped compilation
-    unit name ("Net", "Dtree", ...) used for cross-module lookup. *)
-
-val verify : emit:(Location.t -> string -> unit) -> summary list -> unit
-(** Second sweep: verify every [check]-mode summary against the trusted
-    table formed by all summaries (check and assume alike), emitting one
-    finding per allocation site. *)
+val lint_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
+(** Run D11 over preloaded units: every [[@@dynlint.zero_alloc]] value or
+    external (check and assume alike) forms the cross-module trusted
+    table, then each [check]-mode one is verified against it, emitting
+    one finding per allocation site. *)

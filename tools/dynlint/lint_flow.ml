@@ -15,9 +15,8 @@
    The same reconstruction is exported as an artifact: [dynlint --graph
    FILE.dot|FILE.json] renders senders -> tag constructors -> receivers,
    the paper's (M,W)-controller message diagram recovered from the code
-   itself. The JSON form round-trips through {!of_json} (a minimal
-   hand-rolled parser: this tool depends on compiler-libs only) so other
-   tooling can consume it.
+   itself. The JSON form (Telemetry.Json) is there for other tooling to
+   consume.
 
    Resolution is syntactic over the typedtree: the first constructor of a
    universe type occurring inside the [~tag] argument names the edge; the
@@ -29,41 +28,18 @@
 
 open Typedtree
 
-(* ---------- path normalization (same scheme as Lint_typed) ---------- *)
-
-let split_dunder s =
-  let n = String.length s in
-  let rec go acc start i =
-    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      go (String.sub s start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [ s ] else go [] 0 0
-
-let rec path_components acc = function
-  | Path.Pident id -> Ident.name id :: acc
-  | Path.Pdot (p, s) -> path_components (s :: acc) p
-  | Path.Papply (p, _) -> path_components acc p
-  | Path.Pextra_ty (p, _) -> path_components acc p
-
-let norm_path p = List.concat_map split_dunder (path_components [] p)
-let drop_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c
-
 (* ---------- the public graph ---------- *)
 
 type arm = {
   a_ctor : string;
   a_wire : string option;  (* the renderer's string for this arm *)
-  a_file : string;
-  a_line : int;
+  a_loc : Location.t;
 }
 
 type universe = {
   u_key : string;  (* "Dist.suffix": owning unit + type name *)
   u_unit : string;
-  u_file : string;
-  u_line : int;
+  u_loc : Location.t;
   u_arms : arm list;
 }
 
@@ -72,53 +48,19 @@ type edge = {
   e_ctor : string;
   e_sender : string;  (* "Unit.innermost-enclosing-binding" *)
   e_receiver : string option;  (* None: the continuation is dropped *)
-  e_file : string;
-  e_line : int;
+  e_loc : Location.t;
 }
 
 type graph = { g_universes : universe list; g_edges : edge list }
 
-(* ---------- internal, location-carrying forms ---------- *)
-
-type iarm = { ia_ctor : string; ia_wire : string option; ia_loc : Location.t }
-
-type iuniv = {
-  iu_key : string;
-  iu_unit : string;
-  iu_loc : Location.t;
-  iu_arms : iarm list;
-}
-
-type iedge = {
-  ie_universe : string;
-  ie_ctor : string;
-  ie_sender : string;
-  ie_receiver : string option;
-  ie_loc : Location.t;
-}
-
-let pos_of (loc : Location.t) =
-  (loc.loc_start.pos_fname, loc.loc_start.pos_lnum)
-
 (* ---------- universe harvesting ---------- *)
-
-let universe_attr = "dynlint.tag_universe"
-
-let has_universe_attr (attrs : Parsetree.attributes) =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.attr_name.txt = universe_attr)
-    attrs
 
 (* "Dist.suffix" from a constructor's result type: a [Pident] names a type
    of the current unit, a [Pdot] keeps its last two components. *)
-let type_key ~unit_name (ty : Types.type_expr) =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      match List.rev (drop_stdlib (norm_path p)) with
-      | ty_name :: m :: _ -> Some (m ^ "." ^ ty_name)
-      | [ ty_name ] -> Some (unit_name ^ "." ^ ty_name)
-      | [] -> None)
-  | _ -> None
+let type_key ~unit_name ty =
+  Option.map
+    (fun (m, ty_name) -> m ^ "." ^ ty_name)
+    (Option.bind (Cmt_load.type_head ty) (Cmt_load.qualify ~unit_name))
 
 let rec ctors_of_pat : type k. k general_pattern -> (Types.constructor_description * Location.t) list =
  fun p ->
@@ -149,66 +91,45 @@ let first_string e =
 (* The arms of a variant renderer: a multi-case [function], or parameters
    followed by a [match] on the last one. *)
 let rec renderer_arms e =
+  let arms cases =
+    List.concat_map
+      (fun c -> List.map (fun cl -> (cl, first_string c.c_rhs)) (ctors_of_pat c.c_lhs))
+      cases
+  in
   match e.exp_desc with
   | Texp_function { cases = [ { c_lhs; c_guard = None; c_rhs; _ } ]; _ } -> (
       match (c_lhs.pat_desc, c_rhs.exp_desc) with
-      | (Tpat_var _ | Tpat_alias _ | Tpat_any), Texp_match (_, cases, _) ->
-          List.concat_map
-            (fun c ->
-              List.map (fun cl -> (cl, first_string c.c_rhs)) (ctors_of_pat c.c_lhs))
-            cases
+      | (Tpat_var _ | Tpat_alias _ | Tpat_any), Texp_match (_, cases, _) -> arms cases
       | _ -> renderer_arms c_rhs)
-  | Texp_function { cases; _ } ->
-      List.concat_map
-        (fun c ->
-          List.map (fun cl -> (cl, first_string c.c_rhs)) (ctors_of_pat c.c_lhs))
-        cases
+  | Texp_function { cases; _ } -> arms cases
   | _ -> []
 
 let harvest_universes (units : Cmt_load.unit_info list) =
-  let univs = ref [] in
-  List.iter
+  List.concat_map
     (fun (u : Cmt_load.unit_info) ->
-      let it =
-        {
-          Tast_iterator.default_iterator with
-          structure_item =
-            (fun self item ->
-              (match item.str_desc with
-              | Tstr_value (_, vbs) ->
-                  List.iter
-                    (fun vb ->
-                      if has_universe_attr vb.vb_attributes then
-                        match renderer_arms vb.vb_expr with
-                        | [] -> ()  (* string-form universe: D8's domain *)
-                        | ((cd0, _), _) :: _ as arms -> (
-                            match type_key ~unit_name:u.ui_name cd0.Types.cstr_res with
-                            | None -> ()
-                            | Some key ->
-                                univs :=
-                                  {
-                                    iu_key = key;
-                                    iu_unit = u.ui_name;
-                                    iu_loc = vb.vb_pat.pat_loc;
-                                    iu_arms =
-                                      List.map
-                                        (fun ((cd, loc), wire) ->
-                                          {
-                                            ia_ctor = cd.Types.cstr_name;
-                                            ia_wire = wire;
-                                            ia_loc = loc;
-                                          })
-                                        arms;
-                                  }
-                                  :: !univs))
-                    vbs
-              | _ -> ());
-              Tast_iterator.default_iterator.structure_item self item);
-        }
-      in
-      it.structure it u.ui_str)
-    units;
-  List.rev !univs
+      List.filter_map
+        (fun (d : Cmt_load.decl) ->
+          match d.d_expr with
+          | Some e when d.d_top && Cmt_load.has_attr "dynlint.tag_universe" d.d_attrs -> (
+              match renderer_arms e with
+              | [] -> None  (* string-form universe: D8's domain *)
+              | ((cd0, _), _) :: _ as arms ->
+                  Option.map
+                    (fun key ->
+                      {
+                        u_key = key;
+                        u_unit = u.ui_name;
+                        u_loc = d.d_loc;
+                        u_arms =
+                          List.map
+                            (fun ((cd, loc), wire) ->
+                              { a_ctor = cd.Types.cstr_name; a_wire = wire; a_loc = loc })
+                            arms;
+                      })
+                    (type_key ~unit_name:u.ui_name cd0.Types.cstr_res))
+          | _ -> None)
+        u.ui_decls)
+    units
 
 (* ---------- send-site collection ---------- *)
 
@@ -216,9 +137,6 @@ let is_send_head comps =
   match List.rev comps with
   | f :: m :: _ -> m = "Net" && List.mem f [ "send"; "send_to"; "send_up" ]
   | _ -> false
-
-let is_arrow_ty ty =
-  match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
 (* The first constructor of a declared universe type inside the [~tag]
    argument names the tag this send carries. *)
@@ -246,7 +164,7 @@ let receiver_of e =
   match e.exp_desc with
   | Texp_field (_, _, ld) -> Some ld.lbl_name
   | Texp_ident (p, _, _) -> (
-      match List.rev (drop_stdlib (norm_path p)) with
+      match List.rev (Cmt_load.head p) with
       | f :: _
         when f = "ignore"
              || (String.length f > 7 && String.sub f 0 7 = "ignore_") ->
@@ -264,18 +182,18 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
       Tast_iterator.default_iterator with
       value_binding =
         (fun self vb ->
-          match vb.vb_pat.pat_desc with
-          | Tpat_var (id, _) | Tpat_alias (_, id, _) ->
+          match Cmt_load.pat_ident vb.vb_pat with
+          | Some id ->
               let saved = !current in
               current := u.ui_name ^ "." ^ Ident.name id;
               Tast_iterator.default_iterator.value_binding self vb;
               current := saved
-          | _ -> Tast_iterator.default_iterator.value_binding self vb);
+          | None -> Tast_iterator.default_iterator.value_binding self vb);
       expr =
         (fun self e ->
           (match e.exp_desc with
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-            when is_send_head (drop_stdlib (norm_path p)) -> (
+            when is_send_head (Cmt_load.head p) -> (
               let tag_arg =
                 List.find_map
                   (function
@@ -285,7 +203,7 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
               let receiver =
                 List.fold_left
                   (fun acc -> function
-                    | Asttypes.Nolabel, Some a when is_arrow_ty a.exp_type ->
+                    | Asttypes.Nolabel, Some a when Cmt_load.is_arrow_ty a.exp_type ->
                         Some a
                     | _ -> acc)
                   None args
@@ -297,14 +215,11 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
                   | Some (key, ctor) ->
                       edges :=
                         {
-                          ie_universe = key;
-                          ie_ctor = ctor;
-                          ie_sender = !current;
-                          ie_receiver =
-                            (match receiver with
-                            | Some r -> receiver_of r
-                            | None -> None);
-                          ie_loc = e.exp_loc;
+                          e_universe = key;
+                          e_ctor = ctor;
+                          e_sender = !current;
+                          e_receiver = Option.bind receiver receiver_of;
+                          e_loc = e.exp_loc;
                         }
                         :: !edges
                   | None ->
@@ -320,362 +235,84 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
 
 (* ---------- build + findings ---------- *)
 
-let collect units =
-  let univs = harvest_universes units in
-  let keys = List.map (fun u -> u.iu_key) univs in
-  let edges, unresolved =
-    List.fold_left
-      (fun (es, us) u ->
-        let e, r = collect_sends ~keys u in
-        (es @ e, us @ r))
-      ([], []) units
-  in
-  (univs, edges, unresolved)
-
-let graph_of (univs, edges, _) =
-  {
-    g_universes =
-      List.map
-        (fun iu ->
-          let file, line = pos_of iu.iu_loc in
-          {
-            u_key = iu.iu_key;
-            u_unit = iu.iu_unit;
-            u_file = file;
-            u_line = line;
-            u_arms =
-              List.map
-                (fun ia ->
-                  let file, line = pos_of ia.ia_loc in
-                  {
-                    a_ctor = ia.ia_ctor;
-                    a_wire = ia.ia_wire;
-                    a_file = file;
-                    a_line = line;
-                  })
-                iu.iu_arms;
-          })
-        univs;
-    g_edges =
-      List.map
-        (fun ie ->
-          let file, line = pos_of ie.ie_loc in
-          {
-            e_universe = ie.ie_universe;
-            e_ctor = ie.ie_ctor;
-            e_sender = ie.ie_sender;
-            e_receiver = ie.ie_receiver;
-            e_file = file;
-            e_line = line;
-          })
-        edges;
-  }
-
-let build units = graph_of (collect units)
-
 let lint_units ~emitter units =
-  let ((univs, edges, unresolved) as all) = collect units in
+  let univs = harvest_universes units in
+  let keys = List.map (fun u -> u.u_key) univs in
+  let sends = List.map (collect_sends ~keys) units in
+  let edges = List.concat_map fst sends in
   List.iter
-    (fun iu ->
+    (fun u ->
       List.iter
-        (fun ia ->
+        (fun a ->
           let arm_edges =
             List.filter
-              (fun ie -> ie.ie_universe = iu.iu_key && ie.ie_ctor = ia.ia_ctor)
+              (fun e -> e.e_universe = u.u_key && e.e_ctor = a.a_ctor)
               edges
           in
           match arm_edges with
           | [] ->
               Lint.emit
                 ~related:
-                  [
-                    Lint.related_of_loc ~msg:"tag universe declared here"
-                      iu.iu_loc;
-                  ]
-                emitter Lint.Message_flow ia.ia_loc
+                  [ Lint.related_of_loc ~msg:"tag universe declared here" u.u_loc ]
+                emitter Lint.Message_flow a.a_loc
                 (Printf.sprintf
                    "constructor %s of tag universe %s has no Net.send site: an orphan protocol arm no execution reaches"
-                   ia.ia_ctor iu.iu_key)
+                   a.a_ctor u.u_key)
           | first :: _ ->
-              if List.for_all (fun ie -> ie.ie_receiver = None) arm_edges then
+              if List.for_all (fun e -> e.e_receiver = None) arm_edges then
                 Lint.emit
                   ~related:
                     [
                       Lint.related_of_loc
-                        ~msg:
-                          (Printf.sprintf "constructor %s declared here"
-                             ia.ia_ctor)
-                        ia.ia_loc;
+                        ~msg:(Printf.sprintf "constructor %s declared here" a.a_ctor)
+                        a.a_loc;
                     ]
-                  emitter Lint.Message_flow first.ie_loc
+                  emitter Lint.Message_flow first.e_loc
                   (Printf.sprintf
                      "every send of %s.%s drops its continuation: the tag has no reachable receiver"
-                     iu.iu_key ia.ia_ctor))
-        iu.iu_arms)
+                     u.u_key a.a_ctor))
+        u.u_arms)
     univs;
   if univs <> [] then
     List.iter
       (fun loc ->
         Lint.emit emitter Lint.Message_flow loc
           "the ~tag argument of this send mentions no declared tag-universe constructor (and no string literal): the protocol graph cannot account for it")
-      unresolved;
-  graph_of all
+      (List.concat_map snd sends);
+  { g_universes = univs; g_edges = edges }
 
 (* ---------- JSON ---------- *)
 
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_json g =
-  let buf = Buffer.create 4096 in
-  let str s = buf_add_json_string buf s in
-  let sep first = if not first then Buffer.add_char buf ',' in
-  Buffer.add_string buf "{\"universes\":[";
-  List.iteri
-    (fun i u ->
-      sep (i = 0);
-      Buffer.add_string buf "{\"key\":";
-      str u.u_key;
-      Buffer.add_string buf ",\"unit\":";
-      str u.u_unit;
-      Buffer.add_string buf ",\"file\":";
-      str u.u_file;
-      Buffer.add_string buf (Printf.sprintf ",\"line\":%d,\"arms\":[" u.u_line);
-      List.iteri
-        (fun j a ->
-          sep (j = 0);
-          Buffer.add_string buf "{\"ctor\":";
-          str a.a_ctor;
-          Buffer.add_string buf ",\"wire\":";
-          (match a.a_wire with None -> Buffer.add_string buf "null" | Some w -> str w);
-          Buffer.add_string buf ",\"file\":";
-          str a.a_file;
-          Buffer.add_string buf (Printf.sprintf ",\"line\":%d}" a.a_line))
-        u.u_arms;
-      Buffer.add_string buf "]}")
-    g.g_universes;
-  Buffer.add_string buf "],\"edges\":[";
-  List.iteri
-    (fun i e ->
-      sep (i = 0);
-      Buffer.add_string buf "{\"universe\":";
-      str e.e_universe;
-      Buffer.add_string buf ",\"ctor\":";
-      str e.e_ctor;
-      Buffer.add_string buf ",\"sender\":";
-      str e.e_sender;
-      Buffer.add_string buf ",\"receiver\":";
-      (match e.e_receiver with
-      | None -> Buffer.add_string buf "null"
-      | Some r -> str r);
-      Buffer.add_string buf ",\"file\":";
-      str e.e_file;
-      Buffer.add_string buf (Printf.sprintf ",\"line\":%d}" e.e_line))
-    g.g_edges;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
-
-(* A minimal JSON reader — objects, arrays, strings (with the escapes the
-   writer produces plus \uXXXX for ASCII), integers, null, booleans. This
-   tool links compiler-libs only, so no JSON library to lean on. *)
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let i = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !i)) in
-  let peek () = if !i < n then Some s.[!i] else None in
-  let skip_ws () =
-    while !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr i
-    done
+  let open Telemetry.Json in
+  let opt = function Some s -> String s | None -> Null in
+  let at (loc : Location.t) =
+    [ ("file", String loc.loc_start.pos_fname); ("line", Int loc.loc_start.pos_lnum) ]
   in
-  let expect c =
-    if !i < n && s.[!i] = c then incr i
-    else fail (Printf.sprintf "expected '%c'" c)
+  let arm a = Obj ([ ("ctor", String a.a_ctor); ("wire", opt a.a_wire) ] @ at a.a_loc) in
+  let universe u =
+    Obj
+      ([ ("key", String u.u_key); ("unit", String u.u_unit) ]
+      @ at u.u_loc
+      @ [ ("arms", List (List.map arm u.u_arms)) ])
   in
-  let literal word v =
-    let l = String.length word in
-    if !i + l <= n && String.sub s !i l = word then (
-      i := !i + l;
-      v)
-    else fail ("expected " ^ word)
+  let edge e =
+    Obj
+      ([
+         ("universe", String e.e_universe);
+         ("ctor", String e.e_ctor);
+         ("sender", String e.e_sender);
+         ("receiver", opt e.e_receiver);
+       ]
+      @ at e.e_loc)
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !i >= n then fail "unterminated string"
-      else
-        match s.[!i] with
-        | '"' -> incr i
-        | '\\' ->
-            incr i;
-            (if !i >= n then fail "unterminated escape"
-             else
-               match s.[!i] with
-               | '"' -> Buffer.add_char buf '"'; incr i
-               | '\\' -> Buffer.add_char buf '\\'; incr i
-               | '/' -> Buffer.add_char buf '/'; incr i
-               | 'n' -> Buffer.add_char buf '\n'; incr i
-               | 'r' -> Buffer.add_char buf '\r'; incr i
-               | 't' -> Buffer.add_char buf '\t'; incr i
-               | 'b' -> Buffer.add_char buf '\b'; incr i
-               | 'f' -> Buffer.add_char buf '\012'; incr i
-               | 'u' ->
-                   if !i + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub s (!i + 1) 4 in
-                   let code =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape"
-                   in
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else fail "non-ASCII \\u escape unsupported";
-                   i := !i + 5
-               | _ -> fail "unknown escape");
-            go ()
-        | c -> Buffer.add_char buf c; incr i; go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        expect '{';
-        skip_ws ();
-        if peek () = Some '}' then (incr i; Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr i; members ((k, v) :: acc)
-            | Some '}' -> incr i; Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        expect '[';
-        skip_ws ();
-        if peek () = Some ']' then (incr i; Jlist [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr i; items (v :: acc)
-            | Some ']' -> incr i; Jlist (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-    | Some '"' -> Jstr (parse_string ())
-    | Some 'n' -> literal "null" Jnull
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some ('-' | '0' .. '9') ->
-        let start = !i in
-        if peek () = Some '-' then incr i;
-        while
-          !i < n
-          && (match s.[!i] with
-             | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-             | _ -> false)
-        do
-          incr i
-        done;
-        Jnum (float_of_string (String.sub s start (!i - start)))
-    | _ -> fail "expected a JSON value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !i <> n then fail "trailing garbage";
-  v
-
-let jfield obj k =
-  match obj with
-  | Jobj kvs -> (
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Bad_json ("missing field " ^ k)))
-  | _ -> raise (Bad_json ("not an object while reading " ^ k))
-
-let jstr = function Jstr s -> s | _ -> raise (Bad_json "expected string")
-let jint = function Jnum f -> int_of_float f | _ -> raise (Bad_json "expected number")
-let jlist = function Jlist l -> l | _ -> raise (Bad_json "expected array")
-
-let jstr_opt = function
-  | Jnull -> None
-  | Jstr s -> Some s
-  | _ -> raise (Bad_json "expected string or null")
-
-let of_json text =
-  match parse_json text with
-  | exception Bad_json msg -> Error msg
-  | j -> (
-      try
-        Ok
-          {
-            g_universes =
-              List.map
-                (fun u ->
-                  {
-                    u_key = jstr (jfield u "key");
-                    u_unit = jstr (jfield u "unit");
-                    u_file = jstr (jfield u "file");
-                    u_line = jint (jfield u "line");
-                    u_arms =
-                      List.map
-                        (fun a ->
-                          {
-                            a_ctor = jstr (jfield a "ctor");
-                            a_wire = jstr_opt (jfield a "wire");
-                            a_file = jstr (jfield a "file");
-                            a_line = jint (jfield a "line");
-                          })
-                        (jlist (jfield u "arms"));
-                  })
-                (jlist (jfield j "universes"));
-            g_edges =
-              List.map
-                (fun e ->
-                  {
-                    e_universe = jstr (jfield e "universe");
-                    e_ctor = jstr (jfield e "ctor");
-                    e_sender = jstr (jfield e "sender");
-                    e_receiver = jstr_opt (jfield e "receiver");
-                    e_file = jstr (jfield e "file");
-                    e_line = jint (jfield e "line");
-                  })
-                (jlist (jfield j "edges"));
-          }
-      with Bad_json msg -> Error msg)
+  to_string
+    (Obj
+       [
+         ("universes", List (List.map universe g.g_universes));
+         ("edges", List (List.map edge g.g_edges));
+       ])
+  ^ "\n"
 
 (* ---------- DOT ---------- *)
 

@@ -11,22 +11,20 @@
     a universe constructor nor a string literal.
 
     The reconstruction is also the [dynlint --graph] artifact: {!to_dot}
-    renders senders -> tags -> receivers, {!to_json}/{!of_json} round-trip
-    the graph as data for other tooling. *)
+    renders senders -> tags -> receivers, {!to_json} writes the graph as
+    data for other tooling. *)
 
 type arm = {
   a_ctor : string;
   a_wire : string option;
       (** the renderer's string for this arm, when one is visible *)
-  a_file : string;
-  a_line : int;
+  a_loc : Location.t;
 }
 
 type universe = {
   u_key : string;  (** ["Dist.suffix"]: owning unit + type name *)
   u_unit : string;
-  u_file : string;
-  u_line : int;
+  u_loc : Location.t;  (** the renderer binding *)
   u_arms : arm list;  (** every constructor, sent or not *)
 }
 
@@ -35,14 +33,10 @@ type edge = {
   e_ctor : string;
   e_sender : string;  (** ["Unit.innermost-enclosing-binding"] *)
   e_receiver : string option;  (** [None]: the continuation is dropped *)
-  e_file : string;
-  e_line : int;
+  e_loc : Location.t;  (** the send site *)
 }
 
 type graph = { g_universes : universe list; g_edges : edge list }
-
-val build : Cmt_load.unit_info list -> graph
-(** Reconstruct the graph without emitting findings. *)
 
 val lint_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> graph
 (** Reconstruct the graph and emit the D13 findings through the emitter.
@@ -50,11 +44,10 @@ val lint_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> graph
     the same pass. *)
 
 val to_json : graph -> string
-(** One-line JSON document; {!of_json} inverts it. *)
-
-val of_json : string -> (graph, string) result
-(** Parse a {!to_json} document (minimal hand-rolled JSON reader —
-    this tool depends on compiler-libs only). *)
+(** One-line JSON document, newline-terminated: [universes] (key, unit,
+    file, line, arms with ctor, wire, file, line) and [edges] (universe,
+    ctor, sender, receiver, file, line); [null] for a missing wire string
+    or a dropped receiver. *)
 
 val to_dot : graph -> string
 (** Graphviz rendering: senders (ellipses) -> tag constructors (boxes,

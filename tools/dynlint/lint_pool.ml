@@ -47,27 +47,6 @@
 
 open Typedtree
 
-(* ---------- path normalization (same scheme as Lint_typed) ---------- *)
-
-let split_dunder s =
-  let n = String.length s in
-  let rec go acc start i =
-    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      go (String.sub s start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [ s ] else go [] 0 0
-
-let rec path_components acc = function
-  | Path.Pident id -> Ident.name id :: acc
-  | Path.Pdot (p, s) -> path_components (s :: acc) p
-  | Path.Papply (p, _) -> path_components acc p
-  | Path.Pextra_ty (p, _) -> path_components acc p
-
-let norm_path p = List.concat_map split_dunder (path_components [] p)
-let drop_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c
-
 (* ---------- role attributes ---------- *)
 
 type role = Acquire | Release | Transfer
@@ -82,36 +61,18 @@ let role_of_attrs (attrs : Parsetree.attributes) =
       | _ -> acc)
     None attrs
 
-(* Role table keyed (unit, value-name), harvested from module-level lets
-   and externals of every scanned unit. *)
+(* Role table keyed (unit, value-name), harvested from the module-level
+   declarations (lets and externals) of every scanned unit. *)
 let harvest_roles units =
   let roles = Hashtbl.create 32 in
-  let add u name role = Hashtbl.replace roles (u, name) role in
   List.iter
     (fun (u : Cmt_load.unit_info) ->
-      let it =
-        {
-          Tast_iterator.default_iterator with
-          structure_item =
-            (fun self item ->
-              (match item.str_desc with
-              | Tstr_value (_, vbs) ->
-                  List.iter
-                    (fun vb ->
-                      match (role_of_attrs vb.vb_attributes, vb.vb_pat.pat_desc) with
-                      | Some r, (Tpat_var (id, _) | Tpat_alias (_, id, _)) ->
-                          add u.ui_name (Ident.name id) r
-                      | _ -> ())
-                    vbs
-              | Tstr_primitive vd -> (
-                  match role_of_attrs vd.val_attributes with
-                  | Some r -> add u.ui_name vd.val_name.txt r
-                  | None -> ())
-              | _ -> ());
-              Tast_iterator.default_iterator.structure_item self item);
-        }
-      in
-      it.structure it u.ui_str)
+      List.iter
+        (fun (d : Cmt_load.decl) ->
+          match (d.d_top, role_of_attrs d.d_attrs, d.d_name) with
+          | true, Some r, Some name -> Hashtbl.replace roles (u.ui_name, name) r
+          | _ -> ())
+        u.ui_decls)
     units;
   roles
 
@@ -121,14 +82,13 @@ type ctx = {
   emitter : Lint.emitter;
   roles : (string * string, role) Hashtbl.t;
   unit_name : string;
-  binds : (string, unit) Hashtbl.t;  (* let-bound unique names in the unit *)
+  binds : (string, expression) Hashtbl.t;  (* the unit's let-bound idents *)
 }
 
 let role_of_path ctx p =
-  match List.rev (drop_stdlib (norm_path p)) with
-  | f :: m :: _ -> Hashtbl.find_opt ctx.roles (m, f)
-  | [ f ] -> Hashtbl.find_opt ctx.roles (ctx.unit_name, f)
-  | [] -> None
+  Option.bind
+    (Cmt_load.qualify ~unit_name:ctx.unit_name (Cmt_load.head p))
+    (Hashtbl.find_opt ctx.roles)
 
 let head_role ctx fn =
   match fn.exp_desc with
@@ -136,39 +96,9 @@ let head_role ctx fn =
   | _ -> None
 
 let head_name fn =
-  match fn.exp_desc with
-  | Texp_ident (p, _, _) -> String.concat "." (drop_stdlib (norm_path p))
-  | _ -> "<fun>"
-
-(* Every let-bound ident in the unit, so a call through a bare ident can be
-   told apart from a call through a function parameter. *)
-let collect_bound_names (str : structure) =
-  let binds = Hashtbl.create 64 in
-  let add (vb : value_binding) =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) | Tpat_alias (_, id, _) ->
-        Hashtbl.replace binds (Ident.unique_name id) ()
-    | _ -> ()
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_let (_, vbs, _) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
-    }
-  in
-  it.structure it str;
-  binds
+  match Cmt_load.callee fn with
+  | Some comps -> String.concat "." comps
+  | None -> "<fun>"
 
 (* ---------- the abstract domain ---------- *)
 
@@ -181,10 +111,6 @@ let consume st = (if st land 1 <> 0 then 2 else 0) lor (if st land 6 <> 0 then 4
 (* Sentinel after a finding was emitted for this path: exactly-once, so the
    one root cause does not cascade into leak/double noise downstream. *)
 let settled = 2
-
-let raising_heads =
-  [ [ "invalid_arg" ]; [ "failwith" ]; [ "raise" ]; [ "raise_notrace" ];
-    [ "exit" ] ]
 
 (* Containers whose insertion functions keep a reference to the argument
    beyond the call: handing a pooled value to one is an escape. *)
@@ -212,72 +138,47 @@ let is_key t e =
   | Texp_ident (Path.Pident id, _, _) -> Ident.unique_name id = t.key
   | _ -> false
 
-let occurs t e =
-  let found = ref false in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_ident (Path.Pident id, _, _)
-            when Ident.unique_name id = t.key ->
-              found := true
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it e;
-  !found
-
-let acquired_here t =
-  Lint.related_of_loc ~msg:(Printf.sprintf "'%s' acquired here" t.var) t.acq_loc
-
 (* Exactly one finding per tracked value: the first root cause wins, and
    the abstract state it leaves behind would otherwise cascade into
-   spurious escape/double noise on every later use. *)
-let once t f =
+   spurious escape/double noise on every later use. Unless told otherwise,
+   the finding links back to the acquire site. *)
+let report t ?related loc msg =
   if not t.dead then begin
     t.dead <- true;
-    f ()
+    let related =
+      match related with
+      | Some r -> r
+      | None ->
+          [ Lint.related_of_loc ~msg:(Printf.sprintf "'%s' acquired here" t.var) t.acq_loc ]
+    in
+    Lint.emit ~related t.c.emitter Lint.Pool_discipline loc msg
   end
 
 let emit_double t loc =
-  once t (fun () ->
-      Lint.emit ~related:[ acquired_here t ] t.c.emitter Lint.Pool_discipline
-        loc
-        (Printf.sprintf
-           "'%s' is released or handed off again here, but some path already consumed it"
-           t.var))
+  report t loc
+    (Printf.sprintf
+       "'%s' is released or handed off again here, but some path already consumed it"
+       t.var)
 
 let emit_escape t loc what =
-  once t (fun () ->
-      Lint.emit ~related:[ acquired_here t ] t.c.emitter Lint.Pool_discipline
-        loc
-        (Printf.sprintf
-           "'%s' (acquired from %s) escapes into %s: a pooled value must not outlive its release"
-           t.var t.acq_head what))
+  report t loc
+    (Printf.sprintf
+       "'%s' (acquired from %s) escapes into %s: a pooled value must not outlive its release"
+       t.var t.acq_head what)
 
 let emit_exn_leak t loc =
-  once t (fun () ->
-      Lint.emit
-        ~related:
-          [
-            Lint.related_of_loc ~msg:"raises here with the value still held"
-              loc;
-          ]
-        t.c.emitter Lint.Pool_discipline t.acq_loc
-        (Printf.sprintf
-           "'%s' acquired from %s leaks if this scope raises: release before raising or catch and release"
-           t.var t.acq_head))
+  report t
+    ~related:[ Lint.related_of_loc ~msg:"raises here with the value still held" loc ]
+    t.acq_loc
+    (Printf.sprintf
+       "'%s' acquired from %s leaks if this scope raises: release before raising or catch and release"
+       t.var t.acq_head)
 
 let emit_held_cont t loc =
-  once t (fun () ->
-      Lint.emit ~related:[ acquired_here t ] t.c.emitter Lint.Pool_discipline
-        loc
-        (Printf.sprintf
-           "a continuation runs while '%s' may still be held: copy the fields you need, release, then call it"
-           t.var))
+  report t loc
+    (Printf.sprintf
+       "a continuation runs while '%s' may still be held: copy the fields you need, release, then call it"
+       t.var)
 
 let is_assert_false cond =
   match cond.exp_desc with
@@ -368,18 +269,13 @@ and track ctx ~key ~var ~acq_loc ~acq_head ~tail body =
   let t = { c = ctx; key; var; acq_loc; acq_head; in_try = 0; dead = false } in
   let st = eval t ~tail 1 body in
   if has_zero st then
-    once t (fun () ->
-        Lint.emit
-          ~related:
-            [
-              Lint.related_of_loc
-                ~msg:"this scope can end with the value still held"
-                body.exp_loc;
-            ]
-          ctx.emitter Lint.Pool_discipline acq_loc
-          (Printf.sprintf
-             "'%s' acquired from %s is not released on every path: each exit needs a release or a transfer-of-ownership call"
-             var acq_head))
+    report t
+      ~related:
+        [ Lint.related_of_loc ~msg:"this scope can end with the value still held" body.exp_loc ]
+      acq_loc
+      (Printf.sprintf
+         "'%s' acquired from %s is not released on every path: each exit needs a release or a transfer-of-ownership call"
+         var acq_head)
 
 and eval t ~tail st e =
   match e.exp_desc with
@@ -428,7 +324,7 @@ and eval t ~tail st e =
           acc lor eval t ~tail entry c.c_rhs)
         st_b cases
   | Texp_function _ ->
-      if occurs t e then begin
+      if Cmt_load.ident_occurs t.key e then begin
         emit_escape t e.exp_loc "a closure that may outlive the release";
         settled
       end
@@ -479,7 +375,7 @@ and eval t ~tail st e =
   | Texp_assert (cond, _) ->
       if is_assert_false cond then 0 else eval t ~tail:false st cond
   | Texp_lazy _ ->
-      if occurs t e then begin
+      if Cmt_load.ident_occurs t.key e then begin
         emit_escape t e.exp_loc "a lazy suspension";
         settled
       end
@@ -509,13 +405,9 @@ and eval_build t ~tail st loc what args =
 and eval_apply t ~tail st app fn args =
   ignore tail;
   let arg_exprs = List.filter_map (fun (_, a) -> a) args in
-  let comps =
-    match fn.exp_desc with
-    | Texp_ident (p, _, _) -> Some (drop_stdlib (norm_path p))
-    | _ -> None
-  in
+  let comps = Cmt_load.callee fn in
   match comps with
-  | Some c when List.mem c raising_heads ->
+  | Some c when Cmt_load.raises c ->
       let st =
         List.fold_left (fun st a -> eval t ~tail:false st a) st arg_exprs
       in
@@ -600,14 +492,5 @@ let lint_units ~emitter units =
   let roles = harvest_roles units in
   List.iter
     (fun (u : Cmt_load.unit_info) ->
-      ignore (Lint.emitter_touch_source emitter u.ui_source);
-      let ctx =
-        {
-          emitter;
-          roles;
-          unit_name = u.ui_name;
-          binds = collect_bound_names u.ui_str;
-        }
-      in
-      scan_unit ctx u.ui_str)
+      scan_unit { emitter; roles; unit_name = u.ui_name; binds = u.ui_binds } u.ui_str)
     units

@@ -1,67 +1,28 @@
-(* The typedtree pass: D7/D8/D9/D11 over .cmt files.
+(* The typedtree pass: D7/D8/D9 over the shared cmt units.
 
    Where lint.ml works purely syntactically, these rules need types (is
    this captured value a Hashtbl.t?) and cross-module visibility (is this
    tag literal declared in *any* compilation unit's tag universe?), so
    they read the .cmt files that `dune build @check` leaves under
-   _build/**/.objs/byte/. D11's allocation checker lives in Lint_alloc;
-   this driver collects its per-unit summaries in the same sweep that
-   scans for D7-D9 and runs the verification once every unit is in.
-
-   Path matching is by suffix on the normalized component list: a [Path.t]
-   is flattened to its dotted components and every component is further
-   split on "__", so [Pool.map], [Util.Pool.map] and the wrapped-library
-   spelling [Mylib__Pool.map] all normalize to something ending in
-   ["Pool"; "map"]. This keeps the rules working across wrapped and
-   unwrapped libraries and across local module aliases. *)
+   _build/**/.objs/byte/. Name resolution, the binding table and the
+   annotated declarations come from Cmt_load's per-unit index. *)
 
 open Typedtree
 
-(* ---------- path and type normalization ---------- *)
-
-(* "Mylib__Pool" -> ["Mylib"; "Pool"]; plain "tag_universe" is untouched
-   (only double underscores split). *)
-let split_dunder s =
-  let n = String.length s in
-  let rec go acc start i =
-    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      go (String.sub s start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [ s ] else go [] 0 0
-
-let rec path_components acc = function
-  | Path.Pident id -> Ident.name id :: acc
-  | Path.Pdot (p, s) -> path_components (s :: acc) p
-  | Path.Papply (p, _) -> path_components acc p
-  | Path.Pextra_ty (p, _) -> path_components acc p
-
-let norm_path p = List.concat_map split_dunder (path_components [] p)
-let display_path p = String.concat "." (norm_path p)
-
-let drop_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c
-
-let ends_with ~suffix comps =
-  let lc = List.length comps and ls = List.length suffix in
-  lc >= ls
-  &&
-  let rec drop n l =
-    if n = 0 then l else match l with _ :: t -> drop (n - 1) t | [] -> []
-  in
-  drop (lc - ls) comps = suffix
+let display_path p = String.concat "." (Cmt_load.norm_path p)
 
 (* The parallel entry points whose closure arguments run on Pool domains. *)
 let parallel_target p =
-  let c = norm_path p in
-  let hit m f = ends_with ~suffix:[ m; f ] c in
+  let c = Cmt_load.norm_path p in
+  let hit m f = Cmt_load.ends_with ~suffix:[ m; f ] c in
   if hit "Pool" "map" then Some "Pool.map"
   else if hit "Pool" "run" then Some "Pool.run"
   else if hit "Pool" "iter" then Some "Pool.iter"
   else if hit "Explore" "sweep" then Some "Explore.sweep"
   else None
 
-let is_net_send p = ends_with ~suffix:[ "Net"; "send" ] (norm_path p)
+let is_net_send p =
+  Cmt_load.ends_with ~suffix:[ "Net"; "send" ] (Cmt_load.norm_path p)
 
 (* The intern boundary: with variant wire tags, the one place a protocol
    turns strings into tag ids. A *direct* string-literal argument here is a
@@ -69,9 +30,9 @@ let is_net_send p = ends_with ~suffix:[ "Net"; "send" ] (norm_path p)
    strings (the [suffix_to_string]-rendered joins) are the renderer's
    responsibility and stay out of D8's reach. *)
 let is_tag_intern p =
-  let c = norm_path p in
-  ends_with ~suffix:[ "Net"; "intern_tag" ] c
-  || ends_with ~suffix:[ "Tag"; "intern" ] c
+  let c = Cmt_load.norm_path p in
+  Cmt_load.ends_with ~suffix:[ "Net"; "intern_tag" ] c
+  || Cmt_load.ends_with ~suffix:[ "Tag"; "intern" ] c
 
 (* Types whose values are mutable through their public API: sharing one
    across Pool domains is a race. "ref" is special-cased (its head is
@@ -80,53 +41,22 @@ let mutable_containers =
   [ "Hashtbl"; "Buffer"; "Queue"; "Stack"; "Atomic"; "Net"; "Rng"; "Dtree"; "Metrics"; "Sink" ]
 
 let mutable_type_name ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      match List.rev (drop_stdlib (norm_path p)) with
-      | "ref" :: _ -> Some "ref"
-      | "t" :: m :: _ when List.mem m mutable_containers -> Some (m ^ ".t")
-      | _ -> None)
+  match Option.map List.rev (Cmt_load.type_head ty) with
+  | Some ("ref" :: _) -> Some "ref"
+  | Some ("t" :: m :: _) when List.mem m mutable_containers -> Some (m ^ ".t")
   | _ -> None
 
 let is_rng_type ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) ->
-      ends_with ~suffix:[ "Rng"; "t" ] (drop_stdlib (norm_path p))
-  | _ -> false
-
+  match Cmt_load.type_head ty with
+  | Some h -> Cmt_load.ends_with ~suffix:[ "Rng"; "t" ] h
+  | None -> false
 
 (* ---------- D7: closure-capture analysis ---------- *)
 
-(* Every ident bound anywhere inside the closure: function params, case
-   patterns, let patterns, for-loop indices. A used ident NOT in this set
-   is a capture from the enclosing scope. *)
-let bound_idents_of_closure (e : expression) =
-  let bound = Hashtbl.create 16 in
-  let add id = Hashtbl.replace bound (Ident.unique_name id) () in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      pat =
-        (fun (type k) self (p : k general_pattern) ->
-          (match p.pat_desc with
-          | Tpat_var (id, _) -> add id
-          | Tpat_alias (_, id, _) -> add id
-          | _ -> ());
-          Tast_iterator.default_iterator.pat self p);
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_for (id, _, _, _, _, _) -> add id
-          | Texp_function { param; _ } -> add param
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it e;
-  bound
-
+(* A used ident not bound inside the closure is a capture from the
+   enclosing scope. *)
 let closure_findings ~target ~emit (closure : expression) =
-  let bound = bound_idents_of_closure closure in
+  let bound = Cmt_load.bound_idents closure in
   let reported = Hashtbl.create 8 in
   let once key f = if not (Hashtbl.mem reported key) then (Hashtbl.replace reported key (); f ()) in
   let it =
@@ -161,45 +91,13 @@ let closure_findings ~target ~emit (closure : expression) =
   in
   it.expr it closure
 
-(* Pre-pass over one compilation unit: every let-bound ident, module- or
-   expression-level, keyed by unique name (Ident stamps make shadowing
-   unambiguous). The D7 call-site analysis chases these when a closure
-   reaches a parallel entry point by name instead of literally. *)
-let collect_value_binds (str : structure) =
-  let binds = Hashtbl.create 64 in
-  let add (vb : value_binding) =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) -> Hashtbl.replace binds (Ident.unique_name id) vb.vb_expr
-    | Tpat_alias (_, id, _) ->
-        Hashtbl.replace binds (Ident.unique_name id) vb.vb_expr
-    | _ -> ()
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_let (_, vbs, _) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) -> List.iter add vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
-    }
-  in
-  it.structure it str;
-  binds
-
 (* Find the outermost closures in an argument expression (the closure may
    sit under List.map, a tuple, a record, ...) and analyze each. Nested
    closures are covered by the outer analysis: anything they capture from
    outside the outermost closure is still a capture. When the argument is
    (or mentions) a local ident bound earlier — `let worker x = ... in
-   Pool.map worker items` — the binding is chased and its closures are
+   Pool.map worker items` — the binding is chased through the unit's
+   binding table (Cmt_load.unit_info.ui_binds) and its closures are
    analyzed the same way; the visited set guards against cycles, and the
    chase is local-ident only (module-level functions from other units are
    out of reach of a single cmt). *)
@@ -257,13 +155,6 @@ let string_consts_in (e : expression) =
   it.expr it e;
   List.rev !acc
 
-let universe_attr = "dynlint.tag_universe"
-
-let has_universe_attr attrs =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.attr_name.txt = universe_attr)
-    attrs
-
 (* D9 part one: Rng.t bound at module level (top-level structure items and
    nested module structures — not expression-local bindings, which are
    exactly where an Rng *should* live). A binding whose own pattern says
@@ -295,29 +186,19 @@ and d9_module ~emit (me : module_expr) =
   | _ -> ()
 
 and d9_pattern ~emit (p : pattern) =
-  match p.pat_desc with
-  | Tpat_var (id, _) when is_rng_type p.pat_type ->
+  match (p.pat_desc, Cmt_load.pat_ident p) with
+  | _, Some id when is_rng_type p.pat_type ->
       emit Lint.Rng_taint p.pat_loc
         (Printf.sprintf
            "module-level Rng.t '%s': every generator must flow from a function parameter or a local Rng.create ~seed, or replays stop being reproducible"
            (Ident.name id))
-  | Tpat_alias (sub, id, _) ->
-      if is_rng_type p.pat_type then
-        emit Lint.Rng_taint p.pat_loc
-          (Printf.sprintf
-             "module-level Rng.t '%s': every generator must flow from a function parameter or a local Rng.create ~seed, or replays stop being reproducible"
-             (Ident.name id))
-      else d9_pattern ~emit sub
-  | Tpat_tuple ps -> List.iter (d9_pattern ~emit) ps
-  | Tpat_construct (_, _, ps, _) -> List.iter (d9_pattern ~emit) ps
+  | Tpat_alias (sub, _, _), _ -> d9_pattern ~emit sub
+  | (Tpat_tuple ps | Tpat_construct (_, _, ps, _)), _ ->
+      List.iter (d9_pattern ~emit) ps
   | _ -> ()
 
 and d9_smuggled ~emit (vb : value_binding) =
-  let name =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) | Tpat_alias (_, id, _) -> Ident.name id
-    | _ -> "_"
-  in
+  let name = Option.fold ~none:"_" ~some:Ident.name (Cmt_load.pat_ident vb.vb_pat) in
   let found = ref None in
   let it =
     {
@@ -342,10 +223,11 @@ and d9_smuggled ~emit (vb : value_binding) =
            name))
     !found
 
-(* One walk per structure: D7 at parallel call sites, D8 send-site literal
-   harvesting, D8 universe harvesting, D9 cross-module Rng reads. *)
-let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
-  let binds = collect_value_binds str in
+(* One walk per unit: D7 at parallel call sites, D8 send-site literal
+   harvesting, D9 cross-module Rng reads; then D9's module-level bindings.
+   Returns the unit's sent tags. *)
+let scan_unit ~emit (u : Cmt_load.unit_info) =
+  let sent = ref [] in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -357,7 +239,8 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
               | Some target ->
                   List.iter
                     (function
-                      | _, Some arg -> analyze_closures ~binds ~target ~emit arg
+                      | _, Some arg ->
+                          analyze_closures ~binds:u.ui_binds ~target ~emit arg
                       | _, None -> ())
                     args
               | None ->
@@ -365,7 +248,7 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
                     List.iter
                       (function
                         | Asttypes.Labelled "tag", Some arg ->
-                            d8_sent := string_consts_in arg @ !d8_sent
+                            sent := string_consts_in arg @ !sent
                         | _ -> ())
                       args
                   else if is_tag_intern p then
@@ -379,7 +262,7 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
                                 exp_loc;
                                 _;
                               } ) ->
-                            d8_sent := (s, exp_loc) :: !d8_sent
+                            sent := (s, exp_loc) :: !sent
                         | _ -> ())
                       args)
           | Texp_ident ((Path.Pdot _ as p), _, _) when is_rng_type e.exp_type ->
@@ -389,59 +272,46 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
                    (display_path p))
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  if has_universe_attr vb.vb_attributes then begin
-                    (* A universe declared as a *function* (a variant
-                       renderer's match arms) gets its dead-arm direction
-                       from the compiler — exhaustiveness plus the
-                       unused-constructor warning — so only the rogue-tag
-                       direction applies to its literals. *)
-                    let from_function =
-                      match vb.vb_expr.exp_desc with
-                      | Texp_function _ -> true
-                      | _ -> false
-                    in
-                    d8_declared :=
-                      List.map
-                        (fun (s, l) -> (s, l, from_function))
-                        (string_consts_in vb.vb_expr)
-                      @ !d8_declared
-                  end)
-                vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
     }
   in
-  it.structure it str;
-  d9_structure ~emit str
+  it.structure it u.ui_str;
+  d9_structure ~emit u.ui_str;
+  !sent
 
-(* ---------- the pass driver over preloaded units ---------- *)
+(* A universe binding's declared tags. One declared as a *function* (a
+   variant renderer's match arms) gets its dead-arm direction from the
+   compiler — exhaustiveness plus the unused-constructor warning — so only
+   the rogue-tag direction applies to its literals. *)
+let universe_tags (u : Cmt_load.unit_info) =
+  List.concat_map
+    (fun (d : Cmt_load.decl) ->
+      match d.d_expr with
+      | Some e when d.d_top && Cmt_load.has_attr "dynlint.tag_universe" d.d_attrs ->
+          let from_function =
+            match e.exp_desc with Texp_function _ -> true | _ -> false
+          in
+          List.map (fun (s, l) -> (s, l, from_function)) (string_consts_in e)
+      | _ -> [])
+    u.ui_decls
 
-let collect_cmt_files = Cmt_load.collect_cmt_files
+(* ---------- the pass over preloaded units ---------- *)
 
 (* D7-D9 over every unit, then the global D8 comparison. The caller loads
    the cmts once (Cmt_load) and shares the unit list — and the emitter —
    with the alloc/pool/flow passes. *)
-let scan_units ~emitter units =
+let lint_units ~emitter units =
   let emit rule loc msg = Lint.emit emitter rule loc msg in
-  let d8_sent = ref [] and d8_declared = ref [] in
-  List.iter
-    (fun (u : Cmt_load.unit_info) ->
-      (* Touch the source now so its inline allow sites register with the
-         tracker even when the file is finding-free. *)
-      ignore (Lint.emitter_touch_source emitter u.ui_source);
-      scan_structure ~emit ~d8_sent ~d8_declared u.ui_str)
-    units;
+  let sent, declared =
+    List.split
+      (List.map
+         (fun (u : Cmt_load.unit_info) -> (scan_unit ~emit u, universe_tags u))
+         units)
+  in
+  let sent = List.concat sent and declared = List.concat declared in
   (* D8 is global: compare the sent and declared literal sets across every
      scanned compilation unit. Function-form universes (variant renderers)
      only participate in the rogue-tag direction — their dead arms are the
      compiler's problem, not the linter's. *)
-  let declared = List.rev !d8_declared and sent = List.rev !d8_sent in
   let declared_tags = List.map (fun (s, _, _) -> s) declared
   and sent_tags = List.map fst sent in
   List.iter
@@ -460,27 +330,3 @@ let scan_units ~emitter units =
              "declared tag %S is never sent: dead handler arm or stale universe entry"
              tag))
     declared
-
-(* D11 over the same units: harvest every [@@dynlint.zero_alloc] summary,
-   then verify each checked one against the trusted table formed by all of
-   them (cross-module, like D8's universe). *)
-let alloc_units ~emitter units =
-  let summaries =
-    List.concat_map
-      (fun (u : Cmt_load.unit_info) ->
-        Lint_alloc.collect ~unit_name:u.ui_name u.ui_str)
-      units
-  in
-  Lint_alloc.verify
-    ~emit:(fun loc msg -> Lint.emit emitter Lint.Zero_alloc loc msg)
-    summaries
-
-let lint_cmt_files ?allow ?tracker ?source_root cmts =
-  let units = Cmt_load.load_files cmts in
-  let emitter = Lint.make_emitter ?allow ?tracker ?source_root () in
-  scan_units ~emitter units;
-  alloc_units ~emitter units;
-  Lint.emitter_findings emitter
-
-let lint_cmt_dirs ?allow ?tracker ?source_root dirs =
-  lint_cmt_files ?allow ?tracker ?source_root (collect_cmt_files dirs)

@@ -1,6 +1,6 @@
-(** The typedtree pass: D7 (parallel-race), D8 (protocol-conformance),
-    D9 (rng-taint) and D11 (zero-alloc) over the [.cmt] files that
-    [dune build @check] produces.
+(** The typedtree pass: D7 (parallel-race), D8 (protocol-conformance) and
+    D9 (rng-taint) over the [.cmt] units that [dune build @check]
+    produces; D11 (zero-alloc) is {!Lint_alloc}.
 
     - [D7]: a closure passed to [Pool.map]/[Pool.run]/[Pool.iter]/
       [Explore.sweep] captures a value of mutable type ([ref], [Hashtbl.t],
@@ -35,53 +35,16 @@
       expression carries an [Rng.t] inside a record field or tuple slot is
       flagged too (the walk stops at function boundaries — a module-level
       function creating a local generator is the sanctioned shape).
-    - [D11]: functions annotated [[@@dynlint.zero_alloc]] are verified
-      allocation-free by {!Lint_alloc}. The sweep over the cmts collects
-      per-unit summaries (check and assume alike), and verification runs
-      once all units are in, so cross-module calls between annotated
-      functions resolve regardless of scan order — the same global shape
-      as D8's universe table.
 
-    Path and type heads are matched by suffix on "__"-split components, so
-    wrapped libraries ([Mylib__Pool.map]) and module aliases both match.
+    Path and type heads are matched by suffix on "__"-split components
+    ({!Cmt_load.norm_path}), so wrapped libraries ([Mylib__Pool.map]) and
+    module aliases both match.
 
     Findings respect the same allow file and inline [dynlint: allow]
-    comments as the parsetree pass; pass the shared {!Lint.tracker} so D10
-    staleness accounting covers both passes. *)
+    comments as the parsetree pass, through the shared {!Lint.emitter}. *)
 
-val collect_cmt_files : string list -> string list
-(** Alias of {!Cmt_load.collect_cmt_files}, kept for callers predating the
-    shared loader. *)
-
-val scan_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
+val lint_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
 (** D7/D8/D9 over preloaded units: per-unit scans, then the global D8
     sent-versus-declared comparison. Touches every unit's source through
     the emitter so finding-free files still register their inline allow
     sites for D10. *)
-
-val alloc_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
-(** D11 over the same preloaded units: collect every
-    [[@@dynlint.zero_alloc]] summary, then verify the checked ones against
-    the cross-module trusted table. *)
-
-val lint_cmt_files :
-  ?allow:Lint.allow ->
-  ?tracker:Lint.tracker ->
-  ?source_root:string ->
-  string list ->
-  Lint.finding list
-(** Run D7/D8/D9/D11 over the given [.cmt] files. Units are deduplicated by
-    source file; interfaces, packed modules and generated ([.ml-gen])
-    units are skipped, as are unreadable cmts. [source_root] (default
-    ["."]) prefixes the workspace-relative source paths recorded in the
-    cmts when reading sources for inline-allow suppression; when a source
-    cannot be found, only allow-file suppression applies. Findings are
-    sorted by (file, line, col). *)
-
-val lint_cmt_dirs :
-  ?allow:Lint.allow ->
-  ?tracker:Lint.tracker ->
-  ?source_root:string ->
-  string list ->
-  Lint.finding list
-(** {!collect_cmt_files} composed with {!lint_cmt_files}. *)

@@ -1,28 +1,13 @@
 (* SARIF 2.1.0 rendering for dynlint findings.
 
-   Hand-rolled JSON (the tool stays dependency-free beyond compiler-libs):
-   one run, one driver, the full D1-D13 rule table (so ruleIndex is stable
+   The layout is written by hand (SARIF viewers are read by people too, so
+   it keeps its indentation); strings are escaped through Telemetry.Json.
+   One run, one driver, the full D1-D13 rule table (so ruleIndex is stable
    whether or not a rule fired), one result per finding. A finding's
    [related] entries (D12's acquire-site <-> leak-path links, D13's
    universe <-> orphan links) become SARIF relatedLocations. Columns are
    1-based per the SARIF spec; dynlint's text output is 0-based, so
    startColumn = col + 1. *)
-
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
 
 (* Line- and column-free fingerprint over (rule, file, message): a finding
    keeps its identity when unrelated edits shift it down the file, so a
@@ -43,7 +28,7 @@ let rule_index rule =
 
 let render findings =
   let b = Buffer.create 4096 in
-  let str s = buf_add_json_string b s in
+  let str s = Buffer.add_string b Telemetry.Json.(to_string (String s)) in
   let raw s = Buffer.add_string b s in
   raw "{\n  \"version\": \"2.1.0\",\n  \"$schema\": ";
   str "https://json.schemastore.org/sarif-2.1.0.json";
@@ -101,8 +86,3 @@ let render findings =
     findings;
   raw "      ]\n    }\n  ]\n}\n";
   Buffer.contents b
-
-let write ~file findings =
-  let oc = open_out file in
-  output_string oc (render findings);
-  close_out oc

@@ -1,7 +1,7 @@
 (** SARIF 2.1.0 output for dynlint findings, so CI can publish them as PR
     annotations via the standard SARIF upload action.
 
-    One run, driver "dynlint", with the full D1-D10 rule table (stable
+    One run, driver "dynlint", with the full D1-D13 rule table (stable
     [ruleIndex] regardless of which rules fired) and one [error]-level
     result per finding. Regions use 1-based columns as the spec requires
     (dynlint's text output is 0-based).
@@ -13,8 +13,5 @@
     uploads surface only genuinely new findings. *)
 
 val render : Lint.finding list -> string
-(** The complete SARIF document, newline-terminated. *)
-
-val write : file:string -> Lint.finding list -> unit
-(** {!render} to a file. An empty finding list still writes a valid
-    document with an empty [results] array. *)
+(** The complete SARIF document, newline-terminated. An empty finding list
+    still renders a valid document with an empty [results] array. *)

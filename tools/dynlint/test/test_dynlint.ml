@@ -1,15 +1,21 @@
 (* dynlint's own test suite: a fixture corpus with one bad + one
    allow-annotated file per rule, exact rule-id assertions, the allow-file
    and context gates, the typed (cmt) fixtures for D7/D8/D9 and
-   D11/D12/D13, the D13 graph artifact (DOT + JSON round-trip), SARIF
-   output with relatedLocations, stale-suppression reporting, rule-table
-   sync across --rules / SARIF / DESIGN.md, and clean-tree silence on the
-   repo's lib/ under every pass. *)
+   D11/D12/D13, the D13 graph artifact (DOT, and JSON read back field by
+   field), SARIF output with relatedLocations, the byte-exact SARIF and
+   typed-findings goldens, stale-suppression reporting, rule-table sync
+   across --rules / SARIF / DESIGN.md, the executable's exit codes, and
+   clean-tree silence on the repo's lib/ under every pass. *)
 
 let lib_ctx = { Lint.lib = true; test = false }
 
-let ids ?allow ?(ctx = lib_ctx) path =
-  List.map (fun f -> Lint.rule_id f.Lint.rule) (Lint.lint_file ?allow ~ctx path)
+let file_findings ?allow ?(ctx = lib_ctx) path =
+  let em = Lint.make_emitter ?allow () in
+  Lint.lint_file em ~ctx path;
+  Lint.emitter_findings em
+
+let ids ?allow ?ctx path =
+  List.map (fun f -> Lint.rule_id f.Lint.rule) (file_findings ?allow ?ctx path)
 
 let check_ids name expected got =
   Alcotest.(check (list string)) name expected got
@@ -38,14 +44,15 @@ let test_allow_fixtures () =
     [ "d1_allow.ml"; "d2_allow.ml"; "d3_allow.ml"; "d4_allow.ml"; "d6_allow.ml" ]
 
 let test_mli () =
-  (match Lint.check_mli "fixtures/d5_missing/orphan.ml" with
+  let check_mli path = Lint.check_mli (Lint.make_emitter ()) path in
+  (match check_mli "fixtures/d5_missing/orphan.ml" with
   | Some f ->
       Alcotest.(check string) "orphan rule" "D5" (Lint.rule_id f.Lint.rule)
   | None -> Alcotest.fail "orphan.ml should be a D5 finding");
-  (match Lint.check_mli "fixtures/d5_missing/allowed.ml" with
+  (match check_mli "fixtures/d5_missing/allowed.ml" with
   | None -> ()
   | Some _ -> Alcotest.fail "allowed.ml carries a dynlint: allow mli header");
-  match Lint.check_mli "fixtures/d5_covered/covered.ml" with
+  match check_mli "fixtures/d5_covered/covered.ml" with
   | None -> ()
   | Some _ -> Alcotest.fail "covered.ml has a matching .mli"
 
@@ -85,7 +92,7 @@ let test_allow_file () =
     (ids ~allow "fixtures/d3_bad.ml")
 
 let test_report_format () =
-  match Lint.lint_file ~ctx:lib_ctx "fixtures/d1_bad.ml" with
+  match file_findings "fixtures/d1_bad.ml" with
   | f :: _ ->
       let line = Lint.finding_to_string f in
       let prefix = "fixtures/d1_bad.ml:4:12 [D1 global-state]" in
@@ -95,13 +102,22 @@ let test_report_format () =
   | [] -> Alcotest.fail "d1_bad.ml should have findings"
 
 (* ---------------------------------------------------------------- *)
-(* Typed (cmt) pass: D7/D8/D9 over the fixtures_typed mini-projects.
-   Each fixture is a real dune library; its cmts live under .objs in the
-   test's own build directory. *)
+(* Typed (cmt) passes over the fixtures_typed mini-projects. Each fixture
+   is a real dune library; its cmts live under .objs in the test's own
+   build directory. Every run shares one emitter over one unit list, the
+   same wiring the driver uses; each fixture runs only its own passes. *)
 
-let typed_findings ?allow ?tracker dir =
-  Lint_typed.lint_cmt_dirs ?allow ?tracker ~source_root:"../../.."
-    [ "fixtures_typed/" ^ dir ]
+let fixture_units dir = Cmt_load.load_dirs [ "fixtures_typed/" ^ dir ]
+let fixture_emitter () = Lint.make_emitter ~source_root:"../../.." ()
+
+(* D7-D9 and D11 *)
+let typed_run ?(emitter = fixture_emitter ()) units =
+  Lint.register_units emitter units;
+  Lint_typed.lint_units ~emitter units;
+  Lint_alloc.lint_units ~emitter units;
+  Lint.emitter_findings emitter
+
+let typed_findings ?emitter dir = typed_run ?emitter (fixture_units dir)
 
 let typed_ids dir =
   List.map (fun f -> Lint.rule_id f.Lint.rule) (typed_findings dir)
@@ -223,13 +239,13 @@ let test_d11_cross_module () =
 let test_d11_assume () = check_ids "d11_assume" [] (typed_ids "d11_assume")
 
 let test_d11_allow () =
-  let tracker = Lint.new_tracker () in
+  let emitter = fixture_emitter () in
   check_ids "d11_allow suppressed" []
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
-       (typed_findings ~tracker "d11_allow"));
+       (typed_findings ~emitter "d11_allow"));
   let d11_only = function Lint.Zero_alloc -> true | _ -> false in
-  match Lint.stale_findings ~in_scope:d11_only ~allow:Lint.no_allow tracker with
+  match Lint.stale_findings ~in_scope:d11_only emitter with
   | [ stale ] ->
       Alcotest.(check string) "stale is D10" "D10" (Lint.rule_id stale.Lint.rule);
       Alcotest.(check bool) "stale comment located" true
@@ -240,22 +256,20 @@ let test_d11_allow () =
         (List.length fs)
 
 (* ---------------------------------------------------------------- *)
-(* D12 (pool discipline) and D13 (message flow) run through the shared
-   emitter over a shared unit list, the same wiring the driver uses. *)
+(* D12 (pool discipline) and D13 (message flow). *)
 
-let fixture_units dir = Cmt_load.load_dirs [ "fixtures_typed/" ^ dir ]
-
-let pool_findings ?tracker dir =
-  let emitter = Lint.make_emitter ?tracker ~source_root:"../../.." () in
-  Lint_pool.lint_units ~emitter (fixture_units dir);
+let pool_findings ?(emitter = fixture_emitter ()) dir =
+  let units = fixture_units dir in
+  Lint.register_units emitter units;
+  Lint_pool.lint_units ~emitter units;
   Lint.emitter_findings emitter
 
-let flow_run ?tracker dir =
-  let emitter = Lint.make_emitter ?tracker ~source_root:"../../.." () in
-  let g = Lint_flow.lint_units ~emitter (fixture_units dir) in
+let flow_run ?(emitter = fixture_emitter ()) units =
+  Lint.register_units emitter units;
+  let g = Lint_flow.lint_units ~emitter units in
   (Lint.emitter_findings emitter, g)
 
-let flow_findings ?tracker dir = fst (flow_run ?tracker dir)
+let flow_findings ?emitter dir = fst (flow_run ?emitter (fixture_units dir))
 
 let test_d12 () =
   let findings = pool_findings "d12_bad" in
@@ -301,7 +315,7 @@ let test_d12_related () =
     (pool_findings "d12_bad")
 
 let test_d13 () =
-  let findings, g = flow_run "d13_bad" in
+  let findings, g = flow_run (fixture_units "d13_bad") in
   (match findings with
   | [ orphan; unreceivable; unresolved ] ->
       check_ids "d13_bad ids" [ "D13"; "D13"; "D13" ]
@@ -365,31 +379,75 @@ let test_d13 () =
 let test_d12_d13_allow_not_stale () =
   (* the inline allows in the allow fixtures suppress something, so the
      D10 staleness pass must not report them *)
-  let tracker = Lint.new_tracker () in
+  let emitter = fixture_emitter () in
   check_ids "d12_allow suppressed" []
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
-       (pool_findings ~tracker "d12_allow"));
+       (pool_findings ~emitter "d12_allow"));
   check_ids "d13_allow suppressed" []
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
-       (flow_findings ~tracker "d13_allow"));
+       (flow_findings ~emitter "d13_allow"));
   let scope =
     function Lint.Pool_discipline | Lint.Message_flow -> true | _ -> false
   in
   Alcotest.(check int) "used inline allows are not stale" 0
-    (List.length
-       (Lint.stale_findings ~in_scope:scope ~allow:Lint.no_allow tracker))
+    (List.length (Lint.stale_findings ~in_scope:scope emitter))
+
+(* The JSON artifact read back with Telemetry.Json: every field of every
+   universe, arm and edge, in order, against the in-memory graph. *)
+let check_graph_json (g : Lint_flow.graph) =
+  let module J = Telemetry.Json in
+  let fields what keys v =
+    match v with
+    | J.Obj kvs ->
+        Alcotest.(check (list string)) (what ^ " fields") keys (List.map fst kvs)
+    | _ -> Alcotest.failf "%s is not an object" what
+  in
+  let items name v =
+    match J.member name v with
+    | J.List l -> l
+    | _ -> Alcotest.failf "%s is not an array" name
+  in
+  let str what v expected = Alcotest.(check string) what expected (J.to_str v) in
+  let str_opt what v expected =
+    Alcotest.(check (option string)) what expected
+      (match v with J.Null -> None | v -> Some (J.to_str v))
+  in
+  let at what v (loc : Location.t) =
+    str (what ^ " file") (J.member "file" v) loc.loc_start.pos_fname;
+    Alcotest.(check int) (what ^ " line") loc.loc_start.pos_lnum
+      (J.to_int (J.member "line" v))
+  in
+  let j = J.of_string (Lint_flow.to_json g) in
+  fields "graph" [ "universes"; "edges" ] j;
+  List.iter2
+    (fun (u : Lint_flow.universe) ju ->
+      fields "universe" [ "key"; "unit"; "file"; "line"; "arms" ] ju;
+      str "universe key" (J.member "key" ju) u.u_key;
+      str "universe unit" (J.member "unit" ju) u.u_unit;
+      at "universe" ju u.u_loc;
+      List.iter2
+        (fun (a : Lint_flow.arm) ja ->
+          fields "arm" [ "ctor"; "wire"; "file"; "line" ] ja;
+          str "arm ctor" (J.member "ctor" ja) a.a_ctor;
+          str_opt "arm wire" (J.member "wire" ja) a.a_wire;
+          at "arm" ja a.a_loc)
+        u.u_arms (items "arms" ju))
+    g.g_universes (items "universes" j);
+  List.iter2
+    (fun (e : Lint_flow.edge) je ->
+      fields "edge" [ "universe"; "ctor"; "sender"; "receiver"; "file"; "line" ] je;
+      str "edge universe" (J.member "universe" je) e.e_universe;
+      str "edge ctor" (J.member "ctor" je) e.e_ctor;
+      str "edge sender" (J.member "sender" je) e.e_sender;
+      str_opt "edge receiver" (J.member "receiver" je) e.e_receiver;
+      at "edge" je e.e_loc)
+    g.g_edges (items "edges" j)
 
 let test_d13_graph_roundtrip () =
-  let g = Lint_flow.build (fixture_units "d13_bad") in
-  (match Lint_flow.of_json (Lint_flow.to_json g) with
-  | Ok g' ->
-      Alcotest.(check bool) "JSON round-trip is the identity" true (g = g')
-  | Error m -> Alcotest.failf "of_json failed: %s" m);
-  (match Lint_flow.of_json "{\"universes\": [" with
-  | Ok _ -> Alcotest.fail "truncated JSON must not parse"
-  | Error _ -> ());
+  let _, g = flow_run (fixture_units "d13_bad") in
+  check_graph_json g;
   let dot = Lint_flow.to_dot g in
   Alcotest.(check bool) "dot draws the orphan arm" true
     (contains dot "Orphan_arm");
@@ -401,8 +459,8 @@ let test_d13_graph_roundtrip () =
 let test_graph_real_lib () =
   (* the acceptance bar for the artifact: built over the repo's own lib/,
      the graph lists every constructor of every declared tag universe,
-     every send is received, and the JSON form round-trips losslessly *)
-  let g = Lint_flow.build (Cmt_load.load_dirs [ "../../../lib" ]) in
+     every send is received, and the JSON form carries every field *)
+  let _, g = flow_run (Cmt_load.load_dirs [ "../../../lib" ]) in
   (match g.Lint_flow.g_universes with
   | [ u ] ->
       Alcotest.(check string) "universe key" "Dist.suffix" u.Lint_flow.u_key;
@@ -436,28 +494,23 @@ let test_graph_real_lib () =
     (List.for_all
        (fun (e : Lint_flow.edge) -> e.e_receiver <> None)
        g.Lint_flow.g_edges);
-  match Lint_flow.of_json (Lint_flow.to_json g) with
-  | Ok g' ->
-      Alcotest.(check bool) "real graph round-trips through JSON" true (g = g')
-  | Error m -> Alcotest.failf "of_json failed on the real graph: %s" m
+  check_graph_json g
 
 (* ---------------------------------------------------------------- *)
 (* D10: stale-suppression reporting. *)
 
 let test_stale_allow () =
   let allow = Lint.load_allow_file "fixtures/stale.allow" in
-  let tracker = Lint.new_tracker () in
+  let em = Lint.make_emitter ~allow () in
+  let lint path =
+    Lint.lint_file em ~ctx:lib_ctx path;
+    List.map (fun f -> Lint.rule_id f.Lint.rule) (Lint.emitter_findings em)
+  in
   (* exercises the "unsafe d4_bad.ml" entry ... *)
-  check_ids "entry still suppresses" []
-    (List.map
-       (fun f -> Lint.rule_id f.Lint.rule)
-       (Lint.lint_file ~allow ~tracker ~ctx:lib_ctx "fixtures/d4_bad.ml"));
+  check_ids "entry still suppresses" [] (lint "fixtures/d4_bad.ml");
   (* ... and the used inline comment in stale_inline.ml *)
-  check_ids "inline still suppresses" []
-    (List.map
-       (fun f -> Lint.rule_id f.Lint.rule)
-       (Lint.lint_file ~allow ~tracker ~ctx:lib_ctx "fixtures/stale_inline.ml"));
-  (match Lint.stale_findings ~allow tracker with
+  check_ids "inline still suppresses" [] (lint "fixtures/stale_inline.ml");
+  (match Lint.stale_findings em with
   | [ entry; inline ] ->
       check_ids "both are D10" [ "D10"; "D10" ]
         [ Lint.rule_id entry.Lint.rule; Lint.rule_id inline.Lint.rule ];
@@ -477,7 +530,7 @@ let test_stale_allow () =
     function Lint.Parallel_race | Lint.Protocol | Lint.Rng_taint -> true | _ -> false
   in
   Alcotest.(check int) "out-of-scope suppressions are not stale" 0
-    (List.length (Lint.stale_findings ~in_scope:typed_only ~allow tracker))
+    (List.length (Lint.stale_findings ~in_scope:typed_only em))
 
 (* ---------------------------------------------------------------- *)
 (* The rule table must read the same everywhere it is rendered: the
@@ -528,6 +581,50 @@ let test_exe_empty_cmt () =
   in
   Alcotest.(check int) "missing/empty --cmt dir is exit 2" 2 rc
 
+(* Run the executable; return its exit code and stderr. *)
+let run_exe args =
+  let err = Filename.temp_file "dynlint_err" ".txt" in
+  let rc =
+    Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" exe args (Filename.quote err))
+  in
+  let stderr = read_file err in
+  Sys.remove err;
+  (rc, stderr)
+
+(* Inputs that lint nothing are errors, not a silent clean pass. *)
+let test_exe_missing_path () =
+  let rc, stderr = run_exe "no_such_dir" in
+  Alcotest.(check int) "missing PATH is exit 2" 2 rc;
+  Alcotest.(check bool) "message names the input" true (contains stderr "no_such_dir")
+
+let test_exe_unreadable_cmt () =
+  let dir = Filename.temp_dir "dynlint_cmt" "" in
+  let cmt = Filename.concat dir "broken.cmt" in
+  let oc = open_out cmt in
+  output_string oc "not a cmt";
+  close_out oc;
+  let rc, stderr = run_exe ("--cmt " ^ Filename.quote dir) in
+  Sys.remove cmt;
+  Sys.rmdir dir;
+  Alcotest.(check int) "unreadable cmt is exit 2" 2 rc;
+  Alcotest.(check bool) "message names the cmt" true (contains stderr "broken.cmt")
+
+(* An artifact that cannot be written is a clean exit 2, never an uncaught
+   Sys_error (whose runtime crash also exits 2, hence the stderr check). *)
+let test_exe_unwritable_artifact () =
+  List.iter
+    (fun args ->
+      let rc, stderr = run_exe args in
+      Alcotest.(check int) (args ^ " is exit 2") 2 rc;
+      Alcotest.(check bool) (args ^ " does not crash") false
+        (contains stderr "Fatal error");
+      Alcotest.(check bool) (args ^ " names the file") true
+        (contains stderr "cannot write /nonexistent/dir/"))
+    [
+      "--sarif /nonexistent/dir/x.sarif fixtures/d1_allow.ml";
+      "--cmt fixtures_typed/d13_good --graph /nonexistent/dir/g.dot";
+    ]
+
 let test_exe_time_budget () =
   (* budget exceeded trumps the findings exit code: CI must see the gate's
      own cost blowing up, not just the lint verdict *)
@@ -564,11 +661,10 @@ let test_exe_graph_artifact () =
   Sys.remove json;
   Alcotest.(check bool) "dot artifact lists both tags" true
     (contains d "Protocol.suffix.Ping" && contains d "Protocol.suffix.Pong");
-  match Lint_flow.of_json j with
-  | Ok g ->
-      Alcotest.(check int) "json artifact has both edges" 2
-        (List.length g.Lint_flow.g_edges)
-  | Error m -> Alcotest.failf "artifact JSON unreadable: %s" m
+  match Telemetry.Json.(member "edges" (of_string j)) with
+  | Telemetry.Json.List edges ->
+      Alcotest.(check int) "json artifact has both edges" 2 (List.length edges)
+  | _ -> Alcotest.fail "artifact JSON has no edge list"
 
 (* ---------------------------------------------------------------- *)
 (* SARIF output. *)
@@ -592,6 +688,58 @@ let test_sarif_golden () =
   end;
   Alcotest.(check string) "sarif golden"
     (read_file "fixtures/sarif_golden.json")
+    rendered
+
+(* Every typed fixture's findings, byte for byte: one block per
+   fixtures_typed project in sorted order, all typed passes through one
+   emitter in the driver's order, then the typed-scope D10 report, each
+   related location on its own indented line. Regenerate like the SARIF
+   golden (DYNLINT_REGEN_GOLDEN=1, then copy typed_findings.golden out of
+   the sandbox). *)
+let typed_findings_report () =
+  let b = Buffer.create 8192 in
+  let dirs =
+    List.filter
+      (fun d -> Sys.is_directory (Filename.concat "fixtures_typed" d))
+      (List.sort String.compare (Array.to_list (Sys.readdir "fixtures_typed")))
+  in
+  List.iter
+    (fun dir ->
+      Buffer.add_string b ("== " ^ dir ^ "\n");
+      let emitter = fixture_emitter () in
+      let units = fixture_units dir in
+      Lint.register_units emitter units;
+      Lint_typed.lint_units ~emitter units;
+      Lint_alloc.lint_units ~emitter units;
+      Lint_pool.lint_units ~emitter units;
+      ignore (Lint_flow.lint_units ~emitter units);
+      let stale =
+        Lint.stale_findings
+          ~in_scope:(fun r -> Lint.rule_pass r <> "parsetree")
+          emitter
+      in
+      List.iter
+        (fun (f : Lint.finding) ->
+          Buffer.add_string b (Lint.finding_to_string f ^ "\n");
+          List.iter
+            (fun (r : Lint.related) ->
+              Buffer.add_string b
+                (Printf.sprintf "  related %s:%d:%d %s\n" r.r_file r.r_line
+                   r.r_col r.r_msg))
+            f.related)
+        (List.sort Lint.compare_findings (Lint.emitter_findings emitter @ stale)))
+    dirs;
+  Buffer.contents b
+
+let test_typed_findings_golden () =
+  let rendered = typed_findings_report () in
+  if Sys.getenv_opt "DYNLINT_REGEN_GOLDEN" <> None then begin
+    let oc = open_out "fixtures/typed_findings.golden" in
+    output_string oc rendered;
+    close_out oc
+  end;
+  Alcotest.(check string) "typed findings golden"
+    (read_file "fixtures/typed_findings.golden")
     rendered
 
 let test_sarif_structure () =
@@ -673,14 +821,17 @@ let test_sarif_structure () =
 
 let test_clean_tree () =
   let allow = Lint.load_allow_file "../../../dynlint.allow" in
-  let findings = Lint.lint_tree ~allow ~root:"../../.." [ "lib" ] in
+  let em = Lint.make_emitter ~allow () in
+  Lint.lint_tree em ~root:"../../.." [ "lib" ];
   Alcotest.(check (list string)) "lib/ is dynlint-clean" []
-    (List.map Lint.finding_to_string findings)
+    (List.map Lint.finding_to_string (Lint.emitter_findings em))
 
 let test_clean_tree_typed () =
   let allow = Lint.load_allow_file "../../../dynlint.allow" in
   let findings =
-    Lint_typed.lint_cmt_dirs ~allow ~source_root:"../../.." [ "../../../lib" ]
+    typed_run
+      ~emitter:(Lint.make_emitter ~allow ~source_root:"../../.." ())
+      (Cmt_load.load_dirs [ "../../../lib" ])
   in
   (* D8's dead-arm side needs the senders in scope, and lib/ is where both
      the universe and every sender live, so lib-only is a complete check *)
@@ -694,6 +845,7 @@ let test_clean_tree_pool_flow () =
   let allow = Lint.load_allow_file "../../../dynlint.allow" in
   let units = Cmt_load.load_dirs [ "../../../lib" ] in
   let emitter = Lint.make_emitter ~allow ~source_root:"../../.." () in
+  Lint.register_units emitter units;
   Lint_pool.lint_units ~emitter units;
   ignore (Lint_flow.lint_units ~emitter units);
   Alcotest.(check (list string)) "lib/ is pool- and flow-clean" []
@@ -752,6 +904,12 @@ let () =
           Alcotest.test_case "exe --rules" `Quick test_exe_rules;
           Alcotest.test_case "exe rejects cmt-less dir" `Quick
             test_exe_empty_cmt;
+          Alcotest.test_case "exe rejects a missing path" `Quick
+            test_exe_missing_path;
+          Alcotest.test_case "exe rejects an unreadable cmt" `Quick
+            test_exe_unreadable_cmt;
+          Alcotest.test_case "exe unwritable artifact is exit 2" `Quick
+            test_exe_unwritable_artifact;
           Alcotest.test_case "exe enforces its time budget" `Quick
             test_exe_time_budget;
           Alcotest.test_case "exe --graph needs --cmt" `Quick
@@ -759,6 +917,8 @@ let () =
           Alcotest.test_case "exe --graph artifacts" `Quick
             test_exe_graph_artifact;
           Alcotest.test_case "sarif golden" `Quick test_sarif_golden;
+          Alcotest.test_case "typed findings golden" `Quick
+            test_typed_findings_golden;
           Alcotest.test_case "sarif structure" `Quick test_sarif_structure;
           Alcotest.test_case "clean tree is silent" `Quick test_clean_tree;
           Alcotest.test_case "clean tree is silent (typed)" `Quick
