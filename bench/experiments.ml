@@ -399,34 +399,15 @@ let run_size_estimation ?scheduler ?sink ~seed ~n0 ~beta ~changes ~mix () =
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
   let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
   let se = Estimator.Size_estimation.create ~beta ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
   let worst = ref 1.0 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Estimator.Size_estimation.submit se op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              let n = float_of_int (Dtree.size tree) in
-              let est =
-                float_of_int (Estimator.Size_estimation.estimate se (Dtree.root tree))
-              in
-              let r = if est > n then est /. n else n /. est in
-              if r > !worst then worst := r;
-              pump ())
-  in
-  for _ = 1 to 4 do
-    pump ()
-  done;
+  Dist_harness.drive ~concurrency:4 ~net ~requests:changes
+    ~submit:(Estimator.Size_estimation.submit se)
+    ~on_answer:(fun () ->
+      let n = float_of_int (Dtree.size tree) in
+      let est = float_of_int (Estimator.Size_estimation.estimate se (Dtree.root tree)) in
+      let r = if est > n then est /. n else n /. est in
+      if r > !worst then worst := r)
+    (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net;
   (se, net, !worst)
 
@@ -472,29 +453,9 @@ let e7 ctx =
           ~tree ()
       in
       let na = Estimator.Name_assignment.create ~net () in
-      let wl = Workload.make ~seed:102 ~mix:Workload.Mix.churn () in
-      let reserved = Hashtbl.create 16 in
-      let submitted = ref 0 in
-      let rec pump () =
-        if !submitted < changes then
-          match
-            Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved)
-          with
-          | None -> Net.schedule net ~delay:3 pump
-          | Some op ->
-              incr submitted;
-              let nodes =
-                List.sort_uniq compare
-                  (Workload.request_site tree op :: Workload.touched tree op)
-              in
-              List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-              Estimator.Name_assignment.submit na op ~k:(fun () ->
-                  List.iter (Hashtbl.remove reserved) nodes;
-                  pump ())
-      in
-      for _ = 1 to 4 do
-        pump ()
-      done;
+      Dist_harness.drive ~concurrency:4 ~net ~requests:changes
+        ~submit:(Estimator.Name_assignment.submit na) ~on_answer:ignore
+        (Workload.make ~seed:102 ~mix:Workload.Mix.churn ());
       Net.run net;
       let total = Net.messages net + Estimator.Name_assignment.overhead_messages na in
       note row ~messages:total ~bits:(Net.total_bits net) ();

@@ -15,20 +15,26 @@ open Controller
 (* ------------------------------------------------------------------ *)
 (* shared argument parsing                                             *)
 
-let shape_of ~n = function
-  | "path" -> Workload.Shape.Path n
-  | "star" -> Workload.Shape.Star n
-  | "random" -> Workload.Shape.Random n
-  | "balanced" -> Workload.Shape.Balanced (2, n)
-  | "caterpillar" -> Workload.Shape.Caterpillar n
-  | s -> invalid_arg ("unknown shape: " ^ s)
+(* A named choice parses to its (name, value) pair: a bad name is a usage
+   error that lists the choices, and the name stays at hand for printing. *)
+let named choices = Arg.enum (List.map (fun (s, v) -> (s, (s, v))) choices)
 
-let mix_of = function
-  | "grow" -> Workload.Mix.grow_only
-  | "churn" -> Workload.Mix.churn
-  | "shrink" -> Workload.Mix.shrink_heavy
-  | "events" -> Workload.Mix.mixed_events
-  | s -> invalid_arg ("unknown mix: " ^ s)
+let shape_of ~n = function
+  | `Path -> Workload.Shape.Path n
+  | `Star -> Workload.Shape.Star n
+  | `Random -> Workload.Shape.Random n
+  | `Balanced -> Workload.Shape.Balanced (2, n)
+  | `Caterpillar -> Workload.Shape.Caterpillar n
+
+(* A file named on the command line cannot be read or written, or holds
+   unusable contents: print [ctrl_sim: FILE: reason] and exit 2. A
+   [Sys_error] message already leads with the file. *)
+let file_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "ctrl_sim: %s@." msg;
+      2)
+    fmt
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"enable debug logging")
@@ -38,11 +44,25 @@ let setup_logs verbose =
   if verbose then Logs.Src.set_level Controller.Central.log_src (Some Logs.Debug)
 
 let shape_arg =
-  Arg.(value & opt string "random"
+  let shapes =
+    [
+      ("path", `Path);
+      ("star", `Star);
+      ("random", `Random);
+      ("balanced", `Balanced);
+      ("caterpillar", `Caterpillar);
+    ]
+  in
+  Arg.(value & opt (named shapes) ("random", `Random)
        & info [ "shape" ] ~doc:"path|star|random|balanced|caterpillar")
 
 let mix_arg =
-  Arg.(value & opt string "churn" & info [ "mix" ] ~doc:"grow|churn|shrink|events")
+  let mixes =
+    Workload.Mix.
+      [ ("grow", grow_only); ("churn", churn); ("shrink", shrink_heavy); ("events", mixed_events) ]
+  in
+  Arg.(value & opt (named mixes) ("churn", Workload.Mix.churn)
+       & info [ "mix" ] ~doc:"grow|churn|shrink|events")
 
 let scheduler_conv =
   let parse s =
@@ -141,16 +161,18 @@ let with_sink ~metrics_out ~trace_out ?perfetto_out ppf f =
         perfetto_out;
       Some (Telemetry.Sink.metrics sink)
 
+(* Write the merged dump, if one was asked for; the command's exit code. *)
 let dump_metrics metrics_out registries =
-  Option.iter
-    (fun path ->
+  match metrics_out with
+  | None -> 0
+  | Some path -> (
       let merged = Telemetry.Metrics.create () in
-      List.iter
-        (Option.iter (fun m -> Telemetry.Metrics.merge ~into:merged m))
-        registries;
-      Telemetry.Export.write_file path (Telemetry.Export.prometheus merged);
-      Format.printf "metrics dump     %s@." path)
-    metrics_out
+      List.iter (Option.iter (fun m -> Telemetry.Metrics.merge ~into:merged m)) registries;
+      match Telemetry.Export.write_file path (Telemetry.Export.prometheus merged) with
+      | () ->
+          Format.printf "metrics dump     %s@." path;
+          0
+      | exception Sys_error msg -> file_error "%s" msg)
 
 (* ------------------------------------------------------------------ *)
 (* run: controllers                                                    *)
@@ -171,18 +193,18 @@ let run_centralized ppf request moves tree ~seed ~mix ~requests =
 (* One complete scenario for one seed: builds its own tree, controller,
    network and sink, so any number of these can run on pool domains at
    once. *)
-let run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
+let run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
   let rng = Rng.create ~seed in
-  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape_s) in
+  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
   let u = n0 + requests in
-  match kind_s with
-  | "central" ->
+  match kind with
+  | `Central ->
       let c =
         Central.create ?telemetry:sink ~params:(Params.make ~m ~w:(max 1 w) ~u) ~tree ()
       in
       run_centralized ppf (Central.request c) (fun () -> Central.moves c) tree ~seed ~mix
         ~requests
-  | "iterated" ->
+  | `Iterated ->
       let c =
         match sink with
         | None -> Iterated.create ~m ~w ~u ~tree ()
@@ -195,28 +217,28 @@ let run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed
       in
       run_centralized ppf (Iterated.request c) (fun () -> Iterated.moves c) tree ~seed
         ~mix ~requests
-  | "adaptive" ->
+  | `Adaptive ->
       let c = Adaptive.create ?telemetry:sink ~m ~w ~tree () in
       run_centralized ppf (Adaptive.request c) (fun () -> Adaptive.moves c) tree ~seed
         ~mix ~requests
-  | "trivial" ->
+  | `Trivial ->
       let c = Baseline_trivial.create ~m ~tree in
       run_centralized ppf (Baseline_trivial.request c)
         (fun () -> Baseline_trivial.moves c)
         tree ~seed ~mix ~requests
-  | "aaps" ->
+  | `Aaps ->
       let c = Baseline_aaps.Iterated.create ~m ~w ~u ~tree () in
       run_centralized ppf
         (Baseline_aaps.Iterated.request c)
         (fun () -> Baseline_aaps.Iterated.moves c)
         tree ~seed ~mix ~requests
-  | "dist" ->
+  | `Dist ->
       let stats =
-        Dist_harness.run ~seed ?scheduler ?sink ~shape:(shape_of ~n:n0 shape_s) ~mix ~m
+        Dist_harness.run ~seed ?scheduler ?sink ~shape:(shape_of ~n:n0 shape) ~mix ~m
           ~w ~requests ()
       in
       Format.fprintf ppf "%a@." Dist_harness.pp_stats stats
-  | "dist-adaptive" ->
+  | `Dist_adaptive ->
       let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
       let da = Dist_adaptive.create ~m ~w ~net () in
       let g, r, _ =
@@ -227,13 +249,11 @@ let run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed
         (Dist_adaptive.epochs da)
         (Stats.pretty_int (Net.messages net))
         (Stats.pretty_int (Dist_adaptive.overhead_messages da))
-  | s -> invalid_arg ("unknown controller: " ^ s)
 
-let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs scheduler
-    metrics_out trace_out perfetto_out =
+let run_main verbose (kind_s, kind) (shape_s, shape) (mix_s, mix) n0 requests m w seed
+    seeds jobs scheduler metrics_out trace_out perfetto_out =
   setup_logs verbose;
   if seeds < 1 then invalid_arg "--seeds must be >= 1";
-  let mix = mix_of mix_s in
   Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
     kind_s shape_s mix_s n0 requests m w (n0 + requests);
   (* Each seed is an independent simulation with its own tree, network and
@@ -249,7 +269,7 @@ let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs schedu
     let perfetto_out = per_seed perfetto_out in
     let registry =
       with_sink ~metrics_out ~trace_out ?perfetto_out ppf (fun sink ->
-          run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink
+          run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink
             ~seed:sd)
     in
     Format.pp_print_flush ppf ();
@@ -264,12 +284,22 @@ let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs schedu
       if seeds > 1 then Format.printf "--- seed %d ---@." sd;
       Format.printf "%s" text)
     outcomes;
-  dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes);
-  0
+  dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes)
 
 let run_cmd =
   let kind =
-    Arg.(value & opt string "adaptive"
+    let kinds =
+      [
+        ("central", `Central);
+        ("iterated", `Iterated);
+        ("adaptive", `Adaptive);
+        ("trivial", `Trivial);
+        ("aaps", `Aaps);
+        ("dist", `Dist);
+        ("dist-adaptive", `Dist_adaptive);
+      ]
+    in
+    Arg.(value & opt (named kinds) ("adaptive", `Adaptive)
          & info [ "controller" ]
              ~doc:"central|iterated|adaptive|trivial|aaps|dist|dist-adaptive")
   in
@@ -283,40 +313,20 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 (* size-est and names: the Section 5 protocols                         *)
 
-let drive_estimator ~seed ~mix ~changes ~net ~tree ~submit =
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          submit op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              pump ())
-  in
-  for _ = 1 to 4 do
-    pump ()
-  done;
+let drive_estimator ~seed ~mix ~changes ~net ~submit =
+  Dist_harness.drive ~concurrency:4 ~net ~requests:changes ~submit ~on_answer:ignore
+    (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net
 
-let size_est_main shape_s mix_s n0 changes beta seed scheduler metrics_out trace_out
+let size_est_main (_, shape) (_, mix) n0 changes beta seed scheduler metrics_out trace_out
     perfetto_out =
   let rng = Rng.create ~seed in
-  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape_s) in
+  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
   let registry =
     with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
         let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
         let se = Estimator.Size_estimation.create ~beta ~net () in
-        drive_estimator ~seed ~mix:(mix_of mix_s) ~changes ~net ~tree
-          ~submit:(Estimator.Size_estimation.submit se);
+        drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Size_estimation.submit se);
         Format.printf
           "size estimation: %d changes, %d epochs, estimate %d vs true %d, %s messages (+%s overhead)@."
           (Estimator.Size_estimation.changes se)
@@ -326,8 +336,7 @@ let size_est_main shape_s mix_s n0 changes beta seed scheduler metrics_out trace
           (Stats.pretty_int (Net.messages net))
           (Stats.pretty_int (Estimator.Size_estimation.overhead_messages se)))
   in
-  dump_metrics metrics_out [ registry ];
-  0
+  dump_metrics metrics_out [ registry ]
 
 let size_est_cmd =
   let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
@@ -337,16 +346,15 @@ let size_est_cmd =
     Term.(const size_est_main $ shape_arg $ mix_arg $ n0_arg $ changes $ beta $ seed_arg
           $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
 
-let names_main shape_s mix_s n0 changes seed scheduler metrics_out trace_out
+let names_main (_, shape) (_, mix) n0 changes seed scheduler metrics_out trace_out
     perfetto_out =
   let rng = Rng.create ~seed in
-  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape_s) in
+  let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
   let registry =
     with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
         let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
         let na = Estimator.Name_assignment.create ~net () in
-        drive_estimator ~seed ~mix:(mix_of mix_s) ~changes ~net ~tree
-          ~submit:(Estimator.Name_assignment.submit na);
+        drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Name_assignment.submit na);
         let ids = Estimator.Name_assignment.ids na in
         let max_id = List.fold_left (fun acc (_, i) -> max acc i) 0 ids in
         Format.printf
@@ -357,8 +365,7 @@ let names_main shape_s mix_s n0 changes seed scheduler metrics_out trace_out
           (Stats.pretty_int (Net.messages net))
           (Stats.pretty_int (Estimator.Name_assignment.overhead_messages na)))
   in
-  dump_metrics metrics_out [ registry ];
-  0
+  dump_metrics metrics_out [ registry ]
 
 let names_cmd =
   let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
@@ -370,11 +377,8 @@ let names_cmd =
 (* ------------------------------------------------------------------ *)
 (* trace: capture and replay scenarios                                 *)
 
-let trace_capture_main shape_s mix_s n0 steps seed out =
-  let t =
-    Workload.Trace.capture ~seed ~shape:(shape_of ~n:n0 shape_s) ~mix:(mix_of mix_s)
-      ~steps ()
-  in
+let trace_capture_main (shape_s, shape) (_, mix) n0 steps seed out =
+  let t = Workload.Trace.capture ~seed ~shape:(shape_of ~n:n0 shape) ~mix ~steps () in
   Workload.Trace.save t out;
   Format.printf "captured %d ops over %s into %s@." steps shape_s out;
   0
@@ -387,32 +391,42 @@ let trace_capture_cmd =
     Term.(const trace_capture_main $ shape_arg $ mix_arg $ n0_arg $ steps $ seed_arg $ out)
 
 let trace_run_main input m w =
-  let t = Workload.Trace.load input in
-  let ctrl_ref = ref None in
-  let granted = ref 0 and rejected = ref 0 in
-  let final =
-    Workload.Trace.replay t ~f:(fun tree op ->
-        let ctrl =
-          match !ctrl_ref with
-          | Some c -> c
-          | None ->
-              let c = Adaptive.create ~m ~w ~tree () in
-              ctrl_ref := Some c;
-              c
-        in
-        match Adaptive.request ctrl op with
-        | Types.Granted -> incr granted
-        | Types.Rejected | Types.Exhausted -> incr rejected)
-  in
-  (match !ctrl_ref with
-  | Some c ->
-      Format.printf "replayed %d ops: granted %d, rejected %d, moves %s, final size %d@."
-        (List.length t.Workload.Trace.ops)
-        !granted !rejected
-        (Stats.pretty_int (Adaptive.moves c))
-        (Dtree.size final)
-  | None -> Format.printf "empty trace@.");
-  0
+  let exception Invalid_op of int * string in
+  match Workload.Trace.load input with
+  | exception Sys_error msg -> file_error "%s" msg
+  | exception Failure msg -> file_error "%s: %s" input msg
+  | t -> (
+      let ctrl_ref = ref None in
+      let granted = ref 0 and rejected = ref 0 in
+      let replay () =
+        Workload.Trace.replay t ~f:(fun tree op ->
+            let ctrl =
+              match !ctrl_ref with
+              | Some c -> c
+              | None ->
+                  let c = Adaptive.create ~m ~w ~tree () in
+                  ctrl_ref := Some c;
+                  c
+            in
+            match Adaptive.request ctrl op with
+            | Types.Granted -> incr granted
+            | Types.Rejected | Types.Exhausted -> incr rejected
+            | exception Invalid_argument msg ->
+                raise (Invalid_op (1 + !granted + !rejected, msg)))
+      in
+      match replay () with
+      | exception Invalid_op (i, msg) -> file_error "%s: op %d: %s" input i msg
+      | final ->
+          (match !ctrl_ref with
+          | Some c ->
+              Format.printf
+                "replayed %d ops: granted %d, rejected %d, moves %s, final size %d@."
+                (List.length t.Workload.Trace.ops)
+                !granted !rejected
+                (Stats.pretty_int (Adaptive.moves c))
+                (Dtree.size final)
+          | None -> Format.printf "empty trace@.");
+          0)
 
 let trace_run_cmd =
   let input = Arg.(required & opt (some string) None & info [ "in" ] ~doc:"trace file") in

@@ -20,42 +20,24 @@ let () =
   let net_size = Net.create ~seed:(seed + 1) ~tree () in
   let size_est = Estimator.Size_estimation.create ~beta:2.0 ~net:net_size () in
 
-  let churn_events = 300 in
-  let wl = Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
   let worst = ref 1.0 in
   let done_count = ref 0 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < churn_events then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net_size ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Estimator.Size_estimation.submit size_est op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              incr done_count;
-              let n = Dtree.size tree in
-              let est = Estimator.Size_estimation.estimate size_est (Dtree.root tree) in
-              let ratio =
-                let e = float_of_int est and n = float_of_int n in
-                if e > n then e /. n else n /. e
-              in
-              if ratio > !worst then worst := ratio;
-              if !done_count mod 50 = 0 then
-                Format.printf
-                  "after %3d churn events: %3d peers, every peer estimates %3d (ratio %.2f)@."
-                  !done_count n est ratio;
-              pump ())
-  in
-  for _ = 1 to 6 do
-    pump ()
-  done;
+  Controller.Dist_harness.drive ~concurrency:6 ~net:net_size ~requests:300
+    ~submit:(Estimator.Size_estimation.submit size_est)
+    ~on_answer:(fun () ->
+      incr done_count;
+      let n = Dtree.size tree in
+      let est = Estimator.Size_estimation.estimate size_est (Dtree.root tree) in
+      let ratio =
+        let e = float_of_int est and n = float_of_int n in
+        if e > n then e /. n else n /. e
+      in
+      if ratio > !worst then worst := ratio;
+      if !done_count mod 50 = 0 then
+        Format.printf
+          "after %3d churn events: %3d peers, every peer estimates %3d (ratio %.2f)@."
+          !done_count n est ratio)
+    (Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn ());
   Net.run net_size;
 
   Format.printf

@@ -68,12 +68,6 @@ let create ?(variant = By_changes) ?(reject_mode = Types.Wave) ?telemetry ~m ~w 
     dead = false;
   }
 
-let is_topological = function
-  | Workload.Add_leaf _ | Workload.Remove_leaf _ | Workload.Add_internal _
-  | Workload.Remove_internal _ ->
-      true
-  | Workload.Non_topological _ -> false
-
 let epoch_over t =
   match t.variant with
   | By_changes -> t.z_i >= t.u_i / 4
@@ -117,7 +111,7 @@ let request t op =
   else
     match Iterated.request t.inner op with
     | Types.Granted ->
-        if is_topological op then begin
+        if Workload.is_topological op then begin
           t.z_i <- t.z_i + 1;
           t.nmax <- max t.nmax (Dtree.size t.tree)
         end;

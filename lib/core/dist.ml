@@ -204,12 +204,6 @@ let emit t kind =
 let with_metrics t f =
   match Net.sink t.net with None -> () | Some s -> f (Telemetry.Sink.metrics s)
 
-let is_topological = function
-  | Workload.Add_leaf _ | Workload.Remove_leaf _ | Workload.Add_internal _
-  | Workload.Remove_internal _ ->
-      true
-  | Workload.Non_topological _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Reject wave                                                         *)
 
@@ -286,27 +280,26 @@ let note_applied t info =
               ~bits:(reject_bits t) t.k_flood)
           children
 
-(* Retry until the graceful conditions hold, then apply the change to the
-   shared tree and this controller's whiteboards. One [attempt] closure
-   serves every retry of the op: a blocked change polls every 2 ticks, and
-   a fresh closure per poll was the dominant allocation on lock-heavy
-   shapes (deep paths). *)
-let try_apply t op k =
-  let rec attempt () =
-    if can_apply t op then begin
-      let info = Workload.apply_info (tree t) op in
-      (match info with
-      | Workload.Leaf_removed { node; parent }
-      | Workload.Internal_removed { node; parent; _ } ->
-          Net.node_deleted t.net node ~parent
-      | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ ->
-          ());
-      note_applied t info;
-      k ()
-    end
-    else Net.schedule t.net ~delay:2 attempt
+(* Blocked changes poll this every 2 ticks, so a blocked poll allocates
+   nothing. *)
+let try_apply ?partner t op =
+  let ready =
+    can_apply t op
+    && match partner with None -> true | Some p -> can_apply p op
   in
-  attempt ()
+  if not ready then None
+  else begin
+    let info = Workload.apply_info (tree t) op in
+    (match info with
+    | Workload.Leaf_removed { node; parent }
+    | Workload.Internal_removed { node; parent; _ } ->
+        Net.node_deleted t.net node ~parent
+    | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ ->
+        ());
+    note_applied t info;
+    (match partner with None -> () | Some p -> note_applied p info);
+    Some info
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The request agent                                                   *)
@@ -507,9 +500,18 @@ and release_walk t a ~at =
     Net.send_to t.net ~src:at ~dst:next ~tag:(tag t Agent_release)
       ~bits:(agent_bits t) a.k_release
 
+(* Under [auto_apply], a granted change waits until it applies. One
+   [attempt] closure serves every retry of the op: a blocked change polls
+   every 2 ticks, and a fresh closure per poll was the dominant allocation
+   on lock-heavy shapes (deep paths). *)
 and conclude_grant t a =
-  if t.config.auto_apply && is_topological a.op then
-    try_apply t a.op (fun () -> finish t a Types.Granted)
+  if t.config.auto_apply && Workload.is_topological a.op then
+    let rec attempt () =
+      match try_apply t a.op with
+      | Some _ -> finish t a Types.Granted
+      | None -> Net.schedule t.net ~delay:2 attempt
+    in
+    attempt ()
   else finish t a Types.Granted
 
 (* Wire up the agent's reusable per-direction continuations (one closure
@@ -634,8 +636,6 @@ let leftover t =
         (fun k c -> mob := !mob + (c * Params.mobile_size t.params k))
         b.mobiles;
       acc + b.static + !mob)
-
-let wave_started t = t.wave
 
 let reset_whiteboards t =
   if t.outstanding > 0 then

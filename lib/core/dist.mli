@@ -23,9 +23,10 @@
     conflicts remain: a deleted node's packages (and its whiteboard) are
     absorbed by its parent, in-flight messages are rerouted by {!Net}'s
     parent-resolution, and reject packages are re-flooded to adopted
-    children. With [auto_apply] (default) the controller performs the change
-    itself; otherwise the caller orchestrates (needed when one topological
-    request must obtain permits from two controllers at once, Appendix A). *)
+    children ({!try_apply}). With [auto_apply] (default) the controller
+    applies the change itself; otherwise the caller does (needed when one
+    topological request must obtain permits from two controllers at once,
+    Appendix A). *)
 
 type t
 
@@ -96,16 +97,15 @@ val storage : t -> int
 val leftover : t -> int
 (** Permits not granted: root storage plus all whiteboard contents. *)
 
-val wave_started : t -> bool
-
-val can_apply : t -> Workload.op -> bool
-(** No lock conflict with the graceful application of [op] right now. *)
-
-val note_applied : t -> Workload.applied -> unit
-(** The caller applied a topological change to the shared tree (having
-    checked {!can_apply} on every controller sharing it): update this
-    controller's whiteboards and reject flooding. Only meaningful with
-    [auto_apply = false]. *)
+val try_apply : ?partner:t -> t -> Workload.op -> Workload.applied option
+(** One step of the graceful application of a granted topological change.
+    If no lock of [t] (nor of [partner], Appendix A's second controller
+    over the same tree) conflicts with [op] right now, apply it to the
+    shared tree, report a deletion to the network
+    ({!Net.node_deleted}), absorb a deleted node's whiteboard into its
+    parent's, re-flood reject packages to adopted children, and return the
+    change; otherwise [None], and the caller retries later. [auto_apply]
+    runs this step itself; with [auto_apply = false] the caller does. *)
 
 val reset_whiteboards : t -> int
 (** Clear every whiteboard (packages return to conceptual storage) and

@@ -4,14 +4,12 @@ type request = {
   mutable main_granted : bool;
 }
 
-type stage = Halving | Final
-
 type t = {
   net : Net.t;
   w : int;
   mutable main : Dist.t;
   mutable counter : Dist.t;
-  mutable stage : stage;
+  mutable stage : Iterate.stage;
   mutable stage_budget : int;
   mutable m_i : int;
   mutable epochs : int;
@@ -48,28 +46,15 @@ let make_pair t m_budget stage_w =
       ~params:(Params.make ~m:(u / 2) ~w:(u / 4) ~u)
       ~net:t.net ()
 
-(* Stage selection mirrors Iterate: halve the waste while the budget exceeds
-   2W, then one final (L, W) stage, then reject. *)
-let pick_stage_w w budget =
-  if budget <= 0 then `Dead
-  else if w >= 1 then
-    if budget <= 2 * w then `Stage (Final, budget, w)
-    else `Stage (Halving, budget, budget / 2)
-  else if budget = 1 then `Trivial
-  else `Stage (Halving, budget, budget / 2)
-
-let pick_stage t budget = pick_stage_w t.w budget
-
 let create ~m ~w ~net () =
   if m < 0 || w < 0 then invalid_arg "Dist_adaptive.create: bad parameters";
   let n = Dtree.size (Net.tree net) in
   let u = max 4 (2 * n) in
-  let initial = pick_stage_w w m in
   let budget, stage_w, stage, dead, trivial =
-    match initial with
-    | `Dead -> (0, 1, Final, true, false)
-    | `Trivial -> (0, 1, Final, false, true)
-    | `Stage (stage, budget, stage_w) -> (budget, stage_w, stage, false, false)
+    match Iterate.schedule ~w m with
+    | Iterate.Reject -> (0, 1, Iterate.Final, true, false)
+    | Iterate.Trivial -> (0, 1, Iterate.Final, false, true)
+    | Iterate.Stage (stage, budget, stage_w) -> (budget, stage_w, stage, false, false)
   in
   {
     net;
@@ -113,28 +98,14 @@ let finish t r outcome =
   | Types.Exhausted -> ());
   r.k outcome
 
-let is_topological = function
-  | Workload.Add_leaf _ | Workload.Remove_leaf _ | Workload.Add_internal _
-  | Workload.Remove_internal _ ->
-      true
-  | Workload.Non_topological _ -> false
-
 (* Apply a doubly-granted topological change once neither controller has a
    lock conflict. *)
 let rec apply_change t r =
-  if Dist.can_apply t.main r.op && Dist.can_apply t.counter r.op then begin
-    let info = Workload.apply_info (tree t) r.op in
-    (match info with
-    | Workload.Leaf_removed { node; parent } | Workload.Internal_removed { node; parent; _ }
-      ->
-        Net.node_deleted t.net node ~parent
-    | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ -> ());
-    Dist.note_applied t.main info;
-    Dist.note_applied t.counter info;
-    t.applying <- t.applying - 1;
-    finish t r Types.Granted
-  end
-  else Net.schedule t.net ~delay:2 (fun () -> apply_change t r)
+  match Dist.try_apply ~partner:t.counter t.main r.op with
+  | Some _ ->
+      t.applying <- t.applying - 1;
+      finish t r Types.Granted
+  | None -> Net.schedule t.net ~delay:2 (fun () -> apply_change t r)
 
 let rec route t r =
   if r.main_granted then
@@ -158,7 +129,7 @@ let rec route t r =
     t.trivial <- false;
     t.dead <- true;
     t.overhead <- t.overhead + Dtree.depth (tree t) (Workload.request_site (tree t) r.op);
-    if is_topological r.op then begin
+    if Workload.is_topological r.op then begin
       t.applying <- t.applying + 1;
       apply_trivial t r
     end
@@ -168,7 +139,7 @@ let rec route t r =
     Dist.submit t.main r.op ~k:(fun outcome ->
         match outcome with
         | Types.Granted ->
-            if is_topological r.op then begin
+            if Workload.is_topological r.op then begin
               r.main_granted <- true;
               if t.rotating then Queue.push r t.held else route_counter t r
             end
@@ -241,25 +212,21 @@ and rotate t =
   t.epochs <- t.epochs + 1;
   let next =
     if t.main_exhausted then
-      match t.stage with
-      | Final -> `Dead
-      | Halving when leftover >= t.stage_budget ->
-          (* no progress: escalate (cannot happen for the paper's base) *)
-          if leftover <= 0 then `Dead else `Stage (Final, leftover, max 1 t.w)
-      | Halving -> pick_stage t leftover
+      Iterate.schedule ~w:t.w ~exhausted:(t.stage, t.stage_budget) leftover
     else
-      (* epoch rotation only: keep the stage kind, re-guess U *)
       match t.stage with
-      | Final -> `Stage (Final, leftover, max 1 t.w)
-      | Halving -> pick_stage t leftover
+      | Iterate.Final ->
+          (* epoch rotation only: keep the final stage, re-guess U *)
+          Iterate.Stage (Iterate.Final, leftover, max 1 t.w)
+      | Iterate.Halving -> Iterate.schedule ~w:t.w leftover
   in
   t.main_exhausted <- false;
   (match next with
-  | `Dead ->
+  | Iterate.Reject ->
       t.dead <- true;
       charge_wave t
-  | `Trivial -> t.trivial <- true
-  | `Stage (stage, budget, stage_w) ->
+  | Iterate.Trivial -> t.trivial <- true
+  | Iterate.Stage (stage, budget, stage_w) ->
       t.stage <- stage;
       t.stage_budget <- budget;
       make_pair t budget stage_w);

@@ -20,26 +20,21 @@ let pp_stats ppf s =
     s.submitted s.granted s.rejected s.unanswered s.messages s.max_message_bits
     s.sim_time s.final_size s.discipline s.reorders
 
-let run_on ?(seed = 0xD1CE) ?(concurrency = 8) ~net ~mix ~requests ~submit () =
+let drive ?(concurrency = 8) ~net ~requests ~submit ~on_answer wl =
   let tree = Net.tree net in
-  let wl = Workload.make ~seed:(seed + 7) ~mix () in
-  let reserved : (Dtree.node, int) Hashtbl.t = Hashtbl.create 32 in
-  let reserve v =
-    Hashtbl.replace reserved v (1 + Option.value ~default:0 (Hashtbl.find_opt reserved v))
-  in
-  let release v =
-    match Hashtbl.find_opt reserved v with
-    | Some 1 | None -> Hashtbl.remove reserved v
-    | Some n -> Hashtbl.replace reserved v (n - 1)
-  in
-  let submitted = ref 0 and granted = ref 0 and rejected = ref 0 and unanswered = ref 0 in
-  let net_for_retry = net in
+  (* In-flight requests touch disjoint nodes ([next_op_avoiding] never
+     draws a reserved one), so a set is enough. *)
+  let reserved : (Dtree.node, unit) Hashtbl.t = Hashtbl.create 16 in
+  let forbidden = Hashtbl.mem reserved in
+  let reserve v = Hashtbl.replace reserved v () in
+  let release = Hashtbl.remove reserved in
+  let submitted = ref 0 in
   let rec pump () =
     if !submitted < requests then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
+      match Workload.next_op_avoiding wl tree ~forbidden with
       | None ->
           (* everything currently reserved by in-flight requests: retry *)
-          Net.schedule net_for_retry ~delay:3 pump
+          Net.schedule net ~delay:3 pump
       | Some op ->
           incr submitted;
           let nodes =
@@ -47,17 +42,23 @@ let run_on ?(seed = 0xD1CE) ?(concurrency = 8) ~net ~mix ~requests ~submit () =
               (Workload.request_site tree op :: Workload.touched tree op)
           in
           List.iter reserve nodes;
-          submit op ~k:(fun outcome ->
+          submit op ~k:(fun answer ->
               List.iter release nodes;
-              (match outcome with
-              | Types.Granted -> incr granted
-              | Types.Rejected -> incr rejected
-              | Types.Exhausted -> incr unanswered);
+              on_answer answer;
               pump ())
   in
   for _ = 1 to concurrency do
     pump ()
-  done;
+  done
+
+let run_on ?(seed = 0xD1CE) ?concurrency ~net ~mix ~requests ~submit () =
+  let granted = ref 0 and rejected = ref 0 and unanswered = ref 0 in
+  drive ?concurrency ~net ~requests ~submit
+    ~on_answer:(function
+      | Types.Granted -> incr granted
+      | Types.Rejected -> incr rejected
+      | Types.Exhausted -> incr unanswered)
+    (Workload.make ~seed:(seed + 7) ~mix ());
   Net.run net;
   (!granted, !rejected, !unanswered)
 

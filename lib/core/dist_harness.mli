@@ -1,10 +1,28 @@
-(** Concurrent request driver for distributed controllers.
+(** The entity's half of the request life cycle (Section 2.1): the one
+    closed-loop driver for everything that answers requests over the
+    simulator — distributed controllers, adaptive pairs and the Section 5
+    estimators.
 
     Keeps up to [concurrency] requests in flight, drawn from a workload
     generator; requests never touch each other's nodes (a reservation set
     feeds {!Workload.next_op_avoiding}), so every granted topological change
     is still valid when it is applied — the "graceful" discipline of
     Section 4.2 at the driver level. *)
+
+val drive :
+  ?concurrency:int ->
+  net:Net.t ->
+  requests:int ->
+  submit:(Workload.op -> k:('a -> unit) -> unit) ->
+  on_answer:('a -> unit) ->
+  Workload.t ->
+  unit
+(** Schedule [requests] requests drawn from the workload over [Net.tree net],
+    keeping [concurrency] (default 8) in flight. When a draw finds every
+    candidate reserved, that client retries 3 ticks later. [on_answer] sees
+    each answer after the request's nodes are released and before its
+    client draws again. Does not run the network: the caller drives it
+    ({!Net.run}, or {!Net.step} to check an invariant between steps). *)
 
 type stats = {
   submitted : int;
@@ -52,6 +70,6 @@ val run_on :
   submit:(Workload.op -> k:(Types.outcome -> unit) -> unit) ->
   unit ->
   int * int * int
-(** Lower-level variant for orchestrated controllers (adaptive pairs,
-    estimators): drive [requests] through [submit] over an existing network,
-    returning [(granted, rejected, unanswered)]. *)
+(** {!drive} a fresh workload ([seed + 7]) through a controller's [submit]
+    over an existing network, run the network dry, and return
+    [(granted, rejected, unanswered)]. *)

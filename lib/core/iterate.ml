@@ -1,3 +1,20 @@
+type stage = Halving | Final
+type step = Stage of stage * int * int | Trivial | Reject
+
+let schedule ~w ?exhausted m =
+  match exhausted with
+  | Some (Final, _) -> Reject
+  | Some (Halving, budget) when m >= budget ->
+      (* No permit was granted this stage: re-running the same stage would
+         loop. Escalate to the final stage (a base whose own liveness bound
+         breaks down can land here; the paper's base never does). *)
+      if m <= 0 then Reject else Stage (Final, m, max 1 w)
+  | Some (Halving, _) | None ->
+      if m <= 0 then Reject
+      else if w >= 1 && m <= 2 * w then Stage (Final, m, w)
+      else if w = 0 && m = 1 then Trivial
+      else Stage (Halving, m, m / 2)
+
 module type BASE = sig
   type t
 
@@ -31,14 +48,14 @@ module type S = sig
   val leftover : t -> int
   val iterations : t -> int
   val rejecting : t -> bool
-  val current_base : t -> base option
 end
 
 module Make (B : BASE) : S with type base = B.t = struct
   type base = B.t
-  type stage =
-    | Inner of B.t * [ `Halving | `Final ] * int  (* stage budget *)
-    | Trivial  (** W = 0 endgame: [trivial_left] permits served from the root *)
+
+  type state =
+    | Inner of B.t * stage * int  (* stage budget *)
+    | Endgame  (** W = 0: [trivial_left] permits served from the root *)
     | Rejecting
 
   type t = {
@@ -46,7 +63,7 @@ module Make (B : BASE) : S with type base = B.t = struct
     make_base : m:int -> w:int -> B.t;
     w : int;
     reject_mode : Types.reject_mode;
-    mutable stage : stage;
+    mutable stage : state;
     mutable trivial_left : int;
     mutable done_moves : int;  (* moves of completed stages *)
     mutable done_granted : int;
@@ -55,17 +72,12 @@ module Make (B : BASE) : S with type base = B.t = struct
     mutable wave_charged : bool;
   }
 
-  (* Pick the stage serving a remaining budget of [m] permits. *)
-  let stage_for t m =
-    if m <= 0 then Rejecting
-    else if t.w >= 1 then
-      if m <= 2 * t.w then Inner (t.make_base ~m ~w:t.w, `Final, m)
-      else Inner (t.make_base ~m ~w:(m / 2), `Halving, m)
-    else if m = 1 then begin
-      t.trivial_left <- 1;
-      Trivial
-    end
-    else Inner (t.make_base ~m ~w:(m / 2), `Halving, m)
+  let enter t = function
+    | Stage (stage, m, w) -> Inner (t.make_base ~m ~w, stage, m)
+    | Trivial ->
+        t.trivial_left <- 1;
+        Endgame
+    | Reject -> Rejecting
 
   let create_custom ?(reject_mode = Types.Wave) ~make_base ~m ~w ~tree () =
     if m < 0 || w < 0 then invalid_arg "Iterate.create: bad parameters";
@@ -84,7 +96,7 @@ module Make (B : BASE) : S with type base = B.t = struct
         wave_charged = false;
       }
     in
-    t.stage <- stage_for t m;
+    t.stage <- enter t (schedule ~w m);
     t
 
   let create ?reject_mode ~m ~w ~u ~tree () =
@@ -107,7 +119,7 @@ module Make (B : BASE) : S with type base = B.t = struct
             charge_wave t;
             t.rejected <- t.rejected + 1;
             Types.Rejected)
-    | Trivial ->
+    | Endgame ->
         if t.trivial_left > 0 then begin
           (* The (1,0)-controller: the last permit walks from the root to the
              requester. *)
@@ -122,7 +134,7 @@ module Make (B : BASE) : S with type base = B.t = struct
           t.stage <- Rejecting;
           request t op
         end
-    | Inner (b, phase, budget) -> (
+    | Inner (b, stage, budget) -> (
         match B.request b op with
         | Types.Granted -> Types.Granted
         | Types.Rejected ->
@@ -133,36 +145,24 @@ module Make (B : BASE) : S with type base = B.t = struct
             t.done_moves <- t.done_moves + B.moves b;
             t.done_granted <- t.done_granted + B.granted b;
             t.iterations <- t.iterations + 1;
-            t.stage <-
-              (match phase with
-              | `Final -> Rejecting
-              | `Halving when l >= budget ->
-                  (* No permit was granted this stage: re-running the same
-                     stage would loop. Escalate to the final stage (a base
-                     whose own liveness bound breaks down can land here;
-                     the paper's base never does). *)
-                  if l <= 0 then Rejecting
-                  else Inner (t.make_base ~m:l ~w:(max 1 t.w), `Final, l)
-              | `Halving -> stage_for t l);
+            t.stage <- enter t (schedule ~w:t.w ~exhausted:(stage, budget) l);
             request t op)
 
   let moves t =
-    t.done_moves + (match t.stage with Inner (b, _, _) -> B.moves b | Trivial | Rejecting -> 0)
+    t.done_moves + (match t.stage with Inner (b, _, _) -> B.moves b | Endgame | Rejecting -> 0)
 
   let granted t =
     t.done_granted
-    + (match t.stage with Inner (b, _, _) -> B.granted b | Trivial | Rejecting -> 0)
+    + (match t.stage with Inner (b, _, _) -> B.granted b | Endgame | Rejecting -> 0)
 
   let rejected t = t.rejected
 
   let leftover t =
     match t.stage with
     | Inner (b, _, _) -> B.leftover b
-    | Trivial -> t.trivial_left
+    | Endgame -> t.trivial_left
     | Rejecting -> 0
 
   let iterations t = t.iterations
-  let rejecting t = match t.stage with Rejecting -> true | Inner _ | Trivial -> false
-  let current_base t =
-    match t.stage with Inner (b, _, _) -> Some b | Trivial | Rejecting -> None
+  let rejecting t = match t.stage with Rejecting -> true | Inner _ | Endgame -> false
 end

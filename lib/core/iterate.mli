@@ -15,7 +15,24 @@
       requester), then reject.
 
     The functor is instantiated with {!Central} (the paper's controller) and
-    with the bin-hierarchy baseline of Afek et al. *)
+    with the bin-hierarchy baseline of Afek et al.; the schedule itself is
+    exposed as {!schedule}, which {!Dist_adaptive} follows too. *)
+
+type stage = Halving | Final
+
+type step =
+  | Stage of stage * int * int
+      (** run a base controller: [Stage (stage, M_i, W_i)] *)
+  | Trivial  (** [W = 0] endgame: the [(1,0)]-controller *)
+  | Reject  (** the budget is spent: start the reject wave *)
+
+val schedule : w:int -> ?exhausted:stage * int -> int -> step
+(** The waste-halving schedule for an overall waste bound [w]. [schedule
+    ~w m] is the stage that serves a remaining budget of [m] permits.
+    [schedule ~w ~exhausted:(stage, budget) m] follows a stage of that kind
+    and budget that exhausted with [m] permits unused: a final stage
+    rejects, and a halving stage that granted nothing escalates to the
+    final stage. *)
 
 module type BASE = sig
   type t
@@ -58,9 +75,6 @@ module type S = sig
 
   val rejecting : t -> bool
   (** The reject wave has started (or, in [Report] mode, would have). *)
-
-  val current_base : t -> base option
-  (** The live inner controller, if the wrapper is in an inner stage. *)
 end
 
 module Make (B : BASE) : S with type base = B.t

@@ -58,16 +58,3 @@ let absorb parent child =
   child.mobiles <- [];
   child.static <- 0;
   child.reject <- false
-
-let memory_bits t ~u ~n =
-  let log_u = Stats.ceil_log2 (max u 2) in
-  let log_n = Stats.ceil_log2 (max n 2) in
-  let level_counter_bits =
-    (* one O(log U)-bit counter per distinct level hosted *)
-    let levels =
-      List.sort_uniq Int.compare (List.map (fun (p : Package.t) -> p.level) t.mobiles)
-    in
-    List.length levels * log_u
-  in
-  let static_bits = if t.static > 0 then log_n * log_n * log_n else 0 in
-  level_counter_bits + static_bits + 1

@@ -37,8 +37,3 @@ val permits : t -> int
 val absorb : t -> t -> unit
 (** [absorb parent child]: move every package and flag of [child] into
     [parent] (used when [child]'s node is deleted). Empties [child]. *)
-
-val memory_bits : t -> u:int -> n:int -> int
-(** Size in bits of the whiteboard under the paper's encoding (Claim 4.8):
-    a count of packages per level ([O(log U)] bits each) plus one merged
-    static counter ([O(log M) = O(log^3 N)] bits), plus the reject flag. *)

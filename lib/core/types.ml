@@ -31,7 +31,3 @@ type counters = {
   granted : int;
   rejected : int;
 }
-
-let pp_counters ppf c =
-  Format.fprintf ppf "moves=%d granted=%d rejected=%d" c.moves c.granted
-    c.rejected

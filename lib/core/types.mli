@@ -26,5 +26,3 @@ type counters = {
   granted : int;
   rejected : int;
 }
-
-val pp_counters : Format.formatter -> counters -> unit

@@ -120,18 +120,11 @@ module Dist = struct
   (* The granting controller applies the change: a rotation waits for every
      grant to be applied, so it is still the current one. *)
   let rec apply t ctrl r =
-    if Dist.can_apply ctrl r.op then begin
-      let info = Workload.apply_info (tree t) r.op in
-      (match info with
-      | Workload.Leaf_removed { node; parent } | Workload.Internal_removed { node; parent; _ }
-        ->
-          Net.node_deleted t.net node ~parent
-      | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ -> ());
-      Dist.note_applied ctrl info;
-      t.applying <- t.applying - 1;
-      r.k (Some info)
-    end
-    else Net.schedule t.net ~delay:2 (fun () -> apply t ctrl r)
+    match Dist.try_apply ctrl r.op with
+    | Some _ as applied ->
+        t.applying <- t.applying - 1;
+        r.k applied
+    | None -> Net.schedule t.net ~delay:2 (fun () -> apply t ctrl r)
 
   let rec route t r =
     match t.ctrl with

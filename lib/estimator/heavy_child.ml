@@ -1,9 +1,9 @@
 type t = { core : Heavy_core.t; est : Subtree_estimator.t }
 
-let create ?(beta = sqrt 3.0) ~tree () =
+let create ~tree () =
   let core = Heavy_core.create ~tree () in
   let est =
-    Subtree_estimator.create ~beta
+    Subtree_estimator.create
       ~on_change:(fun v -> Heavy_core.on_change core v)
       ~on_epoch:(fun () -> Heavy_core.on_epoch core)
       ~on_applied:(fun info -> Heavy_core.on_applied core info)

@@ -15,7 +15,7 @@
 
 type t
 
-val create : ?beta:float -> tree:Dtree.t -> unit -> t
+val create : tree:Dtree.t -> unit -> t
 
 val submit : t -> Workload.op -> unit
 (** Apply one controlled topological change. *)

@@ -1,9 +1,9 @@
 type t = { core : Heavy_core.t; est : Subtree_estimator_dist.t }
 
-let create ?(beta = sqrt 3.0) ~net () =
+let create ~net () =
   let core = Heavy_core.create ~tree:(Net.tree net) () in
   let est =
-    Subtree_estimator_dist.create ~beta
+    Subtree_estimator_dist.create
       ~on_change:(fun v -> Heavy_core.on_change core v)
       ~on_epoch:(fun () -> Heavy_core.on_epoch core)
       ~on_applied:(fun info -> Heavy_core.on_applied core info)

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?beta:float -> net:Net.t -> unit -> t
+val create : net:Net.t -> unit -> t
 
 val submit : t -> Workload.op -> k:(unit -> unit) -> unit
 (** Submit one controlled topological change; [k] fires after it applied. *)

@@ -74,14 +74,3 @@ let last_granted t =
   match t.last with
   | Some x -> x
   | None -> invalid_arg "Interval_permits.last_granted: nothing granted yet"
-
-let at_node t node =
-  match Hashtbl.find_opt t.deposits node with Some r -> !r | None -> []
-
-let in_package t (pkg : Package.t) = Hashtbl.find_opt t.packages pkg.Package.id
-
-let outstanding t =
-  let storage = max 0 (t.storage_hi - t.storage_lo + 1) in
-  let pkgs = Hashtbl.fold (fun _ (lo, hi) acc -> acc + hi - lo + 1) t.packages 0 in
-  let deposits = Hashtbl.fold (fun _ r acc -> acc + List.length !r) t.deposits 0 in
-  storage + pkgs + deposits

@@ -21,12 +21,3 @@ val hook : t -> Controller.Central.package_event -> unit
 val last_granted : t -> int
 (** The integer consumed by the most recent grant.
     @raise Invalid_argument before the first grant. *)
-
-val at_node : t -> Dtree.node -> int list
-(** Integers currently deposited (static) at a node, ascending. *)
-
-val in_package : t -> Controller.Package.t -> (int * int) option
-(** The interval currently attached to a mobile package. *)
-
-val outstanding : t -> int
-(** Integers not yet granted (storage + packages + static deposits). *)

@@ -29,9 +29,11 @@ let observe_package core tree ~requester ~from_dist ~to_dist ~size =
         done
   end
 
-let create ?(beta = sqrt 3.0) ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ())
-    ?(on_applied = fun _ -> ()) ~tree () =
-  if beta <= 1.0 then invalid_arg "Subtree_estimator.create: beta must exceed 1";
+(* Lemma 5.3's approximation factor *)
+let beta = sqrt 3.0
+
+let create ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ()) ?(on_applied = fun _ -> ())
+    ~tree () =
   let core = Subtree_core.create ~on_change ~tree in
   let hooks =
     {

@@ -18,15 +18,14 @@
 type t
 
 val create :
-  ?beta:float ->
   ?on_change:(Dtree.node -> unit) ->
   ?on_epoch:(unit -> unit) ->
   ?on_applied:(Workload.applied -> unit) ->
   tree:Dtree.t ->
   unit ->
   t
-(** [beta] (default [sqrt 3.]) sets the per-epoch change budget
-    [alpha N_i = (1 - 1/beta) N_i]. [on_change v] fires whenever
+(** Each epoch's change budget is [alpha N_i = (1 - 1/beta) N_i] with
+    [beta = sqrt 3]. [on_change v] fires whenever
     [omega~(v)] increased; [on_epoch] after every epoch rebuild;
     [on_applied] after every applied topological change. *)
 

@@ -7,9 +7,11 @@ type t = {
   engine : Epochs.Dist.t;
 }
 
-let create ?(beta = sqrt 3.0) ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ())
-    ?(on_applied = fun _ -> ()) ~net () =
-  if beta <= 1.0 then invalid_arg "Subtree_estimator_dist.create: beta must exceed 1";
+(* Lemma 5.3's approximation factor *)
+let beta = sqrt 3.0
+
+let create ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ()) ?(on_applied = fun _ -> ())
+    ~net () =
   let tree = Net.tree net in
   let core = Subtree_core.create ~on_change ~tree in
   let budget n =

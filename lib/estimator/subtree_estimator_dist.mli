@@ -9,13 +9,13 @@
     messages. Concurrency costs one unit of additive slack per in-flight
     request (a freshly interposed ancestor can gain a descendant whose
     permit passed before the ancestor existed); the centralized variant is
-    exact. Epochs follow the size-estimation protocol with parameter
-    [beta]. *)
+    exact. Epochs follow the size-estimation protocol with
+    [beta = sqrt 3]: each epoch's change budget is
+    [alpha N_i = (1 - 1/beta) N_i]. *)
 
 type t
 
 val create :
-  ?beta:float ->
   ?on_change:(Dtree.node -> unit) ->
   ?on_epoch:(unit -> unit) ->
   ?on_applied:(Workload.applied -> unit) ->

@@ -45,10 +45,5 @@ let route t ~src ~dst =
 
 let address_bits t = Ancestry_labeling.label_bits t.labels
 
-let table_bits t v =
-  let entry_bits = address_bits t in
-  (* one address per child, plus the parent port *)
-  (Dtree.child_degree t.tree v * entry_bits) + Stats.ceil_log2 (max 2 (Dtree.size t.tree))
-
 let relabels t = Ancestry_labeling.relabels t.labels
 let messages t = Ancestry_labeling.messages t.labels

@@ -31,9 +31,5 @@ val route : t -> src:Dtree.node -> dst:Dtree.node -> Dtree.node list
 val address_bits : t -> int
 (** Bits of the largest address in use (two endpoints). *)
 
-val table_bits : t -> Dtree.node -> int
-(** Size of one node's routing table: its children's addresses plus the
-    parent port. *)
-
 val relabels : t -> int
 val messages : t -> int

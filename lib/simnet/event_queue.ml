@@ -128,6 +128,5 @@ let pop t =
     let time = t.times.(0) in
     Some (time, pop_exn t)
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
 let is_empty t = t.size = 0 [@@dynlint.zero_alloc]
 let size t = t.size [@@dynlint.zero_alloc]

@@ -40,6 +40,5 @@ val pop : 'a t -> (int * 'a) option
 (** Allocating convenience form of [next_time]/[pop_exn], for tests and
     tools off the hot path. *)
 
-val peek_time : 'a t -> int option
 val is_empty : 'a t -> bool
 val size : 'a t -> int

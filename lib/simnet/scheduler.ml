@@ -213,5 +213,3 @@ let on_node_deleted t ~deleted ~resolve =
 let link_to_string = function
   | Direct (s, d) -> Printf.sprintf "%d->%d" s d
   | Up v -> Printf.sprintf "%d->up" v
-
-let pp_link ppf l = Format.pp_print_string ppf (link_to_string l)

@@ -110,4 +110,3 @@ val on_node_deleted : t -> deleted:Dtree.node -> resolve:(Dtree.node -> Dtree.no
     adopter after it still deliver in send order. *)
 
 val link_to_string : link -> string
-val pp_link : Format.formatter -> link -> unit

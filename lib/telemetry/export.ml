@@ -16,12 +16,9 @@ let prometheus m =
   let last_header = ref "" in
   List.iter
     (fun (e : Metrics.entry) ->
-      (* one HELP/TYPE header per family, before its first sample *)
+      (* one TYPE header per family, before its first sample *)
       if e.name <> !last_header then begin
         last_header := e.name;
-        (match e.help with
-        | Some h -> Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" e.name h)
-        | None -> ());
         Buffer.add_string buf
           (Printf.sprintf "# TYPE %s %s\n" e.name (type_name e.value))
       end;
@@ -48,35 +45,6 @@ let prometheus m =
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %d\n" e.name (label_str e.labels) count))
     (Metrics.snapshot m);
-  Buffer.contents buf
-
-let summary m =
-  let buf = Buffer.create 1024 in
-  let entries = Metrics.snapshot m in
-  let name_of (e : Metrics.entry) = e.name ^ label_str e.labels in
-  let width =
-    List.fold_left (fun acc e -> max acc (String.length (name_of e))) 10 entries
-  in
-  List.iter
-    (fun (e : Metrics.entry) ->
-      let value =
-        match e.value with
-        | Metrics.Counter v -> string_of_int v
-        | Metrics.Gauge v -> string_of_int v
-        | Metrics.Histogram { count; sum; buckets } ->
-            let median =
-              let half = (count + 1) / 2 in
-              let rec go cum = function
-                | [] -> 0
-                | (upper, occ) :: tl ->
-                    if cum + occ >= half then upper else go (cum + occ) tl
-              in
-              go 0 buckets
-            in
-            Printf.sprintf "count=%d sum=%d p50<=%d" count sum median
-      in
-      Buffer.add_string buf (Printf.sprintf "%-*s %s\n" width (name_of e) value))
-    entries;
   Buffer.contents buf
 
 (* Chrome/Perfetto trace_event JSON. Each completed span (send→deliver)

@@ -1,15 +1,11 @@
-(** Exporters over a metrics registry: Prometheus text format, an in-process
-    summary table, and a file helper. All output is deterministic (snapshot
-    order is sorted; see {!Metrics.snapshot}). *)
+(** Exporters: Prometheus text format over a metrics registry, a
+    Chrome/Perfetto rendering of a trace, and a file helper. All output is
+    deterministic (snapshot order is sorted; see {!Metrics.snapshot}). *)
 
 val prometheus : Metrics.t -> string
-(** The Prometheus text exposition format: [# HELP] / [# TYPE] headers,
+(** The Prometheus text exposition format: a [# TYPE] header per family,
     [name{label="v"} value] samples; histograms expand to cumulative
     [_bucket{le="..."}] samples plus [_sum] and [_count]. *)
-
-val summary : Metrics.t -> string
-(** A human-readable aligned table (name, labels, value; histograms shown as
-    count/sum/p50-ish bucket) for end-of-run printing. *)
 
 val perfetto : Event.t list -> string
 (** The trace as Chrome/Perfetto [trace_event] JSON (loadable at

@@ -13,9 +13,7 @@ type histogram = {
 
 type instrument = C of counter | G of gauge | H of histogram
 
-type registered = { help : string option; instrument : instrument }
-
-type t = { table : (string * (string * string) list, registered) Hashtbl.t }
+type t = { table : (string * (string * string) list, instrument) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 32 }
 
@@ -32,27 +30,27 @@ let rec compare_labels a b =
 
 let normalize_labels labels = List.sort compare_label labels
 
-let register t ~labels ~help name make cast =
+let register t ~labels name make cast =
   let key = (name, normalize_labels labels) in
   match Hashtbl.find_opt t.table key with
-  | Some r -> cast r.instrument
+  | Some i -> cast i
   | None ->
       let i = make () in
-      Hashtbl.replace t.table key { help; instrument = i };
+      Hashtbl.replace t.table key i;
       cast i
 
-let counter t ?(labels = []) ?help name =
-  register t ~labels ~help name
+let counter t ?(labels = []) name =
+  register t ~labels name
     (fun () -> C { c = 0 })
     (function C c -> c | _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter"))
 
-let gauge t ?(labels = []) ?help name =
-  register t ~labels ~help name
+let gauge t ?(labels = []) name =
+  register t ~labels name
     (fun () -> G { g = 0 })
     (function G g -> g | _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge"))
 
-let histogram t ?(labels = []) ?help name =
-  register t ~labels ~help name
+let histogram t ?(labels = []) name =
+  register t ~labels name
     (fun () -> H { buckets = Array.make bucket_count 0; count = 0; sum = 0 })
     (function
       | H h -> h
@@ -86,12 +84,12 @@ let observe h v =
 
 let merge ~into src =
   Hashtbl.iter
-    (fun (name, labels) r ->
-      match r.instrument with
-      | C c -> add (counter into ~labels ?help:r.help name) c.c
-      | G g -> max_gauge (gauge into ~labels ?help:r.help name) g.g
+    (fun (name, labels) i ->
+      match i with
+      | C c -> add (counter into ~labels name) c.c
+      | G g -> max_gauge (gauge into ~labels name) g.g
       | H h ->
-          let d = histogram into ~labels ?help:r.help name in
+          let d = histogram into ~labels name in
           Array.iteri (fun k n -> d.buckets.(k) <- d.buckets.(k) + n) h.buckets;
           d.count <- d.count + h.count;
           d.sum <- d.sum + h.sum)
@@ -105,18 +103,13 @@ type value =
   | Gauge of int
   | Histogram of { count : int; sum : int; buckets : (int * int) list }
 
-type entry = {
-  name : string;
-  labels : (string * string) list;
-  help : string option;
-  value : value;
-}
+type entry = { name : string; labels : (string * string) list; value : value }
 
 let snapshot t =
   Hashtbl.fold
-    (fun (name, labels) r acc ->
+    (fun (name, labels) i acc ->
       let value =
-        match r.instrument with
+        match i with
         | C c -> Counter c.c
         | G g -> Gauge g.g
         | H h ->
@@ -127,7 +120,7 @@ let snapshot t =
             done;
             Histogram { count = h.count; sum = h.sum; buckets = !buckets }
       in
-      { name; labels; help = r.help; value } :: acc)
+      { name; labels; value } :: acc)
     t.table []
   |> List.sort (fun a b ->
          match String.compare a.name b.name with

@@ -44,9 +44,9 @@ type histogram
 
 val create : unit -> t
 
-val counter : t -> ?labels:(string * string) list -> ?help:string -> string -> counter
-val gauge : t -> ?labels:(string * string) list -> ?help:string -> string -> gauge
-val histogram : t -> ?labels:(string * string) list -> ?help:string -> string -> histogram
+val counter : t -> ?labels:(string * string) list -> string -> counter
+val gauge : t -> ?labels:(string * string) list -> string -> gauge
+val histogram : t -> ?labels:(string * string) list -> string -> histogram
 
 val inc : counter -> unit
 val add : counter -> int -> unit
@@ -84,7 +84,6 @@ type value =
 type entry = {
   name : string;
   labels : (string * string) list;  (** sorted by key *)
-  help : string option;
   value : value;
 }
 

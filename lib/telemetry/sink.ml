@@ -18,20 +18,19 @@ type t = {
 
 let default_flush_bytes = 64 * 1024
 
-let make ?metrics ?(next_id = 0) mode =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let make ?(next_id = 0) mode =
   if next_id < 0 then invalid_arg "Sink: negative next_id";
-  { metrics; mode; count = 0; next_id; amb_trace = -1; amb_span = -1 }
+  { metrics = Metrics.create (); mode; count = 0; next_id; amb_trace = -1; amb_span = -1 }
 
-let create ?metrics ?next_id ?on_event () =
-  make ?metrics ?next_id
+let create ?next_id ?on_event () =
+  make ?next_id
     (match on_event with
     | Some f -> Callback f
     | None -> Memory { rev_events = [] })
 
-let to_channel ?metrics ?next_id ?(flush_bytes = default_flush_bytes) oc =
+let to_channel ?next_id ?(flush_bytes = default_flush_bytes) oc =
   let flush_bytes = max 1 flush_bytes in
-  make ?metrics ?next_id
+  make ?next_id
     (Channel { oc; buf = Buffer.create (min flush_bytes default_flush_bytes); flush_bytes })
 
 let metrics t = t.metrics

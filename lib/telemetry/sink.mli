@@ -21,17 +21,15 @@
 
 type t
 
-val create :
-  ?metrics:Metrics.t -> ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
-(** A fresh in-memory sink. [metrics] defaults to a new registry. With
-    [on_event], events are handed to the callback and not retained.
+val create : ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
+(** A fresh in-memory sink with a new metrics registry. With [on_event],
+    events are handed to the callback and not retained.
     [next_id] (default 0) is the base from which {!fresh_id} mints span and
     trace ids — give sinks that will be merged disjoint id blocks (see
     {!reserve_ids}) so spans never collide. *)
 
-val to_channel :
-  ?metrics:Metrics.t -> ?next_id:int -> ?flush_bytes:int -> out_channel -> t
-(** A streaming sink: events are written to the channel as JSONL (one line
+val to_channel : ?next_id:int -> ?flush_bytes:int -> out_channel -> t
+(** A streaming sink with a new metrics registry: events are written to the channel as JSONL (one line
     per event, as {!write_jsonl} would), buffered and flushed to the channel
     every [flush_bytes] (default 64 KiB, the value is clamped to at least
     1). Call {!flush} before reading the file or closing the channel; the

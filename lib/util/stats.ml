@@ -16,8 +16,6 @@ let mean = function
   | [] -> nan
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
-let maxf = function [] -> nan | x :: tl -> List.fold_left max x tl
-
 let median l =
   match List.sort Float.compare l with
   | [] -> nan

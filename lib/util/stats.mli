@@ -12,7 +12,6 @@ val ceil_log2 : int -> int
 val ceil_div : int -> int -> int
 
 val mean : float list -> float
-val maxf : float list -> float
 val median : float list -> float
 
 val fit_ratio : (float * float) list -> float

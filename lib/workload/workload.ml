@@ -12,6 +12,10 @@ let pp_op ppf = function
   | Remove_internal v -> Format.fprintf ppf "remove-internal(%d)" v
   | Non_topological v -> Format.fprintf ppf "event(at %d)" v
 
+let is_topological = function
+  | Add_leaf _ | Remove_leaf _ | Add_internal _ | Remove_internal _ -> true
+  | Non_topological _ -> false
+
 let request_site t = function
   | Add_leaf v -> v
   | Remove_leaf v | Remove_internal v | Non_topological v -> v
@@ -403,14 +407,18 @@ module Trace = struct
     | Shape.Balanced (b, n) -> Printf.sprintf "balanced %d %d" b n
     | Shape.Caterpillar n -> Printf.sprintf "caterpillar %d" n
 
+  (* The parsers below raise [Failure] on anything malformed, a bad integer
+     included; [of_string] turns that into a message naming the line. *)
+  let words s = String.split_on_char ' ' (String.trim s)
+
   let shape_of_string s =
-    match String.split_on_char ' ' (String.trim s) with
+    match words s with
     | [ "path"; n ] -> Shape.Path (int_of_string n)
     | [ "star"; n ] -> Shape.Star (int_of_string n)
     | [ "random"; n ] -> Shape.Random (int_of_string n)
     | [ "balanced"; b; n ] -> Shape.Balanced (int_of_string b, int_of_string n)
     | [ "caterpillar"; n ] -> Shape.Caterpillar (int_of_string n)
-    | _ -> failwith ("Trace: bad shape line: " ^ s)
+    | _ -> failwith s
 
   let op_to_string = function
     | Add_leaf v -> Printf.sprintf "add-leaf %d" v
@@ -420,13 +428,13 @@ module Trace = struct
     | Non_topological v -> Printf.sprintf "event %d" v
 
   let op_of_string s =
-    match String.split_on_char ' ' (String.trim s) with
+    match words s with
     | [ "add-leaf"; v ] -> Add_leaf (int_of_string v)
     | [ "remove-leaf"; v ] -> Remove_leaf (int_of_string v)
     | [ "add-internal"; v ] -> Add_internal (int_of_string v)
     | [ "remove-internal"; v ] -> Remove_internal (int_of_string v)
     | [ "event"; v ] -> Non_topological (int_of_string v)
-    | _ -> failwith ("Trace: bad op line: " ^ s)
+    | _ -> failwith s
 
   let to_string t =
     let buf = Buffer.create 256 in
@@ -437,27 +445,37 @@ module Trace = struct
     Buffer.contents buf
 
   let of_string s =
+    let parse n what f line =
+      try f line
+      with Failure _ -> failwith (Printf.sprintf "Trace: line %d: bad %s: %S" n what line)
+    in
     match String.split_on_char '\n' s with
     | magic :: seed_line :: shape_line :: rest ->
-        if String.trim magic <> "dynnet-trace 1" then failwith "Trace: bad magic";
+        parse 1 "magic"
+          (fun l -> if String.trim l <> "dynnet-trace 1" then failwith l)
+          magic;
         let build_seed =
-          match String.split_on_char ' ' (String.trim seed_line) with
-          | [ "seed"; n ] -> int_of_string n
-          | _ -> failwith "Trace: bad seed line"
+          parse 2 "seed line"
+            (fun l -> match words l with [ "seed"; n ] -> int_of_string n | _ -> failwith l)
+            seed_line
         in
         let shape =
-          match String.index_opt shape_line ' ' with
-          | Some i when String.sub shape_line 0 i = "shape" ->
-              shape_of_string
-                (String.sub shape_line (i + 1) (String.length shape_line - i - 1))
-          | _ -> failwith "Trace: bad shape line"
+          parse 3 "shape line"
+            (fun l ->
+              match String.index_opt l ' ' with
+              | Some i when String.sub l 0 i = "shape" ->
+                  shape_of_string (String.sub l (i + 1) (String.length l - i - 1))
+              | _ -> failwith l)
+            shape_line
         in
         let ops =
-          List.filter_map
-            (fun line -> if String.trim line = "" then None else Some (op_of_string line))
+          List.mapi
+            (fun i line ->
+              if String.trim line = "" then None
+              else Some (parse (i + 4) "op line" op_of_string line))
             rest
         in
-        { build_seed; shape; ops }
+        { build_seed; shape; ops = List.filter_map Fun.id ops }
     | _ -> failwith "Trace: truncated"
 
   let save t path =

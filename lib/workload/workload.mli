@@ -14,6 +14,9 @@ type op =
 
 val pp_op : Format.formatter -> op -> unit
 
+val is_topological : op -> bool
+(** Every op but [Non_topological] changes the tree. *)
+
 val request_site : Dtree.t -> op -> Dtree.node
 (** The node at which the request for [op] enters the system (paper §2.1.2):
     the parent-to-be for additions, the node itself otherwise. *)
@@ -131,7 +134,8 @@ module Trace : sig
   val to_string : trace -> string
 
   val of_string : string -> trace
-  (** @raise Failure on malformed input. *)
+  (** @raise Failure on malformed input, with a message that names the
+      offending line ([Trace: line N: ...]). *)
 
   val save : trace -> string -> unit
   val load : string -> trace

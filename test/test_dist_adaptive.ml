@@ -1,9 +1,9 @@
 open Controller
 
-let run ~seed ~n0 ~m ~w ~requests ~mix ?(concurrency = 6) () =
+let run ?scheduler ~seed ~n0 ~m ~w ~requests ~mix ?(concurrency = 6) () =
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
-  let net = Net.create ~seed:(seed + 1) ~tree () in
+  let net = Net.create ~seed:(seed + 1) ?scheduler ~tree () in
   let da = Dist_adaptive.create ~m ~w ~net () in
   let g, r, u =
     Dist_harness.run_on ~seed ~concurrency ~net ~mix ~requests
@@ -66,6 +66,49 @@ let test_w0_exact () =
   Alcotest.(check bool) "rejections happened" true (r > 0);
   Alcotest.(check int) "W=0 grants exactly M" m g
 
+(* Exact counters of seeded runs: (messages, time, overhead, epochs,
+   granted, rejected). Each run takes a different path through the stage
+   schedule, under both the FIFO and the adversarial discipline:
+   - W = 0: one halving stage whose epoch rotation leaves one permit, the
+     trivial endgame serves it, then rejection;
+   - halving stages down to the final stage, one epoch-only rotation of the
+     final stage (FIFO), and a final stage that exhausts into rejection;
+   - a halving stage that exhausts straight into rejection;
+   - the final stage from the start, rotating by changes only. *)
+let pinned =
+  let lifo = Scheduler.Adversarial_lifo { window = 8 } in
+  let churn = Workload.Mix.churn and grow = Workload.Mix.grow_only in
+  [
+    ("W=0 trivial endgame", 2, 20, 25, 0, 60, churn, 4,
+     (372, 642, 131, 1, 25, 35), (312, 938, 124, 1, 25, 35));
+    ("halving into final, then rejecting", 1, 30, 150, 30, 450, churn, 6,
+     (6028, 9111, 996, 5, 150, 300), (5816, 14171, 1204, 4, 150, 300));
+    ("halving exhausts into rejection", 1, 200, 60, 5, 120, churn, 6,
+     (2434, 3202, 1248, 1, 60, 60), (2370, 5570, 1296, 1, 60, 60));
+    ("final stage, epochs by changes", 8, 10, 100, 60, 90, grow, 4,
+     (1482, 2401, 700, 3, 90, 0), (1168, 3336, 700, 3, 90, 0));
+  ]
+  |> List.concat_map (fun (name, seed, n0, m, w, requests, mix, concurrency, fifo, adv) ->
+         List.map
+           (fun (scheduler, (messages, now, overhead, epochs, granted, rejected)) ->
+             let label = Printf.sprintf "pinned: %s (%s)" name (Scheduler.name scheduler) in
+             Alcotest.test_case label `Quick (fun () ->
+                 let da, net, _, _, _, _ =
+                   run ~scheduler ~seed ~n0 ~m ~w ~requests ~mix ~concurrency ()
+                 in
+                 Alcotest.(check (list int))
+                   "messages, time, overhead, epochs, granted, rejected"
+                   [ messages; now; overhead; epochs; granted; rejected ]
+                   [
+                     Net.messages net;
+                     Net.now net;
+                     Dist_adaptive.overhead_messages da;
+                     Dist_adaptive.epochs da;
+                     Dist_adaptive.granted da;
+                     Dist_adaptive.rejected da;
+                   ]))
+           [ (Scheduler.Fifo_link, fifo); (lifo, adv) ])
+
 let suite =
   ( "dist-adaptive",
     [
@@ -74,4 +117,5 @@ let suite =
       Alcotest.test_case "heavy deletion churn" `Quick test_churn_with_deletions;
       Alcotest.test_case "W=0 grants exactly M" `Quick test_w0_exact;
       prop_safety_liveness;
-    ] )
+    ]
+    @ pinned )

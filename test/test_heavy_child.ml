@@ -136,27 +136,8 @@ let drive_subtree_dist ~seed ~n0 ~changes ~mix ~concurrency =
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
   let net = Net.create ~seed:(seed + 1) ~tree () in
   let est = Sd.create ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Sd.submit est op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              pump ())
-  in
-  for _ = 1 to concurrency do
-    pump ()
-  done;
+  Controller.Dist_harness.drive ~concurrency ~net ~requests:changes ~submit:(Sd.submit est)
+    ~on_answer:ignore (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net;
   (est, net, tree)
 
@@ -210,27 +191,8 @@ let drive_heavy_dist ~seed ~n0 ~changes ~mix =
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
   let net = Net.create ~seed:(seed + 1) ~tree () in
   let hc = Hd.create ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Hd.submit hc op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              pump ())
-  in
-  for _ = 1 to 5 do
-    pump ()
-  done;
+  Controller.Dist_harness.drive ~concurrency:5 ~net ~requests:changes ~submit:(Hd.submit hc)
+    ~on_answer:ignore (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net;
   (hc, tree)
 

@@ -16,30 +16,11 @@ let drive ~seed ~n0 ~changes ~mix () =
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
   let net = Net.create ~seed:(seed + 1) ~tree () in
   let na = Estimator.Name_assignment.create ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
   let worst = ref 0.0 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then begin
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Estimator.Name_assignment.submit na op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              check_unique_and_short tree na worst;
-              pump ())
-    end
-  in
-  for _ = 1 to 4 do
-    pump ()
-  done;
+  Controller.Dist_harness.drive ~concurrency:4 ~net ~requests:changes
+    ~submit:(Estimator.Name_assignment.submit na)
+    ~on_answer:(fun () -> check_unique_and_short tree na worst)
+    (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net;
   (na, tree, !worst)
 

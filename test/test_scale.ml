@@ -29,27 +29,9 @@ let test_size_estimation_large () =
   let tree = Workload.Shape.build rng (Workload.Shape.Random 1_500) in
   let net = Net.create ~seed:205 ~tree () in
   let se = Estimator.Size_estimation.create ~beta:2.0 ~net () in
-  let wl = Workload.make ~seed:206 ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < 1_500 then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Estimator.Size_estimation.submit se op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              pump ())
-  in
-  for _ = 1 to 8 do
-    pump ()
-  done;
+  Dist_harness.drive ~concurrency:8 ~net ~requests:1_500
+    ~submit:(Estimator.Size_estimation.submit se) ~on_answer:ignore
+    (Workload.make ~seed:206 ~mix:Workload.Mix.churn ());
   Net.run net;
   Alcotest.(check int) "all changes applied" 1_500 (Estimator.Size_estimation.changes se);
   let n = Dtree.size tree in

@@ -63,8 +63,6 @@ let size_scenario ~discipline ~seed =
   let tree = Workload.Shape.build rng (Workload.Shape.Random 30) in
   let net = Net.create ~seed:(seed + 1) ~scheduler:discipline ~tree () in
   let se = Estimator.Size_estimation.create ~beta ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
   let worst = ref 1.0 in
   let observe () =
     let n = float_of_int (Dtree.size tree) in
@@ -72,26 +70,9 @@ let size_scenario ~discipline ~seed =
     let r = if est > n then est /. n else n /. est in
     if r > !worst then worst := r
   in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun x -> Hashtbl.replace reserved x ()) nodes;
-          Estimator.Size_estimation.submit se op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              observe ();
-              pump ())
-  in
-  for _ = 1 to 4 do
-    pump ()
-  done;
+  Dist_harness.drive ~concurrency:4 ~net ~requests:changes
+    ~submit:(Estimator.Size_estimation.submit se) ~on_answer:observe
+    (Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn ());
   Net.run net;
   let v = ref [] in
   check v
@@ -112,8 +93,6 @@ let names_scenario ~discipline ~seed =
   let tree = Workload.Shape.build rng (Workload.Shape.Random 25) in
   let net = Net.create ~seed:(seed + 1) ~scheduler:discipline ~tree () in
   let na = Estimator.Name_assignment.create ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
   let v = ref [] in
   let observe () =
     let ids = Estimator.Name_assignment.ids na in
@@ -123,26 +102,9 @@ let names_scenario ~discipline ~seed =
       "identities collide";
     check v (List.length ids = Dtree.size tree) "some live node has no identity"
   in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun x -> Hashtbl.replace reserved x ()) nodes;
-          Estimator.Name_assignment.submit na op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              observe ();
-              pump ())
-  in
-  for _ = 1 to 4 do
-    pump ()
-  done;
+  Dist_harness.drive ~concurrency:4 ~net ~requests:changes
+    ~submit:(Estimator.Name_assignment.submit na) ~on_answer:observe
+    (Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn ());
   Net.run net;
   check v
     (Estimator.Name_assignment.max_id_ever_ratio na <= 4.0)

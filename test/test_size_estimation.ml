@@ -3,8 +3,6 @@ let drive ~seed ~n0 ~beta ~changes ~mix ?(concurrency = 4) () =
   let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
   let net = Net.create ~seed:(seed + 1) ~tree () in
   let se = Estimator.Size_estimation.create ~beta ~net () in
-  let wl = Workload.make ~seed:(seed + 2) ~mix () in
-  let reserved = Hashtbl.create 16 in
   let worst_ratio = ref 1.0 in
   let observe () =
     let n = float_of_int (Dtree.size tree) in
@@ -12,29 +10,9 @@ let drive ~seed ~n0 ~beta ~changes ~mix ?(concurrency = 4) () =
     let r = if est > n then est /. n else n /. est in
     if r > !worst_ratio then worst_ratio := r
   in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < changes then begin
-      match
-        Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved)
-      with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Estimator.Size_estimation.submit se op ~k:(fun () ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              observe ();
-              pump ())
-    end
-  in
-  for _ = 1 to concurrency do
-    pump ()
-  done;
+  Controller.Dist_harness.drive ~concurrency ~net ~requests:changes
+    ~submit:(Estimator.Size_estimation.submit se) ~on_answer:observe
+    (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net;
   (se, net, tree, !worst_ratio)
 

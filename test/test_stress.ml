@@ -133,28 +133,10 @@ let test_hotspot_churn () =
   let net = Net.create ~seed:211 ~tree () in
   let params = Params.make ~m:2000 ~w:400 ~u:(150 + 300) in
   let d = Dist.create ~params ~net () in
-  let wl = Workload.make ~seed:212 ~within:hotspot ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 and answered = ref 0 in
-  let rec pump () =
-    if !submitted < 300 then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Dist.submit d op ~k:(fun _ ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              incr answered;
-              pump ())
-  in
-  for _ = 1 to 8 do
-    pump ()
-  done;
+  let answered = ref 0 in
+  Dist_harness.drive ~concurrency:8 ~net ~requests:300 ~submit:(Dist.submit d)
+    ~on_answer:(fun _ -> incr answered)
+    (Workload.make ~seed:212 ~within:hotspot ~mix:Workload.Mix.churn ());
   Net.run net;
   Dtree.check tree;
   Alcotest.(check int) "all answered" 300 !answered;
@@ -168,27 +150,9 @@ let test_lock_chains_every_step () =
   let net = Net.create ~seed:199 ~max_delay:6 ~tree () in
   let params = Params.make ~m:2000 ~w:200 ~u:(80 + 250) in
   let d = Dist.create ~params ~net () in
-  let wl = Workload.make ~seed:200 ~mix:Workload.Mix.churn () in
-  let reserved = Hashtbl.create 16 in
-  let submitted = ref 0 in
-  let rec pump () =
-    if !submitted < 250 then
-      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
-      | None -> Net.schedule net ~delay:3 pump
-      | Some op ->
-          incr submitted;
-          let nodes =
-            List.sort_uniq compare
-              (Workload.request_site tree op :: Workload.touched tree op)
-          in
-          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
-          Dist.submit d op ~k:(fun _ ->
-              List.iter (Hashtbl.remove reserved) nodes;
-              pump ())
-  in
-  for _ = 1 to 10 do
-    pump ()
-  done;
+  Dist_harness.drive ~concurrency:10 ~net ~requests:250 ~submit:(Dist.submit d)
+    ~on_answer:ignore
+    (Workload.make ~seed:200 ~mix:Workload.Mix.churn ());
   let steps = ref 0 in
   while Net.step net do
     incr steps;

@@ -65,11 +65,19 @@ let test_save_load_file () =
 
 let test_malformed () =
   List.iter
-    (fun s ->
+    (fun (s, expected) ->
       match Trace.of_string s with
-      | exception Failure _ -> ()
+      | exception Failure msg -> Alcotest.(check string) (Printf.sprintf "%S" s) expected msg
       | _ -> Alcotest.failf "accepted malformed trace %S" s)
-    [ ""; "junk"; "dynnet-trace 1\nseed x\nshape path 3\n"; "dynnet-trace 2\nseed 1\nshape path 3\n" ]
+    [
+      ("", "Trace: truncated");
+      ("junk", "Trace: truncated");
+      ("dynnet-trace 1\nseed x\nshape path 3\n", {|Trace: line 2: bad seed line: "seed x"|});
+      ("dynnet-trace 2\nseed 1\nshape path 3\n", {|Trace: line 1: bad magic: "dynnet-trace 2"|});
+      ("dynnet-trace 1\nseed 1\nshape path x\n", {|Trace: line 3: bad shape line: "shape path x"|});
+      ( "dynnet-trace 1\nseed 1\nshape path 3\nadd-leaf 0\n\nadd-leaf zz\n",
+        {|Trace: line 6: bad op line: "add-leaf zz"|} );
+    ]
 
 let suite =
   ( "trace",
