@@ -108,7 +108,15 @@ let jobs_arg =
                  order and are identical to a sequential run")
 
 let seeds_arg =
-  Arg.(value & opt int 1
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 1
        & info [ "seeds" ] ~docv:"K"
            ~doc:"run the scenario for $(docv) consecutive seeds starting at \
                  --seed; with --trace-out the per-seed traces go to \
@@ -205,16 +213,7 @@ let run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
       run_centralized ppf (Central.request c) (fun () -> Central.moves c) tree ~seed ~mix
         ~requests
   | `Iterated ->
-      let c =
-        match sink with
-        | None -> Iterated.create ~m ~w ~u ~tree ()
-        | Some _ ->
-            Iterated.create_custom
-              ~make_base:(fun ~m ~w ->
-                Central.create ~reject_mode:Types.Report ?telemetry:sink
-                  ~params:(Params.make ~m ~w ~u) ~tree ())
-              ~m ~w ~tree ()
-      in
+      let c = Iterated.create ?telemetry:sink ~m ~w ~u ~tree () in
       run_centralized ppf (Iterated.request c) (fun () -> Iterated.moves c) tree ~seed
         ~mix ~requests
   | `Adaptive ->
@@ -253,7 +252,6 @@ let run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
 let run_main verbose (kind_s, kind) (shape_s, shape) (mix_s, mix) n0 requests m w seed
     seeds jobs scheduler metrics_out trace_out perfetto_out =
   setup_logs verbose;
-  if seeds < 1 then invalid_arg "--seeds must be >= 1";
   Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
     kind_s shape_s mix_s n0 requests m w (n0 + requests);
   (* Each seed is an independent simulation with its own tree, network and
@@ -275,16 +273,15 @@ let run_main verbose (kind_s, kind) (shape_s, shape) (mix_s, mix) n0 requests m 
     Format.pp_print_flush ppf ();
     (sd, Buffer.contents buf, registry)
   in
-  let outcomes =
-    Pool.map ~jobs:(effective_jobs jobs) run_seed
-      (List.init seeds (fun i -> seed + i))
-  in
-  List.iter
-    (fun (sd, text, _) ->
-      if seeds > 1 then Format.printf "--- seed %d ---@." sd;
-      Format.printf "%s" text)
-    outcomes;
-  dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes)
+  match Pool.map ~jobs:(effective_jobs jobs) run_seed (List.init seeds (fun i -> seed + i)) with
+  | exception Sys_error msg -> file_error "%s" msg
+  | outcomes ->
+      List.iter
+        (fun (sd, text, _) ->
+          if seeds > 1 then Format.printf "--- seed %d ---@." sd;
+          Format.printf "%s" text)
+        outcomes;
+      dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes)
 
 let run_cmd =
   let kind =
@@ -318,25 +315,29 @@ let drive_estimator ~seed ~mix ~changes ~net ~submit =
     (Workload.make ~seed:(seed + 2) ~mix ());
   Net.run net
 
+(* Run one protocol on its sink, then dump its metrics; the command's exit
+   code. *)
+let run_protocol ~metrics_out ~trace_out ?perfetto_out f =
+  match with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter f with
+  | exception Sys_error msg -> file_error "%s" msg
+  | registry -> dump_metrics metrics_out [ registry ]
+
 let size_est_main (_, shape) (_, mix) n0 changes beta seed scheduler metrics_out trace_out
     perfetto_out =
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
-  let registry =
-    with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
-        let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
-        let se = Estimator.Size_estimation.create ~beta ~net () in
-        drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Size_estimation.submit se);
-        Format.printf
-          "size estimation: %d changes, %d epochs, estimate %d vs true %d, %s messages (+%s overhead)@."
-          (Estimator.Size_estimation.changes se)
-          (Estimator.Size_estimation.epochs se)
-          (Estimator.Size_estimation.estimate se (Dtree.root tree))
-          (Dtree.size tree)
-          (Stats.pretty_int (Net.messages net))
-          (Stats.pretty_int (Estimator.Size_estimation.overhead_messages se)))
-  in
-  dump_metrics metrics_out [ registry ]
+  run_protocol ~metrics_out ~trace_out ?perfetto_out (fun sink ->
+      let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
+      let se = Estimator.Size_estimation.create ~beta ~net () in
+      drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Size_estimation.submit se);
+      Format.printf
+        "size estimation: %d changes, %d epochs, estimate %d vs true %d, %s messages (+%s overhead)@."
+        (Estimator.Size_estimation.changes se)
+        (Estimator.Size_estimation.epochs se)
+        (Estimator.Size_estimation.estimate se (Dtree.root tree))
+        (Dtree.size tree)
+        (Stats.pretty_int (Net.messages net))
+        (Stats.pretty_int (Estimator.Size_estimation.overhead_messages se)))
 
 let size_est_cmd =
   let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
@@ -350,22 +351,19 @@ let names_main (_, shape) (_, mix) n0 changes seed scheduler metrics_out trace_o
     perfetto_out =
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
-  let registry =
-    with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
-        let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
-        let na = Estimator.Name_assignment.create ~net () in
-        drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Name_assignment.submit na);
-        let ids = Estimator.Name_assignment.ids na in
-        let max_id = List.fold_left (fun acc (_, i) -> max acc i) 0 ids in
-        Format.printf
-          "name assignment: %d nodes named in [1, %d] (max ever ratio %.2f <= 4), %d epochs, %s messages (+%s overhead)@."
-          (List.length ids) max_id
-          (Estimator.Name_assignment.max_id_ever_ratio na)
-          (Estimator.Name_assignment.epochs na)
-          (Stats.pretty_int (Net.messages net))
-          (Stats.pretty_int (Estimator.Name_assignment.overhead_messages na)))
-  in
-  dump_metrics metrics_out [ registry ]
+  run_protocol ~metrics_out ~trace_out ?perfetto_out (fun sink ->
+      let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
+      let na = Estimator.Name_assignment.create ~net () in
+      drive_estimator ~seed ~mix ~changes ~net ~submit:(Estimator.Name_assignment.submit na);
+      let ids = Estimator.Name_assignment.ids na in
+      let max_id = List.fold_left (fun acc (_, i) -> max acc i) 0 ids in
+      Format.printf
+        "name assignment: %d nodes named in [1, %d] (max ever ratio %.2f <= 4), %d epochs, %s messages (+%s overhead)@."
+        (List.length ids) max_id
+        (Estimator.Name_assignment.max_id_ever_ratio na)
+        (Estimator.Name_assignment.epochs na)
+        (Stats.pretty_int (Net.messages net))
+        (Stats.pretty_int (Estimator.Name_assignment.overhead_messages na)))
 
 let names_cmd =
   let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in

@@ -33,17 +33,16 @@ val create :
   t
 (** [variant] defaults to [By_changes].
 
-    With a [telemetry] sink every epoch rotation records an [Epoch] event
-    (and the [ctrl_epochs_total] counter), and the inner iterated
-    controller's {!Central} bases are built instrumented, so permit spans
-    and package life-cycle events flow to the same sink. Event times are
-    the running request count. *)
+    With a [telemetry] sink every request is recorded by {!Central.answer},
+    every epoch rotation records an [Epoch] event (and the
+    [ctrl_epochs_total] counter) in the trace of the request that closed
+    the epoch, and the inner iterated controllers are built instrumented,
+    so package life-cycle and reject-wave events flow to the same sink.
+    Event times are {!Central.clock}. *)
 
 val request : t -> Workload.op -> Types.outcome
 val moves : t -> int
 val granted : t -> int
-val rejected : t -> int
-val leftover : t -> int
 
 val epochs : t -> int
 (** Number of completed epochs. *)

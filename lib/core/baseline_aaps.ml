@@ -126,12 +126,19 @@ let granted t = t.granted
 
 let leftover t = Hashtbl.fold (fun _ p acc -> acc + p) t.bins t.storage
 
-module Iterated = Iterate.Make (struct
-  type nonrec t = t
+let base ~u ~tree ~m ~w = create ~params:(Params.make ~m ~w ~u) ~tree
 
-  let create = create
-  let request = request
-  let moves = moves
-  let granted = granted
-  let leftover = leftover
-end)
+module Iterated = struct
+  include Iterate.Make (struct
+    type nonrec t = t
+
+    let request = request
+    let moves = moves
+    let granted = granted
+    let leftover = leftover
+  end)
+
+  let create ?reject_mode ~m ~w ~u ~tree () =
+    if u < 1 then invalid_arg "Baseline_aaps.Iterated.create: bad parameters";
+    create ?reject_mode ~base:(base ~u ~tree) ~m ~w ~tree ()
+end

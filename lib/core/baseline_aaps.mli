@@ -27,4 +27,9 @@ val granted : t -> int
 val leftover : t -> int
 
 (** The full iterated baseline. *)
-module Iterated : Iterate.S with type base = t
+module Iterated : sig
+  include Iterate.S
+
+  val create :
+    ?reject_mode:Types.reject_mode -> m:int -> w:int -> u:int -> tree:Dtree.t -> unit -> t
+end

@@ -39,12 +39,14 @@ type t = {
   tracker : Domain_tracker.t option;
   hooks : hooks;
   telemetry : Telemetry.Sink.t option;
-  ticks : int ref;  (* requests served: the centralized "clock" for events *)
 }
+
+(* The centralized stack has no clock of its own: an event's time is the
+   root trace id of the request being answered, plus one. *)
+let clock sink = Telemetry.Sink.current_trace sink + 1
 
 let create ?(track_domains = false) ?(reject_mode = Types.Wave) ?(hooks = no_hooks)
     ?telemetry ~params ~tree () =
-  let ticks = ref 0 in
   {
     params;
     tree;
@@ -60,17 +62,18 @@ let create ?(track_domains = false) ?(reject_mode = Types.Wave) ?(hooks = no_hoo
     tracker =
       (if track_domains then
          Some
-           (Domain_tracker.create ?telemetry ~clock:(fun () -> !ticks) ~params ~tree ())
+           (Domain_tracker.create ?telemetry
+              ?clock:(Option.map (fun s () -> clock s) telemetry)
+              ~params ~tree ())
        else None);
     hooks;
     telemetry;
-    ticks;
   }
 
 let emit t kind =
   match t.telemetry with
   | None -> ()
-  | Some s -> Telemetry.Sink.event s ~time:!(t.ticks) kind
+  | Some s -> Telemetry.Sink.event s ~time:(clock s) kind
 
 let with_metrics t f =
   match t.telemetry with None -> () | Some s -> f (Telemetry.Sink.metrics s)
@@ -110,13 +113,11 @@ let fold_slots t ~init ~f =
 let moves t = t.moves
 let granted t = t.granted
 let rejected t = t.rejected
-let counters t = { Types.moves = t.moves; granted = t.granted; rejected = t.rejected }
 let storage t = t.storage
 
 let leftover t = fold_slots t ~init:t.storage ~f:(fun acc _ s -> acc + Store.permits s)
 
 let wave_done t = t.wave
-let params t = t.params
 
 let fold_stores t ~init ~f =
   fold_slots t ~init ~f:(fun acc v s -> if Store.is_empty s then acc else f acc v s)
@@ -127,6 +128,12 @@ let check_domains t =
   | Some tr -> Domain_tracker.check tr
 
 let with_tracker t f = match t.tracker with None -> () | Some tr -> f tr
+
+let record_wave sink tree =
+  Telemetry.Sink.event sink ~time:(clock sink)
+    (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root tree });
+  Telemetry.Metrics.inc
+    (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "ctrl_reject_waves_total")
 
 (* Broadcast the reject wave: one reject package per live node, delivered by
    splitting along tree edges — one move per node (Lemma 3.3 charges at most
@@ -139,9 +146,7 @@ let reject_wave t =
           t.params.Params.m (leftover t) (Dtree.size t.tree));
     Dtree.iter_nodes t.tree ~f:(fun v -> Store.set_rejecting (store t v));
     t.moves <- t.moves + Dtree.size t.tree;
-    emit t (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root t.tree });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc (Telemetry.Metrics.counter m "ctrl_reject_waves_total"))
+    Option.iter (fun s -> record_wave s t.tree) t.telemetry
   end
 
 (* Apply a granted topological change. A deleted node first moves its
@@ -264,65 +269,55 @@ let serve t op =
   let s = store t u in
   if Store.rejecting s then begin
     t.rejected <- t.rejected + 1;
-    (u, Types.Rejected)
+    Types.Rejected
   end
   else if Store.static s > 0 then begin
     grant t u op;
-    (u, Types.Granted)
+    Types.Granted
   end
   else
     match climb t ~u u ~d:0 with
     | Ok () ->
         grant t u op;
-        (u, Types.Granted)
+        Types.Granted
     | Error `Exhausted -> (
         match t.reject_mode with
-        | Types.Report -> (u, Types.Exhausted)
+        | Types.Report -> Types.Exhausted
         | Types.Wave ->
             reject_wave t;
             t.rejected <- t.rejected + 1;
-            (u, Types.Rejected))
+            Types.Rejected)
+
+(* The outermost layer of the centralized stack answers the caller, so it
+   alone records the request: it roots a causal trace, whose id sets the
+   [clock] every layer below stamps its events with, and records the permit
+   span and the request and move counters. A layer below finds the trace
+   ambient and serves. (The distributed controllers never reach here, their
+   chains root at [Net.schedule].) *)
+let answer sink tree op ~moves serve =
+  if Telemetry.Sink.current_span sink >= 0 then serve ()
+  else begin
+    let id = Telemetry.Sink.fresh_id sink in
+    Telemetry.Sink.set_ambient sink ~trace:id ~span:id;
+    let aid = clock sink and node = Workload.request_site tree op and before = moves () in
+    let outcome = serve () in
+    let outcome_s = Types.outcome_name outcome in
+    Telemetry.Sink.event sink ~time:aid
+      (Telemetry.Event.Permit_span
+         { ctrl = "central"; node; aid; outcome = outcome_s; submitted = aid; latency = 0 });
+    Telemetry.Sink.clear_ambient sink;
+    let m = Telemetry.Sink.metrics sink in
+    Telemetry.Metrics.inc
+      (Telemetry.Metrics.counter m
+         ~labels:[ ("ctrl", "central"); ("outcome", outcome_s) ]
+         "ctrl_requests_total");
+    Telemetry.Metrics.add (Telemetry.Metrics.counter m "ctrl_moves_total") (moves () - before);
+    outcome
+  end
 
 let request t op =
   if not (Workload.valid_op t.tree op) then
     invalid_arg (Format.asprintf "Central.request: invalid op %a" Workload.pp_op op);
   match t.telemetry with
-  | None ->
-      let _, outcome = serve t op in
-      outcome
-  | Some sink ->
-      incr t.ticks;
-      let aid = !(t.ticks) in
-      let moves_before = t.moves in
-      (* Root a causal trace for the request when none is ambient, so the
-         package/domain events [serve] emits — and the permit span below —
-         share one trace id. (Under [Iterated]/[Adaptive] this same code
-         runs as the inner controller; the distributed controllers never
-         reach here, their chains root at [Net.schedule].) *)
-      let rooted = Telemetry.Sink.current_span sink < 0 in
-      if rooted then begin
-        let id = Telemetry.Sink.fresh_id sink in
-        Telemetry.Sink.set_ambient sink ~trace:id ~span:id
-      end;
-      let u, outcome = serve t op in
-      let outcome_s = Types.outcome_name outcome in
-      Telemetry.Sink.event sink ~time:aid
-        (Telemetry.Event.Permit_span
-           {
-             ctrl = "central";
-             node = u;
-             aid;
-             outcome = outcome_s;
-             submitted = aid;
-             latency = 0;
-           });
-      if rooted then Telemetry.Sink.clear_ambient sink;
-      let m = Telemetry.Sink.metrics sink in
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter m
-           ~labels:[ ("ctrl", "central"); ("outcome", outcome_s) ]
-           "ctrl_requests_total");
-      Telemetry.Metrics.add
-        (Telemetry.Metrics.counter m "ctrl_moves_total")
-        (t.moves - moves_before);
-      outcome
+  | None -> serve t op
+  | Some sink -> answer sink t.tree op ~moves:(fun () -> t.moves) (fun () -> serve t op)

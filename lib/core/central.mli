@@ -67,14 +67,12 @@ val create :
     anywhere. [reject_mode] defaults to [Wave]. [track_domains] (default
     false) maintains the analysis domains for invariant checking.
 
-    With a [telemetry] sink every request records a zero-latency
-    [Permit_span] event (the centralized controller is synchronous; event
-    times are the running request count) plus the
-    [ctrl_requests_total{ctrl,outcome}] and [ctrl_moves_total] counters, and
-    the package life cycle records [Package_created] / [Package_split] (with
-    the [pkg_splits_total{level}] counter) / [Package_static] /
-    [Package_join] and [Reject_wave] events. Without a sink no telemetry
-    code runs. *)
+    With a [telemetry] sink every request is recorded by {!answer} (the
+    centralized controller is synchronous, so its permit spans have zero
+    latency), and the package life cycle records [Package_created] /
+    [Package_split] (with the [pkg_splits_total{level}] counter) /
+    [Package_static] / [Package_join] and [Reject_wave] events, timed by
+    {!clock}. Without a sink no telemetry code runs. *)
 
 val request : t -> Workload.op -> Types.outcome
 (** Serve one request arriving at [Workload.request_site]. In [Report] mode
@@ -85,7 +83,6 @@ val request : t -> Workload.op -> Types.outcome
 val moves : t -> int
 val granted : t -> int
 val rejected : t -> int
-val counters : t -> Types.counters
 
 val storage : t -> int
 (** Permits still in the root's storage. *)
@@ -96,8 +93,6 @@ val leftover : t -> int
 val wave_done : t -> bool
 (** Whether the reject wave has been broadcast. *)
 
-val params : t -> Params.t
-
 val fold_stores : t -> init:'a -> f:('a -> Dtree.node -> Store.t -> 'a) -> 'a
 (** Fold over the non-empty per-node stores (for memory accounting and
     white-box tests). *)
@@ -105,3 +100,31 @@ val fold_stores : t -> init:'a -> f:('a -> Dtree.node -> Store.t -> 'a) -> 'a
 val check_domains : t -> (unit, string) result
 (** Check the Section 3.2 domain invariants.
     @raise Invalid_argument unless created with [track_domains:true]. *)
+
+(** {2 Telemetry of the centralized stack}
+
+    {!Central}, {!Iterated} and {!Adaptive} share these, so that a request
+    is recorded once, by the layer that answers the caller. *)
+
+val answer :
+  Telemetry.Sink.t ->
+  Dtree.t ->
+  Workload.op ->
+  moves:(unit -> int) ->
+  (unit -> Types.outcome) ->
+  Types.outcome
+(** [answer sink tree op ~moves serve] answers [op] with [serve ()]. When no
+    causal trace is ambient, the caller is the outermost layer: the request
+    roots a fresh trace and records a zero-latency [Permit_span] (the
+    [aid], [submitted] and [time] of which are the request's {!clock}) with
+    the answer's outcome, bumps [ctrl_requests_total{ctrl,outcome}], and
+    adds the growth of [moves ()] to [ctrl_moves_total]. Inside a trace it
+    only serves. *)
+
+val clock : Telemetry.Sink.t -> int
+(** The time of the request being answered: its root trace id plus one.
+    For a fresh sink that no network shares, the running request count. *)
+
+val record_wave : Telemetry.Sink.t -> Dtree.t -> unit
+(** Record the start of the reject wave: a [Reject_wave] event at the root
+    and the [ctrl_reject_waves_total] counter. *)

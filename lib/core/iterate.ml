@@ -18,7 +18,6 @@ let schedule ~w ?exhausted m =
 module type BASE = sig
   type t
 
-  val create : params:Params.t -> tree:Dtree.t -> t
   val request : t -> Workload.op -> Types.outcome
   val moves : t -> int
   val granted : t -> int
@@ -27,19 +26,6 @@ end
 
 module type S = sig
   type t
-  type base
-
-  val create :
-    ?reject_mode:Types.reject_mode -> m:int -> w:int -> u:int -> tree:Dtree.t -> unit -> t
-
-  val create_custom :
-    ?reject_mode:Types.reject_mode ->
-    make_base:(m:int -> w:int -> base) ->
-    m:int ->
-    w:int ->
-    tree:Dtree.t ->
-    unit ->
-    t
 
   val request : t -> Workload.op -> Types.outcome
   val moves : t -> int
@@ -50,9 +36,7 @@ module type S = sig
   val rejecting : t -> bool
 end
 
-module Make (B : BASE) : S with type base = B.t = struct
-  type base = B.t
-
+module Make (B : BASE) = struct
   type state =
     | Inner of B.t * stage * int  (* stage budget *)
     | Endgame  (** W = 0: [trivial_left] permits served from the root *)
@@ -60,9 +44,10 @@ module Make (B : BASE) : S with type base = B.t = struct
 
   type t = {
     tree : Dtree.t;
-    make_base : m:int -> w:int -> B.t;
+    base : m:int -> w:int -> B.t;
     w : int;
     reject_mode : Types.reject_mode;
+    telemetry : Telemetry.Sink.t option;
     mutable stage : state;
     mutable trivial_left : int;
     mutable done_moves : int;  (* moves of completed stages *)
@@ -73,20 +58,21 @@ module Make (B : BASE) : S with type base = B.t = struct
   }
 
   let enter t = function
-    | Stage (stage, m, w) -> Inner (t.make_base ~m ~w, stage, m)
+    | Stage (stage, m, w) -> Inner (t.base ~m ~w, stage, m)
     | Trivial ->
         t.trivial_left <- 1;
         Endgame
     | Reject -> Rejecting
 
-  let create_custom ?(reject_mode = Types.Wave) ~make_base ~m ~w ~tree () =
+  let create ?(reject_mode = Types.Wave) ?telemetry ~base ~m ~w ~tree () =
     if m < 0 || w < 0 then invalid_arg "Iterate.create: bad parameters";
     let t =
       {
         tree;
-        make_base;
+        base;
         w;
         reject_mode;
+        telemetry;
         stage = Rejecting;
         trivial_left = 0;
         done_moves = 0;
@@ -99,18 +85,14 @@ module Make (B : BASE) : S with type base = B.t = struct
     t.stage <- enter t (schedule ~w m);
     t
 
-  let create ?reject_mode ~m ~w ~u ~tree () =
-    if u < 1 then invalid_arg "Iterate.create: bad parameters";
-    let make_base ~m ~w = B.create ~params:(Params.make ~m ~w ~u) ~tree in
-    create_custom ?reject_mode ~make_base ~m ~w ~tree ()
-
   let charge_wave t =
     if not t.wave_charged then begin
       t.wave_charged <- true;
-      t.done_moves <- t.done_moves + Dtree.size t.tree
+      t.done_moves <- t.done_moves + Dtree.size t.tree;
+      Option.iter (fun s -> Central.record_wave s t.tree) t.telemetry
     end
 
-  let rec request t op =
+  let rec serve t op =
     match t.stage with
     | Rejecting -> (
         match t.reject_mode with
@@ -132,7 +114,7 @@ module Make (B : BASE) : S with type base = B.t = struct
         end
         else begin
           t.stage <- Rejecting;
-          request t op
+          serve t op
         end
     | Inner (b, stage, budget) -> (
         match B.request b op with
@@ -146,10 +128,15 @@ module Make (B : BASE) : S with type base = B.t = struct
             t.done_granted <- t.done_granted + B.granted b;
             t.iterations <- t.iterations + 1;
             t.stage <- enter t (schedule ~w:t.w ~exhausted:(stage, budget) l);
-            request t op)
+            serve t op)
 
   let moves t =
     t.done_moves + (match t.stage with Inner (b, _, _) -> B.moves b | Endgame | Rejecting -> 0)
+
+  let request t op =
+    match t.telemetry with
+    | None -> serve t op
+    | Some sink -> Central.answer sink t.tree op ~moves:(fun () -> moves t) (fun () -> serve t op)
 
   let granted t =
     t.done_granted

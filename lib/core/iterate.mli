@@ -37,10 +37,9 @@ val schedule : w:int -> ?exhausted:stage * int -> int -> step
 module type BASE = sig
   type t
 
-  val create : params:Params.t -> tree:Dtree.t -> t
+  val request : t -> Workload.op -> Types.outcome
   (** Must behave in [Report] mode: exhaustion leaves the state unchanged. *)
 
-  val request : t -> Workload.op -> Types.outcome
   val moves : t -> int
   val granted : t -> int
   val leftover : t -> int
@@ -48,23 +47,6 @@ end
 
 module type S = sig
   type t
-
-  type base
-  (** The underlying fixed-[U] controller. *)
-
-  val create :
-    ?reject_mode:Types.reject_mode -> m:int -> w:int -> u:int -> tree:Dtree.t -> unit -> t
-
-  val create_custom :
-    ?reject_mode:Types.reject_mode ->
-    make_base:(m:int -> w:int -> base) ->
-    m:int ->
-    w:int ->
-    tree:Dtree.t ->
-    unit ->
-    t
-  (** Like [create] but each inner iteration's base controller is built by
-      [make_base] — used to instrument the bases (hooks, domain tracking). *)
 
   val request : t -> Workload.op -> Types.outcome
   val moves : t -> int
@@ -77,4 +59,21 @@ module type S = sig
   (** The reject wave has started (or, in [Report] mode, would have). *)
 end
 
-module Make (B : BASE) : S with type base = B.t
+module Make (B : BASE) : sig
+  include S
+
+  val create :
+    ?reject_mode:Types.reject_mode ->
+    ?telemetry:Telemetry.Sink.t ->
+    base:(m:int -> w:int -> B.t) ->
+    m:int ->
+    w:int ->
+    tree:Dtree.t ->
+    unit ->
+    t
+  (** [base ~m ~w] builds the report-mode [(m, w)] base of each stage.
+      With a [telemetry] sink the controller answers through
+      {!Central.answer}, so a request it serves without a base (the
+      [W = 0] endgame, a rejection) is recorded too, and the start of the
+      reject wave is recorded by {!Central.record_wave}. *)
+end

@@ -1,13 +1,10 @@
-module Base = struct
-  type t = Central.t
+include Iterate.Make (Central)
 
-  let create ~params ~tree =
-    Central.create ~reject_mode:Types.Report ~params ~tree ()
-
-  let request = Central.request
-  let moves = Central.moves
-  let granted = Central.granted
-  let leftover = Central.leftover
-end
-
-include Iterate.Make (Base)
+let create ?reject_mode ?telemetry ?hooks ~m ~w ~u ~tree () =
+  if u < 1 then invalid_arg "Iterated.create: bad parameters";
+  let base ~m ~w =
+    Central.create ~reject_mode:Types.Report
+      ?hooks:(Option.map (fun hooks -> hooks ()) hooks)
+      ?telemetry ~params:(Params.make ~m ~w ~u) ~tree ()
+  in
+  create ?reject_mode ?telemetry ~base ~m ~w ~tree ()

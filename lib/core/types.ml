@@ -22,12 +22,3 @@ let outcome_name = function
 type reject_mode =
   | Wave  (** on exhaustion, place a reject package at every node *)
   | Report  (** on exhaustion, answer [Exhausted] and change nothing *)
-
-(** Counters every controller exposes; move complexity is the paper's cost
-    measure (Section 2.2): each move of a set of objects across one tree edge
-    costs one. *)
-type counters = {
-  moves : int;
-  granted : int;
-  rejected : int;
-}

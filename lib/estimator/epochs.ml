@@ -6,14 +6,14 @@ let params ~budget n =
   (m, w, max 4 (n + m))
 
 module Central = struct
-  module Terminating = Controller.Terminating
+  module Iterated = Controller.Iterated
 
   type t = {
     tree : Dtree.t;
     budget : int -> int * int;
     hooks : t -> Controller.Central.hooks;
     boundary : t -> unit;
-    mutable ctrl : Terminating.t;
+    mutable ctrl : Iterated.t;
     mutable epochs : int;
     mutable done_moves : int;  (* retired controllers plus charges *)
   }
@@ -21,11 +21,9 @@ module Central = struct
   let start t =
     t.boundary t;
     let m, w, u = params ~budget:t.budget (Dtree.size t.tree) in
-    let make_base ~m ~w =
-      Controller.Central.create ~reject_mode:Types.Report ~hooks:(t.hooks t)
-        ~params:(Params.make ~m ~w ~u) ~tree:t.tree ()
-    in
-    t.ctrl <- Terminating.create_custom ~make_base ~m ~w ~tree:t.tree ()
+    t.ctrl <-
+      Iterated.create ~reject_mode:Types.Report ~hooks:(fun () -> t.hooks t) ~m ~w ~u
+        ~tree:t.tree ()
 
   let create ?(hooks = fun _ -> Controller.Central.no_hooks) ~budget ~boundary ~tree () =
     let t =
@@ -35,7 +33,7 @@ module Central = struct
         hooks;
         boundary;
         (* an M = 0 controller makes no base; [start] replaces it *)
-        ctrl = Terminating.create ~m:0 ~w:0 ~u:1 ~tree ();
+        ctrl = Iterated.create ~m:0 ~w:0 ~u:1 ~tree ();
         epochs = 0;
         done_moves = 0;
       }
@@ -44,17 +42,21 @@ module Central = struct
     t
 
   let rec request t op =
-    match Terminating.request t.ctrl op with
-    | Terminating.Granted -> ()
-    | Terminating.Terminated ->
-        t.done_moves <- t.done_moves + Terminating.moves t.ctrl;
+    match Iterated.request t.ctrl op with
+    | Types.Granted -> ()
+    | Types.Exhausted ->
+        (* Observation 2.1: the controller terminates. In the centralized
+           setting every granted event has already occurred, so the next
+           epoch starts at once and serves the request. *)
+        t.done_moves <- t.done_moves + Iterated.moves t.ctrl;
         t.epochs <- t.epochs + 1;
         start t;
         request t op
+    | Types.Rejected -> assert false  (* dynlint: allow unsafe -- report mode: the controller never rejects *)
 
   let charge t k = t.done_moves <- t.done_moves + k
   let epochs t = t.epochs
-  let moves t = t.done_moves + Terminating.moves t.ctrl
+  let moves t = t.done_moves + Iterated.moves t.ctrl
 end
 
 module Dist = struct

@@ -14,8 +14,13 @@
     Callbacks receive the engine itself, so a protocol never holds a
     not-yet-built controller. *)
 
-(** Over the centralized controller: {!Controller.Terminating} over
-    instrumented {!Controller.Central} bases, one moves ledger. *)
+(** Over the centralized controller: {!Controller.Iterated} in report mode
+    over instrumented {!Controller.Central} bases, one moves ledger. The
+    terminating controller of Observation 2.1 is that controller answering
+    [Exhausted]: once the reject wave would start, [M - W <= m <= M] permits
+    were granted and, in the centralized setting, every granted event has
+    already occurred, so the engine rotates and serves the request in the
+    next epoch. *)
 module Central : sig
   type t
 

@@ -17,8 +17,7 @@ let chunk size items =
   in
   go [] [] 0 items
 
-let sweep ?jobs ?(shard_size = default_shard_size) ?(disciplines = Scheduler.defaults)
-    ~seeds scenario =
+let sweep ?jobs ?(shard_size = default_shard_size) ~seeds scenario =
   if shard_size < 1 then invalid_arg "Explore.sweep: shard_size must be >= 1";
   (* Every (discipline, seed) cell is an independent simulation — the
      scenario builds its own [Net] from them — so cells shard across the
@@ -37,7 +36,7 @@ let sweep ?jobs ?(shard_size = default_shard_size) ?(disciplines = Scheduler.def
     in
     { discipline; seed; violations; reorders }
   in
-  List.concat_map (fun d -> List.map (fun s -> (d, s)) seeds) disciplines
+  List.concat_map (fun d -> List.map (fun s -> (d, s)) seeds) Scheduler.defaults
   |> chunk shard_size
   |> Pool.map ?jobs (List.map run_cell)
   |> List.concat

@@ -21,12 +21,11 @@ type run = {
 val sweep :
   ?jobs:int ->
   ?shard_size:int ->
-  ?disciplines:Scheduler.discipline list ->
   seeds:int list ->
   (discipline:Scheduler.discipline -> seed:int -> string list * int) ->
   run list
-(** Run the scenario once per discipline × seed ([disciplines] defaults to
-    {!Scheduler.defaults}) and collect the outcomes. The scenario returns
+(** Run the scenario once per discipline of {!Scheduler.defaults} × seed
+    and collect the outcomes. The scenario returns
     its violation list and the network's final reorder count. An exception
     escaping the scenario is recorded as a violation rather than aborting
     the sweep.

@@ -48,7 +48,6 @@ let reserve_ids t n =
 
 let current_trace t = t.amb_trace
 let current_span t = t.amb_span
-let ambient t = (t.amb_trace, t.amb_span)
 
 let set_ambient t ~trace ~span =
   t.amb_trace <- trace;

@@ -56,11 +56,12 @@ val record : t -> Event.t -> unit
 
 (** {2 Causality: span ids and the ambient context}
 
-    [Net] is the only intended writer of this state: it mints a span per
-    send, and installs the span's (trace, span) pair as the ambient context
-    around the delivery continuation — restoring the previous value after —
-    so any event recorded downstream is stamped with it. Readers other than
-    [Net] only need {!current_trace}/{!current_span}. *)
+    Two layers write this state. [Net] mints a span per send, and installs
+    the span's (trace, span) pair as the ambient context around the
+    delivery continuation — restoring the previous value after — so any
+    event recorded downstream is stamped with it. The centralized
+    controllers root one trace per request they answer. Other readers only
+    need {!current_trace}/{!current_span}. *)
 
 val fresh_id : t -> int
 (** Mint the next span/trace id (dense from the sink's [next_id] base). *)
@@ -75,10 +76,6 @@ val current_trace : t -> int
 
 val current_span : t -> int
 (** Ambient span id, [-1] when no context is installed. *)
-
-val ambient : t -> int * int
-(** [(current_trace, current_span)] — for save/restore around a nested
-    context install. *)
 
 val set_ambient : t -> trace:int -> span:int -> unit
 val clear_ambient : t -> unit

@@ -19,6 +19,7 @@ let is_topological = function
 let request_site t = function
   | Add_leaf v -> v
   | Remove_leaf v | Remove_internal v | Non_topological v -> v
+  | Add_internal v when not (Dtree.live t v) -> v
   | Add_internal v -> (
       (* The request to add a node arrives at the node's parent-to-be. *)
       match Dtree.parent t v with Some p -> p | None -> v)

@@ -19,7 +19,8 @@ val is_topological : op -> bool
 
 val request_site : Dtree.t -> op -> Dtree.node
 (** The node at which the request for [op] enters the system (paper §2.1.2):
-    the parent-to-be for additions, the node itself otherwise. *)
+    the parent-to-be for additions, the node itself otherwise (also for a
+    node that is not in the tree). *)
 
 val valid_op : Dtree.t -> op -> bool
 (** Whether [op] can be applied to the current tree. *)

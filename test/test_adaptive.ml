@@ -85,6 +85,53 @@ let test_rejects_after_exhaustion () =
     (List.length (List.filter (( = ) Types.Rejected) outcomes));
   Alcotest.(check bool) "rejecting state" true (Adaptive.rejecting c)
 
+(* Exact counters of seeded runs: the controller's (moves, granted, epochs,
+   rejecting) and the tally of its answers (granted, rejected, exhausted).
+   Both reject modes, W = 0 (the trivial endgame) and W >= 1, both
+   variants, and one run that never exhausts; every exhausting run keeps
+   requesting well past exhaustion, so the one-time wave charge is pinned. *)
+let pinned =
+  let churn = Workload.Mix.churn and grow = Workload.Mix.grow_only in
+  let shrink = Workload.Mix.shrink_heavy in
+  Adaptive.
+    [
+      (By_changes, Types.Wave, 1, 64, churn, 200, 20, 600, (898, 200, 5, true), (200, 400, 0));
+      (By_changes, Types.Report, 1, 64, churn, 200, 20, 600, (804, 200, 5, true), (200, 0, 400));
+      (By_changes, Types.Wave, 2, 40, churn, 100, 0, 400, (331, 100, 4, true), (100, 300, 0));
+      (By_changes, Types.Report, 2, 40, churn, 100, 0, 400, (277, 100, 4, true), (100, 0, 300));
+      (By_doubling, Types.Wave, 3, 16, grow, 300, 10, 700, (1485, 300, 4, true), (300, 400, 0));
+      (By_doubling, Types.Report, 3, 16, grow, 300, 10, 700, (1169, 300, 4, true), (300, 0, 400));
+      (By_doubling, Types.Wave, 4, 30, grow, 60, 0, 200, (271, 60, 1, true), (60, 140, 0));
+      (By_changes, Types.Wave, 5, 50, shrink, 150, 5, 500, (211, 150, 27, true), (150, 350, 0));
+      (By_changes, Types.Wave, 6, 30, churn, 500, 50, 300, (687, 300, 13, false), (300, 0, 0));
+      (By_doubling, Types.Report, 7, 40, churn, 120, 40, 400, (531, 120, 0, true), (120, 0, 280));
+    ]
+  |> List.map
+       (fun (variant, reject_mode, seed, n0, mix, m, w, steps, (moves, granted, epochs, rejecting), answers) ->
+         let label =
+           Printf.sprintf "pinned: seed %d, %s, W=%d, %s" seed
+             (match reject_mode with Types.Wave -> "wave" | Report -> "report")
+             w
+             (match variant with Adaptive.By_changes -> "by changes" | By_doubling -> "by doubling")
+         in
+         Alcotest.test_case label `Quick (fun () ->
+             let tree = Workload.Shape.build (Rng.create ~seed) (Workload.Shape.Random n0) in
+             let c = Adaptive.create ~variant ~reject_mode ~m ~w ~tree () in
+             let wl = Workload.make ~seed ~mix () in
+             let g = ref 0 and r = ref 0 and x = ref 0 in
+             for _ = 1 to steps do
+               incr
+                 (match Adaptive.request c (Workload.next_op wl tree) with
+                 | Types.Granted -> g
+                 | Types.Rejected -> r
+                 | Types.Exhausted -> x)
+             done;
+             Alcotest.(check (list int)) "moves, granted, epochs"
+               [ moves; granted; epochs ]
+               [ Adaptive.moves c; Adaptive.granted c; Adaptive.epochs c ];
+             Alcotest.(check bool) "rejecting" rejecting (Adaptive.rejecting c);
+             Alcotest.(check (triple int int int)) "answers" answers (!g, !r, !x)))
+
 let suite =
   ( "adaptive",
     [
@@ -94,4 +141,5 @@ let suite =
       Alcotest.test_case "rejects after exhaustion" `Quick test_rejects_after_exhaustion;
       prop_safety_liveness Adaptive.By_changes "safety/liveness (by changes)";
       prop_safety_liveness Adaptive.By_doubling "safety/liveness (by doubling)";
-    ] )
+    ]
+    @ pinned )

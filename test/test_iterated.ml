@@ -71,6 +71,65 @@ let test_report_mode () =
     (Iterated.request c (Workload.Add_leaf (Dtree.root tree)));
   Alcotest.(check bool) "rejecting" true (Iterated.rejecting c)
 
+(* Observation 2.1: in report mode the controller is a terminating one. Its
+   first [Exhausted] answer is the termination: by then it has granted
+   between M - W and M permits, and it grants nothing afterwards. *)
+let test_terminates_in_window () =
+  let rng = Rng.create ~seed:41 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Random 40) in
+  let m = 100 and w = 20 in
+  let c =
+    Iterated.create ~reject_mode:Types.Report ~m ~w ~u:(Dtree.size tree + 400) ~tree ()
+  in
+  let wl = Workload.make ~seed:41 ~mix:Workload.Mix.churn () in
+  let after_term_grants = ref 0 and exhausted = ref 0 in
+  for _ = 1 to 400 do
+    let was_terminated = Iterated.rejecting c in
+    match Iterated.request c (Workload.next_op wl tree) with
+    | Types.Granted -> if was_terminated then incr after_term_grants
+    | Types.Exhausted -> incr exhausted
+    | Types.Rejected -> Alcotest.fail "rejected in report mode"
+  done;
+  Alcotest.(check bool) "terminated" true (Iterated.rejecting c);
+  Alcotest.(check int) "no grant after termination" 0 !after_term_grants;
+  let g = Iterated.granted c in
+  Alcotest.(check bool)
+    (Printf.sprintf "grants %d within [M-W, M]" g)
+    true
+    (g >= m - w && g <= m);
+  Alcotest.(check int) "every other request answered Exhausted" (400 - g) !exhausted
+
+let test_no_termination_below_m () =
+  (* Fewer than M requests: every one must be granted, no termination. *)
+  let rng = Rng.create ~seed:42 in
+  let tree = Workload.Shape.build rng (Workload.Shape.Random 30) in
+  let c = Iterated.create ~reject_mode:Types.Report ~m:500 ~w:50 ~u:1000 ~tree () in
+  let wl = Workload.make ~seed:42 ~mix:Workload.Mix.churn () in
+  for _ = 1 to 120 do
+    Alcotest.(check Helpers.outcome) "granted" Types.Granted
+      (Iterated.request c (Workload.next_op wl tree))
+  done;
+  Alcotest.(check int) "all granted" 120 (Iterated.granted c);
+  Alcotest.(check bool) "not terminated" false (Iterated.rejecting c)
+
+let prop_termination_window =
+  Helpers.qcheck ~count:30 "report: window [M-W, M]"
+    QCheck2.Gen.(triple (int_range 0 99999) (int_range 1 200) (int_range 0 40))
+    (fun (seed, m, w) ->
+      let rng = Rng.create ~seed in
+      let tree = Workload.Shape.build rng (Workload.Shape.Random 25) in
+      let c =
+        Iterated.create ~reject_mode:Types.Report ~m ~w
+          ~u:(Dtree.size tree + (3 * m) + 50)
+          ~tree ()
+      in
+      let wl = Workload.make ~seed ~mix:Workload.Mix.churn () in
+      for _ = 1 to (2 * m) + 40 do
+        ignore (Iterated.request c (Workload.next_op wl tree))
+      done;
+      let g = Iterated.granted c in
+      (not (Iterated.rejecting c)) || (g >= m - w && g <= m))
+
 let test_zero_m () =
   let tree = Dtree.create () in
   let c = Iterated.create ~m:0 ~w:0 ~u:4 ~tree () in
@@ -122,6 +181,9 @@ let suite =
       Alcotest.test_case "liveness for small W" `Quick test_liveness_small_w;
       Alcotest.test_case "iterations ~ log(M/W)" `Quick test_iterations_grow_with_m_over_w;
       Alcotest.test_case "report mode" `Quick test_report_mode;
+      Alcotest.test_case "report: terminates within window" `Quick test_terminates_in_window;
+      Alcotest.test_case "report: no termination below M" `Quick test_no_termination_below_m;
+      prop_termination_window;
       Alcotest.test_case "M = 0" `Quick test_zero_m;
       Alcotest.test_case "beats trivial on deep paths" `Quick test_beats_trivial_on_path;
       prop_safety_liveness;

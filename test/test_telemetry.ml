@@ -383,6 +383,58 @@ let test_epoch_events_per_rotation () =
           Md.submit_join p ~parent:(Workload.request_site tree op) ~vote:true ~k:(fun _ -> k ())),
         fun () -> Md.epochs p ))
 
+(* The centralized stack records each request once, by the layer that
+   answers the caller: one permit span per answer, carrying the outcome the
+   caller got; request and move counters equal to the controller's own; one
+   reject wave; a clock that never runs backwards and an aid per request
+   across stages and epochs. Every run exhausts, W = 0 through the trivial
+   endgame, and its last request, answered after exhaustion, goes
+   unvalidated: it names a node that never existed. *)
+let test_centralized_stack_records_each_answer () =
+  let module C = Controller in
+  let check name ~w make =
+    let sink = Telemetry.Sink.create () in
+    let tree = Workload.Shape.build (Rng.create ~seed:31) (Workload.Shape.Random 40) in
+    let request, moves = make sink tree ~m:60 ~w in
+    let wl = Workload.make ~seed:32 ~mix:Workload.Mix.churn () in
+    let answer op = C.Types.outcome_name (request op) in
+    let answers = List.init 200 (fun _ -> answer (Workload.next_op wl tree)) in
+    let answers = answers @ [ answer (Workload.Add_internal 1_000_000) ] in
+    let events = Telemetry.Sink.events sink in
+    let spans =
+      List.filter_map
+        (fun e ->
+          match e.E.kind with E.Permit_span { outcome; aid; _ } -> Some (outcome, aid) | _ -> None)
+        events
+    in
+    let label s = Printf.sprintf "%s, W=%d: %s" name w s in
+    Alcotest.(check (list string)) (label "one span per answer") answers (List.map fst spans);
+    Alcotest.(check int) (label "distinct aids") 201
+      (List.length (List.sort_uniq compare (List.map snd spans)));
+    Alcotest.(check bool) (label "times non-decreasing") true
+      (snd
+         (List.fold_left
+            (fun (prev, ok) e -> (e.E.time, ok && prev <= e.E.time))
+            (min_int, true) events));
+    let snap = M.snapshot (Telemetry.Sink.metrics sink) in
+    Alcotest.(check int) (label "ctrl_requests_total") 201 (find_counter snap "ctrl_requests_total");
+    Alcotest.(check int) (label "ctrl_moves_total") (moves ()) (find_counter snap "ctrl_moves_total");
+    Alcotest.(check int) (label "ctrl_reject_waves_total") 1
+      (find_counter snap "ctrl_reject_waves_total");
+    Alcotest.(check int) (label "one Reject_wave event") 1
+      (List.length
+         (List.filter (fun e -> match e.E.kind with E.Reject_wave _ -> true | _ -> false) events))
+  in
+  List.iter
+    (fun w ->
+      check "iterated" ~w (fun sink tree ~m ~w ->
+          let c = C.Iterated.create ~telemetry:sink ~m ~w ~u:(Dtree.size tree + 200) ~tree () in
+          (C.Iterated.request c, fun () -> C.Iterated.moves c));
+      check "adaptive" ~w (fun sink tree ~m ~w ->
+          let c = C.Adaptive.create ~telemetry:sink ~m ~w ~tree () in
+          (C.Adaptive.request c, fun () -> C.Adaptive.moves c)))
+    [ 0; 10 ]
+
 let test_messages_by_tag_sorted () =
   let tree = Dtree.create () in
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
@@ -416,4 +468,6 @@ let suite =
         test_forwarded_delivery_recorded;
       Alcotest.test_case "messages_by_tag sorted" `Quick test_messages_by_tag_sorted;
       Alcotest.test_case "one Epoch event per rotation" `Quick test_epoch_events_per_rotation;
+      Alcotest.test_case "centralized stack: one record per answer" `Quick
+        test_centralized_stack_records_each_answer;
     ] )
