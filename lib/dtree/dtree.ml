@@ -34,6 +34,7 @@ type t = {
   mutable created : int;  (* nodes ever created: the paper's U *)
   mutable live_count : int;
   mutable changes : int;
+  mutable reshapes : int;  (* changes that can move a live node's depth *)
   mutable port_counter : int;
 }
 
@@ -73,6 +74,8 @@ let alloc t =
     if t.reuse_ids && t.free_head <> nil then begin
       let v = t.free_head in
       t.free_head <- t.next_sibling.(v);
+      (* the id now names another node, at another depth *)
+      t.reshapes <- t.reshapes + 1;
       v
     end
     else begin
@@ -125,6 +128,7 @@ let create ?(reuse_ids = false) () =
       created = 0;
       live_count = 0;
       changes = 0;
+      reshapes = 0;
       port_counter = 0;
     }
   in
@@ -216,6 +220,7 @@ let add_internal t ~above =
   t.next_sibling.(above) <- nil;
   t.port.(above) <- fresh_port t;
   t.changes <- t.changes + 1;
+  t.reshapes <- t.reshapes + 1;
   u
   [@@dynlint.zero_alloc]
 
@@ -248,7 +253,8 @@ let remove_internal t v =
   t.first_child.(v) <- nil;
   free_slot t v;
   t.live_count <- t.live_count - 1;
-  t.changes <- t.changes + 1
+  t.changes <- t.changes + 1;
+  t.reshapes <- t.reshapes + 1
   [@@dynlint.zero_alloc]
 
 let parent t v =
@@ -296,6 +302,7 @@ let child_degree t v =
 let size t = t.live_count [@@dynlint.zero_alloc]
 let ever_created t = t.created [@@dynlint.zero_alloc]
 let change_count t = t.changes [@@dynlint.zero_alloc]
+let reshape_count t = t.reshapes [@@dynlint.zero_alloc]
 
 let depth t v =
   check_live "depth" t v;
@@ -395,13 +402,19 @@ let internal_nodes t =
    has an unvisited next sibling. O(1) memory and no per-step allocation,
    so a degenerate million-node path traverses without touching the OCaml
    stack -- the seed representation's recursive version overflowed there.
-   [f] must not change the topology. *)
-let fold_subtree t v0 ~init ~f =
+   Each node is handed to [f env acc v d] with its depth [d] below [v0],
+   counted along the way. [env] carries what a visitor would otherwise
+   capture, so the callers below pass closed functions and build no
+   closure per walk. [f] must not change the topology. *)
+let fold_subtree t v0 ~env ~init ~f =
   let acc = ref init in
-  let cur = ref v0 and stop = ref false in
+  let cur = ref v0 and d = ref 0 and stop = ref false in
   while not !stop do
-    acc := f !acc !cur;
-    if t.first_child.(!cur) <> nil then cur := t.first_child.(!cur)
+    acc := f env !acc !cur !d;
+    if t.first_child.(!cur) <> nil then begin
+      cur := t.first_child.(!cur);
+      incr d
+    end
     else if !cur = v0 then stop := true
     else begin
       let w = ref !cur in
@@ -412,7 +425,10 @@ let fold_subtree t v0 ~init ~f =
           cur := t.next_sibling.(!w);
           moved := true
         end
-        else w := t.parent.(!w)
+        else begin
+          w := t.parent.(!w);
+          decr d
+        end
       done
     end
   done;
@@ -421,10 +437,16 @@ let fold_subtree t v0 ~init ~f =
 
 let subtree_size t v =
   check_live "subtree_size" t v;
-  fold_subtree t v ~init:0 ~f:(fun n _ -> n + 1)
+  fold_subtree t v ~env:() ~init:0 ~f:(fun () n _ _ -> n + 1)
   [@@dynlint.zero_alloc]
 
-let fold_dfs t ~init ~f = fold_subtree t 0 ~init ~f [@@dynlint.zero_alloc]
+let fold_dfs t ~init ~f =
+  fold_subtree t 0 ~env:f ~init ~f:(fun f acc v _ -> f acc v)
+  [@@dynlint.zero_alloc]
+
+let fold_dfs_depth t ~init ~f =
+  fold_subtree t 0 ~env:f ~init ~f:(fun f acc v d -> f acc v d)
+  [@@dynlint.zero_alloc]
 
 let port_to_parent t v =
   if v = 0 then invalid_arg "Dtree.port_to_parent: the root has no parent";

@@ -15,9 +15,14 @@
     degenerate path of 10^6+ nodes is fine where a recursive
     representation overflows the stack.
 
-    All operations run in time O(1) except [remove_internal] which is
-    O(number of adopted children), matching the cost the paper itself charges
-    for moving a deleted node's state to its parent. *)
+    The four topological changes run in amortized time O(1) (the columns
+    double when full) except [remove_internal], which is O(number of
+    adopted children), matching the cost the paper itself charges for
+    moving a deleted node's state to its parent. The queries are not all
+    O(1): depth and ancestor queries climb to the root (O(depth)), the
+    preorder walks cost O(size of the subtree walked), and the arena scans
+    ([iter_nodes], [live_nodes], [leaves], [internal_nodes]) cost O(ids
+    ever allocated). *)
 
 type node = int
 (** Stable node identifier. The root of a fresh tree is node [0]. A node's
@@ -95,6 +100,13 @@ val ever_created : t -> int
 val change_count : t -> int
 (** Number of topological changes applied so far. *)
 
+val reshape_count : t -> int
+(** Number of changes so far that can move a live node's depth or give a
+    dead node's id to a new node: every [add_internal] and
+    [remove_internal], and every id recycled by a [~reuse_ids:true] tree.
+    Adding or removing a leaf never moves a live node's depth, so depths
+    remembered by id stay exact for as long as this count stands still. *)
+
 val depth : t -> node -> int
 (** Hop distance to the root. O(depth). *)
 
@@ -112,14 +124,20 @@ val is_ancestor : t -> anc:node -> desc:node -> bool
 val lowest_common_ancestor : t -> node -> node -> node
 
 val subtree_size : t -> node -> int
-(** Number of live nodes in the subtree rooted at [v], including [v]. *)
+(** Number of live nodes in the subtree rooted at [v], including [v].
+    O(that number). *)
 
 val fold_dfs : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 (** Depth-first (preorder) fold over live nodes, children in the order
-    reported by [children]. *)
+    reported by [children]. O(size), with no per-node allocation. *)
+
+val fold_dfs_depth : t -> init:'a -> f:('a -> node -> int -> 'a) -> 'a
+(** [fold_dfs] that also hands [f] each node's depth. The depths come from
+    the walk itself, so every live node's depth costs O(size) in total,
+    where calling [depth] per node costs the sum of all depths. *)
 
 val iter_nodes : t -> f:(node -> unit) -> unit
-(** Iterate over all live nodes in unspecified order. *)
+(** Iterate over all live nodes in increasing id order. *)
 
 val live_nodes : t -> node list
 

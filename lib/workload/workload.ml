@@ -200,10 +200,25 @@ type t = {
          rebuilding a list of boxed floats on every draw *)
   deep_bias : bool;
   within : Dtree.node option;
-  mutable cache : Dtree.node array;  (* stale sample of live nodes *)
+  mutable cache : int array;
+      (* stale snapshot of the live nodes in id order, one packed slot per
+         node (see [id_bits]) *)
   mutable cache_len : int;  (* live prefix of [cache]; the rest is garbage *)
   mutable cache_stamp : int;  (* tree change count at last refresh *)
+  mutable depth_stamp : int;
+      (* [Dtree.reshape_count] when the snapshot's depths were filled, -1
+         until then: the slots' depths are exact while the two agree *)
 }
+
+(* A snapshot slot holds a node id in its low [id_bits] bits and, once
+   [fill_depths] has run, the node's depth above them. Ids and depths are
+   both below 2^31 (a tree that large would not fit in memory), and
+   packing costs no heap, where a parallel depth array would add a word
+   per slot to the peak. *)
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+let slot_id s = s land id_mask
+let slot_depth s = s lsr id_bits
 
 let make ?(seed = 0xC0FFEE) ?(deep_bias = false) ?within ~mix () =
   let kind_cum =
@@ -235,6 +250,7 @@ let make ?(seed = 0xC0FFEE) ?(deep_bias = false) ?within ~mix () =
     cache = [||];
     cache_len = 0;
     cache_stamp = -1;
+    depth_stamp = -1;
   }
 
 let in_hotspot w tree v =
@@ -246,7 +262,8 @@ let refresh_cache w tree =
   (* refill in place straight from the live-node iterator: no intermediate
      list, and no fresh array either — the fallback path below refreshes on
      every witness-starved request, and reallocating the snapshot each time
-     was the dominant allocation of those runs. The capacity only grows. *)
+     was the dominant allocation of those runs. The capacity only grows.
+     [iter_nodes] goes in id order, so the snapshot is sorted by id. *)
   let n = Dtree.size tree in
   if n > Array.length w.cache then
     w.cache <- Array.make (max n (2 * Array.length w.cache)) (Dtree.root tree);
@@ -256,7 +273,57 @@ let refresh_cache w tree =
       a.(!i) <- v;
       incr i);
   w.cache_len <- n;
-  w.cache_stamp <- Dtree.change_count tree
+  w.cache_stamp <- Dtree.change_count tree;
+  w.depth_stamp <- -1
+
+(* The index of [v]'s slot in the id-sorted snapshot, or -1. *)
+let find_slot w v =
+  let lo = ref 0 and hi = ref (w.cache_len - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let id = slot_id w.cache.(mid) in
+    if id = v then found := mid else if id < v then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+(* Write every snapshot node's depth into its slot: one preorder walk of
+   the tree and a binary search per node. *)
+let fill_depths w tree =
+  Dtree.fold_dfs_depth tree ~init:() ~f:(fun () v d ->
+      let i = find_slot w v in
+      if i >= 0 then w.cache.(i) <- v lor (d lsl id_bits));
+  w.depth_stamp <- Dtree.reshape_count tree
+
+let sample w = w.cache.(Rng.int w.rng w.cache_len)
+
+(* The deeper of two sampled slots; a dead sample loses and a tie keeps
+   [a]. [memo]: the slots' depths are exact, so no walk to the root. *)
+let deeper tree ~memo a b =
+  let ia = slot_id a and ib = slot_id b in
+  if not (Dtree.live tree ib) then a
+  else if not (Dtree.live tree ia) then b
+  else
+    let da = if memo then slot_depth a else Dtree.depth tree ia
+    and db = if memo then slot_depth b else Dtree.depth tree ib in
+    if db > da then b else a
+
+let candidate w tree =
+  let v = sample w in
+  if w.deep_bias then begin
+    (* Take the deepest of three samples: an adversary that lengthens
+       walks to the root. The op stream depends on drawing v, v2, v3 in
+       this order. *)
+    let v2 = sample w and v3 = sample w in
+    let memo = w.depth_stamp = Dtree.reshape_count tree in
+    slot_id (deeper tree ~memo (deeper tree ~memo v v2) v3)
+  end
+  else slot_id v
+
+let rec attempt w tree ~pred n =
+  if n = 0 then None
+  else
+    let v = candidate w tree in
+    if Dtree.live tree v && pred v then Some v else attempt w tree ~pred (n - 1)
 
 (* Sample a live node satisfying [pred]. Samples come from a cached snapshot
    of the live set (refreshed when the tree has drifted), each candidate
@@ -268,30 +335,9 @@ let pick_target w tree ~pred =
     || Dtree.change_count tree - w.cache_stamp > max 16 (w.cache_len / 4)
   in
   if stale then refresh_cache w tree;
-  let sample () = w.cache.(Rng.int w.rng w.cache_len) in
-  let candidate () =
-    let v = sample () in
-    if w.deep_bias then begin
-      (* Take the deepest of three samples: an adversary that lengthens
-         walks to the root. *)
-      let v2 = sample () and v3 = sample () in
-      let best a b =
-        if not (Dtree.live tree b) then a
-        else if not (Dtree.live tree a) then b
-        else if Dtree.depth tree b > Dtree.depth tree a then b
-        else a
-      in
-      best (best v v2) v3
-    end
-    else v
-  in
-  let rec attempt n =
-    if n = 0 then None
-    else
-      let v = candidate () in
-      if Dtree.live tree v && pred v then Some v else attempt (n - 1)
-  in
-  match attempt 40 with
+  (* before the first sample, so every draw reads filled slots *)
+  if w.deep_bias && w.depth_stamp < 0 then fill_depths w tree;
+  match attempt w tree ~pred 40 with
   | Some v -> Some v
   | None ->
       (* Scan the fresh cache in place: when witnesses are rare every
@@ -301,14 +347,14 @@ let pick_target w tree ~pred =
       refresh_cache w tree;
       let matches = ref 0 in
       for i = 0 to w.cache_len - 1 do
-        if pred w.cache.(i) then incr matches
+        if pred (slot_id w.cache.(i)) then incr matches
       done;
       if !matches = 0 then None
       else begin
         let k = ref (Rng.int w.rng !matches) in
         let found = ref (-1) in
         for i = 0 to w.cache_len - 1 do
-          let v = w.cache.(i) in
+          let v = slot_id w.cache.(i) in
           if !found < 0 && pred v then if !k = 0 then found := v else decr k
         done;
         Some !found
@@ -417,7 +463,10 @@ module Trace = struct
     | [ "path"; n ] -> Shape.Path (int_of_string n)
     | [ "star"; n ] -> Shape.Star (int_of_string n)
     | [ "random"; n ] -> Shape.Random (int_of_string n)
-    | [ "balanced"; b; n ] -> Shape.Balanced (int_of_string b, int_of_string n)
+    | [ "balanced"; b; n ] ->
+        let b = int_of_string b in
+        if b < 1 then failwith s;
+        Shape.Balanced (b, int_of_string n)
     | [ "caterpillar"; n ] -> Shape.Caterpillar (int_of_string n)
     | _ -> failwith s
 

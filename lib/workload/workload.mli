@@ -89,11 +89,24 @@ type t
 (** A workload generator: deterministic given its seed. *)
 
 val make : ?seed:int -> ?deep_bias:bool -> ?within:Dtree.node -> mix:Mix.t -> unit -> t
-(** [deep_bias] biases target selection towards deep nodes (an adversary that
-    maximizes walk lengths). [within] confines every target to the subtree of
-    the given node while it is live (a hotspot adversary that concentrates
-    all traffic in one region); targeting falls back to the whole tree if the
-    hotspot has been deleted. *)
+(** Targets are sampled uniformly from the generator's snapshot of the live
+    set, which is refreshed once the tree has drifted by max 16 (n/4)
+    changes; a generator is meant for one tree.
+
+    [deep_bias] biases target selection towards deep nodes (an adversary
+    that lengthens walks to the root): each sample is the deepest live node
+    of three uniform snapshot samples, and a tie keeps the earlier sample
+    (if none of the three is live, the sample is discarded). A sample costs
+    O(1) while only leaves come and go, because the first deep-bias draw
+    after a refresh memoizes every snapshot node's depth in one
+    O(n log n) pass. After an internal insertion or removal, or an id
+    recycled by a [~reuse_ids:true] tree ({!Dtree.reshape_count}), each
+    sample costs O(depth) until the next refresh.
+
+    [within] confines every target to the subtree of the given node while it
+    is live (a hotspot adversary that concentrates all traffic in one
+    region); targeting falls back to the whole tree if the hotspot has been
+    deleted. *)
 
 val next_op : t -> Dtree.t -> op
 (** Draw the next request against the current tree. Always returns a valid

@@ -60,6 +60,20 @@ let compare_trees step t r =
         (Printf.sprintf "step %d: is_leaf %d" step v)
         (R.is_leaf r v) (Dtree.is_leaf t v))
     live_r;
+  (* the depth-reporting walk: the same preorder as [fold_dfs], every live
+     node once, each with the reference's depth *)
+  let walked =
+    Dtree.fold_dfs_depth t ~init:[] ~f:(fun acc v d ->
+        check_int (Printf.sprintf "step %d: walked depth %d" step v) (R.depth r v) d;
+        v :: acc)
+  in
+  Alcotest.(check (list int))
+    (Printf.sprintf "step %d: walk order" step)
+    (Dtree.fold_dfs t ~init:[] ~f:(fun acc v -> v :: acc))
+    walked;
+  Alcotest.(check (list int))
+    (Printf.sprintf "step %d: walk visits the live set" step)
+    live_r (sorted walked);
   R.check r;
   Dtree.check t
 
@@ -80,27 +94,41 @@ let replay ~seed ~steps =
   let r = R.create () in
   for step = 1 to steps do
     let v = pick_live rng r in
-    (match Rng.int rng 4 with
-    | 0 ->
-        let a = Dtree.add_leaf t ~parent:v in
-        let b = R.add_leaf r ~parent:v in
-        check_int (Printf.sprintf "step %d: fresh leaf id" step) b a
-    | 1 ->
-        if v <> R.root r && R.is_leaf r v then begin
-          Dtree.remove_leaf t v;
-          R.remove_leaf r v
-        end
-    | 2 ->
-        if v <> R.root r then begin
-          let a = Dtree.add_internal t ~above:v in
-          let b = R.add_internal r ~above:v in
-          check_int (Printf.sprintf "step %d: fresh internal id" step) b a
-        end
-    | _ ->
-        if v <> R.root r && not (R.is_leaf r v) then begin
-          Dtree.remove_internal t v;
-          R.remove_internal r v
-        end);
+    let reshapes = Dtree.reshape_count t in
+    (* whether the change can move a depth: internal ones only *)
+    let reshaped =
+      match Rng.int rng 4 with
+      | 0 ->
+          let a = Dtree.add_leaf t ~parent:v in
+          let b = R.add_leaf r ~parent:v in
+          check_int (Printf.sprintf "step %d: fresh leaf id" step) b a;
+          false
+      | 1 ->
+          if v <> R.root r && R.is_leaf r v then begin
+            Dtree.remove_leaf t v;
+            R.remove_leaf r v
+          end;
+          false
+      | 2 ->
+          if v <> R.root r then begin
+            let a = Dtree.add_internal t ~above:v in
+            let b = R.add_internal r ~above:v in
+            check_int (Printf.sprintf "step %d: fresh internal id" step) b a;
+            true
+          end
+          else false
+      | _ ->
+          if v <> R.root r && not (R.is_leaf r v) then begin
+            Dtree.remove_internal t v;
+            R.remove_internal r v;
+            true
+          end
+          else false
+    in
+    check_int
+      (Printf.sprintf "step %d: reshape count" step)
+      (if reshaped then reshapes + 1 else reshapes)
+      (Dtree.reshape_count t);
     if step mod 64 = 0 then begin
       compare_trees step t r;
       compare_lcas rng step t r
@@ -139,12 +167,15 @@ let test_reuse_lifo () =
   Dtree.remove_leaf t 8;
   check_int "size dropped" 8 (Dtree.size t);
   check_bool "freed id is dead" false (Dtree.live t 8);
+  check_int "leaf changes leave the reshape count" 0 (Dtree.reshape_count t);
   let a = Dtree.add_leaf t ~parent:(Dtree.root t) in
+  check_int "a recycled id moves the reshape count" 1 (Dtree.reshape_count t);
   let b = Dtree.add_leaf t ~parent:1 in
   let c = Dtree.add_internal t ~above:b in
   check_int "most recently freed first" 8 a;
   check_int "then the next" 9 b;
   check_int "internal insertion recycles too" 10 c;
+  check_int "a recycled internal insertion counts as both" 4 (Dtree.reshape_count t);
   check_bool "recycled id live again" true (Dtree.live t 8);
   check_int "no slot growth past the peak" 11 (Dtree.size t);
   (* logical creations keep counting through recycling *)
@@ -153,6 +184,7 @@ let test_reuse_lifo () =
   (* exhausting the free list falls back to bump allocation *)
   let d = Dtree.add_leaf t ~parent:(Dtree.root t) in
   check_int "bump allocation resumes" 11 d;
+  check_int "a fresh id leaves the reshape count" 4 (Dtree.reshape_count t);
   Dtree.check t
 
 let test_reuse_differential () =

@@ -75,6 +75,8 @@ let test_malformed () =
       ("dynnet-trace 1\nseed x\nshape path 3\n", {|Trace: line 2: bad seed line: "seed x"|});
       ("dynnet-trace 2\nseed 1\nshape path 3\n", {|Trace: line 1: bad magic: "dynnet-trace 2"|});
       ("dynnet-trace 1\nseed 1\nshape path x\n", {|Trace: line 3: bad shape line: "shape path x"|});
+      ( "dynnet-trace 1\nseed 1\nshape balanced 0 5\n",
+        {|Trace: line 3: bad shape line: "shape balanced 0 5"|} );
       ( "dynnet-trace 1\nseed 1\nshape path 3\nadd-leaf 0\n\nadd-leaf zz\n",
         {|Trace: line 6: bad op line: "add-leaf zz"|} );
     ]

@@ -126,6 +126,84 @@ let test_hotspot_targeting () =
     Workload.apply t op
   done
 
+(* Golden deep-bias op streams. A deep-bias draw may get cheaper but must
+   not change: these digests pin every op (and so every RNG draw behind
+   it). Each stream spans many snapshot refreshes (one per max 16 (n/4)
+   changes); all but the grow-only one put internal inserts and removals
+   between refreshes. *)
+let digest s = Digest.to_hex (Digest.string s)
+
+let deep_bias_goldens =
+  Workload.
+    [
+      ("grow-only path", Shape.Path 64, Mix.grow_only, "831cdec954239feaa9b25655370dd075");
+      ( "churn caterpillar",
+        Shape.Caterpillar 80,
+        Mix.churn,
+        "e15b0bacfa44062595eb5af3e02f40e1" );
+      ( "shrink-heavy random",
+        Shape.Random 200,
+        Mix.shrink_heavy,
+        "e1965ebbd5dda48425eaf256766a9aa6" );
+      ( "mixed-events balanced",
+        Shape.Balanced (3, 120),
+        Mix.mixed_events,
+        "b234e1be05c7d1b50dacd6214dff5dce" );
+    ]
+
+let test_deep_bias_goldens () =
+  List.iter
+    (fun (name, shape, mix, expected) ->
+      let trace =
+        Workload.Trace.capture ~seed:11 ~deep_bias:true ~shape ~mix ~steps:400 ()
+      in
+      Alcotest.(check string) name expected (digest (Workload.Trace.to_string trace)))
+    deep_bias_goldens
+
+(* The same on a tree that recycles ids, driven by [next_op]/[apply]: a
+   snapshot slot can name a node that died and came back elsewhere. The
+   mix is mostly leaf changes, so that recycled ids, not internal changes,
+   are often the only thing between a refresh and a draw. *)
+let test_deep_bias_reuse_golden () =
+  let t = Dtree.create ~reuse_ids:true () in
+  let tip = ref (Dtree.root t) in
+  for i = 1 to 60 do
+    let v = Dtree.add_leaf t ~parent:!tip in
+    if i mod 2 = 0 then tip := v
+  done;
+  let mix =
+    {
+      Workload.Mix.add_leaf = 0.5;
+      remove_leaf = 0.4;
+      add_internal = 0.05;
+      remove_internal = 0.05;
+      non_topological = 0.0;
+    }
+  in
+  let w = Workload.make ~seed:12 ~deep_bias:true ~mix () in
+  let seen = Hashtbl.create 64 and recycled = ref 0 and internal = ref 0 in
+  let note v =
+    if Hashtbl.mem seen v then incr recycled else Hashtbl.replace seen v ()
+  in
+  Dtree.iter_nodes t ~f:note;
+  let buf = Buffer.create 4096 in
+  for _ = 1 to 400 do
+    let op = Workload.next_op w t in
+    Buffer.add_string buf (Format.asprintf "%a\n" Workload.pp_op op);
+    match Workload.apply_info t op with
+    | Workload.Leaf_added { leaf; _ } -> note leaf
+    | Workload.Internal_added { fresh; _ } ->
+        incr internal;
+        note fresh
+    | _ -> ()
+  done;
+  Dtree.check t;
+  Alcotest.(check bool) "ids were recycled" true (!recycled > 0);
+  Alcotest.(check bool) "internal nodes were inserted" true (!internal > 0);
+  Alcotest.(check string)
+    "leaf churn on a recycling tree" "83f80c81ce6e8f536923fe9635196abb"
+    (digest (Buffer.contents buf))
+
 let prop_valid_ops =
   Helpers.qcheck ~count:40 "every generated op is valid for every mix"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 3))
@@ -157,5 +235,8 @@ let suite =
       Alcotest.test_case "touched sets" `Quick test_touched;
       Alcotest.test_case "conflict avoidance" `Quick test_avoiding;
       Alcotest.test_case "hotspot targeting" `Quick test_hotspot_targeting;
+      Alcotest.test_case "deep-bias golden streams" `Quick test_deep_bias_goldens;
+      Alcotest.test_case "deep-bias golden stream, recycled ids" `Quick
+        test_deep_bias_reuse_golden;
       prop_valid_ops;
     ] )

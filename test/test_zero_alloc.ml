@@ -79,11 +79,13 @@ let test_dtree () =
         ignore (Dtree.depth t leaf);
         ignore (Dtree.is_ancestor t ~anc:root ~desc:leaf);
         ignore (Dtree.size t);
+        ignore (Dtree.reshape_count t);
         ignore (Dtree.port_to_parent t leaf)
       done);
   check_zero "Dtree subtree fold" (fun () ->
       for _ = 1 to 100 do
         ignore (Dtree.fold_dfs t ~init:0 ~f:(fun n _ -> n + 1));
+        ignore (Dtree.fold_dfs_depth t ~init:0 ~f:(fun n _ d -> n + d));
         ignore (Dtree.subtree_size t !deep);
         ignore (Dtree.any_leaf t)
       done);
