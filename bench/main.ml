@@ -131,6 +131,58 @@ let outcome_json scheduler o =
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
+(* One experiment's committed figures. *)
+type baseline_entry = {
+  b_scheduler : string;
+  b_counters : (string * int) list;  (* the deterministic ones, by field *)
+  b_wall_s : float;
+  b_alloc : int;
+}
+
+let counter_fields = [ "messages"; "moves"; "bits"; "rows" ]
+
+(* The baseline is an outside input: read and check all of it before any
+   experiment runs, so that a bad file exits 2 at once with
+   [bench: FILE: reason]. *)
+let read_baseline path =
+  let bad fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "bench: %s: %s@." path msg;
+        exit 2)
+      fmt
+  in
+  let open Telemetry.Json in
+  let entry (name, e) =
+    let field f =
+      match e with
+      | Obj fields -> Option.value ~default:Null (List.assoc_opt f fields)
+      | _ -> bad "%s: not an object" name
+    in
+    let int f = match field f with Int i -> i | _ -> bad "%s: %s is not an integer" name f in
+    ( name,
+      {
+        b_scheduler =
+          (match field "scheduler" with
+          | String s -> s
+          | _ -> bad "%s: scheduler is not a string" name);
+        b_counters = List.map (fun f -> (f, int f)) counter_fields;
+        b_wall_s =
+          (match field "wall_s" with
+          | Float f -> f
+          | Int i -> float_of_int i
+          | _ -> bad "%s: wall_s is not a number" name);
+        b_alloc = int "alloc_bytes";
+      } )
+  in
+  match of_string (read_file path) with
+  | Obj entries -> List.map entry entries
+  | _ -> bad "not a JSON object"
+  | exception Sys_error msg ->
+      Format.eprintf "bench: %s@." msg;
+      exit 2
+  | exception Failure msg -> bad "%s" msg
+
 (* Compare the run's outcomes against a committed baseline. The simulation
    counters (messages/moves/bits/rows) are deterministic given the seeds
    baked into the experiments, so ANY drift is a failure; wall clock and
@@ -138,9 +190,7 @@ let read_file path = In_channel.with_open_text path In_channel.input_all
    (plus a small absolute slack to de-noise sub-second rows). Peak heap is
    reported in the JSON but not gated: in a multi-domain run it depends on
    scheduling. Exits nonzero on the first kind of violation. *)
-let compare_baseline ~scheduler ~wall_tol ~alloc_tol baseline_path outcomes =
-  let open Telemetry.Json in
-  let baseline = of_string (read_file baseline_path) in
+let compare_baseline ~scheduler ~wall_tol ~alloc_tol (baseline_path, baseline) outcomes =
   let failures = ref 0 in
   let fail fmt =
     incr failures;
@@ -148,41 +198,30 @@ let compare_baseline ~scheduler ~wall_tol ~alloc_tol baseline_path outcomes =
   in
   List.iter
     (fun o ->
-      match member o.name baseline with
-      | Null -> Format.printf "note: %s has no baseline entry, skipped@." o.name
-      | entry ->
-          let base_scheduler = to_str (member "scheduler" entry) in
-          if base_scheduler <> scheduler then
+      match List.assoc_opt o.name baseline with
+      | None -> Format.printf "note: %s has no baseline entry, skipped@." o.name
+      | Some b ->
+          if b.b_scheduler <> scheduler then
             fail "%s: baseline recorded under scheduler %s, this run used %s"
-              o.name base_scheduler scheduler
+              o.name b.b_scheduler scheduler
           else begin
-            let exact field current =
-              let b = to_int (member field entry) in
-              if b <> current then
-                fail "%s: %s drifted from baseline %d to %d (deterministic counter)"
-                  o.name field b current
-            in
-            exact "messages" o.tally.Experiments.Results.messages;
-            exact "moves" o.tally.Experiments.Results.moves;
-            exact "bits" o.tally.Experiments.Results.bits;
-            exact "rows" o.tally.Experiments.Results.rows;
-            let base_wall =
-              match member "wall_s" entry with
-              | Float f -> f
-              | Int i -> float_of_int i
-              | _ -> failwith "baseline wall_s: not a number"
-            in
-            if o.wall_s > (base_wall *. wall_tol) +. 0.25 then
+            let t = o.tally in
+            List.iter2
+              (fun (field, base) current ->
+                if base <> current then
+                  fail "%s: %s drifted from baseline %d to %d (deterministic counter)"
+                    o.name field base current)
+              b.b_counters
+              Experiments.Results.[ t.messages; t.moves; t.bits; t.rows ];
+            if o.wall_s > (b.b_wall_s *. wall_tol) +. 0.25 then
               fail "%s: wall %.3fs regressed past %.1fx baseline %.3fs" o.name
-                o.wall_s wall_tol base_wall;
-            let base_alloc = to_int (member "alloc_bytes" entry) in
+                o.wall_s wall_tol b.b_wall_s;
             let allowed =
-              int_of_float (float_of_int base_alloc *. alloc_tol) + (1 lsl 20)
+              int_of_float (float_of_int b.b_alloc *. alloc_tol) + (1 lsl 20)
             in
-            if o.tally.Experiments.Results.alloc_bytes > allowed then
+            if t.Experiments.Results.alloc_bytes > allowed then
               fail "%s: allocation %d bytes regressed past %.2fx baseline %d"
-                o.name o.tally.Experiments.Results.alloc_bytes alloc_tol
-                base_alloc
+                o.name t.Experiments.Results.alloc_bytes alloc_tol b.b_alloc
           end)
     outcomes;
   if !failures > 0 then begin
@@ -205,7 +244,10 @@ let () =
     go [] args
   in
   let json_file, args = strip_valued "--json" args in
-  let compare_file, args = strip_valued "--compare" args in
+  let baseline, args =
+    let path, args = strip_valued "--compare" args in
+    (Option.map (fun p -> (p, read_baseline p)) path, args)
+  in
   let trace_file, args = strip_valued "--trace-out" args in
   (* -e NAME, repeatable: an explicit experiment selector (equivalent to the
      bare positional form, for callers that prefer flagged arguments) *)
@@ -313,8 +355,6 @@ let () =
       Telemetry.Export.write_file path
         (to_string (Obj (List.map (outcome_json discipline) outcomes)) ^ "\n");
       Format.printf "json results -> %s@." path);
-  (match compare_file with
-  | None -> ()
-  | Some path ->
-      compare_baseline ~scheduler:discipline ~wall_tol ~alloc_tol path outcomes);
+  Option.iter (fun b -> compare_baseline ~scheduler:discipline ~wall_tol ~alloc_tol b outcomes)
+    baseline;
   Format.printf "@."

@@ -76,10 +76,23 @@ let scheduler_arg =
            ~doc:"message delivery discipline: fifo_link|random_delay|adversarial_lifo[:W]|bursty[:P] \
                  (default fifo_link, overridable via $(b,SIMNET_SCHEDULER))")
 
-let n0_arg = Arg.(value & opt int 128 & info [ "n0" ] ~doc:"initial network size")
+(* A count outside its range is a usage error that names the value, never
+   an exception from deep inside a controller. *)
+let int_from lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= lo -> Ok k
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a %s integer" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let non_negative = int_from 0 "non-negative"
+let positive = int_from 1 "positive"
+
+let n0_arg = Arg.(value & opt positive 128 & info [ "n0" ] ~doc:"initial network size")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
-let budget_arg = Arg.(value & opt int 512 & info [ "budget"; "m" ] ~doc:"permit budget M")
-let waste_arg = Arg.(value & opt int 64 & info [ "waste"; "w" ] ~doc:"waste bound W")
+let budget_arg = Arg.(value & opt non_negative 512 & info [ "budget"; "m" ] ~doc:"permit budget M")
+let waste_arg = Arg.(value & opt non_negative 64 & info [ "waste"; "w" ] ~doc:"waste bound W")
 
 (* ------------------------------------------------------------------ *)
 (* telemetry plumbing                                                  *)
@@ -108,14 +121,6 @@ let jobs_arg =
                  order and are identical to a sequential run")
 
 let seeds_arg =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok k
-      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(value & opt positive 1
        & info [ "seeds" ] ~docv:"K"
            ~doc:"run the scenario for $(docv) consecutive seeds starting at \
@@ -251,37 +256,44 @@ let run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
 
 let run_main verbose (kind_s, kind) (shape_s, shape) (mix_s, mix) n0 requests m w seed
     seeds jobs scheduler metrics_out trace_out perfetto_out =
-  setup_logs verbose;
-  Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
-    kind_s shape_s mix_s n0 requests m w (n0 + requests);
-  (* Each seed is an independent simulation with its own tree, network and
-     sink, rendered into its own buffer — so the seeds fan out over the pool
-     and the combined output is identical to a sequential run. *)
-  let run_seed sd =
-    let buf = Buffer.create 512 in
-    let ppf = Format.formatter_of_buffer buf in
-    let per_seed =
-      Option.map (fun p -> if seeds = 1 then p else Printf.sprintf "%s.%d" p sd)
+  if kind_s = "aaps" && mix_s <> "grow" then begin
+    (* the bin hierarchy is keyed by exact depths: leaf insertions only *)
+    Format.eprintf "ctrl_sim: --controller aaps supports --mix grow only@.";
+    Cmd.Exit.cli_error
+  end
+  else begin
+    setup_logs verbose;
+    Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
+      kind_s shape_s mix_s n0 requests m w (n0 + requests);
+    (* Each seed is an independent simulation with its own tree, network and
+       sink, rendered into its own buffer — so the seeds fan out over the pool
+       and the combined output is identical to a sequential run. *)
+    let run_seed sd =
+      let buf = Buffer.create 512 in
+      let ppf = Format.formatter_of_buffer buf in
+      let per_seed =
+        Option.map (fun p -> if seeds = 1 then p else Printf.sprintf "%s.%d" p sd)
+      in
+      let trace_out = per_seed trace_out in
+      let perfetto_out = per_seed perfetto_out in
+      let registry =
+        with_sink ~metrics_out ~trace_out ?perfetto_out ppf (fun sink ->
+            run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink
+              ~seed:sd)
+      in
+      Format.pp_print_flush ppf ();
+      (sd, Buffer.contents buf, registry)
     in
-    let trace_out = per_seed trace_out in
-    let perfetto_out = per_seed perfetto_out in
-    let registry =
-      with_sink ~metrics_out ~trace_out ?perfetto_out ppf (fun sink ->
-          run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink
-            ~seed:sd)
-    in
-    Format.pp_print_flush ppf ();
-    (sd, Buffer.contents buf, registry)
-  in
-  match Pool.map ~jobs:(effective_jobs jobs) run_seed (List.init seeds (fun i -> seed + i)) with
-  | exception Sys_error msg -> file_error "%s" msg
-  | outcomes ->
-      List.iter
-        (fun (sd, text, _) ->
-          if seeds > 1 then Format.printf "--- seed %d ---@." sd;
-          Format.printf "%s" text)
-        outcomes;
-      dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes)
+    match Pool.map ~jobs:(effective_jobs jobs) run_seed (List.init seeds (fun i -> seed + i)) with
+    | exception Sys_error msg -> file_error "%s" msg
+    | outcomes ->
+        List.iter
+          (fun (sd, text, _) ->
+            if seeds > 1 then Format.printf "--- seed %d ---@." sd;
+            Format.printf "%s" text)
+          outcomes;
+        dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes)
+  end
 
 let run_cmd =
   let kind =
@@ -300,7 +312,9 @@ let run_cmd =
          & info [ "controller" ]
              ~doc:"central|iterated|adaptive|trivial|aaps|dist|dist-adaptive")
   in
-  let requests = Arg.(value & opt int 1000 & info [ "requests" ] ~doc:"number of requests") in
+  let requests =
+    Arg.(value & opt non_negative 1000 & info [ "requests" ] ~doc:"number of requests")
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"run an (M,W)-controller on a generated scenario")
     Term.(const run_main $ verbose_arg $ kind $ shape_arg $ mix_arg $ n0_arg $ requests
@@ -339,12 +353,22 @@ let size_est_main (_, shape) (_, mix) n0 changes beta seed scheduler metrics_out
         (Stats.pretty_int (Net.messages net))
         (Stats.pretty_int (Estimator.Size_estimation.overhead_messages se)))
 
+let changes_arg =
+  Arg.(value & opt non_negative 500 & info [ "changes" ] ~doc:"topological changes")
+
 let size_est_cmd =
-  let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
-  let beta = Arg.(value & opt float 2.0 & info [ "beta" ] ~doc:"approximation factor") in
+  let beta =
+    let parse s =
+      match float_of_string_opt s with
+      | Some b when Float.is_finite b && b > 1.0 -> Ok b
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a finite number above 1" s))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_float)) 2.0
+         & info [ "beta" ] ~doc:"approximation factor")
+  in
   Cmd.v
     (Cmd.info "size-est" ~doc:"run the Theorem 5.1 size-estimation protocol")
-    Term.(const size_est_main $ shape_arg $ mix_arg $ n0_arg $ changes $ beta $ seed_arg
+    Term.(const size_est_main $ shape_arg $ mix_arg $ n0_arg $ changes_arg $ beta $ seed_arg
           $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
 
 let names_main (_, shape) (_, mix) n0 changes seed scheduler metrics_out trace_out
@@ -366,10 +390,9 @@ let names_main (_, shape) (_, mix) n0 changes seed scheduler metrics_out trace_o
         (Stats.pretty_int (Estimator.Name_assignment.overhead_messages na)))
 
 let names_cmd =
-  let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
   Cmd.v
     (Cmd.info "names" ~doc:"run the Theorem 5.2 name-assignment protocol")
-    Term.(const names_main $ shape_arg $ mix_arg $ n0_arg $ changes $ seed_arg
+    Term.(const names_main $ shape_arg $ mix_arg $ n0_arg $ changes_arg $ seed_arg
           $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -377,12 +400,14 @@ let names_cmd =
 
 let trace_capture_main (shape_s, shape) (_, mix) n0 steps seed out =
   let t = Workload.Trace.capture ~seed ~shape:(shape_of ~n:n0 shape) ~mix ~steps () in
-  Workload.Trace.save t out;
-  Format.printf "captured %d ops over %s into %s@." steps shape_s out;
-  0
+  match Workload.Trace.save t out with
+  | exception Sys_error msg -> file_error "%s" msg
+  | () ->
+      Format.printf "captured %d ops over %s into %s@." steps shape_s out;
+      0
 
 let trace_capture_cmd =
-  let steps = Arg.(value & opt int 500 & info [ "steps" ] ~doc:"ops to capture") in
+  let steps = Arg.(value & opt non_negative 500 & info [ "steps" ] ~doc:"ops to capture") in
   let out = Arg.(required & opt (some string) None & info [ "out" ] ~doc:"output file") in
   Cmd.v
     (Cmd.info "capture" ~doc:"record a scenario trace")

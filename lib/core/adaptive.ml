@@ -68,11 +68,8 @@ let rotate t =
   (match t.telemetry with
   | None -> ()
   | Some s ->
-      Telemetry.Sink.event s ~time:(Central.clock s)
-        (Telemetry.Event.Epoch
-           { ctrl = "adaptive"; epoch = t.epochs; n = Dtree.size t.tree });
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
+      Central.record_epoch s ~time:(Central.clock s) ~ctrl:"adaptive" ~epoch:t.epochs
+        ~n:(Dtree.size t.tree));
   t.inner <- new_inner t leftover
 
 (* Rotation follows a grant only, so it never follows exhaustion. *)

@@ -129,11 +129,15 @@ let check_domains t =
 
 let with_tracker t f = match t.tracker with None -> () | Some tr -> f tr
 
-let record_wave sink tree =
-  Telemetry.Sink.event sink ~time:(clock sink)
-    (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root tree });
+let record_wave sink ~time ~ctrl ~node =
+  Telemetry.Sink.event sink ~time (Telemetry.Event.Reject_wave { ctrl; node });
   Telemetry.Metrics.inc
     (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "ctrl_reject_waves_total")
+
+let record_epoch sink ~time ~ctrl ~epoch ~n =
+  Telemetry.Sink.event sink ~time (Telemetry.Event.Epoch { ctrl; epoch; n });
+  Telemetry.Metrics.inc
+    (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "ctrl_epochs_total")
 
 (* Broadcast the reject wave: one reject package per live node, delivered by
    splitting along tree edges — one move per node (Lemma 3.3 charges at most
@@ -146,7 +150,9 @@ let reject_wave t =
           t.params.Params.m (leftover t) (Dtree.size t.tree));
     Dtree.iter_nodes t.tree ~f:(fun v -> Store.set_rejecting (store t v));
     t.moves <- t.moves + Dtree.size t.tree;
-    Option.iter (fun s -> record_wave s t.tree) t.telemetry
+    match t.telemetry with
+    | None -> ()
+    | Some s -> record_wave s ~time:(clock s) ~ctrl:"central" ~node:(Dtree.root t.tree)
   end
 
 (* Apply a granted topological change. A deleted node first moves its

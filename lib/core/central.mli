@@ -101,10 +101,12 @@ val check_domains : t -> (unit, string) result
 (** Check the Section 3.2 domain invariants.
     @raise Invalid_argument unless created with [track_domains:true]. *)
 
-(** {2 Telemetry of the centralized stack}
+(** {2 Telemetry of the controller stacks}
 
-    {!Central}, {!Iterated} and {!Adaptive} share these, so that a request
-    is recorded once, by the layer that answers the caller. *)
+    {!Central}, {!Iterated} and {!Adaptive} share {!answer} and {!clock},
+    so that a request is recorded once, by the layer that answers the
+    caller. Both stacks, distributed included, record reject waves and
+    epoch rotations through {!record_wave} and {!record_epoch}. *)
 
 val answer :
   Telemetry.Sink.t ->
@@ -125,6 +127,10 @@ val clock : Telemetry.Sink.t -> int
 (** The time of the request being answered: its root trace id plus one.
     For a fresh sink that no network shares, the running request count. *)
 
-val record_wave : Telemetry.Sink.t -> Dtree.t -> unit
-(** Record the start of the reject wave: a [Reject_wave] event at the root
+val record_wave : Telemetry.Sink.t -> time:int -> ctrl:string -> node:Dtree.node -> unit
+(** Record the start of a reject wave from [node]: a [Reject_wave] event
     and the [ctrl_reject_waves_total] counter. *)
+
+val record_epoch : Telemetry.Sink.t -> time:int -> ctrl:string -> epoch:int -> n:int -> unit
+(** Record an epoch rotation: an [Epoch] event and the [ctrl_epochs_total]
+    counter. *)

@@ -1,5 +1,4 @@
 type config = {
-  auto_apply : bool;
   exhaustion : [ `Wave | `Hold ];
   name : string;
   on_permits_down : node:Dtree.node -> size:int -> unit;
@@ -7,7 +6,6 @@ type config = {
 
 let default_config =
   {
-    auto_apply = true;
     exhaustion = `Wave;
     name = "ctrl";
     on_permits_down = (fun ~node:_ ~size:_ -> ());
@@ -76,7 +74,9 @@ type wb = {
 (* The per-hop continuations ([k_up] .. [k_release]) are allocated once at
    agent creation and reused for every hop of the walk: an agent has at
    most one message in flight, so the one closure per direction suffices —
-   the per-send closure allocation the hot path used to pay is gone.
+   the per-send closure allocation the hot path used to pay is gone. Of
+   the two exhaustion walks only the controller's mode's is made ([k_reject]
+   under [`Wave], [k_release] under [`Hold]); the other stays [ignore].
    [pending_from] carries the climb origin from [climb_up] to [k_up]. *)
 and agent = {
   aid : int;
@@ -218,9 +218,9 @@ let start_wave t r =
     Central.Log.debug (fun m ->
         m "[%s] distributed reject wave from node %d: granted %d of M=%d"
           t.config.name r t.granted t.params.Params.m);
-    emit t (Telemetry.Event.Reject_wave { ctrl = t.config.name; node = r });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc (Telemetry.Metrics.counter m "ctrl_reject_waves_total"));
+    (match Net.sink t.net with
+    | None -> ()
+    | Some s -> Central.record_wave s ~time:(Net.now t.net) ~ctrl:t.config.name ~node:r);
     let b = wb t r in
     b.reject <- true;
     touch_mem t r;
@@ -280,60 +280,63 @@ let note_applied t info =
               ~bits:(reject_bits t) t.k_flood)
           children
 
-(* Blocked changes poll this every 2 ticks, so a blocked poll allocates
-   nothing. *)
-let try_apply ?partner t op =
-  let ready =
-    can_apply t op
-    && match partner with None -> true | Some p -> can_apply p op
-  in
-  if not ready then None
+let ready ?partner t op =
+  can_apply t op && match partner with None -> true | Some p -> can_apply p op
+
+let commit ?partner t op =
+  let info = Workload.apply_info (tree t) op in
+  (match info with
+  | Workload.Leaf_removed { node; parent } | Workload.Internal_removed { node; parent; _ } ->
+      Net.node_deleted t.net node ~parent
+  | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ -> ());
+  note_applied t info;
+  (match partner with None -> () | Some p -> note_applied p info);
+  info
+
+(* The first attempt allocates nothing; a blocked change makes one [retry]
+   closure, which polls every 2 ticks and counts as outstanding until the
+   change applies. *)
+let apply ?partner t op ~k =
+  if ready ?partner t op then k (commit ?partner t op)
   else begin
-    let info = Workload.apply_info (tree t) op in
-    (match info with
-    | Workload.Leaf_removed { node; parent }
-    | Workload.Internal_removed { node; parent; _ } ->
-        Net.node_deleted t.net node ~parent
-    | Workload.Leaf_added _ | Workload.Internal_added _ | Workload.Event_occurred _ ->
-        ());
-    note_applied t info;
-    (match partner with None -> () | Some p -> note_applied p info);
-    Some info
+    t.outstanding <- t.outstanding + 1;
+    let rec retry () =
+      if ready ?partner t op then begin
+        t.outstanding <- t.outstanding - 1;
+        k (commit ?partner t op)
+      end
+      else Net.schedule t.net ~delay:2 retry
+    in
+    Net.schedule t.net ~delay:2 retry
   end
 
 (* ------------------------------------------------------------------ *)
 (* The request agent                                                   *)
+
+let record_answer net ~ctrl ~node ~aid ~submitted outcome =
+  match Net.sink net with
+  | None -> ()
+  | Some s ->
+      let now = Net.now net in
+      let outcome_s = Types.outcome_name outcome in
+      Telemetry.Sink.event s ~time:now
+        (Telemetry.Event.Permit_span
+           { ctrl; node; aid; outcome = outcome_s; submitted; latency = now - submitted });
+      let m = Telemetry.Sink.metrics s in
+      Telemetry.Metrics.inc
+        (Telemetry.Metrics.counter m
+           ~labels:[ ("ctrl", ctrl); ("outcome", outcome_s) ]
+           "ctrl_requests_total");
+      Telemetry.Metrics.observe
+        (Telemetry.Metrics.histogram m ~labels:[ ("ctrl", ctrl) ] "permit_latency_time")
+        (now - submitted)
 
 let finish t a outcome =
   t.outstanding <- t.outstanding - 1;
   (match outcome with
   | Types.Rejected -> t.rejected <- t.rejected + 1
   | Types.Granted | Types.Exhausted -> ());
-  (match Net.sink t.net with
-  | None -> ()
-  | Some s ->
-      let now = Net.now t.net in
-      let outcome_s = Types.outcome_name outcome in
-      Telemetry.Sink.event s ~time:now
-        (Telemetry.Event.Permit_span
-           {
-             ctrl = t.config.name;
-             node = a.origin;
-             aid = a.aid;
-             outcome = outcome_s;
-             submitted = a.t0;
-             latency = now - a.t0;
-           });
-      let m = Telemetry.Sink.metrics s in
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter m
-           ~labels:[ ("ctrl", t.config.name); ("outcome", outcome_s) ]
-           "ctrl_requests_total");
-      Telemetry.Metrics.observe
-        (Telemetry.Metrics.histogram m
-           ~labels:[ ("ctrl", t.config.name) ]
-           "permit_latency_time")
-        (now - a.t0));
+  record_answer t.net ~ctrl:t.config.name ~node:a.origin ~aid:a.aid ~submitted:a.t0 outcome;
   a.k outcome
 
 (* Unlock [v] and, FIFO, resume waiting agents (local computation takes
@@ -500,19 +503,13 @@ and release_walk t a ~at =
     Net.send_to t.net ~src:at ~dst:next ~tag:(tag t Agent_release)
       ~bits:(agent_bits t) a.k_release
 
-(* Under [auto_apply], a granted change waits until it applies. One
-   [attempt] closure serves every retry of the op: a blocked change polls
-   every 2 ticks, and a fresh closure per poll was the dominant allocation
-   on lock-heavy shapes (deep paths). *)
+(* In [`Wave] mode a granted change is answered once it applied; in
+   [`Hold] mode applying it is the caller's part. *)
 and conclude_grant t a =
-  if t.config.auto_apply && Workload.is_topological a.op then
-    let rec attempt () =
-      match try_apply t a.op with
-      | Some _ -> finish t a Types.Granted
-      | None -> Net.schedule t.net ~delay:2 attempt
-    in
-    attempt ()
-  else finish t a Types.Granted
+  match t.config.exhaustion with
+  | `Wave when Workload.is_topological a.op ->
+      apply t a.op ~k:(fun _ -> finish t a Types.Granted)
+  | `Wave | `Hold -> finish t a Types.Granted
 
 (* Wire up the agent's reusable per-direction continuations (one closure
    each for the whole walk; see the [agent] type comment). *)
@@ -550,14 +547,17 @@ let init_agent_ks t a =
     (fun x ->
       a.distance <- a.distance - 1;
       unlock_walk t a ~at:x);
-  a.k_reject <-
-    (fun x ->
-      a.distance <- a.distance - 1;
-      reject_walk t a ~at:x ~locked_by_me:true);
-  a.k_release <-
-    (fun x ->
-      a.distance <- a.distance - 1;
-      release_walk t a ~at:x)
+  match t.config.exhaustion with
+  | `Wave ->
+      a.k_reject <-
+        (fun x ->
+          a.distance <- a.distance - 1;
+          reject_walk t a ~at:x ~locked_by_me:true)
+  | `Hold ->
+      a.k_release <-
+        (fun x ->
+          a.distance <- a.distance - 1;
+          release_walk t a ~at:x)
 
 let create ?(config = default_config) ~params ~net () =
   let tag_ids =
@@ -636,12 +636,6 @@ let leftover t =
         (fun k c -> mob := !mob + (c * Params.mobile_size t.params k))
         b.mobiles;
       acc + b.static + !mob)
-
-let reset_whiteboards t =
-  if t.outstanding > 0 then
-    invalid_arg "Dist.reset_whiteboards: requests outstanding";
-  Array.fill t.wbs 0 (Array.length t.wbs) t.blank;
-  Dtree.size (tree t)
 
 let max_wb_bits t = t.wb_bits_max
 

@@ -12,27 +12,29 @@
     intermediate node and delivers a reject.
 
     When the root cannot pay for a package, the behaviour depends on the
-    exhaustion mode:
+    exhaustion mode, which also says who applies a granted topological
+    change:
     - [`Wave] (the controller with a reject wave): a reject agent floods a
-      reject package to every node;
+      reject package to every node, and the controller applies each
+      granted change itself before answering;
     - [`Hold] (used to build terminating controllers, Observation 2.1): the
       requesting agent releases its locks and the request is reported
-      [Exhausted] — unanswered, for the orchestrating layer to queue.
+      [Exhausted] — unanswered, for the orchestrating layer to queue — and
+      the caller applies each granted change with {!apply} (needed when one
+      topological request must obtain permits from two controllers at
+      once, Appendix A).
 
     Granted topological changes are applied "gracefully" once no lock
     conflicts remain: a deleted node's packages (and its whiteboard) are
     absorbed by its parent, in-flight messages are rerouted by {!Net}'s
     parent-resolution, and reject packages are re-flooded to adopted
-    children ({!try_apply}). With [auto_apply] (default) the controller
-    applies the change itself; otherwise the caller does (needed when one
-    topological request must obtain permits from two controllers at once,
-    Appendix A). *)
+    children ({!apply}). *)
 
 type t
 
 type config = {
-  auto_apply : bool;  (** apply granted topological ops internally *)
   exhaustion : [ `Wave | `Hold ];
+      (** what exhaustion does, and who applies a granted change (above) *)
   name : string;  (** message-tag prefix, to separate paired controllers *)
   on_permits_down : node:Dtree.node -> size:int -> unit;
       (** fires whenever [size] permits enter [node] moving {e down} the
@@ -41,14 +43,12 @@ type config = {
 }
 
 val default_config : config
+(** [`Wave], named ["ctrl"], no permit observer. *)
 
 val create : ?config:config -> params:Params.t -> net:Net.t -> unit -> t
 (** The tree is [Net.tree net]. Telemetry rides the network's sink
-    ([Net.sink]): each request records a [Permit_span] event at its answer
-    (submit-to-answer latency in simulated time, also observed by the
-    [permit_latency_time{ctrl}] histogram and the
-    [ctrl_requests_total{ctrl,outcome}] counter), and the package life cycle
-    records [Package_created] / [Package_split] (plus
+    ([Net.sink]): each answer is recorded by {!record_answer}, and the
+    package life cycle records [Package_created] / [Package_split] (plus
     [pkg_splits_total{level}]) / [Package_static] / [Package_join] /
     [Reject_wave] events tagged with the controller's [config.name]. *)
 
@@ -86,7 +86,7 @@ val tags : t -> string list
 val submit : t -> Workload.op -> k:(Types.outcome -> unit) -> unit
 (** Inject a request at its arrival site (asynchronously; drive the net to
     progress). [k] fires exactly once: [Granted] after the permit was
-    delivered {e and} (under [auto_apply]) the event occurred; [Rejected]
+    delivered {e and} (in [`Wave] mode) the event occurred; [Rejected]
     after a reject was delivered; [Exhausted] only in [`Hold] mode. *)
 
 val granted : t -> int
@@ -97,21 +97,29 @@ val storage : t -> int
 val leftover : t -> int
 (** Permits not granted: root storage plus all whiteboard contents. *)
 
-val try_apply : ?partner:t -> t -> Workload.op -> Workload.applied option
-(** One step of the graceful application of a granted topological change.
-    If no lock of [t] (nor of [partner], Appendix A's second controller
-    over the same tree) conflicts with [op] right now, apply it to the
-    shared tree, report a deletion to the network
-    ({!Net.node_deleted}), absorb a deleted node's whiteboard into its
-    parent's, re-flood reject packages to adopted children, and return the
-    change; otherwise [None], and the caller retries later. [auto_apply]
-    runs this step itself; with [auto_apply = false] the caller does. *)
+val apply : ?partner:t -> t -> Workload.op -> k:(Workload.applied -> unit) -> unit
+(** The graceful application of a granted change. Once no lock of [t]
+    (nor of [partner], Appendix A's second controller over the same tree)
+    conflicts with [op], apply it to the shared tree, report a deletion to
+    the network ({!Net.node_deleted}), absorb a deleted node's whiteboard
+    into its parent's, re-flood reject packages to adopted children, and
+    pass the change to [k]. The first attempt is immediate and allocates
+    nothing; a blocked change retries every 2 ticks and counts in
+    [outstanding t] until it applies. [`Wave] mode runs this step itself;
+    in [`Hold] mode the caller does. *)
 
-val reset_whiteboards : t -> int
-(** Clear every whiteboard (packages return to conceptual storage) and
-    return the number of nodes visited — the broadcast cost charged by
-    epoch-based wrappers. Outstanding requests must be drained first.
-    @raise Invalid_argument if requests are outstanding. *)
+val record_answer :
+  Net.t ->
+  ctrl:string ->
+  node:Dtree.node ->
+  aid:int ->
+  submitted:int ->
+  Types.outcome ->
+  unit
+(** Record one answer on the network's sink, if any: a [Permit_span] event
+    from [submitted] to now, one [ctrl_requests_total{ctrl,outcome}]
+    increment and one [permit_latency_time{ctrl}] sample. The layer that
+    answers the caller records its answers through this. *)
 
 val wb_bits : t -> Dtree.node -> int
 (** Current whiteboard size in bits under the paper's encoding

@@ -17,7 +17,13 @@
     fresh pair starts with [U_{i+1} = 2 N_{i+1}]. Requests caught by the
     rotation are re-submitted to the new epoch internally. When the {e main}
     controller exhausts, the budget is globally spent to within [W]: a reject
-    wave is flooded and every subsequent request is rejected. *)
+    wave is flooded and every subsequent request is rejected.
+
+    Telemetry rides the network's sink. This layer answers the caller, so
+    it records each answer through {!Dist.record_answer} under
+    ["dist-adaptive"], and its reject wave and epoch rotations through
+    {!Central.record_wave} and {!Central.record_epoch}; the main and
+    counter controllers record their own answers under their names. *)
 
 type t
 

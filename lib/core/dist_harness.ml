@@ -62,14 +62,14 @@ let run_on ?(seed = 0xD1CE) ?concurrency ~net ~mix ~requests ~submit () =
   Net.run net;
   (!granted, !rejected, !unanswered)
 
-let run ?(seed = 0xD1CE) ?(max_delay = 8) ?(concurrency = 8) ?config ?scheduler ?sink
+let run ?(seed = 0xD1CE) ?(max_delay = 8) ?(concurrency = 8) ?scheduler ?sink
     ~shape ~mix ~m ~w ~requests () =
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng shape in
   let u = Dtree.size tree + requests in
   let net = Net.create ~seed:(seed + 1) ~max_delay ?scheduler ?sink ~tree () in
   let params = Params.make ~m ~w:(max 1 w) ~u in
-  let d = Dist.create ?config ~params ~net () in
+  let d = Dist.create ~params ~net () in
   let granted, rejected, unanswered =
     run_on ~seed ~concurrency ~net ~mix ~requests ~submit:(Dist.submit d) ()
   in

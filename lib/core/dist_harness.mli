@@ -45,7 +45,6 @@ val run :
   ?seed:int ->
   ?max_delay:int ->
   ?concurrency:int ->
-  ?config:Dist.config ->
   ?scheduler:Scheduler.discipline ->
   ?sink:Telemetry.Sink.t ->
   shape:Workload.Shape.t ->

@@ -89,7 +89,11 @@ module Make (B : BASE) = struct
     if not t.wave_charged then begin
       t.wave_charged <- true;
       t.done_moves <- t.done_moves + Dtree.size t.tree;
-      Option.iter (fun s -> Central.record_wave s t.tree) t.telemetry
+      match t.telemetry with
+      | None -> ()
+      | Some s ->
+          Central.record_wave s ~time:(Central.clock s) ~ctrl:"central"
+            ~node:(Dtree.root t.tree)
     end
 
   let rec serve t op =

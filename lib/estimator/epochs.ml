@@ -74,7 +74,6 @@ module Dist = struct
     mutable size : int;
     mutable epochs : int;
     mutable rotating : bool;
-    mutable applying : int;  (* granted, not yet applied *)
     mutable overhead : int;
     held : request Queue.t;
   }
@@ -91,12 +90,7 @@ module Dist = struct
          Some
            (Dist.create
               ~config:
-                {
-                  Dist.auto_apply = false;
-                  exhaustion = `Hold;
-                  name = t.name;
-                  on_permits_down = t.on_permits_down;
-                }
+                { Dist.exhaustion = `Hold; name = t.name; on_permits_down = t.on_permits_down }
               ~params:(Params.make ~m ~w ~u) ~net:t.net ()))
 
   let create ?(on_permits_down = fun ~node:_ ~size:_ -> ()) ~name ~budget ~boundary ~net () =
@@ -111,22 +105,12 @@ module Dist = struct
         size = 0;
         epochs = 0;
         rotating = false;
-        applying = 0;
         overhead = 0;
         held = Queue.create ();
       }
     in
     start t;
     t
-
-  (* The granting controller applies the change: a rotation waits for every
-     grant to be applied, so it is still the current one. *)
-  let rec apply t ctrl r =
-    match Dist.try_apply ctrl r.op with
-    | Some _ as applied ->
-        t.applying <- t.applying - 1;
-        r.k applied
-    | None -> Net.schedule t.net ~delay:2 (fun () -> apply t ctrl r)
 
   let rec route t r =
     match t.ctrl with
@@ -137,8 +121,9 @@ module Dist = struct
         Dist.submit ctrl r.op ~k:(fun outcome ->
             match outcome with
             | Types.Granted ->
-                t.applying <- t.applying + 1;
-                apply t ctrl r
+                (* the granting controller applies the change; its pending
+                   application holds the rotation back *)
+                Dist.apply ctrl r.op ~k:(fun change -> r.k (Some change))
             | Types.Exhausted ->
                 (* the epoch's controller has terminated. Park the
                    request first: the rotation completes synchronously
@@ -152,7 +137,7 @@ module Dist = struct
 
   and await_drain t =
     match t.ctrl with
-    | Some ctrl when Dist.outstanding ctrl > 0 || t.applying > 0 ->
+    | Some ctrl when Dist.outstanding ctrl > 0 ->
         Net.schedule t.net ~delay:2 (fun () -> await_drain t)
     | Some _ | None -> rotate t
 
@@ -161,11 +146,8 @@ module Dist = struct
     (match Net.sink t.net with
     | None -> ()
     | Some s ->
-        let n = Dtree.size (tree t) in
-        Telemetry.Sink.event s ~time:(Net.now t.net)
-          (Telemetry.Event.Epoch { ctrl = t.name; epoch = t.epochs; n });
-        Telemetry.Metrics.inc
-          (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
+        Controller.Central.record_epoch s ~time:(Net.now t.net) ~ctrl:t.name ~epoch:t.epochs
+          ~n:(Dtree.size (tree t)));
     start t;
     t.rotating <- false;
     let parked = Queue.create () in

@@ -46,11 +46,12 @@ module Central : sig
 end
 
 (** Over the message-passing simulator: {!Controller.Dist} in [`Hold] mode,
-    applying granted changes itself ([auto_apply = false]). A request that
-    finds the epoch exhausted is parked; the engine waits until the
-    controller has no request outstanding and no grant left to apply,
-    rotates, and re-routes the parked requests. Each rotation records an
-    [Epoch] event and bumps [ctrl_epochs_total] on the network's sink. *)
+    whose granted changes the engine applies with {!Controller.Dist.apply}.
+    A request that finds the epoch exhausted is parked; the engine waits
+    until the controller has nothing outstanding (a granted change still
+    waiting to apply counts), rotates, and re-routes the parked requests.
+    Each rotation is recorded by {!Controller.Central.record_epoch} on the
+    network's sink. *)
 module Dist : sig
   type t
 

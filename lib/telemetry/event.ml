@@ -46,7 +46,6 @@ type kind =
       top_heap_words : int;
       wall_ns : int;
     }
-  | Custom of { name : string; value : int }
 
 type t = { time : int; ctx : ctx; kind : kind }
 
@@ -101,8 +100,6 @@ let to_json { time; ctx; kind } =
           ("alloc_bytes", Int alloc_bytes); ("minor", Int minor);
           ("major", Int major); ("top_heap_words", Int top_heap_words);
           ("wall_ns", Int wall_ns) ]
-    | Custom { name; value } ->
-        [ ("ev", String "custom"); ("name", String name); ("value", Int value) ]
   in
   (* Causality fields only appear on events that carry a context, so traces
      from un-instrumented layers (and pre-causality traces) stay compact and
@@ -183,7 +180,6 @@ let of_json j =
             top_heap_words = int "top_heap_words";
             wall_ns = int "wall_ns";
           }
-    | "custom" -> Custom { name = str "name"; value = int "value" }
     | s -> failwith ("Event.of_json: unknown event kind " ^ s)
   in
   { time; ctx; kind }

@@ -3,8 +3,7 @@
     One constructor per instrumented behaviour of the stack: network sends
     and deliveries, permit-request spans (submit → grant/reject latency in
     simulated time), package life-cycle by level, domain-tracker changes,
-    controller epoch rotations, and estimator updates. [Custom] carries
-    anything else without extending the type.
+    controller epoch rotations, and estimator updates.
 
     Events serialize to single-line JSON (see {!to_json} / {!of_json}) and
     round-trip exactly; JSONL traces written by {!Sink.write_jsonl} are
@@ -80,7 +79,6 @@ type kind =
     }
       (** one {!Profile} phase total: GC/alloc deltas attributed to a named
           stretch of work (see {!Profile.run}) *)
-  | Custom of { name : string; value : int }
 
 type t = { time : int; ctx : ctx; kind : kind }
 

@@ -59,7 +59,6 @@ let histogram t ?(labels = []) name =
 let inc c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let set g v = g.g <- v
-let max_gauge g v = if v > g.g then g.g <- v
 let counter_value c = c.c
 let gauge_value g = g.g
 
@@ -87,7 +86,9 @@ let merge ~into src =
     (fun (name, labels) i ->
       match i with
       | C c -> add (counter into ~labels name) c.c
-      | G g -> max_gauge (gauge into ~labels name) g.g
+      | G g ->
+          let d = gauge into ~labels name in
+          if g.g > d.g then d.g <- g.g
       | H h ->
           let d = histogram into ~labels name in
           Array.iteri (fun k n -> d.buckets.(k) <- d.buckets.(k) + n) h.buckets;

@@ -52,9 +52,6 @@ val inc : counter -> unit
 val add : counter -> int -> unit
 
 val set : gauge -> int -> unit
-val max_gauge : gauge -> int -> unit
-(** [set] to the given value if it exceeds the current one (high-water
-    marks). *)
 
 val observe : histogram -> int -> unit
 

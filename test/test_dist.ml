@@ -60,16 +60,72 @@ let test_safety_liveness_under_exhaustion () =
     true
     (stats.Dist_harness.granted >= m - w)
 
+(* A [`Hold] controller never rejects: an exhausted request goes
+   unanswered, and applying each granted change is the caller's part. *)
 let test_hold_mode () =
-  let config = { Dist.default_config with exhaustion = `Hold } in
-  let m = 50 in
-  let stats =
-    Dist_harness.run ~seed:67 ~concurrency:6 ~config ~shape:(Workload.Shape.Random 60)
-      ~mix:Workload.Mix.churn ~m ~w:10 ~requests:200 ()
+  let m = 50 and requests = 200 in
+  let tree = Workload.Shape.build (Rng.create ~seed:67) (Workload.Shape.Random 60) in
+  let net = Net.create ~seed:68 ~max_delay:8 ~tree () in
+  let d =
+    Dist.create
+      ~config:{ Dist.default_config with exhaustion = `Hold }
+      ~params:(Params.make ~m ~w:10 ~u:(60 + requests))
+      ~net ()
   in
-  Alcotest.(check int) "never rejects" 0 stats.Dist_harness.rejected;
-  Alcotest.(check bool) "some unanswered" true (stats.Dist_harness.unanswered > 0);
-  Alcotest.(check bool) "safety" true (stats.Dist_harness.granted <= m)
+  let submit op ~k =
+    Dist.submit d op ~k:(function
+      | Types.Granted -> Dist.apply d op ~k:(fun _ -> k Types.Granted)
+      | outcome -> k outcome)
+  in
+  let g, r, u =
+    Dist_harness.run_on ~seed:67 ~concurrency:6 ~net ~mix:Workload.Mix.churn ~requests
+      ~submit ()
+  in
+  Alcotest.(check int) "never rejects" 0 r;
+  Alcotest.(check bool) "some unanswered" true (u > 0);
+  Alcotest.(check int) "all answered" requests (g + r + u);
+  Alcotest.(check bool) "safety" true (g <= m);
+  Dtree.check tree;
+  Alcotest.(check int) "no locks left" 0 (Dist.locked_count d)
+
+(* A [`Hold] grant whose removal another agent's lock blocks (Appendix A's
+   second controller over the same tree): the pending application keeps
+   the granting controller outstanding until it applies, exactly once, and
+   its continuation sees the change. *)
+let test_blocked_apply_stays_outstanding () =
+  let tree = Workload.Shape.build (Rng.create ~seed:5) (Workload.Shape.Path 6) in
+  let net = Net.create ~seed:6 ~tree () in
+  let hold name =
+    Dist.create
+      ~config:{ Dist.default_config with exhaustion = `Hold; name }
+      ~params:(Params.make ~m:100 ~w:10 ~u:20)
+      ~net ()
+  in
+  let d = hold "main" and other = hold "other" in
+  let leaf = Dtree.any_leaf tree in
+  let parent = Option.get (Dtree.parent tree leaf) in
+  let op = Workload.Remove_leaf leaf in
+  let answer = ref None in
+  Dist.submit d op ~k:(fun o -> answer := Some o);
+  Net.run net;
+  Alcotest.(check (option Helpers.outcome)) "granted" (Some Types.Granted) !answer;
+  Alcotest.(check bool) "hold mode leaves the change to the caller" true (Dtree.live tree leaf);
+  Dist.submit other (Workload.Non_topological leaf) ~k:ignore;
+  while Dist.locked_count other = 0 && Net.step net do
+    ()
+  done;
+  let changes = ref [] in
+  Dist.apply ~partner:other d op ~k:(fun change -> changes := change :: !changes);
+  Alcotest.(check int) "blocked: nothing applied" 0 (List.length !changes);
+  while !changes = [] && Net.step net do
+    if !changes = [] then Alcotest.(check int) "outstanding while blocked" 1 (Dist.outstanding d)
+  done;
+  Net.run net;
+  Alcotest.(check int) "applied once" 1 (List.length !changes);
+  Alcotest.(check bool) "k sees the removal" true
+    (!changes = [ Workload.Leaf_removed { node = leaf; parent } ]);
+  Alcotest.(check bool) "leaf gone" false (Dtree.live tree leaf);
+  Alcotest.(check int) "nothing outstanding" 0 (Dist.outstanding d)
 
 let test_tree_stays_valid () =
   List.iter
@@ -280,36 +336,6 @@ let test_removal_clears_whiteboard () =
     [ leaf; internal ];
   Alcotest.(check bool) "only live nodes named" true (List.for_all (Dtree.live tree) named)
 
-(* After [reset_whiteboards] every slot is blank, and a fresh round of
-   concurrent requests keeps the locking discipline at every step. *)
-let test_reset_then_requests () =
-  let rng = Rng.create ~seed:77 in
-  let tree = Workload.Shape.build rng (Workload.Shape.Random 80) in
-  let net = Net.create ~seed:78 ~max_delay:4 ~tree () in
-  let params = Params.make ~m:5000 ~w:500 ~u:(80 + 150) in
-  let d = Dist.create ~params ~net () in
-  let g, r, _ =
-    Dist_harness.run_on ~seed:79 ~concurrency:8 ~net ~mix:Workload.Mix.churn
-      ~requests:150 ~submit:(Dist.submit d) ()
-  in
-  Alcotest.(check int) "first round answered" 150 (g + r);
-  Alcotest.(check int) "reset visits every node" (Dtree.size tree) (Dist.reset_whiteboards d);
-  Alcotest.(check int) "whiteboards blank" 0 (List.length (Dist.snapshot d));
-  let leaves = Dtree.leaves tree in
-  let answered = ref 0 in
-  List.iter
-    (fun v -> Dist.submit d (Workload.Non_topological v) ~k:(fun _ -> incr answered))
-    leaves;
-  let steps = ref 0 in
-  while Net.step net do
-    incr steps;
-    match Dist.check_locks d with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "step %d: lock invariant violated: %s" !steps msg
-  done;
-  Alcotest.(check int) "second round answered" (List.length leaves) !answered;
-  Alcotest.(check int) "no locks left" 0 (Dist.locked_count d)
-
 let suite =
   ( "dist",
     [
@@ -319,6 +345,8 @@ let suite =
       Alcotest.test_case "safety/liveness under exhaustion" `Quick
         test_safety_liveness_under_exhaustion;
       Alcotest.test_case "hold mode" `Quick test_hold_mode;
+      Alcotest.test_case "blocked hold-mode apply stays outstanding" `Quick
+        test_blocked_apply_stays_outstanding;
       Alcotest.test_case "tree stays valid under heavy deletion" `Quick test_tree_stays_valid;
       prop_serialized_matches_centralized;
       prop_concurrent_safety_liveness;
@@ -328,6 +356,4 @@ let suite =
       Alcotest.test_case "request far past initial capacity" `Quick test_far_node_id;
       Alcotest.test_case "removal clears the whiteboard slot" `Quick
         test_removal_clears_whiteboard;
-      Alcotest.test_case "reset then requests keeps the locks sound" `Quick
-        test_reset_then_requests;
     ] )

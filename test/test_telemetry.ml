@@ -78,9 +78,8 @@ let test_reregistration_shares_instrument () =
   M.inc (M.counter r "hits");
   M.add (M.counter r "hits") 2;
   Alcotest.(check int) "one shared counter" 3 (M.counter_value (M.counter r "hits"));
-  M.max_gauge (M.gauge r "hw") 5;
-  M.max_gauge (M.gauge r "hw") 3;
-  Alcotest.(check int) "max_gauge keeps high water" 5 (M.gauge_value (M.gauge r "hw"))
+  M.set (M.gauge r "hw") 5;
+  Alcotest.(check int) "one shared gauge" 5 (M.gauge_value (M.gauge r "hw"))
 
 (* ------------------------------------------------------------------ *)
 (* event JSONL round-trip                                              *)
@@ -138,7 +137,8 @@ let sample_events =
            top_heap_words = 98_304;
            wall_ns = 1_500_000;
          });
-    ev max_int (E.Custom { name = "quote\"and\\slash"; value = -3 });
+    ev max_int
+      (E.Estimate { ctrl = "quote\"and\\slash"; node = 0; value = -3; truth = 0 });
   ]
 
 let test_event_roundtrip () =
@@ -207,7 +207,8 @@ let test_channel_sink_multi_flush () =
       let sink = Telemetry.Sink.to_channel oc in
       for i = 1 to n do
         Telemetry.Sink.event sink ~time:i
-          (E.Custom { name = Printf.sprintf "tick\"%d\\n" i; value = i })
+          (E.Estimate
+             { ctrl = Printf.sprintf "tick\"%d\\n" i; node = 0; value = i; truth = 0 })
       done;
       Telemetry.Sink.flush sink;
       close_out oc;
@@ -217,9 +218,9 @@ let test_channel_sink_multi_flush () =
         (fun i e ->
           let i = i + 1 in
           match e.E.kind with
-          | E.Custom { name; value } ->
+          | E.Estimate { ctrl; value; _ } ->
               Alcotest.(check int) "value" i value;
-              Alcotest.(check string) "name" (Printf.sprintf "tick\"%d\\n" i) name
+              Alcotest.(check string) "ctrl" (Printf.sprintf "tick\"%d\\n" i) ctrl
           | _ -> Alcotest.fail "wrong event kind")
         back)
 
@@ -229,7 +230,7 @@ let test_metrics_merge () =
   let feed r base =
     M.add (M.counter r "msgs") (10 + base);
     M.add (M.counter r ~labels:[ ("tag", "up") ] "tagged") base;
-    M.max_gauge (M.gauge r "depth") (3 * base);
+    M.set (M.gauge r "depth") (3 * base);
     List.iter (M.observe (M.histogram r "lat")) [ base; 2 * base; 100 ]
   in
   let a = M.create () and b = M.create () and both = M.create () in
@@ -250,8 +251,8 @@ let test_metrics_merge () =
 let test_streaming_sink_retains_nothing () =
   let seen = ref 0 in
   let sink = Telemetry.Sink.create ~on_event:(fun _ -> incr seen) () in
-  Telemetry.Sink.event sink ~time:1 (E.Custom { name = "x"; value = 1 });
-  Telemetry.Sink.event sink ~time:2 (E.Custom { name = "y"; value = 2 });
+  Telemetry.Sink.event sink ~time:1 (E.Sched { discipline = "x" });
+  Telemetry.Sink.event sink ~time:2 (E.Sched { discipline = "y" });
   Alcotest.(check int) "streamed" 2 !seen;
   Alcotest.(check int) "counted" 2 (Telemetry.Sink.event_count sink);
   Alcotest.(check int) "not retained" 0 (List.length (Telemetry.Sink.events sink))
@@ -435,6 +436,78 @@ let test_centralized_stack_records_each_answer () =
           (C.Adaptive.request c, fun () -> C.Adaptive.moves c)))
     [ 0; 10 ]
 
+(* The distributed stack records each request once too, by the layer that
+   answers the caller: Dist_adaptive records one permit span and one
+   request count per answer under its own name, its reject wave at the
+   root and each epoch, while its main and counter controllers keep
+   recording their own answers. Every run exhausts, W = 0 through the
+   trivial endgame, under the FIFO and the adversarial discipline. *)
+let test_distributed_stack_records_each_answer () =
+  let module C = Controller in
+  let counter snap ~ctrl ?outcome name =
+    List.fold_left
+      (fun acc e ->
+        let has k v = List.assoc_opt k e.M.labels = Some v in
+        match e.M.value with
+        | M.Counter c
+          when e.M.name = name && has "ctrl" ctrl
+               && Option.fold ~none:true ~some:(has "outcome") outcome ->
+            acc + c
+        | _ -> acc)
+      0 snap
+  in
+  let check ~w scheduler =
+    let sink = Telemetry.Sink.create () in
+    let tree = Workload.Shape.build (Rng.create ~seed:41) (Workload.Shape.Random 40) in
+    let net = Net.create ~seed:42 ~scheduler ~sink ~tree () in
+    let da = C.Dist_adaptive.create ~m:60 ~w ~net () in
+    let g, r, u =
+      C.Dist_harness.run_on ~seed:43 ~net ~mix:Workload.Mix.churn ~requests:200
+        ~submit:(C.Dist_adaptive.submit da) ()
+    in
+    let label s = Printf.sprintf "W=%d, %s: %s" w (Scheduler.name scheduler) s in
+    let events = Telemetry.Sink.events sink in
+    let snap = M.snapshot (Telemetry.Sink.metrics sink) in
+    let spans ctrl' =
+      List.filter_map
+        (fun e ->
+          match e.E.kind with
+          | E.Permit_span { ctrl; aid; _ } when ctrl = ctrl' -> Some aid
+          | _ -> None)
+        events
+    in
+    Alcotest.(check bool) (label "exhausts") true (r > 0);
+    Alcotest.(check int) (label "no unanswered") 0 u;
+    List.iter
+      (fun (outcome, n) ->
+        Alcotest.(check int) (label ("ctrl_requests_total " ^ outcome)) n
+          (counter snap ~ctrl:"dist-adaptive" ~outcome "ctrl_requests_total"))
+      [ ("granted", g); ("rejected", r) ];
+    let aids = spans "dist-adaptive" in
+    Alcotest.(check int) (label "one span per answer") (g + r) (List.length aids);
+    Alcotest.(check int) (label "distinct aids") (g + r)
+      (List.length (List.sort_uniq Int.compare aids));
+    Alcotest.(check int) (label "ctrl_reject_waves_total") 1
+      (find_counter snap "ctrl_reject_waves_total");
+    Alcotest.(check (list int)) (label "one reject wave, at the root") [ Dtree.root tree ]
+      (List.filter_map
+         (fun e -> match e.E.kind with E.Reject_wave { node; _ } -> Some node | _ -> None)
+         events);
+    Alcotest.(check int) (label "ctrl_epochs_total") (C.Dist_adaptive.epochs da)
+      (find_counter snap "ctrl_epochs_total");
+    List.iter
+      (fun inner ->
+        let n = counter snap ~ctrl:inner "ctrl_requests_total" in
+        Alcotest.(check bool) (label (inner ^ " answers recorded")) true (n > 0);
+        Alcotest.(check int) (label (inner ^ " spans")) n (List.length (spans inner)))
+      [ "main"; "counter" ]
+  in
+  List.iter
+    (fun w ->
+      List.iter (check ~w)
+        [ Scheduler.Fifo_link; Scheduler.Adversarial_lifo { window = 8 } ])
+    [ 0; 10 ]
+
 let test_messages_by_tag_sorted () =
   let tree = Dtree.create () in
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
@@ -470,4 +543,6 @@ let suite =
       Alcotest.test_case "one Epoch event per rotation" `Quick test_epoch_events_per_rotation;
       Alcotest.test_case "centralized stack: one record per answer" `Quick
         test_centralized_stack_records_each_answer;
+      Alcotest.test_case "distributed stack: one record per answer" `Quick
+        test_distributed_stack_records_each_answer;
     ] )
