@@ -232,71 +232,98 @@ let compare_baseline ~scheduler ~wall_tol ~alloc_tol (baseline_path, baseline) o
 
 (* ------------------------------------------------------------------ *)
 
+(* Bad command-line input: one [bench: ...] line on stderr and exit 2,
+   before any experiment runs. *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "bench: %s@." msg;
+      exit 2)
+    fmt
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* strip "FLAG value" pairs, in any position *)
-  let strip_valued flag args =
-    let rec go acc = function
-      | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
-      | a :: rest -> go (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
+  let json_file = ref None and baseline = ref None and trace_file = ref None in
+  let wall_tol = ref None and alloc_tol = ref None and jobs = ref None in
+  let scheduler = ref None and selected = ref [] and positional = ref [] in
+  (* "FLAG value" pairs, in any position; -e NAME is repeatable, an explicit
+     experiment selector equivalent to the bare positional form *)
+  let valued =
+    let set r v = r := Some v in
+    [
+      ("--json", set json_file);
+      ("--compare", set baseline);
+      ("--trace-out", set trace_file);
+      ("-e", fun v -> selected := v :: !selected);
+      ("--wall-tolerance", set wall_tol);
+      ("--alloc-tolerance", set alloc_tol);
+      ("-j", set jobs);
+      ("--jobs", set jobs);
+      ("--scheduler", set scheduler);
+    ]
   in
-  let json_file, args = strip_valued "--json" args in
-  let baseline, args =
-    let path, args = strip_valued "--compare" args in
-    (Option.map (fun p -> (p, read_baseline p)) path, args)
+  let rec parse = function
+    | [] -> ()
+    | arg :: rest -> (
+        match (List.assoc_opt arg valued, rest) with
+        | Some set, v :: rest ->
+            set v;
+            parse rest
+        | Some _, [] -> usage_error "%s needs a value" arg
+        | None, _ ->
+            positional := arg :: !positional;
+            parse rest)
   in
-  let trace_file, args = strip_valued "--trace-out" args in
-  (* -e NAME, repeatable: an explicit experiment selector (equivalent to the
-     bare positional form, for callers that prefer flagged arguments) *)
-  let selected, args =
-    let rec go acc args =
-      match strip_valued "-e" args with
-      | None, args -> (List.rev acc, args)
-      | Some name, args -> go (name :: acc) args
-    in
-    go [] args
+  parse (List.tl (Array.to_list Sys.argv));
+  (* each name resolved to its experiment, [None] for the micro-benchmarks *)
+  let wanted =
+    match List.rev_append !positional (List.rev !selected) with
+    | [] -> List.map (fun (name, f) -> (name, Some f)) Experiments.all @ [ ("micro", None) ]
+    | names ->
+        List.map
+          (fun name ->
+            match List.assoc_opt name Experiments.all with
+            | Some f -> (name, Some f)
+            | None when name = "micro" -> (name, None)
+            | None -> usage_error "unknown experiment %S (have: e1..e15, micro)" name)
+          names
   in
-  let wall_tol, args = strip_valued "--wall-tolerance" args in
-  let alloc_tol, args = strip_valued "--alloc-tolerance" args in
-  let jobs, args =
-    let j1, args = strip_valued "-j" args in
-    let j2, args = strip_valued "--jobs" args in
-    (( match (if j1 = None then j2 else j1) with
-     | None -> Pool.default_jobs ()
-     | Some v -> (
-         match int_of_string_opt v with
-         | Some n when n >= 1 -> n
-         | _ ->
-             Format.printf "bad -j value %S (want a positive integer)@." v;
-             exit 2) ),
-      args)
+  let jobs =
+    match !jobs with
+    | None -> Pool.default_jobs ()
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some n when n >= 1 -> n
+        | _ -> usage_error "bad -j value %S (want a positive integer)" v)
   in
   let float_opt ~default = function
     | None -> default
     | Some v -> (
         match float_of_string_opt v with
         | Some f when f > 0.0 -> f
-        | _ ->
-            Format.printf "bad tolerance %S (want a positive number)@." v;
-            exit 2)
+        | _ -> usage_error "bad tolerance %S (want a positive number)" v)
   in
-  let wall_tol = float_opt ~default:5.0 wall_tol in
-  let alloc_tol = float_opt ~default:1.5 alloc_tol in
-  let scheduler, args =
-    let s, args = strip_valued "--scheduler" args in
-    ( ( match s with
-      | None -> None
-      | Some name -> (
-          match Scheduler.of_string name with
-          | Ok d -> Some d
-          | Error e ->
-              Format.printf "%s@." e;
-              exit 2) ),
-      args )
+  let wall_tol = float_opt ~default:5.0 !wall_tol in
+  let alloc_tol = float_opt ~default:1.5 !alloc_tol in
+  let scheduler =
+    match !scheduler with
+    | Some name -> (
+        match Scheduler.of_string name with
+        | Ok d -> d
+        | Error e -> usage_error "--scheduler: %s" e)
+    | None -> (
+        match Scheduler.default () with
+        | d -> d
+        | exception Invalid_argument e -> usage_error "SIMNET_SCHEDULER: %s" e)
   in
+  (* each output must be creatable before any experiment runs *)
+  List.iter
+    (Option.iter (fun path ->
+         match open_out path with
+         | oc -> close_out oc
+         | exception Sys_error msg -> usage_error "%s" msg))
+    [ !json_file; !trace_file ];
+  let json_file = !json_file and trace_file = !trace_file in
+  let baseline = Option.map (fun p -> (p, read_baseline p)) !baseline in
   let results = ref [] in
   let trace_events = ref [] in
   let trace_sink () =
@@ -307,31 +334,27 @@ let () =
     | Some _ ->
         Some (Telemetry.Sink.create ~next_id:(List.length !results * (1 lsl 48)) ())
   in
-  let args = args @ selected in
-  let wanted = if args = [] then List.map fst Experiments.all @ [ "micro" ] else args in
   List.iter
-    (fun name ->
-      if name = "micro" then run_micro ()
-      else
-        match List.assoc_opt name Experiments.all with
-        | Some f ->
-            let sink = trace_sink () in
-            let clock = Unix.gettimeofday in
-            let profile = Telemetry.Profile.create ~clock () in
-            let ctx = Experiments.make_ctx ?scheduler ~jobs ?sink ~profile ~clock () in
-            let t0 = Unix.gettimeofday () in
-            Telemetry.Profile.run profile ~name (fun () -> f ctx);
-            let wall_s = Unix.gettimeofday () -. t0 in
-            let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
-            (match sink with
-            | None -> ()
-            | Some s ->
-                Telemetry.Profile.emit profile s ~time:0;
-                trace_events := Telemetry.Sink.events s :: !trace_events);
-            results :=
-              { name; tally = ctx.Experiments.tally; wall_s; peak_heap_words; profile }
-              :: !results
-        | None -> Format.printf "unknown experiment %S (have: e1..e15, micro)@." name)
+    (fun (name, experiment) ->
+      match experiment with
+      | None -> run_micro ()
+      | Some f ->
+          let sink = trace_sink () in
+          let clock = Unix.gettimeofday in
+          let profile = Telemetry.Profile.create ~clock () in
+          let ctx = Experiments.make_ctx ~scheduler ~jobs ?sink ~profile ~clock () in
+          let t0 = Unix.gettimeofday () in
+          Telemetry.Profile.run profile ~name (fun () -> f ctx);
+          let wall_s = Unix.gettimeofday () -. t0 in
+          let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
+          (match sink with
+          | None -> ()
+          | Some s ->
+              Telemetry.Profile.emit profile s ~time:0;
+              trace_events := Telemetry.Sink.events s :: !trace_events);
+          results :=
+            { name; tally = ctx.Experiments.tally; wall_s; peak_heap_words; profile }
+            :: !results)
     wanted;
   let outcomes = List.rev !results in
   (match trace_file with
@@ -344,10 +367,7 @@ let () =
       Telemetry.Sink.write_jsonl all path;
       Format.printf "trace (%d events) -> %s@." (Telemetry.Sink.event_count all)
         path);
-  let discipline =
-    Scheduler.name
-      (Option.value ~default:(Scheduler.default ()) scheduler)
-  in
+  let discipline = Scheduler.name scheduler in
   (match json_file with
   | None -> ()
   | Some path ->

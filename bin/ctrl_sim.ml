@@ -70,11 +70,25 @@ let scheduler_conv =
   in
   Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (Scheduler.name d))
 
+(* [--scheduler], else [Scheduler.default ()], which reads
+   [SIMNET_SCHEDULER]. The variable is read once, here: a bad value is a
+   usage error before anything runs, even for a controller that builds no
+   network. *)
 let scheduler_arg =
-  Arg.(value & opt (some scheduler_conv) None
-       & info [ "scheduler" ] ~docv:"NAME"
-           ~doc:"message delivery discipline: fifo_link|random_delay|adversarial_lifo[:W]|bursty[:P] \
-                 (default fifo_link, overridable via $(b,SIMNET_SCHEDULER))")
+  let flag =
+    Arg.(value & opt (some scheduler_conv) None
+         & info [ "scheduler" ] ~docv:"NAME"
+             ~doc:"message delivery discipline: fifo_link|random_delay|adversarial_lifo[:W]|bursty[:P] \
+                   (default fifo_link, overridable via $(b,SIMNET_SCHEDULER))")
+  in
+  let resolve = function
+    | Some _ as chosen -> Ok chosen
+    | None -> (
+        match Scheduler.default () with
+        | d -> Ok (Some d)
+        | exception Invalid_argument e -> Error (`Msg ("SIMNET_SCHEDULER: " ^ e)))
+  in
+  Term.(term_result ~usage:true (const resolve $ flag))
 
 (* A count outside its range is a usage error that names the value, never
    an exception from deep inside a controller. *)

@@ -4,24 +4,24 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type package_event =
   | Created of Package.t
-  | Split of { parent : Package.t; left : Package.t; right : Package.t }
-  | Became_static of { pkg : Package.t; node : Dtree.node }
+  | Split of {
+      parent : Package.t;
+      left : Package.t;
+      right : Package.t;
+      requester : Dtree.node;
+      from_dist : int;
+      to_dist : int;
+    }
+  | Became_static of { pkg : Package.t; node : Dtree.node; from_dist : int }
   | Store_moved of { from_ : Dtree.node; to_ : Dtree.node }
   | Granted_at of Dtree.node
 
 type hooks = {
   on_grant : Workload.applied -> unit;
-  on_package_down :
-    requester:Dtree.node -> from_dist:int -> to_dist:int -> size:int -> unit;
   on_package_event : package_event -> unit;
 }
 
-let no_hooks =
-  {
-    on_grant = (fun _ -> ());
-    on_package_down = (fun ~requester:_ ~from_dist:_ ~to_dist:_ ~size:_ -> ());
-    on_package_event = (fun _ -> ());
-  }
+let no_hooks = { on_grant = (fun _ -> ()); on_package_event = (fun _ -> ()) }
 
 type t = {
   params : Params.t;
@@ -36,7 +36,6 @@ type t = {
   mutable rejected : int;
   mutable wave : bool;
   reject_mode : Types.reject_mode;
-  tracker : Domain_tracker.t option;
   hooks : hooks;
   telemetry : Telemetry.Sink.t option;
 }
@@ -45,8 +44,7 @@ type t = {
    root trace id of the request being answered, plus one. *)
 let clock sink = Telemetry.Sink.current_trace sink + 1
 
-let create ?(track_domains = false) ?(reject_mode = Types.Wave) ?(hooks = no_hooks)
-    ?telemetry ~params ~tree () =
+let create ?(reject_mode = Types.Wave) ?(hooks = no_hooks) ?telemetry ~params ~tree () =
   {
     params;
     tree;
@@ -59,24 +57,36 @@ let create ?(track_domains = false) ?(reject_mode = Types.Wave) ?(hooks = no_hoo
     rejected = 0;
     wave = false;
     reject_mode;
-    tracker =
-      (if track_domains then
-         Some
-           (Domain_tracker.create ?telemetry
-              ?clock:(Option.map (fun s () -> clock s) telemetry)
-              ~params ~tree ())
-       else None);
     hooks;
     telemetry;
   }
 
-let emit t kind =
+(* The one package life-cycle stream: every event goes to the hook, and
+   under a sink its record is built and logged here, nowhere else. *)
+let notify t ev =
+  t.hooks.on_package_event ev;
   match t.telemetry with
   | None -> ()
-  | Some s -> Telemetry.Sink.event s ~time:(clock s) kind
-
-let with_metrics t f =
-  match t.telemetry with None -> () | Some s -> f (Telemetry.Sink.metrics s)
+  | Some s -> (
+      let ctrl = "central" in
+      match ev with
+      | Created pkg ->
+          Telemetry.Sink.event s ~time:(clock s)
+            (Telemetry.Event.Package_created
+               { ctrl; level = pkg.Package.level; size = pkg.Package.size })
+      | Split { parent = { Package.level; _ }; _ } ->
+          Telemetry.Sink.event s ~time:(clock s) (Telemetry.Event.Package_split { ctrl; level });
+          Telemetry.Metrics.inc
+            (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
+               ~labels:[ ("level", string_of_int level) ]
+               "pkg_splits_total")
+      | Became_static { pkg; node; _ } ->
+          Telemetry.Sink.event s ~time:(clock s)
+            (Telemetry.Event.Package_static { ctrl; node; size = pkg.Package.size })
+      | Store_moved { from_; to_ } ->
+          Telemetry.Sink.event s ~time:(clock s)
+            (Telemetry.Event.Package_join { ctrl; from_; to_ })
+      | Granted_at _ -> ())
 
 (* The store of [v], or [t.vacant] when [v] has none: a bounds check and
    one array read, the whole cost of a climb hop's lookup. *)
@@ -122,13 +132,6 @@ let wave_done t = t.wave
 let fold_stores t ~init ~f =
   fold_slots t ~init ~f:(fun acc v s -> if Store.is_empty s then acc else f acc v s)
 
-let check_domains t =
-  match t.tracker with
-  | None -> invalid_arg "Central.check_domains: created without track_domains"
-  | Some tr -> Domain_tracker.check tr
-
-let with_tracker t f = match t.tracker with None -> () | Some tr -> f tr
-
 let record_wave sink ~time ~ctrl ~node =
   Telemetry.Sink.event sink ~time (Telemetry.Event.Reject_wave { ctrl; node });
   Telemetry.Metrics.inc
@@ -155,12 +158,10 @@ let reject_wave t =
     | Some s -> record_wave s ~time:(clock s) ~ctrl:"central" ~node:(Dtree.root t.tree)
   end
 
-(* Apply a granted topological change. A deleted node first moves its
-   packages (one move for the whole set) to its parent; domains are updated
-   per Cases 3-5 of Section 3.2. *)
+(* Apply a granted topological change. For removals, the deleted node's
+   packages move to its parent first (item 2): one move for the whole
+   set. *)
 let apply_event t op =
-  (* For removals, the deleted node's packages move to its parent first
-     (item 2): one move for the whole set. *)
   (match op with
   | Workload.Remove_leaf v | Workload.Remove_internal v ->
       let s = store t v in
@@ -168,22 +169,12 @@ let apply_event t op =
          match Dtree.parent t.tree v with
          | None -> assert false  (* dynlint: allow unsafe -- removed nodes are never the root, so a parent exists *)
          | Some p ->
-             with_tracker t (fun tr ->
-                 List.iter (fun pkg -> Domain_tracker.host_moved tr pkg p) (Store.mobiles s));
              Store.absorb (store t p) s;
-             t.hooks.on_package_event (Store_moved { from_ = v; to_ = p });
-             emit t (Telemetry.Event.Package_join { ctrl = "central"; from_ = v; to_ = p });
+             notify t (Store_moved { from_ = v; to_ = p });
              t.moves <- t.moves + 1);
       t.stores.(v) <- t.vacant
   | Workload.Add_leaf _ | Workload.Add_internal _ | Workload.Non_topological _ -> ());
-  let info = Workload.apply_info t.tree op in
-  (match info with
-  | Workload.Internal_added { below; fresh } ->
-      with_tracker t (fun tr -> Domain_tracker.on_add_internal tr ~new_node:fresh ~child:below)
-  | Workload.Leaf_added _ | Workload.Leaf_removed _ | Workload.Internal_removed _
-  | Workload.Event_occurred _ ->
-      ());
-  t.hooks.on_grant info
+  t.hooks.on_grant (Workload.apply_info t.tree op)
 
 (* Distribute package [pkg] (level [k], currently at distance [d_w] above the
    requester [u]) down the path, per the corrected Proc of DESIGN.md: a
@@ -193,13 +184,7 @@ let rec proc t ~u pkg ~d_w =
   let k = pkg.Package.level in
   if k = 0 then begin
     t.moves <- t.moves + d_w;
-    t.hooks.on_package_down ~requester:u ~from_dist:d_w ~to_dist:0
-      ~size:pkg.Package.size;
-    with_tracker t (fun tr -> Domain_tracker.cancel tr pkg);
-    t.hooks.on_package_event (Became_static { pkg; node = u });
-    emit t
-      (Telemetry.Event.Package_static
-         { ctrl = "central"; node = u; size = pkg.Package.size });
+    notify t (Became_static { pkg; node = u; from_dist = d_w });
     Store.add_static (store t u) pkg.Package.size
   end
   else begin
@@ -211,25 +196,15 @@ let rec proc t ~u pkg ~d_w =
       | None -> assert false  (* dynlint: allow unsafe -- landing distance td < d_w <= depth u, so the ancestor exists *)
     in
     t.moves <- t.moves + (d_w - td);
-    t.hooks.on_package_down ~requester:u ~from_dist:d_w ~to_dist:td
-      ~size:pkg.Package.size;
-    with_tracker t (fun tr -> Domain_tracker.cancel tr pkg);
-    let p1, p2 = Package.split t.alloc pkg in
-    t.hooks.on_package_event (Split { parent = pkg; left = p1; right = p2 });
-    emit t (Telemetry.Event.Package_split { ctrl = "central"; level = k });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc
-          (Telemetry.Metrics.counter m
-             ~labels:[ ("level", string_of_int k) ]
-             "pkg_splits_total"));
-    Store.add_mobile (store t target) p1;
-    with_tracker t (fun tr -> Domain_tracker.assign tr p1 ~host:target ~requester:u);
-    proc t ~u p2 ~d_w:td
+    let left, right = Package.split t.alloc pkg in
+    notify t (Split { parent = pkg; left; right; requester = u; from_dist = d_w; to_dist = td });
+    Store.add_mobile (store t target) left;
+    proc t ~u right ~d_w:td
   end
 
 let grant t u op =
   Store.take_static (store t u);
-  t.hooks.on_package_event (Granted_at u);
+  notify t (Granted_at u);
   t.granted <- t.granted + 1;
   apply_event t op
 
@@ -263,9 +238,7 @@ let rec climb t ~u w ~d =
           else begin
             t.storage <- t.storage - need;
             let pkg = Package.create t.alloc ~params:t.params ~level:j in
-            t.hooks.on_package_event (Created pkg);
-            emit t
-              (Telemetry.Event.Package_created { ctrl = "central"; level = j; size = need });
+            notify t (Created pkg);
             proc t ~u pkg ~d_w:d;
             Ok ()
           end)

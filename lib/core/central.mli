@@ -25,15 +25,30 @@ val log_src : Logs.src
 
 module Log : Logs.LOG
 
-(** Life-cycle events of the permit data structure, exposed so that permit
-    {e contents} can ride along (the name-assignment protocol of Theorem 5.2
-    attaches an integer interval to every package and splits it with the
-    package). *)
+(** Life-cycle events of the permit data structure: the one stream that
+    every observer of the packages reads. The name-assignment protocol of
+    Theorem 5.2 attaches an integer interval to every package and splits it
+    with the package; the subtree estimator of Lemma 5.3 counts the permits
+    that move down the requester's root path ([Split] and [Became_static]);
+    the Section 3.2 {!Domain_tracker} follows the packages' domains.
+    Distances count edges up from the requester. *)
 type package_event =
   | Created of Package.t  (** filled from the root's storage *)
-  | Split of { parent : Package.t; left : Package.t; right : Package.t }
-      (** [left] stays at the landing node; [right] continues down *)
-  | Became_static of { pkg : Package.t; node : Dtree.node }
+  | Split of {
+      parent : Package.t;
+      left : Package.t;
+      right : Package.t;
+      requester : Dtree.node;
+      from_dist : int;
+      to_dist : int;
+    }
+      (** [parent] moved down [requester]'s root path from the ancestor at
+          [from_dist] to the one at [to_dist] ([to_dist < from_dist]) and
+          split there: [left] stays at that landing node; [right] continues
+          down *)
+  | Became_static of { pkg : Package.t; node : Dtree.node; from_dist : int }
+      (** [pkg] moved from the ancestor at [from_dist] down to the
+          requester [node] and became static there *)
   | Store_moved of { from_ : Dtree.node; to_ : Dtree.node }
       (** a deleted node's whole store was absorbed by its parent *)
   | Granted_at of Dtree.node  (** one static permit consumed at the node *)
@@ -41,21 +56,15 @@ type package_event =
 (** Instrumentation points used by the Section 5 applications and by tests.
     [on_grant] fires after the event of a granted request occurred, with the
     concrete change (fresh/removed node identities included).
-    [on_package_down] fires for every downward package transfer along the
-    requester's root path: permits [size] moved from the ancestor at
-    [from_dist] to the ancestor at [to_dist] ([to_dist < from_dist]).
-    [on_package_event] traces the package life cycle. *)
+    [on_package_event] receives the package life cycle. *)
 type hooks = {
   on_grant : Workload.applied -> unit;
-  on_package_down :
-    requester:Dtree.node -> from_dist:int -> to_dist:int -> size:int -> unit;
   on_package_event : package_event -> unit;
 }
 
 val no_hooks : hooks
 
 val create :
-  ?track_domains:bool ->
   ?reject_mode:Types.reject_mode ->
   ?hooks:hooks ->
   ?telemetry:Telemetry.Sink.t ->
@@ -64,15 +73,14 @@ val create :
   unit ->
   t
 (** A fresh controller: [M] permits in the root's storage, no packages
-    anywhere. [reject_mode] defaults to [Wave]. [track_domains] (default
-    false) maintains the analysis domains for invariant checking.
+    anywhere. [reject_mode] defaults to [Wave].
 
     With a [telemetry] sink every request is recorded by {!answer} (the
     centralized controller is synchronous, so its permit spans have zero
-    latency), and the package life cycle records [Package_created] /
+    latency), and each package event also records its [Package_created] /
     [Package_split] (with the [pkg_splits_total{level}] counter) /
-    [Package_static] / [Package_join] and [Reject_wave] events, timed by
-    {!clock}. Without a sink no telemetry code runs. *)
+    [Package_static] / [Package_join] event, all timed by {!clock}, as does
+    the [Reject_wave]. Without a sink no telemetry code runs. *)
 
 val request : t -> Workload.op -> Types.outcome
 (** Serve one request arriving at [Workload.request_site]. In [Report] mode
@@ -96,10 +104,6 @@ val wave_done : t -> bool
 val fold_stores : t -> init:'a -> f:('a -> Dtree.node -> Store.t -> 'a) -> 'a
 (** Fold over the non-empty per-node stores (for memory accounting and
     white-box tests). *)
-
-val check_domains : t -> (unit, string) result
-(** Check the Section 3.2 domain invariants.
-    @raise Invalid_argument unless created with [track_domains:true]. *)
 
 (** {2 Telemetry of the controller stacks}
 

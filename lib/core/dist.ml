@@ -195,15 +195,6 @@ let tag t s = t.tag_ids.(suffix_index s)
 let tag_universe ~name = List.map (fun s -> name ^ "-" ^ s) tag_suffixes
 let tags t = tag_universe ~name:t.config.name
 
-(* Telemetry rides the network's sink; no sink, no work. *)
-let emit t kind =
-  match Net.sink t.net with
-  | None -> ()
-  | Some s -> Telemetry.Sink.event s ~time:(Net.now t.net) kind
-
-let with_metrics t f =
-  match Net.sink t.net with None -> () | Some s -> f (Telemetry.Sink.metrics s)
-
 (* ------------------------------------------------------------------ *)
 (* Reject wave                                                         *)
 
@@ -250,7 +241,11 @@ let absorb t ~parent ~child =
     pb.reject <- pb.reject || cb.reject;
     t.wbs.(child) <- t.blank;
     touch_mem t parent;
-    emit t (Telemetry.Event.Package_join { ctrl = t.config.name; from_ = child; to_ = parent });
+    (match Net.sink t.net with
+    | None -> ()
+    | Some s ->
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Package_join { ctrl = t.config.name; from_ = child; to_ = parent }));
     had_reject
   end
 
@@ -431,7 +426,11 @@ and at_root t a r =
   else begin
     t.storage <- t.storage - need;
     a.bag <- j;
-    emit t (Telemetry.Event.Package_created { ctrl = t.config.name; level = j; size = need });
+    (match Net.sink t.net with
+    | None -> ()
+    | Some s ->
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Package_created { ctrl = t.config.name; level = j; size = need }));
     t.config.on_permits_down ~node:r ~size:need;
     distribute t a r
   end
@@ -447,9 +446,12 @@ and distribute t a w =
     b.static <- b.static + t.params.Params.phi - 1;
     t.granted <- t.granted + 1;
     a.bag <- -1;
-    emit t
-      (Telemetry.Event.Package_static
-         { ctrl = t.config.name; node = w; size = t.params.Params.phi });
+    (match Net.sink t.net with
+    | None -> ()
+    | Some s ->
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Package_static
+             { ctrl = t.config.name; node = w; size = t.params.Params.phi }));
     touch_mem t w;
     if a.top = 0 then begin
       unlock t w;
@@ -529,10 +531,13 @@ let init_agent_ks t a =
       then begin
         let b = wb t x in
         b.mobiles.(a.bag - 1) <- b.mobiles.(a.bag - 1) + 1;
-        emit t (Telemetry.Event.Package_split { ctrl = t.config.name; level = a.bag });
-        with_metrics t (fun m ->
+        (match Net.sink t.net with
+        | None -> ()
+        | Some s ->
+            Telemetry.Sink.event s ~time:(Net.now t.net)
+              (Telemetry.Event.Package_split { ctrl = t.config.name; level = a.bag });
             Telemetry.Metrics.inc
-              (Telemetry.Metrics.counter m
+              (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
                  ~labels:[ ("level", string_of_int a.bag) ]
                  "pkg_splits_total"));
         a.bag <- a.bag - 1;

@@ -9,32 +9,10 @@ type t = {
   tree : Dtree.t;
   doms : (int, dom) Hashtbl.t;  (* package id -> domain *)
   by_node : (Dtree.node, (int, unit) Hashtbl.t) Hashtbl.t;
-  telemetry : Telemetry.Sink.t option;
-  clock : unit -> int;
 }
 
-let create ?telemetry ?(clock = fun () -> 0) ~params ~tree () =
-  {
-    params;
-    tree;
-    doms = Hashtbl.create 64;
-    by_node = Hashtbl.create 256;
-    telemetry;
-    clock;
-  }
-
-let emit t kind =
-  match t.telemetry with
-  | None -> ()
-  | Some s -> Telemetry.Sink.event s ~time:(t.clock ()) kind
-
-let note_tracked t =
-  match t.telemetry with
-  | None -> ()
-  | Some s ->
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge (Telemetry.Sink.metrics s) "domains_tracked")
-        (Hashtbl.length t.doms)
+let create ~params ~tree () =
+  { params; tree; doms = Hashtbl.create 64; by_node = Hashtbl.create 256 }
 
 let index_add t node pkg_id =
   let set =
@@ -54,50 +32,27 @@ let index_remove t node pkg_id =
       Hashtbl.remove s pkg_id;
       if Hashtbl.length s = 0 then Hashtbl.remove t.by_node node
 
-let assign t (p : Package.t) ~host ~requester =
+let assign t (p : Package.t) ~requester ~dist =
   let size = Params.domain_size t.params p.level in
-  let d_host =
-    (* distance from requester to host along the tree *)
-    let rec go v acc =
-      if v = host then acc
-      else
-        match Dtree.parent t.tree v with
-        | Some parent -> go parent (acc + 1)
-        | None -> invalid_arg "Domain_tracker.assign: host is not an ancestor"
-    in
-    go requester 0
-  in
-  if d_host <= size then
+  if dist <= size then
     invalid_arg "Domain_tracker.assign: domain would touch the requester";
+  let ancestor d =
+    match Dtree.ancestor_at t.tree requester d with
+    | Some x -> x
+    | None -> invalid_arg "Domain_tracker.assign: the requester is too shallow"
+  in
   (* Nodes x on the requester->host path with 1 <= d(x, host) <= size,
      listed top -> bottom. *)
-  (* Prepending while walking from the bottom (dist_from_host = size) up to
-     the top (dist_from_host = 1) yields the list in top -> bottom order. *)
-  let nodes = ref [] in
-  for dist_from_host = size downto 1 do
-    match Dtree.ancestor_at t.tree requester (d_host - dist_from_host) with
-    | Some x -> nodes := x :: !nodes
-    | None -> assert false  (* dynlint: allow unsafe -- the host sits at depth d_host, so every shallower ancestor exists *)
-  done;
-  let nodes = !nodes in
-  Hashtbl.replace t.doms p.id { level = p.level; nodes; host };
-  List.iter (fun x -> index_add t x p.id) nodes;
-  emit t (Telemetry.Event.Domain_assign { level = p.level; size });
-  note_tracked t
+  let nodes = List.init size (fun i -> ancestor (dist - 1 - i)) in
+  Hashtbl.replace t.doms p.id { level = p.level; nodes; host = ancestor dist };
+  List.iter (fun x -> index_add t x p.id) nodes
 
 let cancel t (p : Package.t) =
   match Hashtbl.find_opt t.doms p.id with
   | None -> ()
   | Some d ->
       List.iter (fun x -> index_remove t x p.id) d.nodes;
-      Hashtbl.remove t.doms p.id;
-      emit t (Telemetry.Event.Domain_cancel { level = d.level });
-      note_tracked t
-
-let host_moved t (p : Package.t) new_host =
-  match Hashtbl.find_opt t.doms p.id with
-  | None -> ()
-  | Some d -> d.host <- new_host
+      Hashtbl.remove t.doms p.id
 
 let drop_bottom_most_live t pkg_id d =
   (* Remove the last currently-existing node of the (top->bottom) list. *)
@@ -127,16 +82,31 @@ let on_add_internal t ~new_node ~child =
           in
           d.nodes <- insert d.nodes;
           index_add t new_node id;
-          drop_bottom_most_live t id d;
-          emit t
-            (Telemetry.Event.Domain_resize { level = d.level; size = List.length d.nodes });
-          (match t.telemetry with
-          | None -> ()
-          | Some s ->
-              Telemetry.Metrics.inc
-                (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
-                   "domain_resizes_total")))
+          drop_bottom_most_live t id d)
         ids
+
+let hooks t =
+  {
+    Central.on_grant =
+      (function
+      | Workload.Internal_added { below; fresh } ->
+          on_add_internal t ~new_node:fresh ~child:below
+      | Workload.Leaf_added _ | Workload.Leaf_removed _ | Workload.Internal_removed _
+      | Workload.Event_occurred _ ->
+          ());
+    on_package_event =
+      (function
+      | Central.Split { parent; left; requester; to_dist; _ } ->
+          cancel t parent;
+          assign t left ~requester ~dist:to_dist
+      | Central.Became_static { pkg; _ } -> cancel t pkg
+      | Central.Store_moved { from_; to_ } ->
+          (* every package a domain names as hosted at [from_] is still
+             there: a package leaves its host only to split or turn
+             static, and both cancel its domain *)
+          Hashtbl.iter (fun _ d -> if d.host = from_ then d.host <- to_) t.doms
+      | Central.Created _ | Central.Granted_at _ -> ());
+  }
 
 let tracked t = Hashtbl.length t.doms
 

@@ -11,35 +11,29 @@
     + the currently existing nodes of a domain form a path hanging down from
       a child of the package's host.
 
-    The controller drives the tracker through the formation / cancellation /
-    relocation events of Section 3.2 (Cases 1–5). *)
+    The tracker reads the controller's own package life cycle through
+    {!hooks}, which maps its events onto the formation / cancellation /
+    relocation cases of Section 3.2 (Cases 1–5). *)
 
 type t
 
-val create :
-  ?telemetry:Telemetry.Sink.t ->
-  ?clock:(unit -> int) ->
-  params:Params.t ->
-  tree:Dtree.t ->
-  unit ->
-  t
-(** With a [telemetry] sink the tracker records [Domain_assign] /
-    [Domain_cancel] / [Domain_resize] events (timestamped by [clock], which
-    defaults to the constant 0 — centralized controllers pass their request
-    tick), the [domains_tracked] gauge and the [domain_resizes_total]
-    counter. *)
+val create : params:Params.t -> tree:Dtree.t -> unit -> t
 
-val assign : t -> Package.t -> host:Dtree.node -> requester:Dtree.node -> unit
-(** Domain at formation (Case 2): the [domain_size] nodes strictly below
-    [host] on the path towards [requester]. *)
+val hooks : t -> Central.hooks
+(** The hooks to pass to {!Central.create}: a [Split] cancels the parent's
+    domain and assigns [left] its domain at the requester's ancestor at
+    [to_dist]; a package that [Became_static] loses its domain; a
+    [Store_moved] rehosts the packages of the deleted node; a granted
+    [Internal_added] runs Case 4 ({!on_add_internal}). *)
+
+val assign : t -> Package.t -> requester:Dtree.node -> dist:int -> unit
+(** Domain at formation (Case 2): the package is hosted at [requester]'s
+    ancestor at distance [dist], and its domain is the [domain_size] nodes
+    strictly below that host on the path towards [requester]. *)
 
 val cancel : t -> Package.t -> unit
 (** The package split, became static, or was consumed: its domain vanishes.
     No-op for packages that never had a domain. *)
-
-val host_moved : t -> Package.t -> Dtree.node -> unit
-(** The package's host was deleted and the package now lives at the host's
-    parent. No-op for untracked packages. *)
 
 val on_add_internal : t -> new_node:Dtree.node -> child:Dtree.node -> unit
 (** Case 4: [new_node] was inserted as the parent of [child]; every domain

@@ -54,7 +54,6 @@ let hooks s _ =
   let tracker = Interval_permits.create ~base:(n + 1) ~m:(fst (budget n)) () in
   {
     Controller.Central.on_grant = on_grant s tracker;
-    on_package_down = (fun ~requester:_ ~from_dist:_ ~to_dist:_ ~size:_ -> ());
     on_package_event = Interval_permits.hook tracker;
   }
 

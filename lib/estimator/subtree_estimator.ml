@@ -41,10 +41,17 @@ let create ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ()) ?(on_applied = 
         (fun info ->
           Subtree_core.note_applied core info;
           on_applied info);
-      on_package_down =
-        (fun ~requester ~from_dist ~to_dist ~size ->
-          observe_package core tree ~requester ~from_dist ~to_dist ~size);
-      on_package_event = (fun _ -> ());
+      on_package_event =
+        (function
+        | Controller.Central.Split { parent; requester; from_dist; to_dist; _ } ->
+            observe_package core tree ~requester ~from_dist ~to_dist
+              ~size:parent.Controller.Package.size
+        | Controller.Central.Became_static { pkg; node; from_dist } ->
+            observe_package core tree ~requester:node ~from_dist ~to_dist:0
+              ~size:pkg.Controller.Package.size
+        | Controller.Central.Created _ | Controller.Central.Store_moved _
+        | Controller.Central.Granted_at _ ->
+            ());
     }
   in
   let budget n =

@@ -12,8 +12,9 @@
 
     This implementation runs on the centralized controller (whose move
     complexity equals the distributed message complexity up to a constant,
-    Lemma 4.5), with the permit flow observed through {!Controller.Central}
-    hooks. *)
+    Lemma 4.5), with the permit flow read off {!Controller.Central}'s
+    package events: each [Split] and [Became_static] names the requester
+    and the distances its permits moved down. *)
 
 type t
 

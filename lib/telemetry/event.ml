@@ -31,9 +31,6 @@ type kind =
   | Package_split of { ctrl : string; level : int }
   | Package_static of { ctrl : string; node : int; size : int }
   | Package_join of { ctrl : string; from_ : int; to_ : int }
-  | Domain_assign of { level : int; size : int }
-  | Domain_resize of { level : int; size : int }
-  | Domain_cancel of { level : int }
   | Reject_wave of { ctrl : string; node : int }
   | Epoch of { ctrl : string; epoch : int; n : int }
   | Estimate of { ctrl : string; node : int; value : int; truth : int }
@@ -82,11 +79,6 @@ let to_json { time; ctx; kind } =
     | Package_join { ctrl; from_; to_ } ->
         [ ("ev", String "pkg_join"); ("ctrl", String ctrl); ("from", Int from_);
           ("to", Int to_) ]
-    | Domain_assign { level; size } ->
-        [ ("ev", String "dom_assign"); ("level", Int level); ("size", Int size) ]
-    | Domain_resize { level; size } ->
-        [ ("ev", String "dom_resize"); ("level", Int level); ("size", Int size) ]
-    | Domain_cancel { level } -> [ ("ev", String "dom_cancel"); ("level", Int level) ]
     | Reject_wave { ctrl; node } ->
         [ ("ev", String "reject_wave"); ("ctrl", String ctrl); ("node", Int node) ]
     | Epoch { ctrl; epoch; n } ->
@@ -161,9 +153,6 @@ let of_json j =
     | "pkg_static" ->
         Package_static { ctrl = str "ctrl"; node = int "node"; size = int "size" }
     | "pkg_join" -> Package_join { ctrl = str "ctrl"; from_ = int "from"; to_ = int "to" }
-    | "dom_assign" -> Domain_assign { level = int "level"; size = int "size" }
-    | "dom_resize" -> Domain_resize { level = int "level"; size = int "size" }
-    | "dom_cancel" -> Domain_cancel { level = int "level" }
     | "reject_wave" -> Reject_wave { ctrl = str "ctrl"; node = int "node" }
     | "epoch" -> Epoch { ctrl = str "ctrl"; epoch = int "epoch"; n = int "n" }
     | "estimate" ->

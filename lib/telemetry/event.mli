@@ -59,10 +59,6 @@ type kind =
   | Package_static of { ctrl : string; node : int; size : int }
   | Package_join of { ctrl : string; from_ : int; to_ : int }
       (** a deleted node's store absorbed by its parent *)
-  | Domain_assign of { level : int; size : int }
-  | Domain_resize of { level : int; size : int }
-      (** after an internal insertion spliced a node into a domain path *)
-  | Domain_cancel of { level : int }
   | Reject_wave of { ctrl : string; node : int }
   | Epoch of { ctrl : string; epoch : int; n : int }
   | Estimate of { ctrl : string; node : int; value : int; truth : int }

@@ -30,8 +30,14 @@ let count p l = List.length (List.filter p l)
 let qcheck ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let check_domains_exn central =
-  match Controller.Central.check_domains central with
+(* A centralized controller observed by a Section 3.2 domain tracker. *)
+let central_with_domains ~params ~tree =
+  let tracker = Controller.Domain_tracker.create ~params ~tree () in
+  let hooks = Controller.Domain_tracker.hooks tracker in
+  (Controller.Central.create ~hooks ~params ~tree (), tracker)
+
+let expect_domains tracker =
+  match Controller.Domain_tracker.check tracker with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "domain invariant violated: %s" msg
 

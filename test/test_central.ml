@@ -26,7 +26,7 @@ let test_deep_request_builds_packages () =
   let rng = Rng.create ~seed:1 in
   let tree = Workload.Shape.build rng (Workload.Shape.Path 400) in
   let params = Params.make ~m:4000 ~w:800 ~u:800 in
-  let c = Central.create ~track_domains:true ~params ~tree () in
+  let c, tracker = Helpers.central_with_domains ~params ~tree in
   let leaf = List.hd (Dtree.leaves tree) in
   Alcotest.(check Helpers.outcome) "granted" Types.Granted
     (Central.request c (Workload.Non_topological leaf));
@@ -39,7 +39,7 @@ let test_deep_request_builds_packages () =
   let d = Dtree.depth tree leaf in
   let j = Params.creation_level params d in
   Alcotest.(check int) "one package per level" j mobile_count;
-  Helpers.check_domains_exn c
+  Helpers.expect_domains tracker
 
 let test_static_reuse () =
   let rng = Rng.create ~seed:2 in
@@ -110,7 +110,7 @@ let test_deletion_moves_packages () =
   let tree = Workload.Shape.build rng (Workload.Shape.Path 300) in
   let u = 600 in
   let params = Params.make ~m:100000 ~w:(4 * u) ~u in
-  let c = Central.create ~track_domains:true ~params ~tree () in
+  let c, tracker = Helpers.central_with_domains ~params ~tree in
   let leaf = List.hd (Dtree.leaves tree) in
   ignore (Central.request c (Workload.Non_topological leaf));
   (* find a node hosting a mobile package and delete it *)
@@ -132,7 +132,7 @@ let test_deletion_moves_packages () =
       in
       Alcotest.(check Helpers.outcome) "deletion granted" Types.Granted
         (Central.request c (Workload.Remove_internal v));
-      Helpers.check_domains_exn c;
+      Helpers.expect_domains tracker;
       let permits_after =
         Central.fold_stores c ~init:0 ~f:(fun acc _ s -> acc + Store.permits s)
       in
@@ -186,6 +186,72 @@ let test_removal_clears_slot () =
   Alcotest.(check bool) "removed leaf not named" false (List.mem leaf named);
   Alcotest.(check bool) "removed internal not named" false (List.mem internal named);
   Alcotest.(check bool) "only live nodes named" true (List.for_all (Dtree.live tree) named)
+
+(* Until the reject wave, every move is a package carried down a
+   requester's path or a deleted node's store carried up one edge, and the
+   package events name each of them: the distances of [Split] and
+   [Became_static] plus one per [Store_moved] add up to [Central.moves].
+   A split lands at its level's landing distance, and its left half is
+   hosted there by the time the request is granted. Returns the number of
+   splits and joins seen. *)
+let run_package_accounting ~seed ~shape ~mix ~deep_bias ~m ~w ~u ~requests =
+  let tree = Workload.Shape.build (Rng.create ~seed) shape in
+  let params = Params.make ~m ~w ~u in
+  let ctrl = ref None in
+  let moved = ref 0 and splits = ref 0 and joins = ref 0 and landed = ref [] in
+  let hosted c (pkg, host) =
+    Central.fold_stores c ~init:false ~f:(fun acc v s ->
+        acc
+        || v = host
+           && List.exists (fun p -> p.Package.id = pkg.Package.id) (Store.mobiles s))
+  in
+  let on_package_event = function
+    | Central.Split { parent; left; requester; from_dist; to_dist; _ } ->
+        incr splits;
+        moved := !moved + from_dist - to_dist;
+        let want = Params.landing_distance params (parent.Package.level - 1) in
+        if to_dist <> want then
+          Alcotest.failf "level-%d split landed at distance %d, want %d" parent.Package.level
+            to_dist want;
+        landed := (left, Option.get (Dtree.ancestor_at tree requester to_dist)) :: !landed
+    | Central.Became_static { from_dist; _ } -> moved := !moved + from_dist
+    | Central.Store_moved _ ->
+        incr joins;
+        incr moved
+    | Central.Granted_at _ ->
+        (* the request's splits have all landed; its change is not applied yet *)
+        let c = Option.get !ctrl in
+        List.iter
+          (fun l ->
+            if not (hosted c l) then
+              Alcotest.failf "package %d is not hosted at node %d" (fst l).Package.id (snd l))
+          !landed;
+        landed := []
+    | Central.Created _ -> ()
+  in
+  let c = Central.create ~hooks:{ Central.no_hooks with on_package_event } ~params ~tree () in
+  ctrl := Some c;
+  let wl = Workload.make ~seed:(seed + 1) ~deep_bias ~mix () in
+  for _ = 1 to requests do
+    ignore (Central.request c (Workload.next_op wl tree));
+    if (not (Central.wave_done c)) && Central.moves c <> !moved then
+      Alcotest.failf "%d moves, but the package events account for %d" (Central.moves c) !moved
+  done;
+  (!splits, !joins)
+
+let test_package_events_account_for_moves () =
+  let path ~deep_bias =
+    run_package_accounting ~seed:5 ~shape:(Workload.Shape.Path 3000) ~mix:Workload.Mix.churn
+      ~deep_bias ~m:100_000 ~w:4000 ~u:4000 ~requests:600
+  in
+  let splits, _ = path ~deep_bias:false in
+  let deep_splits, _ = path ~deep_bias:true in
+  let _, joins =
+    run_package_accounting ~seed:9 ~shape:(Workload.Shape.Caterpillar 400)
+      ~mix:Workload.Mix.shrink_heavy ~deep_bias:false ~m:20_000 ~w:3200 ~u:800 ~requests:350
+  in
+  Alcotest.(check bool) "paths split packages" true (splits > 0 && deep_splits > 0);
+  Alcotest.(check bool) "the caterpillar joins stores" true (joins > 0)
 
 (* Safety: a controller never grants more than M, on any workload. *)
 let prop_safety =
@@ -248,12 +314,12 @@ let prop_domain_invariants =
           ~m_of:(fun n0 -> 20 * n0)
           ~w_of:(fun n0 -> 2 * n0)
       in
-      let c = Central.create ~track_domains:true ~params ~tree () in
+      let c, tracker = Helpers.central_with_domains ~params ~tree in
       let w = Workload.make ~seed ~mix () in
       let ok = ref true in
       for _ = 1 to steps do
         ignore (Central.request c (Workload.next_op w tree));
-        match Central.check_domains c with Ok () -> () | Error _ -> ok := false
+        match Domain_tracker.check tracker with Ok () -> () | Error _ -> ok := false
       done;
       !ok)
 
@@ -318,6 +384,8 @@ let suite =
       Alcotest.test_case "deletion relocates packages" `Quick test_deletion_moves_packages;
       Alcotest.test_case "request far past initial capacity" `Quick test_far_node_id;
       Alcotest.test_case "removal clears the node's slot" `Quick test_removal_clears_slot;
+      Alcotest.test_case "package events account for every move" `Quick
+        test_package_events_account_for_moves;
       prop_safety;
       prop_liveness;
       prop_domain_invariants;

@@ -82,15 +82,13 @@ let test_deep_path_domain_invariants () =
   let tree = Workload.Shape.build rng (Workload.Shape.Path 800) in
   let u = 1600 in
   let params = Params.make ~m:100_000 ~w:u ~u in
-  let c = Central.create ~track_domains:true ~params ~tree () in
+  let c, tracker = Helpers.central_with_domains ~params ~tree in
   let wl = Workload.make ~seed:196 ~deep_bias:true ~mix:Workload.Mix.churn () in
   Alcotest.(check bool) "multi-level geometry in play" true
     (2 * params.Params.psi < 799);
   for _ = 1 to 400 do
     ignore (Central.request c (Workload.next_op wl tree));
-    match Central.check_domains c with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "domain invariant violated: %s" e
+    Helpers.expect_domains tracker
   done
 
 let test_dist_deep_path_churn () =

@@ -120,9 +120,6 @@ let sample_events =
     ev 10 (E.Package_split { ctrl = "main"; level = 3 });
     ev 10 (E.Package_static { ctrl = "main"; node = 5; size = 1 });
     ev 11 (E.Package_join { ctrl = "main"; from_ = 5; to_ = 4 });
-    ev 12 (E.Domain_assign { level = 2; size = 6 });
-    ev 13 (E.Domain_resize { level = 2; size = 7 });
-    ev 14 (E.Domain_cancel { level = 2 });
     ev 15 (E.Reject_wave { ctrl = "main"; node = 0 });
     ev 16 (E.Epoch { ctrl = "adaptive"; epoch = 2; n = 40 });
     ev 17 (E.Estimate { ctrl = "size-est"; node = 0; value = 64; truth = 57 });

@@ -149,8 +149,7 @@ let test_domain_tracker_directly () =
   let alloc = Package.allocator () in
   let leaf = List.hd (Dtree.leaves tree) in
   let p = Package.create alloc ~params ~level:1 in
-  let host = Option.get (Dtree.ancestor_at tree leaf (Params.landing_distance params 1)) in
-  Domain_tracker.assign tracker p ~host ~requester:leaf;
+  Domain_tracker.assign tracker p ~requester:leaf ~dist:(Params.landing_distance params 1);
   Alcotest.(check int) "tracked" 1 (Domain_tracker.tracked tracker);
   (match Domain_tracker.check tracker with
   | Ok () -> ()

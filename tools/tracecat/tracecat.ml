@@ -192,8 +192,11 @@ let run_check file =
 
 let export file out =
   let events = load file in
-  Telemetry.Export.write_file out (Telemetry.Export.perfetto events);
-  Printf.printf "%s: %d events -> %s\n" file (List.length events) out
+  match Telemetry.Export.write_file out (Telemetry.Export.perfetto events) with
+  | () -> Printf.printf "%s: %d events -> %s\n" file (List.length events) out
+  | exception Sys_error e ->
+      Printf.eprintf "tracecat: %s\n" e;
+      exit 2
 
 let () =
   match Array.to_list Sys.argv with
