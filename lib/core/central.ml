@@ -35,6 +35,10 @@ type t = {
   mutable granted : int;
   mutable rejected : int;
   mutable wave : bool;
+  lands : Dtree.node array;
+    (* [lands.(k)]: the node the current climb passed at landing distance
+       [k], where [proc] parks a level-[k] package *)
+  mutable stop : Dtree.node;  (* where the current climb stopped *)
   reject_mode : Types.reject_mode;
   hooks : hooks;
   telemetry : Telemetry.Sink.t option;
@@ -56,6 +60,8 @@ let create ?(reject_mode = Types.Wave) ?(hooks = no_hooks) ?telemetry ~params ~t
     granted = 0;
     rejected = 0;
     wave = false;
+    lands = Array.make Sys.int_size (-1);
+    stop = -1;
     reject_mode;
     hooks;
     telemetry;
@@ -179,7 +185,8 @@ let apply_event t op =
 (* Distribute package [pkg] (level [k], currently at distance [d_w] above the
    requester [u]) down the path, per the corrected Proc of DESIGN.md: a
    level-k package lands at u_{k-1} (distance 3*2^(k-2)*psi), splits, leaves
-   one level-(k-1) package there and recurses on the other. *)
+   one level-(k-1) package there and recurses on the other. The climb that
+   found [pkg] passed every landing node below [d_w] and recorded it. *)
 let rec proc t ~u pkg ~d_w =
   let k = pkg.Package.level in
   if k = 0 then begin
@@ -190,11 +197,7 @@ let rec proc t ~u pkg ~d_w =
   else begin
     let td = Params.landing_distance t.params (k - 1) in
     assert (td < d_w);
-    let target =
-      match Dtree.ancestor_at t.tree u td with
-      | Some x -> x
-      | None -> assert false  (* dynlint: allow unsafe -- landing distance td < d_w <= depth u, so the ancestor exists *)
-    in
+    let target = t.lands.(k - 1) in
     t.moves <- t.moves + (d_w - td);
     let left, right = Package.split t.alloc pkg in
     notify t (Split { parent = pkg; left; right; requester = u; from_dist = d_w; to_dist = td });
@@ -208,40 +211,64 @@ let grant t u op =
   t.granted <- t.granted + 1;
   apply_event t op
 
-(* Filler lookup that leaves absent stores absent: a climb over a 10^6-node
-   path must not populate the store column with one empty record per hop. *)
-let take_filler t w ~d =
-  let s = find_store t w in
-  if s == t.vacant then None
-  else
-    match Store.find_filler s ~params:t.params ~distance:d with
-    | Some pkg as found ->
-        Store.remove_mobile s pkg;
-        found
-    | None -> None
+(* Climb from [w] at distance [d] in band [j] to the closest filler or to
+   the root; return the distance where it stopped, with the node in
+   [t.stop]. Band [j] ends at distance [2^(j+1) psi], and its fillers host
+   a level-[j] package; past level [max_level + 1] there are none, as
+   [Params.filler_level_index] says. *)
+let rec climb t parents j w d =
+  let p = t.params in
+  let bit = if j <= p.Params.max_level + 1 then 1 lsl j else 0 in
+  climb_band t parents ~bit ~landing:(Params.landing_distance p j)
+    ~hi:((1 lsl (j + 1)) * p.Params.psi) j w d
+  [@@dynlint.zero_alloc]
 
-(* Climb from [u] towards the root looking for the closest filler node.
-   [parent_id] keeps the per-hop loop allocation-free. *)
-let rec climb t ~u w ~d =
-  match take_filler t w ~d with
-  | Some pkg ->
+(* A hop: one mask test (the vacant store hosts nothing, so absent stores
+   stay absent) and one read of the parent column. The node at the band's
+   landing distance goes to [t.lands.(j)]. *)
+and climb_band t parents ~bit ~landing ~hi j w d =
+  if Store.mask (find_store t w) land bit <> 0 then begin
+    t.stop <- w;
+    d
+  end
+  else begin
+    if d = landing then t.lands.(j) <- w;
+    let p = parents.(w) in
+    if p >= 0 then
+      if d = hi then climb t parents (j + 1) p (d + 1)
+      else climb_band t parents ~bit ~landing ~hi j p (d + 1)
+    else begin
+      (* a dead node's parent is cleared, so only the root may end a climb *)
+      if w <> Dtree.root t.tree then
+        invalid_arg (Printf.sprintf "Central: node %d is not live" w);
+      t.stop <- w;
+      d
+    end
+  end
+  [@@dynlint.zero_alloc]
+
+(* GrantOrReject's item 3: take the closest filler's package, or have the
+   root create one, and carry it down to [u]. *)
+let fill t u =
+  let d = climb t (Dtree.parent_column t.tree) 0 u 0 in
+  let s = find_store t t.stop in
+  let j = Params.filler_level_index t.params d in
+  if j >= 0 && Store.hosts s j then begin
+    proc t ~u (Store.take s j) ~d_w:d;
+    Ok ()
+  end
+  else
+    (* the climb stopped at the root, which is not a filler: item 3b *)
+    let j = Params.creation_level t.params d in
+    let need = Params.mobile_size t.params j in
+    if t.storage < need then Error `Exhausted
+    else begin
+      t.storage <- t.storage - need;
+      let pkg = Package.create t.alloc ~params:t.params ~level:j in
+      notify t (Created pkg);
       proc t ~u pkg ~d_w:d;
       Ok ()
-  | None -> (
-      match Dtree.parent_id t.tree w with
-      | parent when parent >= 0 -> climb t ~u parent ~d:(d + 1)
-      | _ ->
-          (* w is the root and not a filler: item 3b. *)
-          let j = Params.creation_level t.params d in
-          let need = Params.mobile_size t.params j in
-          if t.storage < need then Error `Exhausted
-          else begin
-            t.storage <- t.storage - need;
-            let pkg = Package.create t.alloc ~params:t.params ~level:j in
-            notify t (Created pkg);
-            proc t ~u pkg ~d_w:d;
-            Ok ()
-          end)
+    end
 
 let serve t op =
   let u = Workload.request_site t.tree op in
@@ -255,7 +282,7 @@ let serve t op =
     Types.Granted
   end
   else
-    match climb t ~u u ~d:0 with
+    match fill t u with
     | Ok () ->
         grant t u op;
         Types.Granted

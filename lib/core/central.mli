@@ -13,6 +13,14 @@
     objects across one tree edge costs one move; the walk itself is free in
     the centralized setting.
 
+    The walk runs one distance band at a time: band 0 spans distances up to
+    [2 psi], band [j >= 1] spans [2^j psi < d <= 2^(j+1) psi], and a node in
+    band [j] is a filler iff its {!Store.t} hosts a level-[j] package. So a
+    hop is one test of the store's level mask and one read of the tree's
+    parent column, and it allocates nothing. The walk also records the node
+    it passes at each band's landing distance, where [Proc] later parks
+    that band's package, so the descent never walks the path again.
+
     The controller owns the topological changes: a granted topological
     request is applied to the tree immediately (packages of a deleted node
     move to its parent first, Section 3.1 item 2). *)

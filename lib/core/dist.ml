@@ -59,13 +59,12 @@ let all_suffixes =
 
 let tag_suffixes = List.map suffix_to_string all_suffixes
 
-(* Per-node whiteboard (Section 4.3.1): package counts per level, the merged
-   static permit count, the reject flag, the lock, the lock owner's
-   down-pointer, and the FIFO queue of waiting agents. *)
+(* Per-node whiteboard (Section 4.3.1): the node's packages, static permits
+   and reject flag, in the same [Store.t] as [Central]'s, plus what Section
+   4 adds: the lock, the lock owner's down-pointer, and the FIFO queue of
+   waiting agents. *)
 type wb = {
-  mobiles : int array;
-  mutable static : int;
-  mutable reject : bool;
+  store : Store.t;
   mutable locked : bool;
   mutable down_child : Dtree.node;
   queue : agent Queue.t;
@@ -101,6 +100,7 @@ type t = {
   params : Params.t;
   net : Net.t;
   config : config;
+  alloc : Package.allocator;
   mutable wbs : wb array;
     (* indexed by node id; [blank] marks a node with no whiteboard *)
   blank : wb;
@@ -121,11 +121,9 @@ type t = {
 
 let tree t = Net.tree t.net
 
-let fresh_wb params =
+let fresh_wb () =
   {
-    mobiles = Array.make (params.Params.max_level + 3) 0;
-    static = 0;
-    reject = false;
+    store = Store.empty ();
     locked = false;
     down_child = -1;
     queue = Queue.create ();
@@ -144,7 +142,7 @@ let install t v =
     Array.blit t.wbs 0 bigger 0 (Array.length t.wbs);
     t.wbs <- bigger
   end;
-  let w = fresh_wb t.params in
+  let w = fresh_wb () in
   t.wbs.(v) <- w;
   w
 
@@ -167,16 +165,18 @@ let fold_wbs t ~init ~f =
 let log_n t = Stats.ceil_log2 (max 2 t.nmax)
 let log_u t = Stats.ceil_log2 (max 2 t.params.Params.u)
 
-(* Whiteboard size under the encoding of Claim 4.8. *)
+let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
+
+(* Whiteboard size under the encoding of Claim 4.8: one package count per
+   level present. *)
 let wb_bits t v =
   let b = find_wb t v in
   if b == t.blank then 0
   else
-    let levels_present = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 b.mobiles in
     let static_bits =
-      if b.static > 0 then Stats.ceil_log2 (max 2 (t.params.Params.m + 1)) else 0
+      if Store.static b.store > 0 then Stats.ceil_log2 (max 2 (t.params.Params.m + 1)) else 0
     in
-    (levels_present * log_u t)
+    (popcount (Store.mask b.store) * log_u t)
     + static_bits
     + (Queue.length b.queue * log_n t)
     + log_n t (* down pointer *)
@@ -212,8 +212,7 @@ let start_wave t r =
     (match Net.sink t.net with
     | None -> ()
     | Some s -> Central.record_wave s ~time:(Net.now t.net) ~ctrl:t.config.name ~node:r);
-    let b = wb t r in
-    b.reject <- true;
+    Store.set_rejecting (wb t r).store;
     touch_mem t r;
     flood_reject t r
   end
@@ -234,11 +233,8 @@ let absorb t ~parent ~child =
   if cb == t.blank then false
   else begin
     assert (Queue.is_empty cb.queue);
-    let pb = wb t parent in
-    Array.iteri (fun i c -> pb.mobiles.(i) <- pb.mobiles.(i) + c) cb.mobiles;
-    pb.static <- pb.static + cb.static;
-    let had_reject = cb.reject in
-    pb.reject <- pb.reject || cb.reject;
+    let had_reject = Store.rejecting cb.store in
+    Store.absorb (wb t parent).store cb.store;
     t.wbs.(child) <- t.blank;
     touch_mem t parent;
     (match Net.sink t.net with
@@ -254,13 +250,13 @@ let note_applied t info =
   match info with
   | Workload.Event_occurred _ -> ()
   | Workload.Leaf_added { parent; leaf } ->
-      if (wb t parent).reject then begin
-        (wb t leaf).reject <- true;
+      if Store.rejecting (wb t parent).store then begin
+        Store.set_rejecting (wb t leaf).store;
         touch_mem t leaf
       end
   | Workload.Internal_added { below; fresh } ->
-      if (wb t below).reject then begin
-        (wb t fresh).reject <- true;
+      if Store.rejecting (wb t below).store then begin
+        Store.set_rejecting (wb t fresh).store;
         touch_mem t fresh
       end
   | Workload.Leaf_removed { node; parent } -> ignore (absorb t ~parent ~child:node)
@@ -359,7 +355,7 @@ and drain_queue t v =
 (* A request agent is created at its origin (Section 4.3.1, item 1). *)
 and enter_origin t a u =
   let b = wb t u in
-  if b.reject then finish t a Types.Rejected
+  if Store.rejecting b.store then finish t a Types.Rejected
   else if b.locked then begin
     Queue.push a b.queue;
     touch_mem t u
@@ -367,17 +363,17 @@ and enter_origin t a u =
   else begin
     b.locked <- true;
     b.down_child <- -1;
-    if b.static > 0 then begin
+    if Store.static b.store > 0 then begin
       (* item 2: grant from the local static package *)
-      b.static <- b.static - 1;
+      Store.take_static b.store;
       t.granted <- t.granted + 1;
       touch_mem t u;
       unlock t u;
       conclude_grant t a
     end
-    else if b.mobiles.(0) > 0 then begin
+    else if Store.hosts b.store 0 then begin
       (* the origin itself is a filler with respect to itself (j(u) = 0) *)
-      b.mobiles.(0) <- b.mobiles.(0) - 1;
+      ignore (Store.take b.store 0 : Package.t);
       a.bag <- 0;
       touch_mem t u;
       distribute t a u
@@ -393,7 +389,7 @@ and climb_up t a from =
 (* Arrival at a node while climbing (item 3); also used on dequeue. *)
 and arrive t a w =
   let b = wb t w in
-  if b.reject then reject_walk t a ~at:w ~locked_by_me:false
+  if Store.rejecting b.store then reject_walk t a ~at:w ~locked_by_me:false
   else if b.locked then begin
     Queue.push a b.queue;
     touch_mem t w
@@ -402,8 +398,8 @@ and arrive t a w =
     b.locked <- true;
     b.down_child <- a.came_from;
     let j = Params.filler_level_index t.params a.distance in
-    if j >= 0 && b.mobiles.(j) > 0 then begin
-      b.mobiles.(j) <- b.mobiles.(j) - 1;
+    if j >= 0 && Store.hosts b.store j then begin
+      ignore (Store.take b.store j : Package.t);
       touch_mem t w;
       a.bag <- j;
       a.top <- max a.top a.distance;
@@ -442,8 +438,7 @@ and distribute t a w =
     (* the level-0 package becomes static at the origin and one permit is
        granted (items 4 and 2) *)
     assert (a.bag = 0);
-    let b = wb t w in
-    b.static <- b.static + t.params.Params.phi - 1;
+    Store.add_static (wb t w).store (t.params.Params.phi - 1);
     t.granted <- t.granted + 1;
     a.bag <- -1;
     (match Net.sink t.net with
@@ -484,8 +479,8 @@ and unlock_walk t a ~at =
    unlocking our locked path as we go. *)
 and reject_walk t a ~at ~locked_by_me =
   let b = wb t at in
-  if not b.reject then begin
-    b.reject <- true;
+  if not (Store.rejecting b.store) then begin
+    Store.set_rejecting b.store;
     touch_mem t at
   end;
   let next = if locked_by_me then b.down_child else a.came_from in
@@ -529,8 +524,8 @@ let init_agent_ks t a =
         ~size:(Params.mobile_size t.params (max 0 a.bag));
       if a.bag >= 1 && a.distance = Params.landing_distance t.params (a.bag - 1)
       then begin
-        let b = wb t x in
-        b.mobiles.(a.bag - 1) <- b.mobiles.(a.bag - 1) + 1;
+        Store.add_mobile (wb t x).store
+          (Package.create t.alloc ~params:t.params ~level:(a.bag - 1));
         (match Net.sink t.net with
         | None -> ()
         | Some s ->
@@ -576,8 +571,9 @@ let create ?(config = default_config) ~params ~net () =
       params;
       net;
       config;
+      alloc = Package.allocator ();
       wbs = [||];
-      blank = fresh_wb params;
+      blank = fresh_wb ();
       tag_ids;
       k_flood = ignore;
       storage = params.Params.m;
@@ -592,9 +588,9 @@ let create ?(config = default_config) ~params ~net () =
   in
   t.k_flood <-
     (fun c' ->
-      let b = wb t c' in
-      if not b.reject then begin
-        b.reject <- true;
+      let b = (wb t c').store in
+      if not (Store.rejecting b) then begin
+        Store.set_rejecting b;
         touch_mem t c';
         flood_reject t c'
       end);
@@ -635,12 +631,7 @@ let outstanding t = t.outstanding
 let storage t = t.storage
 
 let leftover t =
-  fold_wbs t ~init:t.storage ~f:(fun acc _ b ->
-      let mob = ref 0 in
-      Array.iteri
-        (fun k c -> mob := !mob + (c * Params.mobile_size t.params k))
-        b.mobiles;
-      acc + b.static + !mob)
+  fold_wbs t ~init:t.storage ~f:(fun acc _ b -> acc + Store.permits b.store)
 
 let max_wb_bits t = t.wb_bits_max
 
@@ -668,13 +659,10 @@ let check_locks t =
 let snapshot t =
   let acc = ref [] in
   for v = Array.length t.wbs - 1 downto 0 do
-    let b = t.wbs.(v) in
-    let levels = ref [] in
-    for k = Array.length b.mobiles - 1 downto 0 do
-      for _ = 1 to b.mobiles.(k) do
-        levels := k :: !levels
-      done
-    done;
-    if !levels <> [] || b.static <> 0 then acc := (v, !levels, b.static) :: !acc
+    let s = t.wbs.(v).store in
+    let levels =
+      List.sort Int.compare (List.map (fun (p : Package.t) -> p.level) (Store.mobiles s))
+    in
+    if levels <> [] || Store.static s <> 0 then acc := (v, levels, Store.static s) :: !acc
   done;
   !acc

@@ -24,6 +24,12 @@
       topological request must obtain permits from two controllers at
       once, Appendix A).
 
+    A node's whiteboard is a {!Store.t}, the same layout as the
+    centralized controller's store, plus what Section 4 adds: the lock,
+    the lock owner's down pointer and the queue of waiting agents. An agent
+    finds a filler with one test of the store's level mask; a landing
+    package is a fresh {!Package.t} of the landed level.
+
     Granted topological changes are applied "gracefully" once no lock
     conflicts remain: a deleted node's packages (and its whiteboard) are
     absorbed by its parent, in-flight messages are rerouted by {!Net}'s
@@ -123,7 +129,9 @@ val record_answer :
 
 val wb_bits : t -> Dtree.node -> int
 (** Current whiteboard size in bits under the paper's encoding
-    (Claim 4.8). *)
+    (Claim 4.8): one package count per level present (the popcount of the
+    store's level mask), the static count, the queue, the down pointer and
+    the two flags. *)
 
 val max_wb_bits : t -> int
 (** High-water mark of [wb_bits] across nodes and time (sampled at every

@@ -31,25 +31,21 @@ let mobile_size p k = (1 lsl k) * p.phi
 let landing_distance p k =
   (* 3 * 2^(k-1) * psi; psi is a multiple of 4 so k = 0 stays integral. *)
   if k = 0 then 3 * p.psi / 2 else 3 * (1 lsl (k - 1)) * p.psi
+  [@@dynlint.zero_alloc]
 
 let domain_size p k = if k = 0 then p.psi / 2 else (1 lsl (k - 1)) * p.psi
 
+(* The distance band of [d]: 0 up to 2 psi, else the j >= 1 with
+   2^j psi < d <= 2^(j+1) psi, that is 2^j <= (d - 1) / psi < 2^(j+1). *)
+let band p d = if d <= 2 * p.psi then 0 else Stats.ilog2 ((d - 1) / p.psi)
+  [@@dynlint.zero_alloc]
+
 let filler_level_index p d =
-  if d <= 2 * p.psi then 0
-  else
-    let rec go j =
-      if j > p.max_level + 1 then -1
-      else if (1 lsl j) * p.psi < d && d <= (1 lsl (j + 1)) * p.psi then j
-      else go (j + 1)
-    in
-    go 1
+  let j = band p d in
+  if j > p.max_level + 1 then -1 else j
+  [@@dynlint.zero_alloc]
 
-let filler_level_at p d =
-  match filler_level_index p d with -1 -> None | j -> Some j
-
-let creation_level p d_root =
-  let rec go j = if d_root <= (1 lsl (j + 1)) * p.psi then j else go (j + 1) in
-  go 0
+let creation_level p d_root = band p d_root [@@dynlint.zero_alloc]
 
 let pp ppf p =
   Format.fprintf ppf "(M=%d W=%d U=%d phi=%d psi=%d max_level=%d)" p.m p.w p.u

@@ -40,20 +40,18 @@ val domain_size : t -> int -> int
 (** [domain_size p k] is [2^(k-1) * psi], the size of the domain of a
     level-[k] mobile package (first domain invariant). *)
 
-val filler_level_at : t -> int -> int option
-(** [filler_level_at p d]: the unique package level [j] such that a level-[j]
-    mobile package hosted at distance [d] above a requester makes its host a
-    filler node: [j = 0] iff [d <= 2 psi], otherwise the [j >= 1] with
-    [2^j psi < d <= 2^(j+1) psi]; [None] if [d] exceeds the range covered by
-    levels [0..max_level]. *)
-
 val filler_level_index : t -> int -> int
-(** [filler_level_at] without the option: [-1] where it answers [None].
-    For per-hop climbing loops that cannot afford the [Some] allocation. *)
+(** [filler_level_index p d]: the unique package level [j] such that a
+    level-[j] mobile package hosted at distance [d] above a requester makes
+    its host a filler node: [j = 0] iff [d <= 2 psi], otherwise the
+    [j >= 1] with [2^j psi < d <= 2^(j+1) psi], that is
+    [ilog2 ((d - 1) / psi)]; [-1] if [d] exceeds the range covered by
+    levels [0..max_level + 1]. Closed form, allocation-free. *)
 
 val creation_level : t -> int -> int
 (** [creation_level p d_root]: the smallest [j >= 0] with
     [d_root <= 2^(j+1) psi] — the level of the package the root creates for a
-    requester at distance [d_root] (item 3b of GrantOrReject). *)
+    requester at distance [d_root] (item 3b of GrantOrReject). The same
+    closed form as {!filler_level_index}, without its upper limit. *)
 
 val pp : Format.formatter -> t -> unit

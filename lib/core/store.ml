@@ -1,38 +1,39 @@
 type t = {
-  mutable mobiles : Package.t list;
+  mutable mask : int;  (* bit j set while a level-j mobile package is hosted *)
+  mutable mobiles : Package.t list;  (* newest first *)
   mutable static : int;
   mutable reject : bool;
 }
 
-let empty () = { mobiles = []; static = 0; reject = false }
+let empty () = { mask = 0; mobiles = []; static = 0; reject = false }
 let mobiles t = t.mobiles
-let add_mobile t p = t.mobiles <- p :: t.mobiles
+let mask t = t.mask [@@dynlint.zero_alloc]
+let hosts t j = t.mask land (1 lsl j) <> 0 [@@dynlint.zero_alloc]
 
-let remove_mobile t (p : Package.t) =
-  let found = ref false in
-  t.mobiles <-
-    List.filter
-      (fun (q : Package.t) ->
-        if (not !found) && q.id = p.id then begin
-          found := true;
-          false
-        end
-        else true)
-      t.mobiles;
-  if not !found then invalid_arg "Store.remove_mobile: package not hosted here"
+let add_mobile t (p : Package.t) =
+  t.mobiles <- p :: t.mobiles;
+  t.mask <- t.mask lor (1 lsl p.level)
 
-(* [j] is threaded as an argument: capturing it would make [first] a real
-   closure, allocated once per call — i.e. once per hop of every climb. *)
-let rec first_at_level j = function
-  | [] -> None
-  | (p : Package.t) :: rest -> if p.level = j then Some p else first_at_level j rest
+(* The list walkers take the level as an argument: capturing it would make
+   each one a real closure, allocated once per call. *)
+let rec newest j = function
+  | [] -> invalid_arg "Store.take: no mobile package of this level"
+  | (p : Package.t) :: rest -> if p.level = j then p else newest j rest
 
-let find_filler t ~params ~distance =
-  (* Runs once per hop of every climb: no intermediate candidate list, and
-     the level query is the int-returning variant, so a miss allocates
-     nothing at all. *)
-  let j = Params.filler_level_index params distance in
-  if j < 0 then None else first_at_level j t.mobiles
+let rec any_at j = function
+  | [] -> false
+  | (p : Package.t) :: rest -> p.level = j || any_at j rest
+
+(* [ps] without [p]: the packages before it are copied, the rest shared. *)
+let rec without (p : Package.t) = function
+  | [] -> []
+  | q :: rest -> if q == p then rest else q :: without p rest
+
+let take t j =
+  let p = newest j t.mobiles in
+  t.mobiles <- without p t.mobiles;
+  if not (any_at j t.mobiles) then t.mask <- t.mask land lnot (1 lsl j);
+  p
 
 let static t = t.static
 
@@ -46,15 +47,17 @@ let take_static t =
 
 let rejecting t = t.reject
 let set_rejecting t = t.reject <- true
-let is_empty t = t.mobiles = [] && t.static = 0 && not t.reject
+let is_empty t = t.mask = 0 && t.static = 0 && not t.reject
 
 let permits t =
   List.fold_left (fun acc (p : Package.t) -> acc + p.size) t.static t.mobiles
 
 let absorb parent child =
   parent.mobiles <- child.mobiles @ parent.mobiles;
+  parent.mask <- parent.mask lor child.mask;
   parent.static <- parent.static + child.static;
   parent.reject <- parent.reject || child.reject;
   child.mobiles <- [];
+  child.mask <- 0;
   child.static <- 0;
   child.reject <- false

@@ -1,8 +1,12 @@
 (** Per-node controller state — the contents of a node's "whiteboard".
 
-    Holds the mobile packages hosted at the node, the merged static permit
-    count, and the reject flag. The map from nodes to stores is owned by the
-    controller; a node without an entry is equivalent to an empty store. *)
+    One layout for both controllers: the mobile packages hosted at the
+    node with a bitmask of their levels, the merged static permit count,
+    and the reject flag. {!Central} keeps one per node; {!Dist}'s
+    whiteboard adds only what Section 4 adds (the lock, the down pointer
+    and the queue) next to one. The map from nodes to stores is owned by
+    the controller; a node without an entry is equivalent to an empty
+    store. *)
 
 type t
 
@@ -11,13 +15,23 @@ val empty : unit -> t
 val mobiles : t -> Package.t list
 (** Hosted mobile packages, newest first. *)
 
-val add_mobile : t -> Package.t -> unit
-val remove_mobile : t -> Package.t -> unit
+val mask : t -> int
+(** The hosted levels as a bitmask: bit [j] is set exactly while a level-[j]
+    mobile package is hosted. Levels must stay below [Sys.int_size - 1]. *)
 
-val find_filler : t -> params:Params.t -> distance:int -> Package.t option
-(** The mobile package (smallest level first) making this node a filler for
-    a requester [distance] hops below, per the filler definition of
-    Section 3. *)
+val hosts : t -> int -> bool
+(** [hosts t j]: whether a level-[j] mobile package is hosted — one mask
+    test, the whole cost of a climb hop's filler check. A node at distance
+    [d] above a requester is a filler for it (Section 3) iff it hosts a
+    package of the one level [Params.filler_level_index p d]. *)
+
+val add_mobile : t -> Package.t -> unit
+
+val take : t -> int -> Package.t
+(** [take t j] removes and returns the newest hosted level-[j] package:
+    the one added last, where after [absorb parent child] every package of
+    [child] counts as newer than every package [parent] held before.
+    @raise Invalid_argument if no level-[j] package is hosted. *)
 
 val static : t -> int
 val add_static : t -> int -> unit
@@ -36,4 +50,5 @@ val permits : t -> int
 
 val absorb : t -> t -> unit
 (** [absorb parent child]: move every package and flag of [child] into
-    [parent] (used when [child]'s node is deleted). Empties [child]. *)
+    [parent] (used when [child]'s node is deleted), [child]'s packages
+    ahead of [parent]'s in {!mobiles}. Empties [child]. *)

@@ -267,6 +267,8 @@ let parent_id t v =
   t.parent.(v)
   [@@dynlint.zero_alloc]
 
+let parent_column t = t.parent [@@dynlint.zero_alloc]
+
 let iter_children t v ~f =
   check_live "iter_children" t v;
   let c = ref t.first_child.(v) in
@@ -316,6 +318,7 @@ let depth t v =
 
 let ancestor_at t v d =
   check_live "ancestor_at" t v;
+  if d < 0 then invalid_arg "Dtree.ancestor_at: negative distance";
   let w = ref v and k = ref d in
   while !k > 0 && !w <> nil do
     w := t.parent.(!w);

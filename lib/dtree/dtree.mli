@@ -72,6 +72,15 @@ val parent_id : t -> node -> node
     variant of [parent] for hot climbing loops.
     @raise Invalid_argument if the node is not live. *)
 
+val parent_column : t -> node array
+(** The parent column itself, read-only: slot [v] holds [v]'s parent,
+    [-1] at the root and at every slot that holds no live node (deleting a
+    node clears its parent), so a [-1] at a non-root node is the liveness
+    check [parent_id] makes. For climbing loops that read one parent per
+    hop without a call. The array is the tree's own: it is valid until the
+    next topological change (growth replaces it), and writing to it
+    corrupts the tree. *)
+
 val children : t -> node -> node list
 (** Current children, in unspecified order. Allocates the list; hot paths
     should prefer [iter_children]/[fold_children]. *)
@@ -113,7 +122,8 @@ val depth : t -> node -> int
 val ancestor_at : t -> node -> int -> node option
 (** [ancestor_at t v d] is the ancestor of [v] at distance exactly [d],
     or [None] if [depth t v < d]. A node is its own ancestor
-    ([d = 0] returns [v]). *)
+    ([d = 0] returns [v]).
+    @raise Invalid_argument if [v] is not live or [d < 0]. *)
 
 val ancestors : t -> node -> node list
 (** Path from [v] (inclusive) to the root (inclusive). *)

@@ -1,9 +1,11 @@
 let log2 x = log x /. log 2.0
 
+let rec halvings n acc = if n <= 1 then acc else halvings (n lsr 1) (acc + 1)
+
 let ilog2 n =
   if n < 1 then invalid_arg "Stats.ilog2";
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
+  halvings n 0
+  [@@dynlint.zero_alloc]
 
 let ceil_log2 n =
   if n < 1 then invalid_arg "Stats.ceil_log2";

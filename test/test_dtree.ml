@@ -53,6 +53,9 @@ let test_ancestors () =
   Alcotest.(check (list int)) "ancestors" [ c; b; a; 0 ] (Dtree.ancestors t c);
   Alcotest.(check (option int)) "ancestor at 2" (Some a) (Dtree.ancestor_at t c 2);
   Alcotest.(check (option int)) "ancestor too far" None (Dtree.ancestor_at t c 9);
+  Alcotest.check_raises "no ancestor at a negative distance"
+    (Invalid_argument "Dtree.ancestor_at: negative distance") (fun () ->
+      ignore (Dtree.ancestor_at t c (-1)));
   check_bool "is_ancestor" true (Dtree.is_ancestor t ~anc:a ~desc:c);
   check_bool "self ancestor" true (Dtree.is_ancestor t ~anc:c ~desc:c);
   check_bool "not ancestor" false (Dtree.is_ancestor t ~anc:c ~desc:a)

@@ -21,27 +21,49 @@ let test_landing_integral () =
   Alcotest.(check bool) "monotone" true
     (Params.landing_distance p 0 < Params.landing_distance p 1)
 
+(* The loop definitions of the filler level and the creation level, the
+   reference for the closed forms in [Params]. *)
+let ref_filler_level (p : Params.t) d =
+  if d <= 2 * p.psi then 0
+  else
+    let rec go j =
+      if j > p.max_level + 1 then -1
+      else if (1 lsl j) * p.psi < d && d <= (1 lsl (j + 1)) * p.psi then j
+      else go (j + 1)
+    in
+    go 1
+
+let ref_creation_level (p : Params.t) d_root =
+  let rec go j = if d_root <= (1 lsl (j + 1)) * p.psi then j else go (j + 1) in
+  go 0
+
+(* Central-deep's U with its W and the W of its first two iterations, E12's
+   psi scales, and the smallest U next to a large one. *)
+let exhaustive_params =
+  List.map (fun w -> Params.make ~m:12288 ~w ~u:36928) [ 1536; 3072; 6144 ]
+  @ List.map
+      (fun psi_scale -> Params.make_scaled ~psi_scale ~m:2048 ~w:1024 ~u:6208)
+      [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
+  @ List.map (fun u -> Params.make ~m:(4 * u) ~w:u ~u) [ 1; 2; 3; 4096 ]
+
+(* Every distance up to 2^(max_level + 3) psi, past the last filler band. *)
+let check_every_distance name f ref_f =
+  List.iter
+    (fun (p : Params.t) ->
+      for d = 0 to (1 lsl (p.max_level + 3)) * p.psi do
+        let got = f p d and want = ref_f p d in
+        if got <> want then
+          Alcotest.failf "%s %a at d = %d: %d, the loop gives %d" name Params.pp p d got want
+      done)
+    exhaustive_params
+
 (* The filler condition partitions distances: exactly level 0 for d <= 2 psi,
    exactly one level j >= 1 with 2^j psi < d <= 2^(j+1) psi beyond. *)
-let prop_filler_partition =
-  Helpers.qcheck ~count:100 "filler level partitions distances"
-    QCheck2.Gen.(pair (int_range 1 100000) (int_range 2 4096))
-    (fun (d, u) ->
-      let p = Params.make ~m:(4 * u) ~w:u ~u in
-      match Params.filler_level_at p d with
-      | Some 0 -> d <= 2 * p.Params.psi
-      | Some j ->
-          j >= 1 && (1 lsl j) * p.Params.psi < d && d <= (1 lsl (j + 1)) * p.Params.psi
-      | None -> d > (1 lsl (p.Params.max_level + 2)) * p.Params.psi)
+let test_filler_partition () =
+  check_every_distance "filler_level_index" Params.filler_level_index ref_filler_level
 
-let prop_creation_level_minimal =
-  Helpers.qcheck ~count:100 "creation level is the minimal j"
-    QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 4096))
-    (fun (d, u) ->
-      let p = Params.make ~m:(4 * u) ~w:u ~u in
-      let j = Params.creation_level p d in
-      d <= (1 lsl (j + 1)) * p.Params.psi
-      && (j = 0 || d > (1 lsl j) * p.Params.psi))
+let test_creation_level_minimal () =
+  check_every_distance "creation_level" Params.creation_level ref_creation_level
 
 (* landing_distance (k-1) always lies strictly below the filler zone of level
    k, so Proc always moves packages downwards. *)
@@ -82,8 +104,8 @@ let suite =
       Alcotest.test_case "mobile sizes" `Quick test_mobile_size;
       Alcotest.test_case "landing distances" `Quick test_landing_integral;
       Alcotest.test_case "invalid parameters" `Quick test_invalid;
-      prop_filler_partition;
-      prop_creation_level_minimal;
+      Alcotest.test_case "filler level partitions distances" `Quick test_filler_partition;
+      Alcotest.test_case "creation level is the minimal j" `Quick test_creation_level_minimal;
       prop_landing_below_filler;
       prop_domain_fits;
     ] )

@@ -105,12 +105,13 @@ let test_store_basics () =
   Alcotest.(check int) "permits" (p.Package.size + 3) (Store.permits s);
   Store.take_static s;
   Alcotest.(check int) "static decremented" 2 (Store.static s);
-  Store.remove_mobile s p;
+  Alcotest.(check int) "took it" p.Package.id (Store.take s 2).Package.id;
   Alcotest.(check (list int)) "no mobiles" []
     (List.map (fun (q : Package.t) -> q.id) (Store.mobiles s));
-  Alcotest.check_raises "cannot remove twice"
-    (Invalid_argument "Store.remove_mobile: package not hosted here") (fun () ->
-      Store.remove_mobile s p)
+  Alcotest.(check int) "no level hosted" 0 (Store.mask s);
+  Alcotest.check_raises "cannot take twice"
+    (Invalid_argument "Store.take: no mobile package of this level") (fun () ->
+      ignore (Store.take s 2))
 
 let test_store_absorb () =
   let alloc = Package.allocator () in
@@ -131,13 +132,129 @@ let test_store_filler_lookup () =
   let p1 = Package.create alloc ~params ~level:1 in
   Store.add_mobile s p1;
   let psi = params.Params.psi in
+  let filler distance =
+    let j = Params.filler_level_index params distance in
+    j >= 0 && Store.hosts s j
+  in
   (* a level-1 package is a filler for distances in (2 psi, 4 psi] only *)
-  Alcotest.(check bool) "not a filler too close" true
-    (Store.find_filler s ~params ~distance:psi = None);
-  Alcotest.(check bool) "filler in its band" true
-    (Store.find_filler s ~params ~distance:(3 * psi) <> None);
-  Alcotest.(check bool) "not a filler too far" true
-    (Store.find_filler s ~params ~distance:(5 * psi) = None)
+  Alcotest.(check bool) "not a filler too close" false (filler psi);
+  Alcotest.(check bool) "filler in its band" true (filler (3 * psi));
+  Alcotest.(check bool) "not a filler too far" false (filler (5 * psi));
+  Alcotest.(check int) "the filler's package" p1.Package.id
+    (Store.take s (Params.filler_level_index params (3 * psi))).Package.id;
+  Alcotest.(check bool) "no longer a filler" false (filler (3 * psi))
+
+(* Store against a plain model of its contract: the hosted packages newest
+   first (a child's ahead after [absorb]), a take picks the first package of
+   the level in that order, and the mask is the set of levels in the list. *)
+type store_op =
+  | Add of int * int  (* store, level *)
+  | Take of int * int
+  | Absorb of int  (* the other store absorbs this one *)
+  | Add_static of int * int
+  | Take_static of int
+  | Reject of int
+
+let pp_store_op = function
+  | Add (i, j) -> Printf.sprintf "add %d L%d" i j
+  | Take (i, j) -> Printf.sprintf "take %d L%d" i j
+  | Absorb i -> Printf.sprintf "absorb %d" i
+  | Add_static (i, n) -> Printf.sprintf "add_static %d %d" i n
+  | Take_static i -> Printf.sprintf "take_static %d" i
+  | Reject i -> Printf.sprintf "reject %d" i
+
+let gen_store_op =
+  QCheck2.Gen.(
+    let i = int_range 0 1 and level = int_range 0 5 in
+    frequency
+      [
+        (4, map2 (fun i j -> Add (i, j)) i level);
+        (4, map2 (fun i j -> Take (i, j)) i level);
+        (1, map (fun i -> Absorb i) i);
+        (2, map2 (fun i n -> Add_static (i, n)) i (int_range 0 3));
+        (2, map (fun i -> Take_static i) i);
+        (1, map (fun i -> Reject i) i);
+      ])
+
+type store_model = { mutable pkgs : Package.t list; mutable static : int; mutable reject : bool }
+
+let rec model_first j = function
+  | [] -> None
+  | (p : Package.t) :: rest -> if p.level = j then Some p else model_first j rest
+
+let rec model_remove (p : Package.t) = function
+  | [] -> []
+  | (q : Package.t) :: rest -> if q.id = p.id then rest else q :: model_remove p rest
+
+let prop_store_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"store agrees with a list model"
+       ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+       QCheck2.Gen.(list_size (int_range 0 60) gen_store_op)
+       (fun ops ->
+         let alloc = Package.allocator () in
+         let stores = [| Store.empty (); Store.empty () |] in
+         let models = Array.init 2 (fun _ -> { pkgs = []; static = 0; reject = false }) in
+         let agrees i =
+           let s = stores.(i) and m = models.(i) in
+           Store.mask s
+           = List.fold_left (fun acc (p : Package.t) -> acc lor (1 lsl p.level)) 0 m.pkgs
+           && List.map (fun (p : Package.t) -> p.id) (Store.mobiles s)
+              = List.map (fun (p : Package.t) -> p.id) m.pkgs
+           && Store.permits s
+              = List.fold_left (fun acc (p : Package.t) -> acc + p.size) m.static m.pkgs
+           && Store.static s = m.static
+           && Store.rejecting s = m.reject
+           && Store.is_empty s = (m.pkgs = [] && m.static = 0 && not m.reject)
+         in
+         let step = function
+           | Add (i, j) ->
+               let p = Package.create alloc ~params:params_for_pkg ~level:j in
+               Store.add_mobile stores.(i) p;
+               models.(i).pkgs <- p :: models.(i).pkgs;
+               true
+           | Take (i, j) -> (
+               let hosts = Store.hosts stores.(i) j in
+               match model_first j models.(i).pkgs with
+               | None -> (
+                   (not hosts)
+                   &&
+                   match Store.take stores.(i) j with
+                   | _ -> false
+                   | exception Invalid_argument _ -> true)
+               | Some want ->
+                   models.(i).pkgs <- model_remove want models.(i).pkgs;
+                   hosts && (Store.take stores.(i) j).id = want.id)
+           | Absorb i ->
+               let child = models.(i) and parent = models.(1 - i) in
+               Store.absorb stores.(1 - i) stores.(i);
+               parent.pkgs <- child.pkgs @ parent.pkgs;
+               parent.static <- parent.static + child.static;
+               parent.reject <- parent.reject || child.reject;
+               child.pkgs <- [];
+               child.static <- 0;
+               child.reject <- false;
+               true
+           | Add_static (i, n) ->
+               Store.add_static stores.(i) n;
+               models.(i).static <- models.(i).static + n;
+               true
+           | Take_static i -> (
+               if models.(i).static = 0 then
+                 match Store.take_static stores.(i) with
+                 | () -> false
+                 | exception Invalid_argument _ -> true
+               else begin
+                 Store.take_static stores.(i);
+                 models.(i).static <- models.(i).static - 1;
+                 true
+               end)
+           | Reject i ->
+               Store.set_rejecting stores.(i);
+               models.(i).reject <- true;
+               true
+         in
+         List.for_all (fun op -> step op && agrees 0 && agrees 1) ops))
 
 (* --- Domain tracker (unit-level) -------------------------------------- *)
 
@@ -180,5 +297,6 @@ let suite =
       Alcotest.test_case "store basics" `Quick test_store_basics;
       Alcotest.test_case "store absorb" `Quick test_store_absorb;
       Alcotest.test_case "store filler lookup" `Quick test_store_filler_lookup;
+      prop_store_model;
       Alcotest.test_case "domain tracker" `Quick test_domain_tracker_directly;
     ] )

@@ -95,6 +95,32 @@ let test_dtree () =
         Dtree.remove_leaf t v
       done)
 
+(* The climb: a request on an exhausted report-mode controller climbs from
+   a deep leaf to the root through six distance bands (W = U makes psi
+   small), tests each hop's store for a filler, and answers [Exhausted]
+   without changing any state. The level lookup is closed-form, so it
+   allocates nothing at any distance. *)
+let test_central_climb () =
+  let tree = Dtree.create () in
+  let leaf = ref (Dtree.root tree) in
+  for _ = 1 to 3000 do
+    leaf := Dtree.add_leaf tree ~parent:!leaf
+  done;
+  let params = Controller.Params.make ~m:0 ~w:4000 ~u:4000 in
+  let c = Controller.Central.create ~reject_mode:Controller.Types.Report ~params ~tree () in
+  let op = Workload.Non_topological !leaf in
+  (* warm-up: the first request installs the requester's store *)
+  ignore (Controller.Central.request c op);
+  check_zero "Central exhausted climb" (fun () ->
+      for _ = 1 to 100 do
+        ignore (Controller.Central.request c op)
+      done);
+  let psi = params.Controller.Params.psi in
+  check_zero "Params.filler_level_index past 2 psi" (fun () ->
+      for d = 1 to laps do
+        ignore (Controller.Params.filler_level_index params ((2 * psi) + d))
+      done)
+
 let test_event_queue () =
   let q = Event_queue.create ~dummy:(-1) in
   (* warm the heap arrays past the working set *)
@@ -183,6 +209,7 @@ let suite =
     [
       Alcotest.test_case "rng draws" `Quick test_rng;
       Alcotest.test_case "dtree traversal and mutation" `Quick test_dtree;
+      Alcotest.test_case "central climb and level lookup" `Quick test_central_climb;
       Alcotest.test_case "event queue cycle" `Quick test_event_queue;
       Alcotest.test_case "net round trip (no sink)" `Quick test_net_round_trip;
       Alcotest.test_case "splitmix64 reference stream" `Quick
