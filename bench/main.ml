@@ -101,7 +101,6 @@ type outcome = {
   name : string;
   tally : Experiments.Results.tally;
   wall_s : float;
-  peak_heap_words : int;
   profile : Telemetry.Profile.t;
 }
 
@@ -118,7 +117,6 @@ let outcome_json scheduler o =
         ("bits", Int o.tally.Experiments.Results.bits);
         ("rows", Int o.tally.Experiments.Results.rows);
         ("alloc_bytes", Int o.tally.Experiments.Results.alloc_bytes);
-        ("peak_heap_words", Int o.peak_heap_words);
         ("scheduler", String scheduler);
         ("wall_s", Float o.wall_s);
         ( "msgs_per_s",
@@ -346,15 +344,13 @@ let () =
           let t0 = Unix.gettimeofday () in
           Telemetry.Profile.run profile ~name (fun () -> f ctx);
           let wall_s = Unix.gettimeofday () -. t0 in
-          let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
           (match sink with
           | None -> ()
           | Some s ->
               Telemetry.Profile.emit profile s ~time:0;
               trace_events := Telemetry.Sink.events s :: !trace_events);
           results :=
-            { name; tally = ctx.Experiments.tally; wall_s; peak_heap_words; profile }
-            :: !results)
+            { name; tally = ctx.Experiments.tally; wall_s; profile } :: !results)
     wanted;
   let outcomes = List.rev !results in
   (match trace_file with

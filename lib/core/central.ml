@@ -7,14 +7,12 @@ type package_event =
   | Split of {
       parent : Package.t;
       left : Package.t;
-      right : Package.t;
       requester : Dtree.node;
       from_dist : int;
       to_dist : int;
     }
   | Became_static of { pkg : Package.t; node : Dtree.node; from_dist : int }
   | Store_moved of { from_ : Dtree.node; to_ : Dtree.node }
-  | Granted_at of Dtree.node
 
 type hooks = {
   on_grant : Workload.applied -> unit;
@@ -91,8 +89,7 @@ let notify t ev =
             (Telemetry.Event.Package_static { ctrl; node; size = pkg.Package.size })
       | Store_moved { from_; to_ } ->
           Telemetry.Sink.event s ~time:(clock s)
-            (Telemetry.Event.Package_join { ctrl; from_; to_ })
-      | Granted_at _ -> ())
+            (Telemetry.Event.Package_join { ctrl; from_; to_ }))
 
 (* The store of [v], or [t.vacant] when [v] has none: a bounds check and
    one array read, the whole cost of a climb hop's lookup. *)
@@ -200,14 +197,13 @@ let rec proc t ~u pkg ~d_w =
     let target = t.lands.(k - 1) in
     t.moves <- t.moves + (d_w - td);
     let left, right = Package.split t.alloc pkg in
-    notify t (Split { parent = pkg; left; right; requester = u; from_dist = d_w; to_dist = td });
+    notify t (Split { parent = pkg; left; requester = u; from_dist = d_w; to_dist = td });
     Store.add_mobile (store t target) left;
     proc t ~u right ~d_w:td
   end
 
 let grant t u op =
   Store.take_static (store t u);
-  notify t (Granted_at u);
   t.granted <- t.granted + 1;
   apply_event t op
 

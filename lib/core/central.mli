@@ -34,32 +34,30 @@ val log_src : Logs.src
 module Log : Logs.LOG
 
 (** Life-cycle events of the permit data structure: the one stream that
-    every observer of the packages reads. The name-assignment protocol of
-    Theorem 5.2 attaches an integer interval to every package and splits it
-    with the package; the subtree estimator of Lemma 5.3 counts the permits
-    that move down the requester's root path ([Split] and [Became_static]);
-    the Section 3.2 {!Domain_tracker} follows the packages' domains.
+    every observer of the packages reads. The subtree estimator of
+    Lemma 5.3 counts the permits that move down the requester's root path
+    ([Split] and [Became_static]); the Section 3.2 {!Domain_tracker}
+    follows the packages' domains. A grant raises no event: it consumes one
+    static permit at its request site, and [on_grant] reports the change.
     Distances count edges up from the requester. *)
 type package_event =
   | Created of Package.t  (** filled from the root's storage *)
   | Split of {
       parent : Package.t;
       left : Package.t;
-      right : Package.t;
       requester : Dtree.node;
       from_dist : int;
       to_dist : int;
     }
       (** [parent] moved down [requester]'s root path from the ancestor at
           [from_dist] to the one at [to_dist] ([to_dist < from_dist]) and
-          split there: [left] stays at that landing node; [right] continues
-          down *)
+          split there: [left] stays at that landing node, and the other
+          half continues down (its own [Split] or [Became_static] follows) *)
   | Became_static of { pkg : Package.t; node : Dtree.node; from_dist : int }
       (** [pkg] moved from the ancestor at [from_dist] down to the
           requester [node] and became static there *)
   | Store_moved of { from_ : Dtree.node; to_ : Dtree.node }
       (** a deleted node's whole store was absorbed by its parent *)
-  | Granted_at of Dtree.node  (** one static permit consumed at the node *)
 
 (** Instrumentation points used by the Section 5 applications and by tests.
     [on_grant] fires after the event of a granted request occurred, with the

@@ -105,7 +105,7 @@ let hooks t =
              there: a package leaves its host only to split or turn
              static, and both cancel its domain *)
           Hashtbl.iter (fun _ d -> if d.host = from_ then d.host <- to_) t.doms
-      | Central.Created _ | Central.Granted_at _ -> ());
+      | Central.Created _ -> ());
   }
 
 let tracked t = Hashtbl.length t.doms

@@ -8,7 +8,7 @@ include Iterate.S
 val create :
   ?reject_mode:Types.reject_mode ->
   ?telemetry:Telemetry.Sink.t ->
-  ?hooks:(unit -> Central.hooks) ->
+  ?hooks:Central.hooks ->
   m:int ->
   w:int ->
   u:int ->
@@ -17,6 +17,5 @@ val create :
   t
 (** [reject_mode] defaults to [Wave]. Each stage runs a fresh report-mode
     {!Central} base over [Params.make ~m:M_i ~w:W_i ~u], built with
-    [telemetry] and with the hooks that [hooks ()] returns; [hooks] is
-    called once per base.
+    [telemetry] and [hooks]: every base reports to the same hooks.
     @raise Invalid_argument if [m < 0], [w < 0] or [u < 1]. *)

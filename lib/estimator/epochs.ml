@@ -22,8 +22,7 @@ module Central = struct
     t.boundary t;
     let m, w, u = params ~budget:t.budget (Dtree.size t.tree) in
     t.ctrl <-
-      Iterated.create ~reject_mode:Types.Report ~hooks:(fun () -> t.hooks t) ~m ~w ~u
-        ~tree:t.tree ()
+      Iterated.create ~reject_mode:Types.Report ~hooks:(t.hooks t) ~m ~w ~u ~tree:t.tree ()
 
   let create ?(hooks = fun _ -> Controller.Central.no_hooks) ~budget ~boundary ~tree () =
     let t =

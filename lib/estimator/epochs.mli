@@ -31,8 +31,10 @@ module Central : sig
     tree:Dtree.t ->
     unit ->
     t
-  (** [hooks e] is called once per base controller made (default: none);
-      its [on_grant] is where a protocol sees each applied change. *)
+  (** [hooks e] is called once per epoch (default: none), and every base
+      controller of that epoch's {!Controller.Iterated} reports to the
+      hooks it returns; their [on_grant] is where a protocol sees each
+      applied change. *)
 
   val request : t -> Workload.op -> unit
   (** Serve one change: granted immediately, after as many rotations as

@@ -49,9 +49,7 @@ let create ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ()) ?(on_applied = 
         | Controller.Central.Became_static { pkg; node; from_dist } ->
             observe_package core tree ~requester:node ~from_dist ~to_dist:0
               ~size:pkg.Controller.Package.size
-        | Controller.Central.Created _ | Controller.Central.Store_moved _
-        | Controller.Central.Granted_at _ ->
-            ());
+        | Controller.Central.Created _ | Controller.Central.Store_moved _ -> ());
     }
   in
   let budget n =

@@ -15,15 +15,7 @@
 
 type t
 
-val create :
-  ?on_change:(Dtree.node -> unit) ->
-  ?on_epoch:(unit -> unit) ->
-  ?on_applied:(Workload.applied -> unit) ->
-  net:Net.t ->
-  unit ->
-  t
-(** [on_change v] fires whenever [omega~(v)] increased; [on_epoch] after
-    every epoch rebuild; [on_applied] after every applied change. *)
+val create : net:Net.t -> unit -> t
 
 val submit : t -> Workload.op -> k:(unit -> unit) -> unit
 (** Submit one controlled topological change; [k] fires after it applied. *)

@@ -191,22 +191,22 @@ let test_removal_clears_slot () =
    requester's path or a deleted node's store carried up one edge, and the
    package events name each of them: the distances of [Split] and
    [Became_static] plus one per [Store_moved] add up to [Central.moves].
-   A split lands at its level's landing distance, and its left half is
-   hosted there by the time the request is granted. Returns the number of
-   splits and joins seen. *)
+   The events also rebuild every node's static count: [Became_static] adds
+   its size at the requester, [Store_moved] carries a deleted node's count
+   to its parent, and a granted request takes one at its request site. A
+   split lands at its level's landing distance, and its left half is still
+   hosted there once the request is answered: landing nodes are strict
+   ancestors of the requester, so the applied change cannot move them.
+   Returns the number of splits and joins seen. *)
 let run_package_accounting ~seed ~shape ~mix ~deep_bias ~m ~w ~u ~requests =
   let tree = Workload.Shape.build (Rng.create ~seed) shape in
   let params = Params.make ~m ~w ~u in
-  let ctrl = ref None in
   let moved = ref 0 and splits = ref 0 and joins = ref 0 and landed = ref [] in
-  let hosted c (pkg, host) =
-    Central.fold_stores c ~init:false ~f:(fun acc v s ->
-        acc
-        || v = host
-           && List.exists (fun p -> p.Package.id = pkg.Package.id) (Store.mobiles s))
-  in
+  let static = Hashtbl.create 64 in
+  let count tbl v = Option.value (Hashtbl.find_opt tbl v) ~default:0 in
+  let add v k = Hashtbl.replace static v (count static v + k) in
   let on_package_event = function
-    | Central.Split { parent; left; requester; from_dist; to_dist; _ } ->
+    | Central.Split { parent; left; requester; from_dist; to_dist } ->
         incr splits;
         moved := !moved + from_dist - to_dist;
         let want = Params.landing_distance params (parent.Package.level - 1) in
@@ -214,28 +214,51 @@ let run_package_accounting ~seed ~shape ~mix ~deep_bias ~m ~w ~u ~requests =
           Alcotest.failf "level-%d split landed at distance %d, want %d" parent.Package.level
             to_dist want;
         landed := (left, Option.get (Dtree.ancestor_at tree requester to_dist)) :: !landed
-    | Central.Became_static { from_dist; _ } -> moved := !moved + from_dist
-    | Central.Store_moved _ ->
+    | Central.Became_static { pkg; node; from_dist } ->
+        moved := !moved + from_dist;
+        add node pkg.Package.size
+    | Central.Store_moved { from_; to_ } ->
         incr joins;
-        incr moved
-    | Central.Granted_at _ ->
-        (* the request's splits have all landed; its change is not applied yet *)
-        let c = Option.get !ctrl in
-        List.iter
-          (fun l ->
-            if not (hosted c l) then
-              Alcotest.failf "package %d is not hosted at node %d" (fst l).Package.id (snd l))
-          !landed;
-        landed := []
+        incr moved;
+        add to_ (count static from_);
+        Hashtbl.remove static from_
     | Central.Created _ -> ()
   in
   let c = Central.create ~hooks:{ Central.no_hooks with on_package_event } ~params ~tree () in
-  ctrl := Some c;
+  let hosted (pkg, host) =
+    Central.fold_stores c ~init:false ~f:(fun acc v s ->
+        acc
+        || v = host
+           && List.exists (fun p -> p.Package.id = pkg.Package.id) (Store.mobiles s))
+  in
   let wl = Workload.make ~seed:(seed + 1) ~deep_bias ~mix () in
   for _ = 1 to requests do
-    ignore (Central.request c (Workload.next_op wl tree));
+    let op = Workload.next_op wl tree in
+    let site = Workload.request_site tree op in
+    (* a grant takes its permit before the change applies, so before a
+       deleted site's count moves to its parent; an unanswered request
+       gives it back *)
+    add site (-1);
+    (match Central.request c op with
+    | Types.Granted -> ()
+    | Types.Rejected | Types.Exhausted -> add site 1);
     if (not (Central.wave_done c)) && Central.moves c <> !moved then
-      Alcotest.failf "%d moves, but the package events account for %d" (Central.moves c) !moved
+      Alcotest.failf "%d moves, but the package events account for %d" (Central.moves c) !moved;
+    List.iter
+      (fun l ->
+        if not (hosted l) then
+          Alcotest.failf "package %d is not hosted at node %d" (fst l).Package.id (snd l))
+      !landed;
+    landed := [];
+    let held = Hashtbl.create 64 in
+    Central.fold_stores c ~init:() ~f:(fun () v s -> Hashtbl.replace held v (Store.static s));
+    let check v =
+      if count static v <> count held v then
+        Alcotest.failf "node %d holds %d static permits, the events rebuild %d" v
+          (count held v) (count static v)
+    in
+    Hashtbl.iter (fun v _ -> check v) static;
+    Hashtbl.iter (fun v _ -> check v) held
   done;
   (!splits, !joins)
 

@@ -182,54 +182,6 @@ let prop_dist_subtree =
         (fun v -> Sd.estimate est v + 5 >= Sd.super_weight est v)
         (Dtree.live_nodes tree))
 
-(* --- distributed heavy-child (Theorem 5.4 over the simulator) ---------- *)
-
-module Hd = Estimator.Heavy_child_dist
-
-let drive_heavy_dist ~seed ~n0 ~changes ~mix =
-  let rng = Rng.create ~seed in
-  let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
-  let net = Net.create ~seed:(seed + 1) ~tree () in
-  let hc = Hd.create ~net () in
-  Controller.Dist_harness.drive ~concurrency:5 ~net ~requests:changes ~submit:(Hd.submit hc)
-    ~on_answer:ignore (Workload.make ~seed:(seed + 2) ~mix ());
-  Net.run net;
-  (hc, tree)
-
-let test_dist_heavy_pointers_and_bound () =
-  let hc, tree =
-    drive_heavy_dist ~seed:108 ~n0:90 ~changes:350 ~mix:Workload.Mix.churn
-  in
-  Dtree.iter_nodes tree ~f:(fun v ->
-      match Hd.heavy hc v with
-      | None ->
-          if not (Dtree.is_leaf tree v) then
-            Alcotest.failf "internal node %d lacks a heavy child" v
-      | Some c ->
-          if not (List.mem c (Dtree.children tree v)) then
-            Alcotest.failf "mu(%d) = %d is not a child" v c);
-  let sw_root =
-    Estimator.Subtree_estimator_dist.super_weight (Hd.estimator hc) 0
-  in
-  let bound = 4.0 *. (log (float_of_int (max 2 sw_root)) /. log (4.0 /. 3.0)) in
-  let worst = Hd.max_light_ancestors hc in
-  Alcotest.(check bool)
-    (Printf.sprintf "distributed light ancestors %d <= %.0f" worst bound)
-    true
-    (float_of_int worst <= bound)
-
-let prop_dist_heavy =
-  Helpers.qcheck ~count:5 "distributed light ancestors stay logarithmic"
-    QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
-    (fun (seed, mix_idx) ->
-      let mix = List.nth Workload.Mix.[ churn; grow_only; shrink_heavy ] mix_idx in
-      let hc, _ = drive_heavy_dist ~seed ~n0:45 ~changes:180 ~mix in
-      let sw_root =
-        Estimator.Subtree_estimator_dist.super_weight (Hd.estimator hc) 0
-      in
-      let bound = 4.0 *. (log (float_of_int (max 2 sw_root)) /. log (4.0 /. 3.0)) in
-      float_of_int (Hd.max_light_ancestors hc) <= bound)
-
 let suite =
   ( "heavy-child",
     [
@@ -242,7 +194,4 @@ let suite =
       Alcotest.test_case "distributed estimates cover super-weights" `Quick
         test_dist_estimates_cover_sw;
       prop_dist_subtree;
-      Alcotest.test_case "distributed heavy pointers and bound" `Quick
-        test_dist_heavy_pointers_and_bound;
-      prop_dist_heavy;
     ] )

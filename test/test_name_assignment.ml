@@ -47,59 +47,29 @@ let prop_invariants =
       let na, _, _ = drive ~seed ~n0:25 ~changes:250 ~mix () in
       Estimator.Name_assignment.max_id_ever_ratio na <= 4.0)
 
-(* --- faithful interval-permit variant (centralized) -------------------- *)
-
-module Nc = Estimator.Name_assignment_central
-
-let drive_central ~seed ~n0 ~changes ~mix =
-  let rng = Rng.create ~seed in
-  let tree = Workload.Shape.build rng (Workload.Shape.Random n0) in
-  let na = Nc.create ~tree () in
-  let wl = Workload.make ~seed:(seed + 1) ~mix () in
-  for _ = 1 to changes do
-    Nc.submit na (Workload.next_op wl tree);
-    (* uniqueness at every single step *)
-    let values = List.map snd (Nc.ids na) in
-    if List.length (List.sort_uniq compare values) <> List.length values then
-      Alcotest.fail "interval-permit identities collide";
-    if List.length values <> Dtree.size tree then
-      Alcotest.fail "a live node is missing an identity"
-  done;
-  (na, tree)
-
-let test_interval_permits_unique_and_short () =
-  let na, _ = drive_central ~seed:95 ~n0:40 ~changes:300 ~mix:Workload.Mix.churn in
-  Alcotest.(check bool)
-    (Printf.sprintf "max ratio ever %.2f <= 4" (Nc.max_id_ever_ratio na))
-    true
-    (Nc.max_id_ever_ratio na <= 4.0);
-  Alcotest.(check bool) "epochs rotated" true (Nc.epochs na > 0)
-
-let test_interval_ids_in_band () =
-  (* between renumberings, fresh identities come from the epoch's interval
-     [N_i + 1, 3 N_i / 2] — the literal Theorem 5.2 mechanism *)
+let test_fresh_ids_in_band () =
+  (* between renumberings, a granted insertion names the new node with the
+     next integer of the epoch band (N_i, 3 N_i / 2] *)
   let rng = Rng.create ~seed:96 in
   let tree = Workload.Shape.build rng (Workload.Shape.Random 60) in
-  let na = Nc.create ~tree () in
+  let net = Net.create ~seed:97 ~tree () in
+  let na = Estimator.Name_assignment.create ~net () in
   let n_i = Dtree.size tree in
-  let before = List.map fst (Nc.ids na) in
-  for _ = 1 to 10 do
-    Nc.submit na (Workload.Add_leaf (Dtree.root tree))
+  let before = Estimator.Name_assignment.ids na in
+  for _ = 1 to 25 do
+    Estimator.Name_assignment.submit na (Workload.Add_leaf (Dtree.root tree)) ~k:ignore
   done;
+  Net.run net;
+  Alcotest.(check int) "no rotation" 0 (Estimator.Name_assignment.epochs na);
+  let fresh =
+    List.filter (fun b -> not (List.mem b before)) (Estimator.Name_assignment.ids na)
+  in
+  Alcotest.(check int) "every insertion named" 25 (List.length fresh);
   List.iter
-    (fun (v, i) ->
-      if not (List.mem v before) then
-        if i <= n_i || i > (3 * n_i / 2) + 1 then
-          Alcotest.failf "fresh id %d outside (N_i, 3N_i/2] for N_i = %d" i n_i)
-    (Nc.ids na)
-
-let prop_interval_variant =
-  Helpers.qcheck ~count:8 "interval-permit identities unique and short"
-    QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
-    (fun (seed, mix_idx) ->
-      let mix = List.nth Workload.Mix.[ churn; grow_only; shrink_heavy ] mix_idx in
-      let na, _ = drive_central ~seed ~n0:25 ~changes:200 ~mix in
-      Nc.max_id_ever_ratio na <= 4.0)
+    (fun (_, i) ->
+      if i <= n_i || i > 3 * n_i / 2 then
+        Alcotest.failf "fresh id %d outside (N_i, 3N_i/2] for N_i = %d" i n_i)
+    fresh
 
 let suite =
   ( "name-assignment",
@@ -107,9 +77,5 @@ let suite =
       Alcotest.test_case "churn keeps names unique and short" `Quick test_churn;
       Alcotest.test_case "heavy shrink" `Quick test_growth_and_shrink;
       prop_invariants;
-      Alcotest.test_case "interval permits: unique and short" `Quick
-        test_interval_permits_unique_and_short;
-      Alcotest.test_case "interval permits: ids from the epoch band" `Quick
-        test_interval_ids_in_band;
-      prop_interval_variant;
+      Alcotest.test_case "fresh ids from the epoch band" `Quick test_fresh_ids_in_band;
     ] )
