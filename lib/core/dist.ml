@@ -116,6 +116,14 @@ type t = {
   mutable wave : bool;
   mutable next_aid : int;
   mutable nmax : int;  (* largest live size seen: the paper's N *)
+  (* Widths read on every hop, cached: [log_n] and [agent_w] follow [nmax]
+     ([note_applied] recomputes them when it grows); [log_u] and
+     [static_w], the width of a static permit count, are fixed by
+     [params]. *)
+  mutable log_n : int;
+  log_u : int;
+  static_w : int;
+  mutable agent_w : int;
   mutable wb_bits_max : int;
 }
 
@@ -162,8 +170,12 @@ let fold_wbs t ~init ~f =
   Array.iteri (fun v b -> if b != t.blank then acc := f !acc v b) t.wbs;
   !acc
 
-let log_n t = Stats.ceil_log2 (max 2 t.nmax)
-let log_u t = Stats.ceil_log2 (max 2 t.params.Params.u)
+let width n = Stats.ceil_log2 (max 2 n)
+
+(* O(log N)-bit agent message: two distance counters, the bag level, a phase
+   tag and the request descriptor. *)
+let agent_width params log_n =
+  (2 * log_n) + (Stats.ceil_log2 (params.Params.max_level + 2) + 1) + 3 + (log_n + 3)
 
 let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
 
@@ -173,23 +185,16 @@ let wb_bits t v =
   let b = find_wb t v in
   if b == t.blank then 0
   else
-    let static_bits =
-      if Store.static b.store > 0 then Stats.ceil_log2 (max 2 (t.params.Params.m + 1)) else 0
-    in
-    (popcount (Store.mask b.store) * log_u t)
+    let static_bits = if Store.static b.store > 0 then t.static_w else 0 in
+    (popcount (Store.mask b.store) * t.log_u)
     + static_bits
-    + (Queue.length b.queue * log_n t)
-    + log_n t (* down pointer *)
+    + (Queue.length b.queue * t.log_n)
+    + t.log_n (* down pointer *)
     + 2 (* lock and reject flags *)
 
 let touch_mem t v = t.wb_bits_max <- max t.wb_bits_max (wb_bits t v)
-
-(* O(log N)-bit agent message: two distance counters, the bag level, a phase
-   tag and the request descriptor. *)
-let agent_bits t =
-  (2 * log_n t) + (Stats.ceil_log2 (t.params.Params.max_level + 2) + 1) + 3 + (log_n t + 3)
-
-let reject_bits t = log_n t
+let agent_bits t = t.agent_w
+let reject_bits t = t.log_n
 
 let tag t s = t.tag_ids.(suffix_index s)
 let tag_universe ~name = List.map (fun s -> name ^ "-" ^ s) tag_suffixes
@@ -246,7 +251,12 @@ let absorb t ~parent ~child =
   end
 
 let note_applied t info =
-  t.nmax <- max t.nmax (Dtree.size (tree t));
+  let n = Dtree.size (tree t) in
+  if n > t.nmax then begin
+    t.nmax <- n;
+    t.log_n <- width n;
+    t.agent_w <- agent_width t.params t.log_n
+  end;
   match info with
   | Workload.Event_occurred _ -> ()
   | Workload.Leaf_added { parent; leaf } ->
@@ -566,6 +576,8 @@ let create ?(config = default_config) ~params ~net () =
          (fun s -> Net.intern_tag net (config.name ^ "-" ^ suffix_to_string s))
          all_suffixes)
   in
+  let nmax = Dtree.size (Net.tree net) in
+  let log_n = width nmax in
   let t =
     {
       params;
@@ -582,7 +594,11 @@ let create ?(config = default_config) ~params ~net () =
       outstanding = 0;
       wave = false;
       next_aid = 0;
-      nmax = Dtree.size (Net.tree net);
+      nmax;
+      log_n;
+      log_u = width params.Params.u;
+      static_w = width (params.Params.m + 1);
+      agent_w = agent_width params log_n;
       wb_bits_max = 0;
     }
   in

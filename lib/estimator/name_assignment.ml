@@ -4,7 +4,9 @@ let tag_universe = Controller.Dist.tag_universe ~name:protocol_name
 type state = {
   net : Net.t;
   ids : (Dtree.node, int) Hashtbl.t;
-  mutable fresh : int;  (* next unassigned integer in [N_i + 1, 3 N_i / 2] *)
+  mutable fresh : int;
+      (* next unassigned integer of the epoch band
+         [N_i + 1, N_i + max 2 (N_i / 2)], one per permit of [budget] *)
   mutable max_ratio : float;
 }
 

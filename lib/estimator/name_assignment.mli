@@ -8,13 +8,17 @@
     messages each) first move every identity into the temporary range
     [[3 N_i + 1, 4 N_i]] and then down to [[1, N_i]] — the double traversal
     keeps identities unique {e during} renaming, the paper's delicate point.
-    A terminating distributed [(N_i/2, N_i/4)]-controller then guards all
-    topological changes; each granted insertion consumes one permit, and
-    each permit owns one integer of [[N_i + 1, 3 N_i / 2]] (in the paper the
-    root seeds the package intervals and splits them with the packages; the
-    simulator realizes the same bijection at grant time without extra
-    messages — see DESIGN.md). When the controller terminates — after at
-    least [N_i/4] changes — the epoch rotates. *)
+    A terminating distributed [(max (2, N_i/2), max (1, N_i/4))]-controller
+    then guards all topological changes; each granted insertion consumes
+    one permit, and each permit owns one integer of the epoch band
+    [[N_i + 1, N_i + max (2, floor (N_i/2))]] (in the paper the root seeds
+    the package intervals and splits them with the packages; the simulator
+    realizes the same bijection at grant time without extra messages — see
+    DESIGN.md). The band is the paper's [[N_i + 1, 3 N_i / 2]] from
+    [N_i = 4] on; below that it holds two integers, because the waste is
+    at least 1 and a controller with [M = 1] would promise no grant at all.
+    Identities stay at most [4n] either way. When the controller terminates — after at least [N_i/4] changes —
+    the epoch rotates. *)
 
 type t
 

@@ -31,7 +31,9 @@ type t = {
   max_delay : int;
   sched : Scheduler.t;
   events : cell Event_queue.t;
-  forwards : (node, node) Hashtbl.t;  (* deleted node -> adopting parent *)
+  mutable forwards : int array;
+      (* node id -> adopting parent, -1 = not forwarded; ids past its end
+         are not forwarded *)
   tags : Tag.table;  (* this net's wire-tag intern table *)
   (* Dense per-tag / per-link tallies, indexed by the interned ids: the hot
      path is a bare array read-increment — no string join, no hashing, no
@@ -89,7 +91,7 @@ let create ?(seed = 0x5EED) ?(max_delay = 8) ?scheduler ?sink ~tree () =
     max_delay;
     sched = Scheduler.create discipline;
     events = Event_queue.create ~dummy:(fresh_cell ());
-    forwards = Hashtbl.create 32;
+    forwards = [||];
     tags = Tag.create ();
     by_tag = Array.make 16 0;
     link_last = Array.make 64 (-1);
@@ -123,25 +125,27 @@ let intern_tag t s =
 
 let tag_name t id = Tag.to_string t.tags id
 
+let forward_of t v =
+  if v >= 0 && v < Array.length t.forwards then t.forwards.(v) else -1
+  [@@dynlint.zero_alloc]
+
 (* Path compression: every node visited on the forwarding chain is pointed
    directly at the final adopter, so repeated resolutions stay O(1) even
-   after long internal-deletion sequences. The exception form keeps the
-   common not-forwarded case box-free. *)
+   after long internal-deletion sequences. *)
 let rec resolve t v =
-  match Hashtbl.find t.forwards v with
-  | exception Not_found -> v
-  | p ->
-      let r = resolve t p in
-      (* dynlint: allow zero-alloc — replace of an existing key is in-place *)
-      if r <> p then Hashtbl.replace t.forwards v r;
-      r
+  let p = forward_of t v in
+  if p < 0 then v
+  else begin
+    let r = resolve t p in
+    if r <> p then t.forwards.(v) <- r;
+    r
+  end
   [@@dynlint.zero_alloc]
 
 let forward_hops t v =
   let rec count v n =
-    match Hashtbl.find_opt t.forwards v with
-    | None -> n
-    | Some p -> count p (n + 1)
+    let p = forward_of t v in
+    if p < 0 then n else count p (n + 1)
   in
   count v 0
 
@@ -337,8 +341,18 @@ let schedule t ?(delay = 1) f =
   c.c_act <- f;
   Event_queue.add t.events ~time:(t.clock + delay) c
 
+(* The forwarding column grows by doubling, and at least to every id the
+   tree has minted ([Dtree.ever_created] bounds them), so a run grows it a
+   handful of times however its deletions are ordered. *)
 let node_deleted t v ~parent =
-  Hashtbl.replace t.forwards v parent;
+  let n = Array.length t.forwards in
+  if v >= n then begin
+    let cap = max (2 * n) (max (v + 1) (Dtree.ever_created t.the_tree)) in
+    let bigger = Array.make cap (-1) in
+    Array.blit t.forwards 0 bigger 0 n;
+    t.forwards <- bigger
+  end;
+  t.forwards.(v) <- parent;
   Scheduler.on_node_deleted t.sched ~deleted:v ~resolve:(resolve t)
 
 (* Cold traced-delivery path. The deliver event shares the message's span

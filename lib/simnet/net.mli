@@ -38,11 +38,13 @@
     ran.
 
     {b Allocation.} A sink-less send and its delivery allocate nothing in
-    steady state: tag and link state are dense int arrays, the event queue
-    is a struct-of-arrays heap, and the in-flight message cells are pooled
-    on a free list — a delivered cell is stripped and reused by the next
-    send. Only the protocol's own continuation closures remain with the
-    caller.
+    steady state, forwarded or not: tag and link state are dense int
+    arrays, link ids come from the scheduler's open-addressed int table,
+    the deletion-forwarding map is an int column indexed by node id, the
+    event queue is a struct-of-arrays heap, and the in-flight message cells
+    are pooled on a free list — a delivered cell is stripped and reused by
+    the next send, so a sink-less message makes no [Hashtbl] lookup. Only
+    the protocol's own continuation closures remain with the caller.
 
     {b Causality.} With a sink present, every send mints a span (see
     {!Telemetry.Event.ctx}): a fresh id, parented on the span whose delivery

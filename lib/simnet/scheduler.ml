@@ -10,9 +10,12 @@ type link_id = int
 (* Links are interned to dense ids so the per-send bookkeeping (FIFO state
    here, reorder accounting in Net) is flat array indexing with no link
    value allocated on the hot path. A link packs into one int — node ids
-   stay far below 2^31 ([Dtree.ever_created] bounds them) — and the packed
-   form keys an int hashtable whose found-path neither hashes a structured
-   value nor boxes. *)
+   stay far below 2^31 ([Dtree.ever_created] bounds them). The packed form
+   is looked up in an open-addressed table of ids: a Fibonacci hash picks
+   the first slot, linear probing the next, and a slot's key is read back
+   through [link_packs], so no key is stored twice. Links are never
+   removed, so the table needs no tombstones, and it doubles before its
+   load passes 1/2. *)
 let pack_direct s d = (s lsl 32) lor (d lsl 1) [@@dynlint.zero_alloc]
 let pack_up v = (v lsl 1) lor 1 [@@dynlint.zero_alloc]
 
@@ -20,9 +23,15 @@ let unpack p =
   if p land 1 = 1 then Up (p lsr 1)
   else Direct (p lsr 32, (p lsr 1) land 0x7FFFFFFF)
 
+(* 2^63 divided by the golden ratio, rounded to odd: the top bits of a
+   packed link times it spread consecutive node ids over the table. *)
+let fibonacci = 0x4F1BBCDCBFA53E0B
+
 type t = {
   discipline : discipline;
-  link_ids : (int, int) Hashtbl.t;  (* packed link -> dense id *)
+  mutable link_ids : int array;
+      (* open-addressed, power-of-two length: slot -> dense id, -1 = empty *)
+  mutable link_shift : int;  (* 63 - log2 (Array.length link_ids) *)
   mutable link_packs : int array;  (* id -> packed link *)
   mutable link_n : int;
   mutable fifo_last : int array;
@@ -53,7 +62,8 @@ let create d =
   | _ -> ());
   {
     discipline = d;
-    link_ids = Hashtbl.create 64;
+    link_ids = Array.make 128 (-1);
+    link_shift = 63 - 7;
     link_packs = Array.make 64 0;
     link_n = 0;
     fifo_last = Array.make 64 0;
@@ -64,7 +74,27 @@ let create d =
 
 let discipline t = t.discipline
 
-let intern_miss t p =
+let home_slot t p = (p * fibonacci) lsr t.link_shift [@@dynlint.zero_alloc]
+
+(* The slot holding [p]'s id, or the empty slot where it belongs. The load
+   stays at most 1/2, so an empty slot always ends the walk. [p] is typed
+   so that [=] is an int compare, not the polymorphic [compare_val]. *)
+let rec probe ids packs (p : int) i =
+  let id = ids.(i) in
+  if id < 0 || packs.(id) = p then i
+  else probe ids packs p ((i + 1) land (Array.length ids - 1))
+  [@@dynlint.zero_alloc]
+
+let grow_ids t =
+  let ids = Array.make (2 * Array.length t.link_ids) (-1) in
+  t.link_ids <- ids;
+  t.link_shift <- t.link_shift - 1;
+  for id = 0 to t.link_n - 1 do
+    let p = t.link_packs.(id) in
+    ids.(probe ids t.link_packs p (home_slot t p)) <- id
+  done
+
+let intern_miss t p slot =
   let id = t.link_n in
   if id = Array.length t.link_packs then begin
     let packs = Array.make (2 * id) 0 in
@@ -76,7 +106,8 @@ let intern_miss t p =
   end;
   t.link_packs.(id) <- p;
   t.link_n <- id + 1;
-  Hashtbl.add t.link_ids p id;
+  t.link_ids.(slot) <- id;
+  if 2 * t.link_n > Array.length t.link_ids then grow_ids t;
   (match t.discipline with
   | Fifo_link ->
       let dst = if p land 1 = 1 then p lsr 1 else (p lsr 1) land 0x7FFFFFFF in
@@ -90,11 +121,12 @@ let intern_miss t p =
   id
 
 let intern_packed t p =
-  match Hashtbl.find t.link_ids p with
-  | id -> id
-  | exception Not_found ->
-      (* dynlint: allow zero-alloc — cold miss, once per distinct link *)
-      intern_miss t p
+  let slot = probe t.link_ids t.link_packs p (home_slot t p) in
+  let id = t.link_ids.(slot) in
+  if id >= 0 then id
+  else
+    (* dynlint: allow zero-alloc — cold miss, once per distinct link *)
+    intern_miss t p slot
   [@@dynlint.zero_alloc]
 
 let intern_direct t ~src ~dst = intern_packed t (pack_direct src dst)

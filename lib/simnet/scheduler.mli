@@ -27,7 +27,10 @@
     dense {!link_id} that indexes flat per-link state here and in {!Net}'s
     reorder accounting. Ids are assigned in first-send order and are stable
     for the life of the scheduler; {!link_of_id} recovers the structured
-    form at the reporting boundary. *)
+    form at the reporting boundary. The intern table is open-addressed over
+    the link packed into one int: a power-of-two array of ids, probed
+    linearly from a multiplicative hash at load at most 1/2, so a found
+    link costs a multiply, a shift and a few array reads. *)
 
 type discipline =
   | Fifo_link

@@ -314,8 +314,7 @@ let phases events =
   List.iter
     (fun (e : Event.t) ->
       match e.kind with
-      | Event.Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns }
-        ->
+      | Event.Phase { name; count; alloc_bytes; minor; major; wall_ns } ->
           let cur =
             match Hashtbl.find_opt tbl name with
             | Some p -> p
@@ -327,7 +326,6 @@ let phases events =
                   alloc_bytes = 0;
                   minor = 0;
                   major = 0;
-                  top_heap_words = 0;
                   wall_s = 0.0;
                 }
           in
@@ -338,7 +336,6 @@ let phases events =
               alloc_bytes = cur.Profile.alloc_bytes + alloc_bytes;
               minor = cur.Profile.minor + minor;
               major = cur.Profile.major + major;
-              top_heap_words = max cur.Profile.top_heap_words top_heap_words;
               wall_s = cur.Profile.wall_s +. (float_of_int wall_ns /. 1e9);
             }
       | _ -> ())

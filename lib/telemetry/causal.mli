@@ -79,4 +79,4 @@ val trace_count : Event.t list -> int
 
 val phases : Event.t list -> Profile.entry list
 (** [Event.Phase] totals aggregated by name, in first-appearance order
-    (counts/allocation/collections/wall add, peak heap takes the max). *)
+    (counts, allocation, collections and wall add). *)

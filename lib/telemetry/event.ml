@@ -40,7 +40,6 @@ type kind =
       alloc_bytes : int;
       minor : int;
       major : int;
-      top_heap_words : int;
       wall_ns : int;
     }
 
@@ -87,11 +86,10 @@ let to_json { time; ctx; kind } =
     | Estimate { ctrl; node; value; truth } ->
         [ ("ev", String "estimate"); ("ctrl", String ctrl); ("node", Int node);
           ("value", Int value); ("truth", Int truth) ]
-    | Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns } ->
+    | Phase { name; count; alloc_bytes; minor; major; wall_ns } ->
         [ ("ev", String "phase"); ("name", String name); ("count", Int count);
           ("alloc_bytes", Int alloc_bytes); ("minor", Int minor);
-          ("major", Int major); ("top_heap_words", Int top_heap_words);
-          ("wall_ns", Int wall_ns) ]
+          ("major", Int major); ("wall_ns", Int wall_ns) ]
   in
   (* Causality fields only appear on events that carry a context, so traces
      from un-instrumented layers (and pre-causality traces) stay compact and
@@ -166,7 +164,6 @@ let of_json j =
             alloc_bytes = int "alloc_bytes";
             minor = int "minor";
             major = int "major";
-            top_heap_words = int "top_heap_words";
             wall_ns = int "wall_ns";
           }
     | s -> failwith ("Event.of_json: unknown event kind " ^ s)

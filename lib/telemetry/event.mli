@@ -70,7 +70,6 @@ type kind =
       alloc_bytes : int;
       minor : int;  (** minor collections during the phase *)
       major : int;  (** major collections during the phase *)
-      top_heap_words : int;  (** max top-of-heap observed during the phase *)
       wall_ns : int;  (** wall time, 0 when the profile had no clock *)
     }
       (** one {!Profile} phase total: GC/alloc deltas attributed to a named

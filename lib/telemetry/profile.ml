@@ -12,7 +12,6 @@ type entry = {
   alloc_bytes : int;
   minor : int;
   major : int;
-  top_heap_words : int;
   wall_s : float;
 }
 
@@ -21,7 +20,6 @@ type phase = {
   mutable p_alloc : float;
   mutable p_minor : int;
   mutable p_major : int;
-  mutable p_top_heap : int;
   mutable p_wall : float;
 }
 
@@ -43,7 +41,6 @@ let phase_of t name =
           p_alloc = 0.0;
           p_minor = 0;
           p_major = 0;
-          p_top_heap = 0;
           p_wall = 0.0;
         }
       in
@@ -75,8 +72,6 @@ let run t ~name f =
       p.p_alloc <- p.p_alloc +. (a1 -. a0);
       p.p_minor <- p.p_minor + (s1.Gc.minor_collections - s0.Gc.minor_collections);
       p.p_major <- p.p_major + (s1.Gc.major_collections - s0.Gc.major_collections);
-      if s1.Gc.top_heap_words > p.p_top_heap then
-        p.p_top_heap <- s1.Gc.top_heap_words;
       p.p_wall <- p.p_wall +. (now t -. w0))
     f
 
@@ -88,7 +83,6 @@ let entry_of t name =
     alloc_bytes = int_of_float p.p_alloc;
     minor = p.p_minor;
     major = p.p_major;
-    top_heap_words = p.p_top_heap;
     wall_s = p.p_wall;
   }
 
@@ -104,7 +98,6 @@ let merge ~into t =
       dst.p_alloc <- dst.p_alloc +. src.p_alloc;
       dst.p_minor <- dst.p_minor + src.p_minor;
       dst.p_major <- dst.p_major + src.p_major;
-      if src.p_top_heap > dst.p_top_heap then dst.p_top_heap <- src.p_top_heap;
       dst.p_wall <- dst.p_wall +. src.p_wall)
     (names t)
 
@@ -115,7 +108,6 @@ let entry_json e =
       ("alloc_bytes", Json.Int e.alloc_bytes);
       ("minor", Json.Int e.minor);
       ("major", Json.Int e.major);
-      ("top_heap_words", Json.Int e.top_heap_words);
       ("wall_s", Json.Float e.wall_s);
     ]
 
@@ -132,7 +124,6 @@ let emit t sink ~time =
              alloc_bytes = e.alloc_bytes;
              minor = e.minor;
              major = e.major;
-             top_heap_words = e.top_heap_words;
              wall_ns = int_of_float (e.wall_s *. 1e9);
            }))
     (entries t)

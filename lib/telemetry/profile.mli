@@ -2,8 +2,7 @@
 
     A profile accumulates, per named phase, the deltas of [Gc.quick_stat] /
     {!allocated_bytes} readings taken around {!run}: bytes allocated,
-    minor/major collections, the peak top-of-heap observed, and (when a
-    clock was injected) wall time. The bench harness surfaces the totals as
+    minor/major collections and (when a clock was injected) wall time. The bench harness surfaces the totals as
     the per-phase [gc_phases] columns of its [--json] output; {!emit} turns
     them into [Event.Phase] trace events for offline analysis (tracecat's
     "top allocating phases").
@@ -19,7 +18,6 @@ type entry = {
   alloc_bytes : int;
   minor : int;
   major : int;
-  top_heap_words : int;  (** max observed at any bracket's end *)
   wall_s : float;  (** 0 when the profile has no clock *)
 }
 
@@ -46,7 +44,7 @@ val entries : t -> entry list
 
 val merge : into:t -> t -> unit
 (** Fold another profile's phases into [into]: counts, allocation,
-    collections and wall add; peak heap takes the max. Phase order: [into]'s
+    collections and wall add. Phase order: [into]'s
     phases first, then any new ones in the source's order. *)
 
 val to_json : t -> Json.t

@@ -47,29 +47,46 @@ let prop_invariants =
       let na, _, _ = drive ~seed ~n0:25 ~changes:250 ~mix () in
       Estimator.Name_assignment.max_id_ever_ratio na <= 4.0)
 
-let test_fresh_ids_in_band () =
-  (* between renumberings, a granted insertion names the new node with the
-     next integer of the epoch band (N_i, 3 N_i / 2] *)
+(* Between renumberings, a granted insertion names the new node with the
+   next integer of the epoch band [N_i + 1, N_i + max (2, N_i / 2)]: the
+   epoch's controller holds that many permits. Returns the fresh ids in
+   grant order. *)
+let fresh_ids ~shape ~inserts =
   let rng = Rng.create ~seed:96 in
-  let tree = Workload.Shape.build rng (Workload.Shape.Random 60) in
+  let tree = Workload.Shape.build rng shape in
   let net = Net.create ~seed:97 ~tree () in
   let na = Estimator.Name_assignment.create ~net () in
   let n_i = Dtree.size tree in
   let before = Estimator.Name_assignment.ids na in
-  for _ = 1 to 25 do
+  for _ = 1 to inserts do
     Estimator.Name_assignment.submit na (Workload.Add_leaf (Dtree.root tree)) ~k:ignore
   done;
   Net.run net;
   Alcotest.(check int) "no rotation" 0 (Estimator.Name_assignment.epochs na);
+  let all = Estimator.Name_assignment.ids na in
   let fresh =
-    List.filter (fun b -> not (List.mem b before)) (Estimator.Name_assignment.ids na)
+    List.filter (fun b -> not (List.mem b before)) all |> List.map snd |> List.sort Int.compare
   in
-  Alcotest.(check int) "every insertion named" 25 (List.length fresh);
+  Alcotest.(check int) "every insertion named" inserts (List.length fresh);
+  let hi = n_i + max 2 (n_i / 2) in
   List.iter
-    (fun (_, i) ->
-      if i <= n_i || i > 3 * n_i / 2 then
-        Alcotest.failf "fresh id %d outside (N_i, 3N_i/2] for N_i = %d" i n_i)
-    fresh
+    (fun i ->
+      if i < n_i + 1 || i > hi then
+        Alcotest.failf "fresh id %d outside [N_i + 1, %d] for N_i = %d" i hi n_i)
+    fresh;
+  let n = Dtree.size tree and max_id = List.fold_left (fun m (_, i) -> max m i) 0 all in
+  if max_id > 4 * n then Alcotest.failf "max id %d exceeds 4n = %d" max_id (4 * n);
+  fresh
+
+let test_fresh_ids_in_band () =
+  ignore (fresh_ids ~shape:(Workload.Shape.Random 60) ~inserts:25 : int list);
+  (* below N_i = 4 the band is wider than N_i / 2: two permits, so two
+     insertions into a 2-node path take 3 and 4, and into a 3-node path
+     4 and 5 *)
+  Alcotest.(check (list int)) "2-node path" [ 3; 4 ]
+    (fresh_ids ~shape:(Workload.Shape.Path 2) ~inserts:2);
+  Alcotest.(check (list int)) "3-node path" [ 4; 5 ]
+    (fresh_ids ~shape:(Workload.Shape.Path 3) ~inserts:2)
 
 let suite =
   ( "name-assignment",

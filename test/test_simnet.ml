@@ -326,6 +326,124 @@ let test_resolve_path_compression () =
   Alcotest.(check int) "mid-chain compressed too" 1 (Net.forward_hops net 500);
   Alcotest.(check int) "live nodes have no hops" 0 (Net.forward_hops net 1001)
 
+let test_resolve_far_ids () =
+  (* ids far past the forwarding column's end: deleting one grows the
+     column to take it, and ids past the end stay unforwarded *)
+  let tree = Dtree.create () in
+  let net = Net.create ~seed:8 ~tree () in
+  let far = 100_000 in
+  Alcotest.(check int) "an id past the end resolves to itself" far (Net.resolve net far);
+  Net.node_deleted net 3 ~parent:far;
+  Net.node_deleted net far ~parent:(far + 1);
+  Net.node_deleted net (3 * far) ~parent:3;
+  Alcotest.(check int) "three hops before compression" 3 (Net.forward_hops net (3 * far));
+  Alcotest.(check int) "resolves to the final adopter" (far + 1) (Net.resolve net (3 * far));
+  Alcotest.(check int) "far head compressed to one hop" 1 (Net.forward_hops net (3 * far));
+  Alcotest.(check int) "low id compressed too" 1 (Net.forward_hops net 3);
+  Alcotest.(check int) "the adopter has no hops" 0 (Net.forward_hops net (far + 1));
+  Alcotest.(check int) "past the grown end: no hops" 0 (Net.forward_hops net (10 * far));
+  Alcotest.(check int) "past the grown end: itself" (10 * far) (Net.resolve net (10 * far))
+
+(* The open-addressed link-id table against a Hashtbl model. Random interns
+   and node deletions until at least 20,000 distinct links exist, so the
+   table doubles many times: every intern must return the model's id
+   (first-send order), and a deletion must intern what the model predicts
+   the FIFO fold interns — for each link aimed at the deleted node that has
+   FIFO state, in ascending id order, the same link aimed at its adopter. *)
+let prop_link_ids_match_model =
+  Helpers.qcheck ~count:4 "link ids match a Hashtbl model"
+    QCheck2.Gen.(int_range 0 99999)
+    (fun seed ->
+      let nodes = 4096 in
+      let rng = Rng.create ~seed in
+      let s = Scheduler.create Scheduler.Fifo_link in
+      let ids : (Scheduler.link, int) Hashtbl.t = Hashtbl.create 1024 in
+      let links : (int, Scheduler.link) Hashtbl.t = Hashtbl.create 1024 in
+      let has_fifo_state : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
+      let model_intern l =
+        match Hashtbl.find_opt ids l with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length ids in
+            Hashtbl.add ids l id;
+            Hashtbl.add links id l;
+            id
+      in
+      let live = Array.make nodes true and live_n = ref nodes in
+      let fwd = Array.make nodes (-1) in
+      let rec resolve v = if fwd.(v) < 0 then v else resolve fwd.(v) in
+      let rec pick_live () =
+        let v = Rng.int rng nodes in
+        if live.(v) then v else pick_live ()
+      in
+      let dst = function Scheduler.Direct (_, d) -> d | Scheduler.Up v -> v in
+      let expect what l got =
+        let want = model_intern l in
+        if got <> want then
+          QCheck2.Test.fail_reportf "%s %s: id %d, model %d" what
+            (Scheduler.link_to_string l) got want
+      in
+      let now = ref 0 in
+      while Hashtbl.length ids < 20_000 do
+        incr now;
+        if Rng.int rng 64 = 0 && !live_n > nodes / 2 then begin
+          let v = pick_live () in
+          live.(v) <- false;
+          decr live_n;
+          fwd.(v) <- pick_live ();
+          let aimed =
+            Hashtbl.fold (fun id l acc -> if dst l = v then id :: acc else acc) links []
+          in
+          let folded =
+            List.filter_map
+              (fun id ->
+                if Hashtbl.mem has_fifo_state id then begin
+                  Hashtbl.remove has_fifo_state id;
+                  let l' =
+                    match Hashtbl.find links id with
+                    | Scheduler.Direct (src, _) -> Scheduler.Direct (src, resolve v)
+                    | Scheduler.Up _ -> Scheduler.Up (resolve v)
+                  in
+                  Some (model_intern l')
+                end
+                else None)
+              (List.sort Int.compare aimed)
+          in
+          List.iter (fun id -> Hashtbl.replace has_fifo_state id ()) folded;
+          Scheduler.on_node_deleted s ~deleted:v ~resolve
+        end
+        else begin
+          let l, id =
+            if Rng.bool rng then
+              let src = pick_live () and d = pick_live () in
+              (Scheduler.Direct (src, d), Scheduler.intern_direct s ~src ~dst:d)
+            else
+              let v = pick_live () in
+              (Scheduler.Up v, Scheduler.intern_up s v)
+          in
+          expect "intern" l id;
+          ignore (Scheduler.decide s ~rng ~max_delay:8 ~now:!now ~link:id);
+          Hashtbl.replace has_fifo_state id ()
+        end;
+        if Scheduler.link_count s <> Hashtbl.length ids then
+          QCheck2.Test.fail_reportf "link_count %d, model %d" (Scheduler.link_count s)
+            (Hashtbl.length ids)
+      done;
+      Hashtbl.iter
+        (fun id l ->
+          if Scheduler.link_of_id s id <> l then
+            QCheck2.Test.fail_reportf "link_of_id %d: %s, model %s" id
+              (Scheduler.link_to_string (Scheduler.link_of_id s id))
+              (Scheduler.link_to_string l);
+          let again =
+            match l with
+            | Scheduler.Direct (src, d) -> Scheduler.intern_direct s ~src ~dst:d
+            | Scheduler.Up v -> Scheduler.intern_up s v
+          in
+          expect "re-intern" l again)
+        links;
+      Scheduler.link_count s = Hashtbl.length ids)
+
 let suite =
   ( "simnet",
     [
@@ -348,4 +466,6 @@ let suite =
         test_adversarial_lifo_newest_first;
       Alcotest.test_case "bursty batches" `Quick test_bursty_batches;
       Alcotest.test_case "resolve path compression" `Quick test_resolve_path_compression;
+      Alcotest.test_case "resolve far ids" `Quick test_resolve_far_ids;
+      prop_link_ids_match_model;
     ] )

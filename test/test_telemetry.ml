@@ -131,7 +131,6 @@ let sample_events =
            alloc_bytes = 123_456;
            minor = 3;
            major = 1;
-           top_heap_words = 98_304;
            wall_ns = 1_500_000;
          });
     ev max_int

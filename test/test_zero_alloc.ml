@@ -168,6 +168,35 @@ let test_net_round_trip () =
         Net.run net
       done)
 
+(* Forwarded delivery: [c] is deleted after the warm-up and adopted by
+   [a]. Sends still address [c]; resolving it reads the forwarding column,
+   and the adopter's link was interned during the warm-up, so each round
+   trip allocates nothing and lands at [a]. *)
+let test_net_forwarded_round_trip () =
+  let tree = Dtree.create () in
+  let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
+  let b = Dtree.add_leaf tree ~parent:a in
+  let c = Dtree.add_leaf tree ~parent:a in
+  let net = Net.create ~seed:9 ~tree () in
+  let tag = Net.intern_tag net "za-forward" in
+  let got = ref (-1) in
+  let k v = got := v in
+  for _ = 1 to 256 do
+    Net.send_to net ~src:b ~dst:c ~tag ~bits:8 k;
+    Net.send_to net ~src:b ~dst:a ~tag ~bits:8 k;
+    Net.run net
+  done;
+  Dtree.remove_leaf tree c;
+  Net.node_deleted net c ~parent:a;
+  got := -1;
+  check_zero "Net forwarded send_to/run round trip" (fun () ->
+      for _ = 1 to laps do
+        Net.send_to net ~src:b ~dst:c ~tag ~bits:8 k;
+        Net.run net
+      done);
+  Alcotest.(check int) "delivered to the adopter" a !got;
+  Alcotest.(check int) "forwarded in one hop" 1 (Net.forward_hops net c)
+
 (* ---------------------------------------------------------------- *)
 (* Stream identity: the 32-bit-halves implementation vs Int64 SplitMix64. *)
 
@@ -212,6 +241,8 @@ let suite =
       Alcotest.test_case "central climb and level lookup" `Quick test_central_climb;
       Alcotest.test_case "event queue cycle" `Quick test_event_queue;
       Alcotest.test_case "net round trip (no sink)" `Quick test_net_round_trip;
+      Alcotest.test_case "net forwarded round trip (no sink)" `Quick
+        test_net_forwarded_round_trip;
       Alcotest.test_case "splitmix64 reference stream" `Quick
         test_splitmix_reference;
     ] )

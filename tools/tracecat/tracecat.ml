@@ -109,14 +109,13 @@ let print_summary name s =
         s.phases
     in
     Printf.printf "  top allocating phases:\n";
-    Printf.printf "    %-24s %14s %8s %8s %12s %10s\n" "phase" "alloc bytes"
-      "minor" "major" "top heap (w)" "wall (s)";
+    Printf.printf "    %-24s %14s %8s %8s %10s\n" "phase" "alloc bytes" "minor"
+      "major" "wall (s)";
     List.iter
       (fun (p : Telemetry.Profile.entry) ->
-        Printf.printf "    %-24s %14d %8d %8d %12d %10.4f\n"
-          p.Telemetry.Profile.name p.Telemetry.Profile.alloc_bytes
-          p.Telemetry.Profile.minor p.Telemetry.Profile.major
-          p.Telemetry.Profile.top_heap_words p.Telemetry.Profile.wall_s)
+        Printf.printf "    %-24s %14d %8d %8d %10.4f\n" p.Telemetry.Profile.name
+          p.Telemetry.Profile.alloc_bytes p.Telemetry.Profile.minor
+          p.Telemetry.Profile.major p.Telemetry.Profile.wall_s)
       by_alloc
   end
 
