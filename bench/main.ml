@@ -186,7 +186,7 @@ let read_baseline path =
    baked into the experiments, so ANY drift is a failure; wall clock and
    allocation are machine-dependent, so they only fail beyond a ratio
    (plus a small absolute slack to de-noise sub-second rows). Peak heap is
-   reported in the JSON but not gated: in a multi-domain run it depends on
+   neither reported nor gated: in a multi-domain run it depends on
    scheduling. Exits nonzero on the first kind of violation. *)
 let compare_baseline ~scheduler ~wall_tol ~alloc_tol (baseline_path, baseline) outcomes =
   let failures = ref 0 in

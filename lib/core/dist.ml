@@ -13,9 +13,9 @@ let default_config =
 
 (* The wire-tag universe as a variant: exhaustiveness of [suffix_to_string]
    and the unused-constructor warning make conformance a compiler
-   guarantee; what remains for the static (dynlint D8) and runtime
-   (test_conformance) checks is this one string boundary, which is why the
-   [[@@dynlint.tag_universe]] attribute rides the renderer. *)
+   guarantee. The renderer's [[@@dynlint.tag_universe]] attribute gives
+   dynlint D13 the universe whose every constructor needs a send site and
+   a receiver; test_conformance watches the string boundary at runtime. *)
 type suffix =
   | Agent_down
   | Agent_reject

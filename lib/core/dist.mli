@@ -75,8 +75,8 @@ val suffix_to_string : suffix -> string
 (** The wire suffix of a constructor; the full tag is
     [config.name ^ "-" ^ suffix_to_string s]. This renderer carries the
     [[@@dynlint.tag_universe]] attribute: its match arms are the declared
-    tag universe that dynlint's D8 pass checks intern-boundary string
-    literals against, and that [test_conformance] compares
+    tag universe, each of whose constructors dynlint's D13 pass requires a
+    send site and a receiver for, and that [test_conformance] compares
     [Net.messages_by_tag] to at runtime. *)
 
 val tag_suffixes : string list

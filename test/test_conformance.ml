@@ -146,10 +146,10 @@ let cases =
 
 (* ------------------------------------------------------------------ *)
 (* Runtime protocol-conformance: every tag a distributed run puts on the
-   wire must come from that protocol's declared tag universe — the same
-   lists dynlint's D8 pass checks statically against the
-   [@@dynlint.tag_universe] literals, so the static and dynamic views of
-   the wire protocol cannot drift apart. *)
+   wire must come from that protocol's declared tag universe — the
+   renderer whose [@@dynlint.tag_universe] arms dynlint's D13 pass
+   follows statically, so the static and dynamic views of the wire
+   protocol cannot drift apart. *)
 
 let assert_tags_declared ~proto ~universe net =
   List.iter

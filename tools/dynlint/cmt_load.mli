@@ -1,5 +1,5 @@
 (** The shared typed layer of dynlint: one [.cmt] load for every typed
-    pass (D7-D9, D11, D12, D13), a per-unit index built once at load, and
+    pass (D7, D9, D11, D12, D13), a per-unit index built once at load, and
     the one place that knows how a name in a [.cmt] resolves to a
     (unit, value).
 
@@ -25,8 +25,7 @@ type decl = {
           included) rather than by an expression-level [let] *)
 }
 (** One value binding or external of a unit, as the annotation-driven
-    rules (D8 universes, D11 summaries, D12 roles, D13 universes) read
-    it. *)
+    rules (D11 summaries, D12 roles, D13 universes) read it. *)
 
 type unit_info = {
   ui_name : string;

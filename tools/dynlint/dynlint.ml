@@ -1,23 +1,21 @@
 (* dynlint — determinism & domain-safety lint for this repo.
 
-   Usage: dynlint [--rules] [--root DIR] [--allow FILE] [--cmt DIR]...
-                  [--sarif FILE] [--graph FILE]... [--time-budget-ms N]
-                  [PATH...]
+   Usage: dynlint [--rules] [--allow FILE] [--cmt DIR]... [--sarif FILE]
+                  [--graph FILE]... [--time-budget-ms N] [PATH...]
 
-   Each PATH (relative to --root, default ".") is a directory walked
-   recursively or a single .ml file; the parsetree pass (D1-D6) runs over
-   those. Each --cmt DIR is searched (relative to the working directory,
-   where dune leaves _build artifacts) for .cmt files; the cmts are read
-   ONCE into a shared unit list and every typed pass runs over it: the
-   typedtree scan (D7-D9), the alloc pass (D11), the pool pass (D12) and
-   the flow pass (D13). Every pass emits through one shared emitter. A
+   Each PATH is a directory walked recursively or a single .ml file; the
+   parsetree pass (D1-D4, D6) runs over those. Each --cmt DIR is searched
+   for .cmt files; the cmts are read ONCE into a shared unit list and
+   every typed pass runs over it: the typedtree scan (D7, D9), the alloc
+   pass (D11), the pool pass (D12) and the flow pass (D13). Every pass
+   emits through one shared emitter. PATHs, --cmt DIRs and the source
+   files the cmts name (read for inline-allow suppression) are all
+   relative to the working directory, the workspace root under dune. A
    PATH that does not exist, a --cmt DIR yielding no .cmt files, or a cmt
    that cannot be read is a hard error (exit 2), because silently linting
-   nothing would green-wash a broken build graph. Source files referenced
-   by the cmts are resolved against --root for inline-allow suppression.
-   After every pass, any allow-file entry or inline allow comment that
-   suppressed nothing is itself reported (D10), so dead exceptions cannot
-   accumulate.
+   nothing would green-wash a broken build graph. After every pass, any
+   allow-file entry or inline allow comment that suppressed nothing is
+   itself reported (D10), so dead exceptions cannot accumulate.
 
    --graph FILE (repeatable) writes the D13 protocol message-flow graph:
    .dot for Graphviz, anything else as JSON. --rules prints the rule table
@@ -36,11 +34,10 @@
    set and the allowlist syntax. *)
 
 let usage =
-  "dynlint [--rules] [--root DIR] [--allow FILE] [--cmt DIR]... [--sarif \
-   FILE] [--graph FILE]... [--time-budget-ms N] [PATH...]"
+  "dynlint [--rules] [--allow FILE] [--cmt DIR]... [--sarif FILE] [--graph \
+   FILE]... [--time-budget-ms N] [PATH...]"
 
 let () =
-  let root = ref "." in
   let allow_file = ref None in
   let sarif_file = ref None in
   let graph_files = ref [] in
@@ -55,7 +52,6 @@ let () =
             print_string (Lint.rules_table ());
             exit 0),
         "  print the rule table (id, allow-key, pass, summary) and exit" );
-      ("--root", Arg.Set_string root, "DIR  resolve PATHs and cmt source files relative to DIR (default .)");
       ( "--allow",
         Arg.String (fun f -> allow_file := Some f),
         "FILE  allowlist file: lines of [pin] <rule-name> <path-suffix>" );
@@ -108,17 +104,16 @@ let () =
   let t_start = Unix.gettimeofday () in
   List.iter
     (fun p ->
-      if not (Sys.file_exists (Filename.concat !root p)) then
-        fail "%s: no such file or directory (under --root %s)" p !root)
+      if not (Sys.file_exists p) then fail "%s: no such file or directory" p)
     paths;
   (* An empty --cmt DIR means @check didn't run (or the dir is wrong): the
-     typed passes (D7-D9, D11-D13) would silently vacuously pass. *)
+     typed passes (D7, D9, D11-D13) would silently vacuously pass. *)
   List.iter
     (fun d ->
       if Cmt_load.collect_cmt_files [ d ] = [] then
         fail
           "--cmt %s contains no .cmt files; run `dune build @check` first \
-           (typed rules D7-D9/D11-D13 cannot run without cmts)"
+           (typed rules D7/D9/D11-D13 cannot run without cmts)"
           d)
     cmt_dirs;
   let timings = ref [] in
@@ -128,9 +123,9 @@ let () =
     timings := (name, Unix.gettimeofday () -. t0) :: !timings;
     r
   in
-  let emitter = Lint.make_emitter ~allow ~source_root:!root () in
+  let emitter = Lint.make_emitter ~allow () in
   timed "parsetree" (fun () ->
-      if paths <> [] then Lint.lint_tree emitter ~root:!root paths);
+      if paths <> [] then Lint.lint_tree emitter ~root:"." paths);
   let graph =
     if cmt_dirs = [] then None
     else begin

@@ -3,10 +3,8 @@ type rule =
   | Ambient
   | Poly_compare
   | Unsafe
-  | Mli
   | Stdout
   | Parallel_race
-  | Protocol
   | Rng_taint
   | Zero_alloc
   | Stale_allow
@@ -35,9 +33,6 @@ let info = function
   | Unsafe ->
       { id = "D4"; name = "unsafe"; pass = "parsetree";
         help = "Obj.magic, Marshal and unannotated assert false are forbidden." }
-  | Mli ->
-      { id = "D5"; name = "mli"; pass = "parsetree";
-        help = "Every lib module declares its surface in an .mli." }
   | Stdout ->
       { id = "D6"; name = "stdout"; pass = "parsetree";
         help = "lib/ code must not write to stdout; use telemetry or return values." }
@@ -47,14 +42,6 @@ let info = function
           "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
            value defined outside it: that value is shared across domains and the \
            -j N = -j 1 byte-determinism contract breaks." }
-  | Protocol ->
-      { id = "D8"; name = "protocol-conformance"; pass = "typedtree";
-        help =
-          "Every tag literal sent through Net.send or handed to the intern \
-           boundary (Net.intern_tag / Tag.intern) must appear in a declared tag \
-           universe ([@@dynlint.tag_universe]); list-form universe entries must \
-           also be sent somewhere. Variant renderers declare their universe as a \
-           function, where dead arms are already a compiler guarantee." }
   | Rng_taint ->
       { id = "D9"; name = "rng-taint"; pass = "typedtree";
         help =
@@ -94,9 +81,8 @@ let rule_help r = (info r).help
 
 let all_rules =
   [
-    Global_state; Ambient; Poly_compare; Unsafe; Mli; Stdout; Parallel_race;
-    Protocol; Rng_taint; Stale_allow; Zero_alloc; Pool_discipline;
-    Message_flow;
+    Global_state; Ambient; Poly_compare; Unsafe; Stdout; Parallel_race;
+    Rng_taint; Stale_allow; Zero_alloc; Pool_discipline; Message_flow;
   ]
 
 (* The `dynlint --rules` table: one line per rule. Kept as data (not
@@ -229,7 +215,6 @@ let make_emitter ?(allow = no_allow) ?(source_root = ".") () =
   }
 
 let add_new x l = if List.mem x l then l else x :: l
-let mark_inline em file line = em.em_used_inline <- add_new (file, line) em.em_used_inline
 
 let file_allowed em rule path =
   List.exists
@@ -246,15 +231,11 @@ let file_allowed em rule path =
 let line_allowed em ~file lines rule l =
   let tag = "dynlint: allow " ^ rule_name rule in
   let has l = l >= 1 && l <= Array.length lines && contains_substring lines.(l - 1) tag in
-  if has l then begin
-    mark_inline em file l;
-    true
-  end
-  else if has (l - 1) then begin
-    mark_inline em file (l - 1);
-    true
-  end
-  else false
+  match List.find_opt has [ l; l - 1 ] with
+  | Some l ->
+      em.em_used_inline <- add_new (file, l) em.em_used_inline;
+      true
+  | None -> false
 
 (* Register every "dynlint: allow <rule-name>" site in [lines], so unused
    ones can be reported as stale. The rule name is the longest [a-z-]
@@ -601,41 +582,6 @@ let lint_file em ?display ~ctx path =
           related = [];
         }
 
-let check_mli em ?display path =
-  let display = Option.value display ~default:path in
-  let mli = Filename.remove_extension path ^ ".mli" in
-  if file_allowed em Mli display || Sys.file_exists mli then None
-  else
-    (* a "dynlint: allow mli" comment in the first three lines also
-       suppresses *)
-    let lines =
-      cached_lines em display (fun () ->
-          try Some (split_lines (read_file path)) with Sys_error _ -> None)
-    in
-    let rec head_allow i =
-      match lines with
-      | Some ls when i <= 3 && i <= Array.length ls ->
-          if contains_substring ls.(i - 1) "dynlint: allow mli" then Some i
-          else head_allow (i + 1)
-      | _ -> None
-    in
-    match head_allow 1 with
-    | Some l ->
-        mark_inline em display l;
-        None
-    | None ->
-        Some
-          {
-            file = display;
-            line = 1;
-            col = 0;
-            rule = Mli;
-            msg =
-              "missing interface " ^ Filename.basename mli
-              ^ ": every lib module declares its surface";
-            related = [];
-          }
-
 (* ------------------------------------------------------------------ *)
 (* tree walk                                                           *)
 
@@ -666,9 +612,6 @@ let lint_tree em ~root dirs =
       List.iter
         (fun abs ->
           let path = rel abs in
-          let ctx = ctx_of_path path in
-          lint_file em ~display:path ~ctx abs;
-          if ctx.lib && not ctx.test then
-            Option.iter (add em) (check_mli em ~display:path abs))
+          lint_file em ~display:path ~ctx:(ctx_of_path path) abs)
         (if Sys.is_directory abs then List.rev (walk_dir [] abs) else [ abs ]))
     dirs

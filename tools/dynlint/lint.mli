@@ -1,12 +1,12 @@
 (** dynlint: repo-specific determinism & domain-safety lint rules.
 
     Each rule is motivated by a bug this repo already shipped (or nearly
-    shipped); see DESIGN.md "Static analysis". D1-D6 operate on the
+    shipped); see DESIGN.md "Static analysis". D1-D4 and D6 operate on the
     parsetree (compiler-libs [Parse] + [Ast_iterator]) — no typing pass —
     so they are fast and run on any file that parses, at the cost of a few
-    syntactic heuristics. D7-D9 need types and cross-module visibility and
-    live in the typedtree pass ({!Lint_typed}, reading [.cmt] files); D10
-    is computed by the driver from the {!emitter} every pass shares.
+    syntactic heuristics. D7 and D9 need types and cross-module visibility
+    and live in the typedtree pass ({!Lint_typed}, reading [.cmt] files);
+    D10 is computed by the driver from the {!emitter} every pass shares.
 
     {2 Rules}
 
@@ -24,7 +24,6 @@
       visit-order dependent; hot paths want monomorphic compares anyway.
     - [D4 unsafe]: [Obj.magic], [Marshal.*], [assert false] in non-test
       code. [assert false] is fine where truly unreachable — annotate it.
-    - [D5 mli]: every [lib/**/*.ml] has a matching [.mli].
     - [D6 stdout]: [print_*]/[Printf.printf]/[Format.printf] in [lib/];
       output must go through telemetry sinks or returned values.
     - [D7 parallel-race] (typed): a closure passed to [Pool.map]/[Pool.run]/
@@ -32,10 +31,6 @@
       [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t],
       [Rng.t], [Dtree.t], [Metrics.t], [Sink.t]) defined outside the
       closure, or touches module-level mutable state: shared across domains.
-    - [D8 protocol-conformance] (typed): the string literals flowing into
-      [Net.send ~tag:] versus the tags declared in a binding carrying the
-      [[@@dynlint.tag_universe]] attribute; reports sent-but-never-declared
-      tags and declared-but-never-sent dead arms.
     - [D9 rng-taint] (typed): an [Rng.t] bound at module level, or drawn
       from another module's value, instead of flowing from a function
       parameter or an explicit [Rng.create ~seed].
@@ -53,8 +48,15 @@
       hand the value onward.
     - [D13 message-flow] (typed, {!Lint_flow}): every constructor of a
       variant [[@@dynlint.tag_universe]] must have at least one [Net.send]
-      site and at least one installed delivery continuation; the
-      reconstructed send/receive graph is emitted via [dynlint --graph].
+      site and at least one installed delivery continuation, every
+      [~tag] must name a constructor, and every universe must be a variant
+      renderer; the reconstructed send/receive graph is emitted via
+      [dynlint --graph].
+
+    Ids D5 (interface coverage) and D8 (tag literals against declared
+    universes) are retired and not reused: the compiler's warning 70, on
+    for [lib/] in [lib/dune], makes a missing interface a build error, and
+    D13 covers every tag D8 did.
 
     {2 Allowlisting}
 
@@ -72,10 +74,8 @@ type rule =
   | Ambient  (** D2 *)
   | Poly_compare  (** D3 *)
   | Unsafe  (** D4 *)
-  | Mli  (** D5 *)
   | Stdout  (** D6 *)
   | Parallel_race  (** D7, typedtree pass *)
-  | Protocol  (** D8, typedtree pass *)
   | Rng_taint  (** D9, typedtree pass *)
   | Zero_alloc  (** D11, alloc pass *)
   | Stale_allow  (** D10, driver *)
@@ -83,13 +83,13 @@ type rule =
   | Message_flow  (** D13, flow pass *)
 
 val rule_id : rule -> string
-(** ["D1"] .. ["D13"]. *)
+(** ["D1"] .. ["D13"]; D5 and D8 are retired. *)
 
 val rule_name : rule -> string
 (** The allowlist token: ["global-state"], ["ambient"], ["poly-compare"],
-    ["unsafe"], ["mli"], ["stdout"], ["parallel-race"],
-    ["protocol-conformance"], ["rng-taint"], ["stale-allow"],
-    ["zero-alloc"], ["pool-discipline"], ["message-flow"]. *)
+    ["unsafe"], ["stdout"], ["parallel-race"], ["rng-taint"],
+    ["stale-allow"], ["zero-alloc"], ["pool-discipline"],
+    ["message-flow"]. *)
 
 val rule_help : rule -> string
 (** One-sentence rationale, used as the SARIF rule description. *)
@@ -98,8 +98,8 @@ val all_rules : rule list
 (** Every rule, in id order. *)
 
 val rule_pass : rule -> string
-(** Which phase owns the rule: ["parsetree"] (D1-D6), ["typedtree"]
-    (D7-D9), ["alloc"] (D11), ["pool"] (D12), ["flow"] (D13) or
+(** Which phase owns the rule: ["parsetree"] (D1-D4, D6), ["typedtree"]
+    (D7, D9), ["alloc"] (D11), ["pool"] (D12), ["flow"] (D13) or
     ["driver"] (D10). The driver's per-pass timing summary and its D10
     scope use the same names. *)
 
@@ -146,7 +146,7 @@ val load_allow_file : string -> allow
 
 (** Which rule groups apply to a file, by where it lives in the tree. *)
 type ctx = {
-  lib : bool;  (** under [lib/]: D1, D2, D3, D6 (D5 checked separately) *)
+  lib : bool;  (** under [lib/]: D1, D2, D3, D6 *)
   test : bool;  (** test code: D4 does not apply *)
 }
 
@@ -196,14 +196,8 @@ val lint_file : emitter -> ?display:string -> ctx:ctx -> string -> unit
     does not parse yields a single, unsuppressible D4 finding at the error
     location (an unparseable file cannot be vouched for). *)
 
-val check_mli : emitter -> ?display:string -> string -> finding option
-(** D5 for one [.ml] path: [Some finding] when the sibling [.mli] is
-    missing and neither the allow file nor a ["dynlint: allow mli"]
-    comment in the first three lines excuses it. *)
-
 val lint_tree : emitter -> root:string -> string list -> unit
 (** Walk the given directories (relative to [root]) recursively in sorted
-    order, lint every [.ml] with {!lint_file} under its {!ctx_of_path}
-    classification, and add {!check_mli}'s finding for lib files. [_build],
-    [.git] and hidden directories are skipped.
+    order and lint every [.ml] with {!lint_file} under its {!ctx_of_path}
+    classification. [_build], [.git] and hidden directories are skipped.
     @raise Sys_error when a path does not exist. *)

@@ -44,20 +44,19 @@
    the *call site* inside the annotated function, so a justified exception
    ([acquire]'s pool-miss path) is one inline allow comment at that call.
    Cross-module callees are looked up in the table of annotated values
-   built from every scanned unit's declarations — D8's universe-table
-   pattern — keyed (unit, value-name); anything not found there is
-   flagged. [@@dynlint.zero_alloc assume] enters the table without
-   verification, the escape hatch for externals and wrappers the checker
-   cannot see into. *)
+   built from every scanned unit's declarations, keyed (unit, value-name);
+   anything not found there is flagged. [@@dynlint.zero_alloc assume]
+   enters the table without verification, the escape hatch for externals
+   and wrappers the checker cannot see into. *)
 
 open Typedtree
 
 (* ---------- classification tables ---------- *)
 
 (* Primitives that never allocate: array/bytes/string indexing, integer
-   and boolean arithmetic, comparisons (caml_compare returns an immediate),
-   ref cell access, int-keyed hashtable reads. Everything else is guilty
-   until annotated. *)
+   and boolean arithmetic, comparisons at a known type (on a type variable
+   they are polymorphic compare, see below), ref cell access, int-keyed
+   hashtable reads. Everything else is guilty until annotated. *)
 let no_alloc_prims =
   [
     [ "Array"; "length" ]; [ "Array"; "get" ]; [ "Array"; "set" ];
@@ -88,6 +87,17 @@ let no_alloc_prims =
    through monomorphic primitives whose cost is visible. *)
 let poly_compare_heads =
   [ [ "compare" ]; [ "min" ]; [ "max" ]; [ "Hashtbl"; "hash" ] ]
+
+(* The comparison operators are polymorphic compare too when their operand
+   type is a type variable: the compiler cannot specialize them, so they
+   call caml_equal/caml_compare. *)
+let compare_operators = [ [ "=" ]; [ "<>" ]; [ "<" ]; [ ">" ]; [ "<=" ]; [ ">=" ] ]
+
+let on_type_variable fn =
+  match Types.get_desc fn.exp_type with
+  | Types.Tarrow (_, a, _, _) -> (
+      match Types.get_desc a with Types.Tvar _ | Types.Tunivar _ -> true | _ -> false)
+  | _ -> false
 
 let apply_operators = [ [ "@@" ]; [ "|>" ] ]
 
@@ -457,14 +467,17 @@ and check_callee vctx app fn =
                 (in_owner vctx
                    "@@/|> hides the callee from the zero-alloc checker; \
                     call the function directly")
-            else if List.mem comps no_alloc_prims then ()
-            else if List.mem comps poly_compare_heads then
+            else if
+              List.mem comps poly_compare_heads
+              || (List.mem comps compare_operators && on_type_variable fn)
+            then
               vctx.emit app.exp_loc
                 (in_owner vctx
                    (Printf.sprintf
                       "polymorphic %s dispatches on runtime representation; \
                        use the monomorphic Int/String equivalent"
                       (String.concat "." comps)))
+            else if List.mem comps no_alloc_prims then ()
             else if comps = [ "ref" ] then
               vctx.emit app.exp_loc
                 (in_owner vctx "ref allocates a mutable cell on the heap")

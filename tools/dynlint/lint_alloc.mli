@@ -18,7 +18,7 @@
     Interprocedural reasoning: same-unit callees reached by ident are
     chased and memoized, with failures reported at the annotated call
     site; cross-module callees resolve through the table of annotated
-    declarations of every scanned unit (D8's universe-table pattern).
+    declarations of every scanned unit.
     [[@@dynlint.zero_alloc assume]] enters the table unverified — the
     escape hatch for externals. See DESIGN.md "Allocation discipline". *)
 

@@ -1,8 +1,7 @@
 (* D13 message-flow: the cross-module send/receive graph.
 
    The protocol's tag vocabulary is a variant whose renderer carries
-   [@@dynlint.tag_universe] (Dist.suffix_to_string); D8 already polices the
-   *string* boundary. D13 closes the structural gap: every constructor of
+   [@@dynlint.tag_universe] (Dist.suffix_to_string). Every constructor of
    such a universe must have at least one [Net.send]/[send_to]/[send_up]
    site whose [~tag] argument statically mentions it, and at least one of
    those sites must install a real delivery continuation. A constructor
@@ -22,9 +21,10 @@
    universe type occurring inside the [~tag] argument names the edge; the
    last unlabelled arrow-typed argument is the receiver (a record field
    access names the continuation slot, [ignore] means dropped). A send
-   whose tag carries neither a universe constructor nor a string literal
-   (D8's domain) resolves to nothing and is flagged — but only when some
-   universe is declared, so string-protocol codebases are untouched. *)
+   whose tag carries no universe constructor — a string literal included —
+   resolves to nothing and is flagged, and so is a [@@dynlint.tag_universe]
+   binding that is not a variant renderer: a tag the graph cannot name is
+   a tag no rule checks. *)
 
 open Typedtree
 
@@ -104,7 +104,7 @@ let rec renderer_arms e =
   | Texp_function { cases; _ } -> arms cases
   | _ -> []
 
-let harvest_universes (units : Cmt_load.unit_info list) =
+let harvest_universes ~emitter (units : Cmt_load.unit_info list) =
   List.concat_map
     (fun (u : Cmt_load.unit_info) ->
       List.filter_map
@@ -112,7 +112,12 @@ let harvest_universes (units : Cmt_load.unit_info list) =
           match d.d_expr with
           | Some e when d.d_top && Cmt_load.has_attr "dynlint.tag_universe" d.d_attrs -> (
               match renderer_arms e with
-              | [] -> None  (* string-form universe: D8's domain *)
+              | [] ->
+                  Lint.emit emitter Lint.Message_flow d.d_loc
+                    (Printf.sprintf
+                       "tag universe %s is not a variant renderer (a function from constructors to wire strings): the protocol graph cannot name its tags"
+                       (Option.value d.d_name ~default:"_"));
+                  None
               | ((cd0, _), _) :: _ as arms ->
                   Option.map
                     (fun key ->
@@ -222,10 +227,7 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
                           e_loc = e.exp_loc;
                         }
                         :: !edges
-                  | None ->
-                      (* a string-literal tag is D8's business *)
-                      if first_string ta = None then
-                        unresolved := e.exp_loc :: !unresolved))
+                  | None -> unresolved := e.exp_loc :: !unresolved))
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
@@ -236,7 +238,7 @@ let collect_sends ~keys (u : Cmt_load.unit_info) =
 (* ---------- build + findings ---------- *)
 
 let lint_units ~emitter units =
-  let univs = harvest_universes units in
+  let univs = harvest_universes ~emitter units in
   let keys = List.map (fun u -> u.u_key) univs in
   let sends = List.map (collect_sends ~keys) units in
   let edges = List.concat_map fst sends in
@@ -273,12 +275,11 @@ let lint_units ~emitter units =
                      u.u_key a.a_ctor))
         u.u_arms)
     univs;
-  if univs <> [] then
-    List.iter
-      (fun loc ->
-        Lint.emit emitter Lint.Message_flow loc
-          "the ~tag argument of this send mentions no declared tag-universe constructor (and no string literal): the protocol graph cannot account for it")
-      (List.concat_map snd sends);
+  List.iter
+    (fun loc ->
+      Lint.emit emitter Lint.Message_flow loc
+        "the ~tag argument of this send mentions no declared tag-universe constructor: the protocol graph cannot account for it")
+    (List.concat_map snd sends);
   { g_universes = univs; g_edges = edges }
 
 (* ---------- JSON ---------- *)

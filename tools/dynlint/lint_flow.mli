@@ -6,9 +6,10 @@
     the site's unlabelled arrow-typed argument is the installed receiver
     (a record field access names the continuation slot, [ignore] means
     dropped). Findings: a constructor with no send site (orphan arm), a
-    constructor whose every send drops its continuation (unreceivable),
-    and — once any universe is declared — a send whose tag carries neither
-    a universe constructor nor a string literal.
+    constructor whose every send drops its continuation (unreceivable), a
+    send whose tag names no universe constructor (a string literal
+    included), and a [[@@dynlint.tag_universe]] binding that is not a
+    variant renderer.
 
     The reconstruction is also the [dynlint --graph] artifact: {!to_dot}
     renders senders -> tags -> receivers, {!to_json} writes the graph as

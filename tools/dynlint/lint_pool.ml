@@ -9,7 +9,7 @@
    the discipline is enforced statically.
 
    Roles are declared with attributes and harvested across every scanned
-   unit (D8's universe-table pattern, so cross-module calls resolve):
+   unit, so cross-module calls resolve:
 
    - [[@@dynlint.pool_acquire]]  — the function returns an owned value.
    - [[@@dynlint.pool_release]]  — the function consumes an owned value.

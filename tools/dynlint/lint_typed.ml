@@ -1,11 +1,11 @@
-(* The typedtree pass: D7/D8/D9 over the shared cmt units.
+(* The typedtree pass: D7/D9 over the shared cmt units.
 
    Where lint.ml works purely syntactically, these rules need types (is
    this captured value a Hashtbl.t?) and cross-module visibility (is this
-   tag literal declared in *any* compilation unit's tag universe?), so
-   they read the .cmt files that `dune build @check` leaves under
-   _build/**/.objs/byte/. Name resolution, the binding table and the
-   annotated declarations come from Cmt_load's per-unit index. *)
+   Rng.t another module's value?), so they read the .cmt files that
+   `dune build @check` leaves under _build/**/.objs/byte/. Name
+   resolution and the binding table come from Cmt_load's per-unit
+   index. *)
 
 open Typedtree
 
@@ -20,19 +20,6 @@ let parallel_target p =
   else if hit "Pool" "iter" then Some "Pool.iter"
   else if hit "Explore" "sweep" then Some "Explore.sweep"
   else None
-
-let is_net_send p =
-  Cmt_load.ends_with ~suffix:[ "Net"; "send" ] (Cmt_load.norm_path p)
-
-(* The intern boundary: with variant wire tags, the one place a protocol
-   turns strings into tag ids. A *direct* string-literal argument here is a
-   hand-rolled tag that must sit inside some declared universe; computed
-   strings (the [suffix_to_string]-rendered joins) are the renderer's
-   responsibility and stay out of D8's reach. *)
-let is_tag_intern p =
-  let c = Cmt_load.norm_path p in
-  Cmt_load.ends_with ~suffix:[ "Net"; "intern_tag" ] c
-  || Cmt_load.ends_with ~suffix:[ "Tag"; "intern" ] c
 
 (* Types whose values are mutable through their public API: sharing one
    across Pool domains is a race. "ref" is special-cased (its head is
@@ -126,34 +113,7 @@ let analyze_closures ~binds ~target ~emit (e : expression) =
   in
   go e
 
-(* ---------- D8/D9 collection ---------- *)
-
-(* String constants anywhere under an expression — both expression literals
-   and pattern literals, so a universe declared as a list OR matched in a
-   dispatch function both contribute. *)
-let string_consts_in (e : expression) =
-  let acc = ref [] in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_constant (Asttypes.Const_string (s, _, _)) ->
-              acc := (s, e.exp_loc) :: !acc
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      pat =
-        (fun (type k) self (p : k general_pattern) ->
-          (match p.pat_desc with
-          | Tpat_constant (Asttypes.Const_string (s, _, _)) ->
-              acc := (s, p.pat_loc) :: !acc
-          | _ -> ());
-          Tast_iterator.default_iterator.pat self p);
-    }
-  in
-  it.expr it e;
-  List.rev !acc
+(* ---------- D9: module-level generators ---------- *)
 
 (* D9 part one: Rng.t bound at module level (top-level structure items and
    nested module structures — not expression-local bindings, which are
@@ -223,48 +183,25 @@ and d9_smuggled ~emit (vb : value_binding) =
            name))
     !found
 
-(* One walk per unit: D7 at parallel call sites, D8 send-site literal
-   harvesting, D9 cross-module Rng reads; then D9's module-level bindings.
-   Returns the unit's sent tags. *)
+(* One walk per unit: D7 at parallel call sites, D9 cross-module Rng
+   reads; then D9's module-level bindings. *)
 let scan_unit ~emit (u : Cmt_load.unit_info) =
-  let sent = ref [] in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun self e ->
           (match e.exp_desc with
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-              match parallel_target p with
-              | Some target ->
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+              Option.iter
+                (fun target ->
                   List.iter
                     (function
                       | _, Some arg ->
                           analyze_closures ~binds:u.ui_binds ~target ~emit arg
                       | _, None -> ())
-                    args
-              | None ->
-                  if is_net_send p then
-                    List.iter
-                      (function
-                        | Asttypes.Labelled "tag", Some arg ->
-                            sent := string_consts_in arg @ !sent
-                        | _ -> ())
-                      args
-                  else if is_tag_intern p then
-                    List.iter
-                      (function
-                        | ( _,
-                            Some
-                              {
-                                exp_desc =
-                                  Texp_constant (Asttypes.Const_string (s, _, _));
-                                exp_loc;
-                                _;
-                              } ) ->
-                            sent := (s, exp_loc) :: !sent
-                        | _ -> ())
-                      args)
+                    args)
+                (parallel_target p)
           | Texp_ident ((Path.Pdot _ as p), _, _) when is_rng_type e.exp_type ->
               emit Lint.Rng_taint e.exp_loc
                 (Printf.sprintf
@@ -275,58 +212,11 @@ let scan_unit ~emit (u : Cmt_load.unit_info) =
     }
   in
   it.structure it u.ui_str;
-  d9_structure ~emit u.ui_str;
-  !sent
-
-(* A universe binding's declared tags. One declared as a *function* (a
-   variant renderer's match arms) gets its dead-arm direction from the
-   compiler — exhaustiveness plus the unused-constructor warning — so only
-   the rogue-tag direction applies to its literals. *)
-let universe_tags (u : Cmt_load.unit_info) =
-  List.concat_map
-    (fun (d : Cmt_load.decl) ->
-      match d.d_expr with
-      | Some e when d.d_top && Cmt_load.has_attr "dynlint.tag_universe" d.d_attrs ->
-          let from_function =
-            match e.exp_desc with Texp_function _ -> true | _ -> false
-          in
-          List.map (fun (s, l) -> (s, l, from_function)) (string_consts_in e)
-      | _ -> [])
-    u.ui_decls
+  d9_structure ~emit u.ui_str
 
 (* ---------- the pass over preloaded units ---------- *)
 
-(* D7-D9 over every unit, then the global D8 comparison. The caller loads
-   the cmts once (Cmt_load) and shares the unit list — and the emitter —
-   with the alloc/pool/flow passes. *)
+(* The caller loads the cmts once (Cmt_load) and shares the unit list —
+   and the emitter — with the alloc/pool/flow passes. *)
 let lint_units ~emitter units =
-  let emit rule loc msg = Lint.emit emitter rule loc msg in
-  let sent, declared =
-    List.split
-      (List.map
-         (fun (u : Cmt_load.unit_info) -> (scan_unit ~emit u, universe_tags u))
-         units)
-  in
-  let sent = List.concat sent and declared = List.concat declared in
-  (* D8 is global: compare the sent and declared literal sets across every
-     scanned compilation unit. Function-form universes (variant renderers)
-     only participate in the rogue-tag direction — their dead arms are the
-     compiler's problem, not the linter's. *)
-  let declared_tags = List.map (fun (s, _, _) -> s) declared
-  and sent_tags = List.map fst sent in
-  List.iter
-    (fun (tag, loc) ->
-      if not (List.mem tag declared_tags) then
-        emit Lint.Protocol loc
-          (Printf.sprintf
-             "tag %S is sent but appears in no [@@dynlint.tag_universe] declaration: no handler owns it"
-             tag))
-    sent;
-  List.iter
-    (fun (tag, loc, from_function) ->
-      if (not from_function) && not (List.mem tag sent_tags) then
-        emit Lint.Protocol loc
-          (Printf.sprintf
-             "declared tag %S is never sent: dead handler arm or stale universe entry"
-             tag))
-    declared
+  List.iter (scan_unit ~emit:(Lint.emit emitter)) units

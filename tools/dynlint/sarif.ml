@@ -2,7 +2,7 @@
 
    The layout is written by hand (SARIF viewers are read by people too, so
    it keeps its indentation); strings are escaped through Telemetry.Json.
-   One run, one driver, the full D1-D13 rule table (so ruleIndex is stable
+   One run, one driver, every live rule in the table (so ruleIndex is stable
    whether or not a rule fired), one result per finding. A finding's
    [related] entries (D12's acquire-site <-> leak-path links, D13's
    universe <-> orphan links) become SARIF relatedLocations. Columns are

@@ -29,3 +29,6 @@ let literal a = [| a; a |] [@@dynlint.zero_alloc]
 let poly a b = compare a b [@@dynlint.zero_alloc]
 let cons x = Some x [@@dynlint.zero_alloc]
 let chased x = helper x [@@dynlint.zero_alloc]
+
+(* [=] on a type variable cannot be specialized: it calls caml_equal *)
+let poly_op (a : 'a array) x = a.(0) = x [@@dynlint.zero_alloc]

@@ -13,7 +13,7 @@ let sum_to n =
   !acc
   [@@dynlint.zero_alloc]
 
-let clamp lo hi x =
+let clamp lo hi (x : int) =
   if x < lo then lo else if x > hi then hi else x
   [@@dynlint.zero_alloc]
 

@@ -1,4 +1,6 @@
+(* A string tag names no universe constructor, whether or not the list
+   spells it: both sends are unresolved. *)
 let ping net dst = Net.send net ~src:0 ~addr:dst ~tag:(Protocol.tag "ping") ~bits:8 ignore
 
-(* "rogue" is sent but missing from the universe in protocol.ml. *)
+(* "rogue" is spelled nowhere in the universe. *)
 let rogue net dst = Net.send net ~src:0 ~addr:dst ~tag:(Protocol.tag "rogue") ~bits:8 ignore

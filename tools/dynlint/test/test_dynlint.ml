@@ -1,6 +1,6 @@
 (* dynlint's own test suite: a fixture corpus with one bad + one
    allow-annotated file per rule, exact rule-id assertions, the allow-file
-   and context gates, the typed (cmt) fixtures for D7/D8/D9 and
+   and context gates, the typed (cmt) fixtures for D7/D9 and
    D11/D12/D13, the D13 graph artifact (DOT, and JSON read back field by
    field), SARIF output with relatedLocations, the byte-exact SARIF and
    typed-findings goldens, stale-suppression reporting, rule-table sync
@@ -42,19 +42,6 @@ let test_allow_fixtures () =
   List.iter
     (fun p -> check_ids p [] (ids ("fixtures/" ^ p)))
     [ "d1_allow.ml"; "d2_allow.ml"; "d3_allow.ml"; "d4_allow.ml"; "d6_allow.ml" ]
-
-let test_mli () =
-  let check_mli path = Lint.check_mli (Lint.make_emitter ()) path in
-  (match check_mli "fixtures/d5_missing/orphan.ml" with
-  | Some f ->
-      Alcotest.(check string) "orphan rule" "D5" (Lint.rule_id f.Lint.rule)
-  | None -> Alcotest.fail "orphan.ml should be a D5 finding");
-  (match check_mli "fixtures/d5_missing/allowed.ml" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "allowed.ml carries a dynlint: allow mli header");
-  match check_mli "fixtures/d5_covered/covered.ml" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "covered.ml has a matching .mli"
 
 let test_context_gates () =
   (* lib-only rules are silent outside lib/ ... *)
@@ -110,7 +97,7 @@ let test_report_format () =
 let fixture_units dir = Cmt_load.load_dirs [ "fixtures_typed/" ^ dir ]
 let fixture_emitter () = Lint.make_emitter ~source_root:"../../.." ()
 
-(* D7-D9 and D11 *)
+(* D7, D9 and D11 *)
 let typed_run ?(emitter = fixture_emitter ()) units =
   Lint.register_units emitter units;
   Lint_typed.lint_units ~emitter units;
@@ -145,38 +132,6 @@ let test_d7_cross_module () =
       Alcotest.failf "d7_cross: expected exactly 1 finding, got %d"
         (List.length fs)
 
-let test_d8 () =
-  (match typed_findings "d8_bad" with
-  | [ dead; rogue ] ->
-      check_ids "d8_bad ids" [ "D8"; "D8" ]
-        [ Lint.rule_id dead.Lint.rule; Lint.rule_id rogue.Lint.rule ];
-      (* the universe lives in protocol.ml, the rogue send in sender.ml:
-         the comparison is cross-module by construction *)
-      Alcotest.(check bool) "dead arm reported at its declaration" true
-        (contains dead.Lint.file "protocol.ml" && contains dead.Lint.msg "dead-arm");
-      Alcotest.(check bool) "rogue send reported at its literal" true
-        (contains rogue.Lint.file "sender.ml" && contains rogue.Lint.msg "rogue")
-  | fs ->
-      Alcotest.failf "d8_bad: expected exactly 2 findings, got %d"
-        (List.length fs));
-  check_ids "d8_allow" [] (typed_ids "d8_allow")
-
-let test_d8_variant () =
-  (* a variant-form universe: the unused "pong" arm is the compiler's
-     business (no dead-arm finding), while the hand-rolled literal at the
-     intern boundary must still be flagged as rogue *)
-  match typed_findings "d8_variant" with
-  | [ rogue ] ->
-      Alcotest.(check string) "rule" "D8" (Lint.rule_id rogue.Lint.rule);
-      Alcotest.(check bool) "rogue intern literal flagged at its site" true
-        (contains rogue.Lint.file "sender.ml"
-        && contains rogue.Lint.msg "rogue-intern");
-      Alcotest.(check bool) "no dead-arm finding for the unused arm" false
-        (contains rogue.Lint.msg "pong")
-  | fs ->
-      Alcotest.failf "d8_variant: expected exactly 1 finding, got %d"
-        (List.length fs)
-
 let test_d9 () =
   (match typed_findings "d9_bad" with
   | [ use; binding; smuggle ] ->
@@ -201,8 +156,7 @@ let test_d9 () =
 
 let test_d11 () =
   let findings = typed_findings "d11_bad" in
-  check_ids "d11_bad"
-    [ "D11"; "D11"; "D11"; "D11"; "D11"; "D11"; "D11"; "D11"; "D11"; "D11" ]
+  check_ids "d11_bad" (List.init 11 (fun _ -> "D11"))
     (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
   let has sub = List.exists (fun f -> contains f.Lint.msg sub) findings in
   (* one spot-check per allocation kind, in fixture order *)
@@ -219,6 +173,8 @@ let test_d11 () =
     (has "constructor Some with payload");
   (* the same-unit chase reports the callee's allocation at the call site *)
   Alcotest.(check bool) "chased callee" true (has "calls 'helper'");
+  Alcotest.(check bool) "compare operator on a type variable" true
+    (has "polymorphic = dispatches");
   (* findings name the annotated owner *)
   Alcotest.(check bool) "owner attribution" true
     (has "(in zero-alloc Fixture.pair)");
@@ -376,6 +332,47 @@ let test_d13 () =
   check_ids "d13_allow" []
     (List.map (fun f -> Lint.rule_id f.Lint.rule) (flow_findings "d13_allow"))
 
+let test_d13_list () =
+  (* a list-form universe: no constructors, so the declaration itself is
+     a finding, and every string tag, spelled in the list or not, is
+     unresolved *)
+  match flow_findings "d13_list" with
+  | [ universe; ping; rogue ] ->
+      check_ids "d13_list ids" [ "D13"; "D13"; "D13" ]
+        (List.map (fun f -> Lint.rule_id f.Lint.rule) [ universe; ping; rogue ]);
+      Alcotest.(check bool) "list universe is not a renderer" true
+        (contains universe.Lint.file "protocol.ml"
+        && contains universe.Lint.msg "not a variant renderer");
+      List.iter
+        (fun (f, line) ->
+          Alcotest.(check bool) "string tag unresolved at its send" true
+            (contains f.Lint.file "sender.ml"
+            && f.Lint.line = line
+            && contains f.Lint.msg "no declared tag-universe constructor"))
+        [ (ping, 3); (rogue, 6) ]
+  | fs ->
+      Alcotest.failf "d13_list: expected exactly 3 findings, got %d"
+        (List.length fs)
+
+let test_d13_variant () =
+  (* a literal interned past the renderer spells the Pong arm but does not
+     send it: the send is unresolved and Pong is an orphan *)
+  let findings, g = flow_run (fixture_units "d13_variant") in
+  (match findings with
+  | [ orphan; literal ] ->
+      Alcotest.(check bool) "Pong is an orphan" true
+        (contains orphan.Lint.file "protocol.ml"
+        && contains orphan.Lint.msg "constructor Pong");
+      Alcotest.(check bool) "literal tag unresolved at its send" true
+        (contains literal.Lint.file "sender.ml"
+        && contains literal.Lint.msg "no declared tag-universe constructor")
+  | fs ->
+      Alcotest.failf "d13_variant: expected exactly 2 findings, got %d"
+        (List.length fs));
+  Alcotest.(check (list string)) "only the rendered constructor is an edge"
+    [ "Ping" ]
+    (List.map (fun (e : Lint_flow.edge) -> e.e_ctor) g.Lint_flow.g_edges)
+
 let test_d12_d13_allow_not_stale () =
   (* the inline allows in the allow fixtures suppress something, so the
      D10 staleness pass must not report them *)
@@ -527,7 +524,7 @@ let test_stale_allow () =
         (List.length fs));
   (* a typed-only run must not call parsetree-rule suppressions stale *)
   let typed_only =
-    function Lint.Parallel_race | Lint.Protocol | Lint.Rng_taint -> true | _ -> false
+    function Lint.Parallel_race | Lint.Rng_taint -> true | _ -> false
   in
   Alcotest.(check int) "out-of-scope suppressions are not stale" 0
     (List.length (Lint.stale_findings ~in_scope:typed_only em))
@@ -669,10 +666,10 @@ let test_exe_graph_artifact () =
 (* ---------------------------------------------------------------- *)
 (* SARIF output. *)
 
-(* One finding source per typed generation: D8 (no related locations),
+(* One finding source per typed generation: D9 (no related locations),
    D12 and D13 (both carry relatedLocations). *)
 let golden_findings () =
-  typed_findings "d8_bad" @ pool_findings "d12_bad" @ flow_findings "d13_bad"
+  typed_findings "d9_bad" @ pool_findings "d12_bad" @ flow_findings "d13_bad"
 
 (* Regenerate with
      DYNLINT_REGEN_GOLDEN=1 dune build @tools/dynlint/runtest
@@ -833,8 +830,6 @@ let test_clean_tree_typed () =
       ~emitter:(Lint.make_emitter ~allow ~source_root:"../../.." ())
       (Cmt_load.load_dirs [ "../../../lib" ])
   in
-  (* D8's dead-arm side needs the senders in scope, and lib/ is where both
-     the universe and every sender live, so lib-only is a complete check *)
   Alcotest.(check (list string)) "lib/ cmts are dynlint-clean" []
     (List.map Lint.finding_to_string findings)
 
@@ -860,15 +855,12 @@ let () =
             test_bad_fixtures;
           Alcotest.test_case "allow comments silence findings" `Quick
             test_allow_fixtures;
-          Alcotest.test_case "mli coverage (D5)" `Quick test_mli;
         ] );
       ( "typed rules",
         [
           Alcotest.test_case "parallel-race fixtures (D7)" `Quick test_d7;
           Alcotest.test_case "cross-module capture (D7)" `Quick
             test_d7_cross_module;
-          Alcotest.test_case "protocol conformance (D8)" `Quick test_d8;
-          Alcotest.test_case "variant universe (D8)" `Quick test_d8_variant;
           Alcotest.test_case "rng taint (D9)" `Quick test_d9;
           Alcotest.test_case "stale suppressions (D10)" `Quick
             test_stale_allow;
@@ -882,6 +874,8 @@ let () =
           Alcotest.test_case "pool discipline (D12)" `Quick test_d12;
           Alcotest.test_case "related locations (D12)" `Quick test_d12_related;
           Alcotest.test_case "message flow (D13)" `Quick test_d13;
+          Alcotest.test_case "list-form universe (D13)" `Quick test_d13_list;
+          Alcotest.test_case "variant universe (D13)" `Quick test_d13_variant;
           Alcotest.test_case "inline allow + stale (D12/D13)" `Quick
             test_d12_d13_allow_not_stale;
           Alcotest.test_case "graph round-trip (D13)" `Quick
