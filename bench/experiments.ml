@@ -6,7 +6,7 @@
    delivery discipline and parallelism — rather than process globals, so any
    number of them (and any number of rows inside one) can run concurrently.
    Each table row of every experiment is an independent, seeded simulation;
-   {!rows} fans the rows of one table out over a [Pool] of [ctx.jobs]
+   {!rows} fans the rows of one table out with [Pool.map] over [ctx.jobs]
    domains, rendering each row into its own buffer and merging text and
    tallies in input order, so the printed tables and the --json tallies are
    byte-identical whatever the parallelism. *)
@@ -79,7 +79,7 @@ let phase ctx name f =
 
 (* Fan the rows of one table out over the context's worker budget. Each row
    gets a private sub-context (own buffer, own tally, own sink/profile,
-   jobs = 1 — rows do not nest pools); the buffered text, tallies, trace
+   jobs = 1 — rows do not nest fan-outs); the buffered text, tallies, trace
    events and phase probes are folded back into [ctx] in input order, so the
    output — the trace included — is byte-identical whatever the parallelism.
    Sinks are single-domain objects, so each row sink gets its own disjoint

@@ -218,8 +218,8 @@ let run_centralized ppf request moves tree ~seed ~mix ~requests =
   Format.fprintf ppf "final size       %s@." (Stats.pretty_int (Dtree.size tree))
 
 (* One complete scenario for one seed: builds its own tree, controller,
-   network and sink, so any number of these can run on pool domains at
-   once. *)
+   network and sink, so any number of these can run on [Pool.map]'s
+   domains at once. *)
 let run_one ppf ~kind ~shape ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed =
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (shape_of ~n:n0 shape) in
@@ -280,8 +280,8 @@ let run_main verbose (kind_s, kind) (shape_s, shape) (mix_s, mix) n0 requests m 
     Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
       kind_s shape_s mix_s n0 requests m w (n0 + requests);
     (* Each seed is an independent simulation with its own tree, network and
-       sink, rendered into its own buffer — so the seeds fan out over the pool
-       and the combined output is identical to a sequential run. *)
+       sink, rendered into its own buffer — so the seeds fan out over
+       [Pool.map] and the combined output is identical to a sequential run. *)
     let run_seed sd =
       let buf = Buffer.create 512 in
       let ppf = Format.formatter_of_buffer buf in

@@ -11,11 +11,9 @@ type node = int
 
    Columns double in capacity when the high-water mark [next_slot] hits
    [cap] (Buffer-style growth: amortized O(1) per node, at most 2x over
-   the peak). Deleted slots keep their id by default -- traces and the
-   controller's "domains" may refer to deleted nodes -- but a tree created
-   with [~reuse_ids:true] threads deleted slots onto a LIFO free list
-   (through the [next_sibling] column) and recycles them, bounding the
-   arena by the peak live size instead of by U. *)
+   the peak). Ids are never reused: a deleted slot keeps its id -- traces
+   and the controller's "domains" may refer to deleted nodes -- so
+   [next_slot] counts every node ever created, the paper's U. *)
 
 let nil = -1
 
@@ -29,9 +27,6 @@ type t = {
   mutable state : Bytes.t;  (* '\000' never used, '\001' live, '\002' deleted *)
   mutable cap : int;
   mutable next_slot : int;  (* slots [0, next_slot) have been allocated *)
-  mutable free_head : int;  (* deleted-slot LIFO, threaded through next_sibling *)
-  reuse_ids : bool;
-  mutable created : int;  (* nodes ever created: the paper's U *)
   mutable live_count : int;
   mutable changes : int;
   mutable reshapes : int;  (* changes that can move a live node's depth *)
@@ -67,51 +62,28 @@ let grow t =
   t.state <- s;
   t.cap <- cap
 
-(* Allocate a slot (recycling the free list when id reuse is on), reset its
-   columns and mark it live. *)
+(* Take the next fresh slot and mark it live. Slots are never reused, so
+   its links still hold the [nil] that [create] and [grow] fill in. *)
 let alloc t =
-  let v =
-    if t.reuse_ids && t.free_head <> nil then begin
-      let v = t.free_head in
-      t.free_head <- t.next_sibling.(v);
-      (* the id now names another node, at another depth *)
-      t.reshapes <- t.reshapes + 1;
-      v
-    end
-    else begin
-      (* dynlint: allow zero-alloc — amortized growth, doubling *)
-      if t.next_slot = t.cap then grow t;
-      let v = t.next_slot in
-      t.next_slot <- v + 1;
-      v
-    end
-  in
-  t.created <- t.created + 1;
+  (* dynlint: allow zero-alloc — amortized growth, doubling *)
+  if t.next_slot = t.cap then grow t;
+  let v = t.next_slot in
+  t.next_slot <- v + 1;
   t.live_count <- t.live_count + 1;
-  t.parent.(v) <- nil;
-  t.first_child.(v) <- nil;
-  t.next_sibling.(v) <- nil;
-  t.prev_sibling.(v) <- nil;
-  t.port.(v) <- nil;
   t.degree.(v) <- 0;
   Bytes.set t.state v '\001';
   v
   [@@dynlint.zero_alloc] [@@dynlint.pool_acquire]
 
+(* The caller has unlinked [v], which cleared its sibling links. *)
 let free_slot t v =
   Bytes.set t.state v '\002';
   t.parent.(v) <- nil;
-  t.prev_sibling.(v) <- nil;
   t.port.(v) <- nil;
-  t.degree.(v) <- 0;
-  if t.reuse_ids then begin
-    t.next_sibling.(v) <- t.free_head;
-    t.free_head <- v
-  end
-  else t.next_sibling.(v) <- nil
+  t.degree.(v) <- 0
   [@@dynlint.zero_alloc] [@@dynlint.pool_release]
 
-let create ?(reuse_ids = false) () =
+let create () =
   let t =
     {
       parent = Array.make initial_cap nil;
@@ -123,9 +95,6 @@ let create ?(reuse_ids = false) () =
       state = Bytes.make initial_cap '\000';
       cap = initial_cap;
       next_slot = 0;
-      free_head = nil;
-      reuse_ids;
-      created = 0;
       live_count = 0;
       changes = 0;
       reshapes = 0;
@@ -302,7 +271,7 @@ let child_degree t v =
   [@@dynlint.zero_alloc]
 
 let size t = t.live_count [@@dynlint.zero_alloc]
-let ever_created t = t.created [@@dynlint.zero_alloc]
+let ever_created t = t.next_slot [@@dynlint.zero_alloc]
 let change_count t = t.changes [@@dynlint.zero_alloc]
 let reshape_count t = t.reshapes [@@dynlint.zero_alloc]
 
@@ -500,19 +469,7 @@ let check t =
   for v = 0 to t.next_slot - 1 do
     if Bytes.get t.state v = '\001' && Bytes.get seen v <> '\001' then
       failwith "Dtree.check: orphan live node"
-  done;
-  if t.reuse_ids then begin
-    let c = ref t.free_head and steps = ref 0 in
-    while !c <> nil do
-      incr steps;
-      if !steps > t.next_slot then failwith "Dtree.check: free-list cycle";
-      if !c < 0 || !c >= t.next_slot then
-        failwith "Dtree.check: free-list pointer out of range";
-      if Bytes.get t.state !c <> '\002' then
-        failwith "Dtree.check: live node on the free list";
-      c := t.next_sibling.(!c)
-    done
-  end
+  done
 
 let pp ppf t =
   let stack = ref [ (0, 0) ] in

@@ -3,8 +3,8 @@
     The network of the paper is spanned by a rooted tree [T] whose root is
     never deleted. [T] undergoes four kinds of topological changes (paper,
     Section 2.1.2): add-leaf, remove-leaf, add-internal-node and
-    remove-internal-node. Node identifiers are small integers, by default
-    never reused; deleted nodes keep their identifier so that traces and
+    remove-internal-node. Node identifiers are small integers, never
+    reused; deleted nodes keep their identifier so that traces and
     "domains" (which may contain deleted nodes) can refer to them.
 
     The representation is an int-indexed arena: flat integer columns for
@@ -31,13 +31,11 @@ type node = int
 type t
 (** A mutable rooted dynamic tree. *)
 
-val create : ?reuse_ids:bool -> unit -> t
-(** A tree containing only its root. With [~reuse_ids:true] the ids of
-    deleted nodes are recycled (most recently deleted first), bounding the
-    arena by the peak live size instead of by the total number of nodes
-    ever created; the default [false] keeps ids unique forever, which the
-    controller's domain bookkeeping relies on. Either way [ever_created]
-    counts logical creations. *)
+val create : unit -> t
+(** A tree containing only its root. Ids are handed out in creation order
+    and never reused, which the controllers' domain bookkeeping and
+    {!Net}'s deletion forwarding rely on, so the arena grows with
+    [ever_created]. *)
 
 val root : t -> node
 
@@ -104,17 +102,16 @@ val size : t -> int
 
 val ever_created : t -> int
 (** Total number of nodes ever to exist, including deleted ones (the
-    quantity bounded by the paper's [U]). *)
+    quantity bounded by the paper's [U]). Every id is below it. *)
 
 val change_count : t -> int
 (** Number of topological changes applied so far. *)
 
 val reshape_count : t -> int
-(** Number of changes so far that can move a live node's depth or give a
-    dead node's id to a new node: every [add_internal] and
-    [remove_internal], and every id recycled by a [~reuse_ids:true] tree.
-    Adding or removing a leaf never moves a live node's depth, so depths
-    remembered by id stay exact for as long as this count stands still. *)
+(** Number of changes so far that can move a live node's depth: every
+    [add_internal] and [remove_internal]. Adding or removing a leaf never
+    moves a live node's depth, so depths remembered by id stay exact for as
+    long as this count stands still. *)
 
 val depth : t -> node -> int
 (** Hop distance to the root. O(depth). *)

@@ -62,10 +62,9 @@ let grow t =
   Array.blit t.payloads 0 bigger 0 t.size;
   t.payloads <- bigger
 
-(* [priority] is a required label here: a cross-module call supplying an
+(* [priority] is a required label: a cross-module call supplying an
    *optional* argument boxes it in [Some] at the call site, which would put
-   two words back on every prioritized send. [add] wraps this for callers
-   that don't care. *)
+   two words back on every prioritized send. *)
 let add_prio t ~time ~priority payload =
   (* dynlint: allow zero-alloc — amortized growth, doubling *)
   if t.size = Array.length t.times then grow t;
@@ -85,7 +84,7 @@ let add_prio t ~time ~priority payload =
   done
   [@@dynlint.zero_alloc] [@@dynlint.transfers_ownership]
 
-let add t ~time ?(priority = 0) payload = add_prio t ~time ~priority payload
+let add t ~time payload = add_prio t ~time ~priority:0 payload
   [@@dynlint.zero_alloc] [@@dynlint.transfers_ownership]
 
 let next_time t =

@@ -1,5 +1,5 @@
-(** Binary min-heap of timed events. Entries order by time, then [priority]
-    (default 0, lower first), then insertion order, so executions are
+(** Binary min-heap of timed events. Entries order by time, then priority
+    (lower first; {!add} uses 0), then insertion order, so executions are
     deterministic given the delay RNG. The priority tier is what lets a
     scheduler release same-time events in an order other than FIFO (the
     adversarial-LIFO discipline passes strictly decreasing priorities).
@@ -18,14 +18,13 @@ val create : dummy:'a -> 'a t
 (** [dummy] fills empty payload slots; it is never returned by [pop_exn]
     unless it was [add]ed. *)
 
-val add : 'a t -> time:int -> ?priority:int -> 'a -> unit
-(** Insert an event. Omitting [priority] is free; {e supplying} it from
-    another module boxes the optional in [Some] at the call site — use
-    {!add_prio} on a prioritized hot path. *)
+val add : 'a t -> time:int -> 'a -> unit
+(** Insert an event at priority 0. Allocation-free. *)
 
 val add_prio : 'a t -> time:int -> priority:int -> 'a -> unit
-(** [add] with a required [priority] label: allocation-free even when the
-    priority is computed, which is what {!Net}'s send path calls. *)
+(** Insert an event at the given priority, which is what {!Net}'s send
+    path calls. Allocation-free: [priority] is a required label, so no
+    call site boxes it. *)
 
 val next_time : 'a t -> int
 (** Time of the earliest event. Allocation-free.

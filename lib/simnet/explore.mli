@@ -20,7 +20,6 @@ type run = {
 
 val sweep :
   ?jobs:int ->
-  ?shard_size:int ->
   seeds:int list ->
   (discipline:Scheduler.discipline -> seed:int -> string list * int) ->
   run list
@@ -31,13 +30,9 @@ val sweep :
     the sweep.
 
     [jobs] (default [Pool.default_jobs ()], i.e. [$DYNNET_JOBS] or 1) fans
-    the cells out over a domain pool in contiguous shards of [shard_size]
-    cells (default 4): one pool task runs a whole shard sequentially, so
-    per-task setup amortizes over the shard on large grids. Shard
-    boundaries depend only on the cell list, never on [jobs], and each
-    scenario invocation owns its network, tree and RNG, so the returned
-    list — order included — is identical whatever the parallelism.
-    @raise Invalid_argument when [shard_size < 1]. *)
+    the cells out over that many domains with {!Pool.map}. Each scenario
+    invocation owns its network, tree and RNG, so the returned list —
+    order included — is identical whatever the parallelism. *)
 
 val failures : run list -> run list
 (** The runs that reported at least one violation. *)

@@ -1,7 +1,5 @@
 type node = Dtree.node
 
-type addr = Exact of node | Parent_of of node
-
 (* One in-flight event. Cells are pooled: a popped cell is stripped of its
    closure/ctx references and pushed onto a free list, so steady-state
    sends reuse cells instead of minting them — together with the interned
@@ -10,8 +8,8 @@ type addr = Exact of node | Parent_of of node
    ([c_is_action]) so the queue stays monomorphic. *)
 type cell = {
   mutable c_src : node;
-  mutable c_exact : bool;  (* addressing mode: Exact vs Parent_of *)
-  mutable c_node : node;  (* Exact destination, or the Parent_of subject *)
+  mutable c_exact : bool;  (* addressing mode: send_to vs send_up *)
+  mutable c_node : node;  (* send_to's destination, or send_up's sender *)
   mutable c_tag : int;  (* interned tag id *)
   mutable c_link : Scheduler.link_id;  (* frozen at send time *)
   mutable c_sseq : int;  (* global send sequence number *)
@@ -296,12 +294,6 @@ let send_cell t ~src ~exact ~node ~tag ~bits k =
   c.c_ctx <- ctx;
   c.c_k <- k;
   Event_queue.add_prio t.events ~time ~priority c
-  [@@dynlint.zero_alloc]
-
-let send t ~src ~addr ~tag ~bits k =
-  match addr with
-  | Exact d -> send_cell t ~src ~exact:true ~node:d ~tag ~bits k
-  | Parent_of v -> send_cell t ~src ~exact:false ~node:v ~tag ~bits k
   [@@dynlint.zero_alloc]
 
 let send_to t ~src ~dst ~tag ~bits k =

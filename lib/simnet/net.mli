@@ -61,12 +61,6 @@
 
 type node = Dtree.node
 
-type addr =
-  | Exact of node
-      (** resolved through the deletion-forwarding chain at delivery time *)
-  | Parent_of of node
-      (** delivered to the sender's parent as of the moment of delivery *)
-
 type t
 
 val create :
@@ -109,20 +103,16 @@ val intern_tag : t -> string -> Tag.id
 val tag_name : t -> Tag.id -> string
 (** The string behind an interned id (the reporting boundary). *)
 
-val send :
-  t -> src:node -> addr:addr -> tag:Tag.id -> bits:int -> (node -> unit) -> unit
-(** Send one message; the continuation runs at delivery time with the
-    resolved destination. [tag] buckets the message statistics; [bits] is the
-    message's size for the O(log N) accounting. General-address form; hot
-    paths prefer {!send_to} / {!send_up}, which take no [addr] box. *)
-
 val send_to :
   t -> src:node -> dst:node -> tag:Tag.id -> bits:int -> (node -> unit) -> unit
-(** [send] to [Exact dst], without constructing the address. *)
+(** Send one message to [dst]; the continuation runs at delivery time with
+    the destination resolved through the deletion-forwarding chain. [tag]
+    buckets the message statistics; [bits] is the message's size for the
+    O(log N) accounting. *)
 
 val send_up : t -> src:node -> tag:Tag.id -> bits:int -> (node -> unit) -> unit
-(** [send] to [Parent_of src] — the sender's own upward link — without
-    constructing the address. *)
+(** {!send_to} the sender's parent as of the moment of delivery: the
+    sender's own upward link, whoever holds its other end by then. *)
 
 val schedule : t -> ?delay:int -> (unit -> unit) -> unit
 (** A local (uncounted) action after [delay] (default 1) time units. *)

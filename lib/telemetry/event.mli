@@ -10,7 +10,8 @@
     re-readable with {!of_line}. *)
 
 type addr = Exact of int | Parent_of of int
-(** Mirror of [Net.addr] (the network library sits above this one). *)
+(** A send's address: [Exact v] for [Net.send_to ~dst:v], [Parent_of v]
+    for [Net.send_up ~src:v] (the network library sits above this one). *)
 
 type ctx = { trace : int; span : int; parent : int }
 (** Causal context. A {e span} is one send→deliver hop of one message; the

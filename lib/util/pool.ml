@@ -1,14 +1,3 @@
-type task = Run of (unit -> unit) | Quit
-
-type t = {
-  requested : int;
-  mutex : Mutex.t;
-  nonempty : Condition.t;  (* the queue gained a task (or Quit) *)
-  batch_done : Condition.t;  (* a [run] batch's remaining count hit 0 *)
-  queue : task Queue.t;
-  mutable workers : unit Domain.t list;
-}
-
 let env_var = "DYNNET_JOBS"
 
 let default_jobs () =
@@ -23,128 +12,42 @@ let default_jobs () =
    clamp well below so nested test suites can never trip the hard limit. *)
 let max_jobs = 64
 
-let rec worker_loop t =
-  Mutex.lock t.mutex;
-  let rec next () =
-    match Queue.take_opt t.queue with
-    | Some task -> task
-    | None ->
-        Condition.wait t.nonempty t.mutex;
-        next ()
+let map ?jobs f items =
+  let arr = Array.of_list items in
+  let n = Array.length arr in
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let jobs = min (min jobs max_jobs) n in
+  let results = Array.make n None in
+  let errors = Array.make n None in
+  (* Every domain, the caller's included, claims the next unclaimed index
+     until none is left; each slot is written by the one domain that
+     claimed it. *)
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match f arr.(i) with
+      | v -> results.(i) <- Some v
+      | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
   in
-  let task = next () in
-  Mutex.unlock t.mutex;
-  match task with
-  | Quit -> ()
-  | Run f ->
-      f ();
-      worker_loop t
-
-let create ~jobs =
-  let jobs = if jobs < 1 then 1 else if jobs > max_jobs then max_jobs else jobs in
-  let t =
-    {
-      requested = jobs;
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      batch_done = Condition.create ();
-      queue = Queue.create ();
-      workers = [];
-    }
+  (* A failed spawn (the runtime's domain limit) leaves the items to the
+     domains already running, so every helper started here is joined. *)
+  let rec spawn k acc =
+    if k <= 0 then acc
+    else
+      match Domain.spawn work with
+      | d -> spawn (k - 1) (d :: acc)
+      | exception _ -> acc
   in
-  if jobs > 1 then
-    t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let jobs t = t.requested
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  let ws = t.workers in
-  t.workers <- [];
-  List.iter (fun _ -> Queue.push Quit t.queue) ws;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join ws
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Shared completion logic: every task ran (storing into [results] or
-   [errors]); re-raise the lowest-indexed failure, else collect in order. *)
-let conclude n results errors =
-  let rec first_error i =
-    if i >= n then None
-    else match errors.(i) with Some _ as e -> e | None -> first_error (i + 1)
-  in
-  match first_error 0 with
+  let helpers = spawn (jobs - 1) [] in
+  (* The joins also make the helpers' slot writes visible here. *)
+  Fun.protect ~finally:(fun () -> List.iter Domain.join helpers) work;
+  (* Every task has run: re-raise the lowest-indexed failure, else collect
+     in input order. *)
+  match Array.find_map Fun.id errors with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None ->
       Array.to_list
-        (Array.map (function Some v -> v | None -> assert false) results)  (* dynlint: allow unsafe -- the join loop fills every slot before map returns *)
-
-let run t thunks =
-  let arr = Array.of_list thunks in
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    let run_one i =
-      match arr.(i) () with
-      | v -> results.(i) <- Some v
-      | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    let parallel = n > 1 && t.workers <> [] in
-    if not parallel then
-      for i = 0 to n - 1 do
-        run_one i
-      done
-    else begin
-      let remaining = ref n in
-      let task i =
-        Run
-          (fun () ->
-            run_one i;
-            Mutex.lock t.mutex;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast t.batch_done;
-            Mutex.unlock t.mutex)
-      in
-      Mutex.lock t.mutex;
-      for i = 0 to n - 1 do
-        Queue.push (task i) t.queue
-      done;
-      Condition.broadcast t.nonempty;
-      (* [remaining] is only touched under [t.mutex], which also gives the
-         happens-before edge that makes the workers' [results] stores
-         visible here. *)
-      while !remaining > 0 do
-        Condition.wait t.batch_done t.mutex
-      done;
-      Mutex.unlock t.mutex
-    end;
-    conclude n results errors
-  end
-
-let map ?jobs f items =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let jobs = min jobs (List.length items) in
-  if jobs <= 1 then begin
-    (* Sequential path: no domain is spawned, but completion semantics match
-       the parallel path (every task runs; lowest-indexed failure wins). *)
-    let arr = Array.of_list items in
-    let n = Array.length arr in
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    for i = 0 to n - 1 do
-      match f arr.(i) with
-      | v -> results.(i) <- Some v
-      | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-    done;
-    conclude n results errors
-  end
-  else with_pool ~jobs (fun t -> run t (List.map (fun x () -> f x) items))
-
-let iter ?jobs f items = ignore (map ?jobs (fun x -> f x) items)
+        (Array.map (function Some v -> v | None -> assert false) results)  (* dynlint: allow unsafe -- every index below n was claimed and ran before the joins returned *)

@@ -1,24 +1,17 @@
-(** Fixed-size domain pool for deterministic fan-out.
+(** Order-preserving parallel map for deterministic fan-out.
 
-    Every sweep this repository runs — the E1-E13 benchmark rows, the
+    Every sweep this repository runs — the E1-E15 benchmark rows, the
     discipline × seed schedule explorations, multi-seed CLI runs — is a set
     of {e independent, seeded} simulations: each task builds its own [Rng],
     [Dtree], [Net] and (optionally) [Telemetry.Sink], so tasks share no
-    mutable state and the only coordination the pool needs is handing out
-    work and collecting results {e in input order}. Under that contract the
-    parallel results are bit-identical to a sequential run; parallelism
-    lives entirely outside the simulated model.
+    mutable state and the only coordination needed is handing out work and
+    collecting results {e in input order}. Under that contract the parallel
+    results are bit-identical to a sequential run; parallelism lives
+    entirely outside the simulated model.
 
     Jobs default to [1] (strictly sequential, no domain is ever spawned),
     overridable process-wide with the [DYNNET_JOBS] environment variable and
-    per call with [?jobs]. Worker domains are OCaml 5 [Domain]s; a pool of
-    [jobs] workers runs at most [jobs] tasks concurrently.
-
-    A pool is not reentrant: do not call {!run} from inside a pooled task
-    (nested fan-out must use its own pool, or [jobs = 1]). *)
-
-type t
-(** A pool of worker domains. *)
+    per call with [?jobs]. *)
 
 val env_var : string
 (** ["DYNNET_JOBS"]. *)
@@ -27,35 +20,18 @@ val default_jobs : unit -> int
 (** The process-wide default parallelism: [$DYNNET_JOBS] when set to a
     positive integer, else [1]. *)
 
-val create : jobs:int -> t
-(** Spawn a pool of [jobs] worker domains ([jobs <= 1] spawns none and runs
-    every task inline; values above [64] are clamped — the OCaml runtime
-    supports at most 128 live domains). *)
-
-val jobs : t -> int
-(** The pool's concurrency (at least 1). *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains. Idempotent. Any use of the pool after
-    [shutdown] runs tasks inline, sequentially. *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
-    afterwards, even if [f] raises. *)
-
-val run : t -> (unit -> 'a) list -> 'a list
-(** Run every thunk (concurrently, up to the pool size) and return their
-    results in input order. If any task raises, the exception of the
-    {e lowest-indexed} failing task is re-raised in the caller with its
-    original backtrace — after every task has finished, so no worker is
-    left running. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] is [List.map f items] evaluated on a transient pool
-    of [jobs] workers, order-preserving. [jobs] defaults to
-    {!default_jobs}[ ()]; with [jobs <= 1] every task runs sequentially on
-    the calling domain and no domain is spawned. In both modes every task
-    runs to completion and exceptions propagate as in {!run}. *)
+(** [map ~jobs f items] is [List.map f items] evaluated by the calling
+    domain and [jobs - 1] spawned OCaml 5 domains, order-preserving. Each
+    domain claims the next unclaimed item from one shared counter, so an
+    item costs one atomic increment to hand out. [jobs] defaults to
+    {!default_jobs}[ ()], is clamped to the item count and to [64] (the
+    runtime supports at most 128 live domains), and with [jobs <= 1] every
+    item runs on the calling domain and no domain is spawned. A spawn that
+    fails leaves the items to the domains already running.
 
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [iter ~jobs f items] is {!map} with unit results. *)
+    Every item runs to completion, and every spawned domain is joined
+    before [map] returns or raises. If any item raises, the exception of
+    the {e lowest-indexed} failing item is re-raised with its original
+    backtrace. A nested call spawns domains of its own, so a task that
+    fans out again should pass [~jobs:1]. *)

@@ -99,9 +99,9 @@ val make : ?seed:int -> ?deep_bias:bool -> ?within:Dtree.node -> mix:Mix.t -> un
     (if none of the three is live, the sample is discarded). A sample costs
     O(1) while only leaves come and go, because the first deep-bias draw
     after a refresh memoizes every snapshot node's depth in one
-    O(n log n) pass. After an internal insertion or removal, or an id
-    recycled by a [~reuse_ids:true] tree ({!Dtree.reshape_count}), each
-    sample costs O(depth) until the next refresh.
+    O(n log n) pass. After an internal insertion or removal
+    ({!Dtree.reshape_count}), each sample costs O(depth) until the next
+    refresh.
 
     [within] confines every target to the subtree of the given node while it
     is live (a hotspot adversary that concentrates all traffic in one

@@ -65,19 +65,6 @@ let test_deletions_free () =
   Alcotest.(check int) "no relabel for deletions" before
     (Estimator.Ancestry_labeling.relabels al)
 
-(* With [~reuse_ids:true] a fresh leaf takes the most recently freed id,
-   not [Dtree.ever_created - 1]: its label must land on the node the tree
-   actually created. *)
-let test_recycled_ids () =
-  let tree = Dtree.create ~reuse_ids:true () in
-  let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
-  let b = Dtree.add_leaf tree ~parent:a in
-  ignore (Dtree.add_leaf tree ~parent:(Dtree.root tree));
-  let al = Estimator.Ancestry_labeling.create ~tree () in
-  Estimator.Ancestry_labeling.submit al (Workload.Remove_leaf b);
-  Estimator.Ancestry_labeling.submit al (Workload.Add_leaf a);
-  check_all_pairs tree al
-
 let prop_correctness =
   Helpers.qcheck ~count:6 "ancestry queries always correct"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
@@ -94,6 +81,5 @@ let suite =
       Alcotest.test_case "correct under churn" `Quick test_correct_under_churn;
       Alcotest.test_case "label size asymptotically optimal" `Quick test_label_size_optimal;
       Alcotest.test_case "deletions are free" `Quick test_deletions_free;
-      Alcotest.test_case "recycled node ids" `Quick test_recycled_ids;
       prop_correctness;
     ] )

@@ -118,9 +118,9 @@ let test_parentage_survives_forwarding () =
   in
   (* hop 1: root -> b; its continuation sends hop 2 to [a], then [a] is
      deleted before hop 2 arrives *)
-  Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact b) ~tag:(Net.intern_tag net "hop1") ~bits:4
+  Net.send_to net ~src:(Dtree.root tree) ~dst:b ~tag:(Net.intern_tag net "hop1") ~bits:4
     (fun _ ->
-      Net.send net ~src:b ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "hop2") ~bits:4 (fun _ -> ());
+      Net.send_to net ~src:b ~dst:a ~tag:(Net.intern_tag net "hop2") ~bits:4 (fun _ -> ());
       Dtree.remove_internal tree a;
       Net.node_deleted net a ~parent:(Dtree.root tree));
   Net.run net;
@@ -162,12 +162,12 @@ let test_critical_path_on_known_chain () =
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
   let b = Dtree.add_leaf tree ~parent:a in
   let net = Net.create ~seed:4 ~sink ~tree () in
-  Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "h1") ~bits:1
+  Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "h1") ~bits:1
     (fun _ ->
-      Net.send net ~src:a ~addr:(Net.Exact b) ~tag:(Net.intern_tag net "h2") ~bits:1 (fun _ ->
-          Net.send net ~src:b ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "h3") ~bits:1 (fun _ -> ())));
+      Net.send_to net ~src:a ~dst:b ~tag:(Net.intern_tag net "h2") ~bits:1 (fun _ ->
+          Net.send_to net ~src:b ~dst:a ~tag:(Net.intern_tag net "h3") ~bits:1 (fun _ -> ())));
   (* plus a one-hop distractor in its own trace *)
-  Net.send net ~src:a ~addr:(Net.Exact b) ~tag:(Net.intern_tag net "solo") ~bits:1 (fun _ -> ());
+  Net.send_to net ~src:a ~dst:b ~tag:(Net.intern_tag net "solo") ~bits:1 (fun _ -> ());
   Net.run net;
   let events = Telemetry.Sink.events sink in
   check_or_fail events;
@@ -186,7 +186,7 @@ let test_schedule_roots_a_trace () =
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
   let net = Net.create ~seed:5 ~sink ~tree () in
   Net.schedule net ~delay:2 (fun () ->
-      Net.send net ~src:a ~addr:(Net.Parent_of a) ~tag:(Net.intern_tag net "up") ~bits:1 (fun _ -> ()));
+      Net.send_up net ~src:a ~tag:(Net.intern_tag net "up") ~bits:1 (fun _ -> ()));
   Net.run net;
   let events = Telemetry.Sink.events sink in
   check_or_fail events;

@@ -141,7 +141,7 @@ let test_differential () =
   List.iter (fun seed -> replay ~seed ~steps:512) [ 7001; 7002; 7003 ]
 
 (* ------------------------------------------------------------------ *)
-(* Free-list id reuse                                                  *)
+(* Ids are never reused                                               *)
 
 let test_no_reuse_by_default () =
   let t = Dtree.create () in
@@ -154,65 +154,6 @@ let test_no_reuse_by_default () =
   check_bool "a stays dead" false (Dtree.live t a);
   check_int "ever_created counts all" 4 (Dtree.ever_created t);
   Dtree.check t
-
-let test_reuse_lifo () =
-  let t = Dtree.create ~reuse_ids:true () in
-  let ids = Array.init 10 (fun _ -> Dtree.add_leaf t ~parent:(Dtree.root t)) in
-  Alcotest.(check (list int))
-    "bump allocation first" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
-    (Array.to_list ids);
-  (* free 10, then 9, then 8: the free list is LIFO, so 8 comes back first *)
-  Dtree.remove_leaf t 10;
-  Dtree.remove_leaf t 9;
-  Dtree.remove_leaf t 8;
-  check_int "size dropped" 8 (Dtree.size t);
-  check_bool "freed id is dead" false (Dtree.live t 8);
-  check_int "leaf changes leave the reshape count" 0 (Dtree.reshape_count t);
-  let a = Dtree.add_leaf t ~parent:(Dtree.root t) in
-  check_int "a recycled id moves the reshape count" 1 (Dtree.reshape_count t);
-  let b = Dtree.add_leaf t ~parent:1 in
-  let c = Dtree.add_internal t ~above:b in
-  check_int "most recently freed first" 8 a;
-  check_int "then the next" 9 b;
-  check_int "internal insertion recycles too" 10 c;
-  check_int "a recycled internal insertion counts as both" 4 (Dtree.reshape_count t);
-  check_bool "recycled id live again" true (Dtree.live t 8);
-  check_int "no slot growth past the peak" 11 (Dtree.size t);
-  (* logical creations keep counting through recycling *)
-  check_int "ever_created counts creations" 14 (Dtree.ever_created t);
-  Dtree.check t;
-  (* exhausting the free list falls back to bump allocation *)
-  let d = Dtree.add_leaf t ~parent:(Dtree.root t) in
-  check_int "bump allocation resumes" 11 d;
-  check_int "a fresh id leaves the reshape count" 4 (Dtree.reshape_count t);
-  Dtree.check t
-
-let test_reuse_differential () =
-  (* With ids recycled the arena can no longer be compared to the reference
-     id-for-id, but every invariant must still hold through heavy churn. *)
-  let rng = Rng.create ~seed:7010 in
-  let t = Dtree.create ~reuse_ids:true () in
-  let peak = ref 1 in
-  for _ = 1 to 2000 do
-    (match Rng.int rng 3 with
-    | 0 | 1 ->
-        let live = Array.of_list (Dtree.live_nodes t) in
-        ignore (Dtree.add_leaf t ~parent:live.(Rng.int rng (Array.length live)))
-    | _ -> (
-        match Dtree.leaves t with
-        | [] -> ()
-        | ls ->
-            let ls = List.filter (fun v -> v <> Dtree.root t) ls in
-            if ls <> [] then
-              Dtree.remove_leaf t (List.nth ls (Rng.int rng (List.length ls)))));
-    peak := max !peak (Dtree.size t);
-    assert (Dtree.ever_created t >= Dtree.size t)
-  done;
-  Dtree.check t;
-  (* a slot is only minted when the free list is empty, i.e. when every id
-     below the watermark is live — so no id can exceed the peak live size *)
-  let id_bound = Dtree.fold_dfs t ~init:0 ~f:(fun acc v -> max acc v) in
-  check_bool "ids bounded by peak live size" true (id_bound < !peak)
 
 (* ------------------------------------------------------------------ *)
 (* 10^6-node degenerate path: the seed's recursive traversals           *)
@@ -251,9 +192,6 @@ let suite =
         test_differential;
       Alcotest.test_case "ids not reused by default" `Quick
         test_no_reuse_by_default;
-      Alcotest.test_case "free-list reuse is LIFO" `Quick test_reuse_lifo;
-      Alcotest.test_case "invariants under churn with reuse" `Quick
-        test_reuse_differential;
       Alcotest.test_case "million-node path traversals" `Quick
         test_million_node_path;
     ] )

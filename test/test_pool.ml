@@ -1,4 +1,4 @@
-(* The domain pool and the determinism contract of everything built on it:
+(* The parallel map and the determinism contract of everything built on it:
    Pool.map must preserve order and results at any parallelism, propagate
    the lowest-indexed exception, and the parallel consumers (bench
    experiment tables, Explore.sweep) must produce byte-identical output
@@ -44,15 +44,26 @@ let test_map_exception_propagation () =
         20 (Atomic.get ran))
     [ 1; 4 ]
 
-let test_pool_reuse () =
-  (* one pool serves several batches; results stay ordered per batch *)
-  Pool.with_pool ~jobs:3 (fun t ->
-      Alcotest.(check int) "jobs" 3 (Pool.jobs t);
-      let b1 = Pool.run t (List.init 10 (fun i () -> i * 2)) in
-      Alcotest.(check (list int)) "first batch" (List.init 10 (fun i -> i * 2)) b1;
-      let b2 = Pool.run t (List.init 7 (fun i () -> i - 1)) in
-      Alcotest.(check (list int)) "second batch" (List.init 7 (fun i -> i - 1)) b2;
-      Alcotest.(check (list int)) "empty batch" [] (Pool.run t []))
+let test_map_runs_in_parallel () =
+  (* Each of the two tasks waits for the other to start, so they can only
+     both see two starts if they run at once, on two domains. A map that
+     ran its items one after the other would let the first task's spin
+     time out. The spin is bounded by CPU time, generous for a loaded
+     machine, so that failure cannot hang. *)
+  let started = Atomic.make 0 in
+  let task _ =
+    Atomic.incr started;
+    let deadline = Sys.time () +. 10.0 in
+    while Atomic.get started < 2 && Sys.time () < deadline do
+      Domain.cpu_relax ()
+    done;
+    (Atomic.get started, (Domain.self () :> int))
+  in
+  match Pool.map ~jobs:2 task [ 0; 1 ] with
+  | [ (s0, d0); (s1, d1) ] ->
+      Alcotest.(check (list int)) "each task saw the other start" [ 2; 2 ] [ s0; s1 ];
+      Alcotest.(check bool) "two distinct domains" true (d0 <> d1)
+  | _ -> Alcotest.fail "expected two results"
 
 let test_default_jobs_env () =
   (* default comes from DYNNET_JOBS; absent/garbage mean sequential *)
@@ -128,9 +139,9 @@ let test_sweep_deterministic () =
       Alcotest.(check int) "reorders identical" a.Explore.reorders b.Explore.reorders)
     r1 r4
 
-(* Shard boundaries are a function of the cell list alone, so the rendered
-   sweep output must be byte-identical whatever the (jobs, shard_size)
-   combination — including shards that don't divide the cell count. *)
+(* However the cells are shared out among the domains, the rendered sweep
+   output must be byte-identical, also with more domains asked for than
+   there are cells (16 > 12). *)
 let test_sweep_sharding_byte_identical () =
   let seeds = [ 401; 402; 403 ] in
   let render runs =
@@ -139,15 +150,12 @@ let test_sweep_sharding_byte_identical () =
   in
   let reference = render (Explore.sweep ~jobs:1 ~seeds sweep_scenario) in
   List.iter
-    (fun (jobs, shard_size) ->
+    (fun jobs ->
       Alcotest.(check string)
-        (Printf.sprintf "jobs=%d shard_size=%d" jobs shard_size)
+        (Printf.sprintf "jobs=%d" jobs)
         reference
-        (render (Explore.sweep ~jobs ~shard_size ~seeds sweep_scenario)))
-    [ (1, 1); (4, 1); (4, 2); (4, 3); (4, 64) ];
-  match Explore.sweep ~jobs:1 ~shard_size:0 ~seeds sweep_scenario with
-  | _ -> Alcotest.fail "shard_size:0 must be rejected"
-  | exception Invalid_argument _ -> ()
+        (render (Explore.sweep ~jobs ~seeds sweep_scenario)))
+    [ 1; 2; 4; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* The race dynlint D7 exists to prevent, stated positively: the
@@ -185,7 +193,8 @@ let suite =
         test_per_task_state_deterministic;
       Alcotest.test_case "map: exception propagation" `Quick
         test_map_exception_propagation;
-      Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
+      Alcotest.test_case "map: two tasks on two domains" `Quick
+        test_map_runs_in_parallel;
       Alcotest.test_case "default jobs from env" `Quick test_default_jobs_env;
       Alcotest.test_case "experiments identical at -j 4" `Quick
         test_experiments_deterministic;

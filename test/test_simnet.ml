@@ -35,10 +35,10 @@ let test_event_queue_priority_tier () =
   (* same time: lower priority first, insertion order inside a priority *)
   let q = Event_queue.create ~dummy:"" in
   Event_queue.add q ~time:5 "a";
-  Event_queue.add q ~time:5 ~priority:(-1) "b";
-  Event_queue.add q ~time:5 ~priority:(-2) "c";
-  Event_queue.add q ~time:5 ~priority:(-2) "c2";
-  Event_queue.add q ~time:4 ~priority:100 "d";
+  Event_queue.add_prio q ~time:5 ~priority:(-1) "b";
+  Event_queue.add_prio q ~time:5 ~priority:(-2) "c";
+  Event_queue.add_prio q ~time:5 ~priority:(-2) "c2";
+  Event_queue.add_prio q ~time:4 ~priority:100 "d";
   let order = ref [] in
   let rec drain () =
     match Event_queue.pop q with
@@ -89,9 +89,9 @@ let test_delivery_and_counting () =
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
   let net = Net.create ~seed:1 ~tree () in
   let got = ref [] in
-  Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "x") ~bits:10 (fun dst ->
+  Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "x") ~bits:10 (fun dst ->
       got := dst :: !got);
-  Net.send net ~src:a ~addr:(Net.Parent_of a) ~tag:(Net.intern_tag net "y") ~bits:20 (fun dst ->
+  Net.send_up net ~src:a ~tag:(Net.intern_tag net "y") ~bits:20 (fun dst ->
       got := dst :: !got);
   Net.run net;
   Alcotest.(check (list int)) "both delivered (any order)" [ 0; 1 ]
@@ -109,7 +109,7 @@ let test_parent_resolution_after_deletion () =
   let b = Dtree.add_leaf tree ~parent:a in
   let net = Net.create ~seed:2 ~tree () in
   let got = ref (-1) in
-  Net.send net ~src:b ~addr:(Net.Parent_of b) ~tag:(Net.intern_tag net "up") ~bits:8 (fun dst -> got := dst);
+  Net.send_up net ~src:b ~tag:(Net.intern_tag net "up") ~bits:8 (fun dst -> got := dst);
   (* a is deleted while the message is in flight *)
   Dtree.remove_internal tree a;
   Net.node_deleted net a ~parent:(Dtree.root tree);
@@ -123,7 +123,7 @@ let test_parent_resolution_after_insertion () =
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
   let net = Net.create ~seed:3 ~tree () in
   let got = ref (-1) in
-  Net.send net ~src:a ~addr:(Net.Parent_of a) ~tag:(Net.intern_tag net "up") ~bits:8 (fun dst -> got := dst);
+  Net.send_up net ~src:a ~tag:(Net.intern_tag net "up") ~bits:8 (fun dst -> got := dst);
   let fresh = Dtree.add_internal tree ~above:a in
   Net.run net;
   Alcotest.(check int) "delivered to the interposed node" fresh !got
@@ -137,7 +137,7 @@ let test_delays_bounded_and_deterministic () =
     let net = Net.create ~seed:4 ~max_delay:5 ~scheduler:Scheduler.Fifo_link ~tree () in
     let times = ref [] in
     for _ = 1 to 50 do
-      Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+      Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
           times := Net.now net :: !times)
     done;
     Net.run net;
@@ -194,7 +194,7 @@ let test_fifo_per_link_property () =
     let send_one src dst =
       incr mark;
       let m = !mark in
-      Net.send net ~src ~addr:(Net.Exact dst) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+      Net.send_to net ~src ~dst ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
           match Hashtbl.find_opt delivered (src, dst) with
           | Some l -> l := m :: !l
           | None -> Hashtbl.add delivered (src, dst) (ref [ m ]))
@@ -233,7 +233,7 @@ let test_fifo_across_forwarding () =
     let send_to dst =
       incr mark;
       let m = !mark in
-      Net.send net ~src:root ~addr:(Net.Exact dst) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+      Net.send_to net ~src:root ~dst ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
           got := m :: !got)
     in
     (* burst towards b, then b dies (adopted by a), then more sends to the
@@ -264,7 +264,7 @@ let test_random_delay_reorders () =
   let net = Net.create ~seed:4242 ~scheduler:Scheduler.Random_delay ~max_delay:8 ~tree () in
   let got = ref [] in
   for i = 1 to 30 do
-    Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+    Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
         got := i :: !got)
   done;
   Net.run net;
@@ -286,7 +286,7 @@ let test_adversarial_lifo_newest_first () =
   in
   let got = ref [] in
   for i = 1 to 5 do
-    Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+    Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
         got := (i, Net.now net) :: !got)
   done;
   Net.run net;
@@ -301,7 +301,7 @@ let test_bursty_batches () =
   let net = Net.create ~seed:6 ~scheduler:(Scheduler.Bursty { period = 10 }) ~tree () in
   let got = ref [] in
   let send i =
-    Net.send net ~src:(Dtree.root tree) ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
+    Net.send_to net ~src:(Dtree.root tree) ~dst:a ~tag:(Net.intern_tag net "t") ~bits:1 (fun _ ->
         got := (i, Net.now net) :: !got)
   in
   send 1;

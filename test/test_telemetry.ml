@@ -320,7 +320,7 @@ let test_forwarded_delivery_recorded () =
   let a = Dtree.add_leaf tree ~parent:(Dtree.root tree) in
   let b = Dtree.add_leaf tree ~parent:a in
   let net = Net.create ~seed:2 ~sink ~tree () in
-  Net.send net ~src:b ~addr:(Net.Exact a) ~tag:(Net.intern_tag net "up") ~bits:8
+  Net.send_to net ~src:b ~dst:a ~tag:(Net.intern_tag net "up") ~bits:8
     (fun _ -> ());
   Dtree.remove_internal tree a;
   Net.node_deleted net a ~parent:(Dtree.root tree);
@@ -510,7 +510,7 @@ let test_messages_by_tag_sorted () =
   let net = Net.create ~seed:5 ~tree () in
   List.iter
     (fun tag ->
-      Net.send net ~src:a ~addr:(Net.Parent_of a) ~tag:(Net.intern_tag net tag)
+      Net.send_up net ~src:a ~tag:(Net.intern_tag net tag)
         ~bits:1 (fun _ -> ()))
     [ "zeta"; "alpha"; "mid"; "alpha" ];
   Net.run net;

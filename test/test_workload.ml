@@ -160,50 +160,6 @@ let test_deep_bias_goldens () =
       Alcotest.(check string) name expected (digest (Workload.Trace.to_string trace)))
     deep_bias_goldens
 
-(* The same on a tree that recycles ids, driven by [next_op]/[apply]: a
-   snapshot slot can name a node that died and came back elsewhere. The
-   mix is mostly leaf changes, so that recycled ids, not internal changes,
-   are often the only thing between a refresh and a draw. *)
-let test_deep_bias_reuse_golden () =
-  let t = Dtree.create ~reuse_ids:true () in
-  let tip = ref (Dtree.root t) in
-  for i = 1 to 60 do
-    let v = Dtree.add_leaf t ~parent:!tip in
-    if i mod 2 = 0 then tip := v
-  done;
-  let mix =
-    {
-      Workload.Mix.add_leaf = 0.5;
-      remove_leaf = 0.4;
-      add_internal = 0.05;
-      remove_internal = 0.05;
-      non_topological = 0.0;
-    }
-  in
-  let w = Workload.make ~seed:12 ~deep_bias:true ~mix () in
-  let seen = Hashtbl.create 64 and recycled = ref 0 and internal = ref 0 in
-  let note v =
-    if Hashtbl.mem seen v then incr recycled else Hashtbl.replace seen v ()
-  in
-  Dtree.iter_nodes t ~f:note;
-  let buf = Buffer.create 4096 in
-  for _ = 1 to 400 do
-    let op = Workload.next_op w t in
-    Buffer.add_string buf (Format.asprintf "%a\n" Workload.pp_op op);
-    match Workload.apply_info t op with
-    | Workload.Leaf_added { leaf; _ } -> note leaf
-    | Workload.Internal_added { fresh; _ } ->
-        incr internal;
-        note fresh
-    | _ -> ()
-  done;
-  Dtree.check t;
-  Alcotest.(check bool) "ids were recycled" true (!recycled > 0);
-  Alcotest.(check bool) "internal nodes were inserted" true (!internal > 0);
-  Alcotest.(check string)
-    "leaf churn on a recycling tree" "83f80c81ce6e8f536923fe9635196abb"
-    (digest (Buffer.contents buf))
-
 let prop_valid_ops =
   Helpers.qcheck ~count:40 "every generated op is valid for every mix"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 3))
@@ -236,7 +192,5 @@ let suite =
       Alcotest.test_case "conflict avoidance" `Quick test_avoiding;
       Alcotest.test_case "hotspot targeting" `Quick test_hotspot_targeting;
       Alcotest.test_case "deep-bias golden streams" `Quick test_deep_bias_goldens;
-      Alcotest.test_case "deep-bias golden stream, recycled ids" `Quick
-        test_deep_bias_reuse_golden;
       prop_valid_ops;
     ] )

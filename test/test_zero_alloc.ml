@@ -52,19 +52,15 @@ let test_rng () =
       done)
 
 let test_dtree () =
-  let t = Dtree.create ~reuse_ids:true () in
+  let t = Dtree.create () in
   let root = Dtree.root t in
   (* a chain of internal nodes with one leaf at the bottom, so hops have
-     depth to climb; reuse_ids + warm-up keeps the arena at peak size *)
+     depth to climb *)
   let deep = ref root in
   for _ = 1 to 64 do
     deep := Dtree.add_leaf t ~parent:!deep
   done;
   let leaf = Dtree.add_leaf t ~parent:!deep in
-  for _ = 1 to 100 do
-    let v = Dtree.add_leaf t ~parent:!deep in
-    Dtree.remove_leaf t v
-  done;
   check_zero "Dtree hop climb" (fun () ->
       for _ = 1 to laps do
         let v = ref leaf in
@@ -89,6 +85,14 @@ let test_dtree () =
         ignore (Dtree.subtree_size t !deep);
         ignore (Dtree.any_leaf t)
       done);
+  (* Ids are never reused, so every lap of the batch takes a fresh slot.
+     Churn until [ever_created] passes 2^14: the arena has just doubled to
+     2^15 slots and holds 2^14 - 1 free ones, more than the batch takes, so
+     no growth falls inside the window. *)
+  while Dtree.ever_created t <= 1 lsl 14 do
+    let v = Dtree.add_leaf t ~parent:!deep in
+    Dtree.remove_leaf t v
+  done;
   check_zero "Dtree mutation batch" (fun () ->
       for _ = 1 to laps do
         let v = Dtree.add_leaf t ~parent:!deep in

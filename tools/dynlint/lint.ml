@@ -39,8 +39,8 @@ let info = function
   | Parallel_race ->
       { id = "D7"; name = "parallel-race"; pass = "typedtree";
         help =
-          "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
-           value defined outside it: that value is shared across domains and the \
+          "A closure handed to Pool.map/Explore.sweep captures a mutable value \
+           defined outside it: that value is shared across domains and the \
            -j N = -j 1 byte-determinism contract breaks." }
   | Rng_taint ->
       { id = "D9"; name = "rng-taint"; pass = "typedtree";

@@ -26,11 +26,11 @@
       code. [assert false] is fine where truly unreachable — annotate it.
     - [D6 stdout]: [print_*]/[Printf.printf]/[Format.printf] in [lib/];
       output must go through telemetry sinks or returned values.
-    - [D7 parallel-race] (typed): a closure passed to [Pool.map]/[Pool.run]/
-      [Pool.iter]/[Explore.sweep] captures a mutable value ([ref],
-      [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t],
-      [Rng.t], [Dtree.t], [Metrics.t], [Sink.t]) defined outside the
-      closure, or touches module-level mutable state: shared across domains.
+    - [D7 parallel-race] (typed): a closure passed to [Pool.map] or
+      [Explore.sweep] captures a mutable value ([ref], [Hashtbl.t],
+      [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t], [Rng.t],
+      [Dtree.t], [Metrics.t], [Sink.t]) defined outside the closure, or
+      touches module-level mutable state: shared across domains.
     - [D9 rng-taint] (typed): an [Rng.t] bound at module level, or drawn
       from another module's value, instead of flowing from a function
       parameter or an explicit [Rng.create ~seed].
@@ -47,9 +47,9 @@
       [[@dynlint.transfers_ownership]] marks functions that legitimately
       hand the value onward.
     - [D13 message-flow] (typed, {!Lint_flow}): every constructor of a
-      variant [[@@dynlint.tag_universe]] must have at least one [Net.send]
-      site and at least one installed delivery continuation, every
-      [~tag] must name a constructor, and every universe must be a variant
+      variant [[@@dynlint.tag_universe]] must have at least one
+      [Net.send_to]/[Net.send_up] site and at least one installed delivery
+      continuation, every [~tag] must name a constructor, and every universe must be a variant
       renderer; the reconstructed send/receive graph is emitted via
       [dynlint --graph].
 

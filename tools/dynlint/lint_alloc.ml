@@ -89,15 +89,36 @@ let poly_compare_heads =
   [ [ "compare" ]; [ "min" ]; [ "max" ]; [ "Hashtbl"; "hash" ] ]
 
 (* The comparison operators are polymorphic compare too when their operand
-   type is a type variable: the compiler cannot specialize them, so they
-   call caml_equal/caml_compare. *)
+   type is a type variable or a locally abstract type ([fun (type a) ->],
+   named in [abstract]): the compiler cannot specialize them, so they call
+   caml_equal/caml_compare. *)
 let compare_operators = [ [ "=" ]; [ "<>" ]; [ "<" ]; [ ">" ]; [ "<=" ]; [ ">=" ] ]
 
-let on_type_variable fn =
+let on_unknown_type ~abstract fn =
   match Types.get_desc fn.exp_type with
   | Types.Tarrow (_, a, _, _) -> (
-      match Types.get_desc a with Types.Tvar _ | Types.Tunivar _ -> true | _ -> false)
+      match Types.get_desc a with
+      | Types.Tvar _ | Types.Tunivar _ -> true
+      | Types.Tconstr (Path.Pident id, [], _) -> List.mem (Ident.name id) abstract
+      | _ -> false)
   | _ -> false
+
+(* The names of the locally abstract types [fun (type a) ->] binds in [e]. *)
+let newtype_names e =
+  let names = ref [] in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          List.iter
+            (function Texp_newtype n, _, _ -> names := n :: !names | _ -> ())
+            e.exp_extra;
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.expr it e;
+  !names
 
 let apply_operators = [ [ "@@" ]; [ "|>" ] ]
 
@@ -233,6 +254,7 @@ type vctx = {
   verdicts : (string, verdict) Hashtbl.t;
   unit_name : string;  (* compilation unit being verified *)
   owner : string;  (* "Unit.fn" being verified, for message context *)
+  abstract : string list;  (* the owner's locally abstract types *)
 }
 
 let short_loc (loc : Location.t) =
@@ -469,7 +491,8 @@ and check_callee vctx app fn =
                     call the function directly")
             else if
               List.mem comps poly_compare_heads
-              || (List.mem comps compare_operators && on_type_variable fn)
+              || List.mem comps compare_operators
+                 && on_unknown_type ~abstract:vctx.abstract fn
             then
               vctx.emit app.exp_loc
                 (in_owner vctx
@@ -574,6 +597,7 @@ let lint_units ~emitter units =
                   verdicts;
                   unit_name = u.ui_name;
                   owner = u.ui_name ^ "." ^ name d;
+                  abstract = newtype_names body;
                 }
                 body
           | _ -> ())

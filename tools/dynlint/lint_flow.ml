@@ -2,7 +2,7 @@
 
    The protocol's tag vocabulary is a variant whose renderer carries
    [@@dynlint.tag_universe] (Dist.suffix_to_string). Every constructor of
-   such a universe must have at least one [Net.send]/[send_to]/[send_up]
+   such a universe must have at least one [Net.send_to]/[Net.send_up]
    site whose [~tag] argument statically mentions it, and at least one of
    those sites must install a real delivery continuation. A constructor
    with no send site is an orphan protocol arm — declared, rendered,
@@ -140,7 +140,7 @@ let harvest_universes ~emitter (units : Cmt_load.unit_info list) =
 
 let is_send_head comps =
   match List.rev comps with
-  | f :: m :: _ -> m = "Net" && List.mem f [ "send"; "send_to"; "send_up" ]
+  | f :: m :: _ -> m = "Net" && List.mem f [ "send_to"; "send_up" ]
   | _ -> false
 
 (* The first constructor of a declared universe type inside the [~tag]

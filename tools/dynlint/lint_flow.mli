@@ -1,7 +1,7 @@
 (** D13 message-flow: the send/receive graph of the tag protocol.
 
     Variant renderers carrying [[@@dynlint.tag_universe]] declare the tag
-    vocabulary; every [Net.send]/[send_to]/[send_up] site whose [~tag]
+    vocabulary; every [Net.send_to]/[Net.send_up] site whose [~tag]
     argument statically mentions a universe constructor is an edge, and
     the site's unlabelled arrow-typed argument is the installed receiver
     (a record field access names the continuation slot, [ignore] means

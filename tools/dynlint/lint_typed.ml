@@ -16,8 +16,6 @@ let parallel_target p =
   let c = Cmt_load.norm_path p in
   let hit m f = Cmt_load.ends_with ~suffix:[ m; f ] c in
   if hit "Pool" "map" then Some "Pool.map"
-  else if hit "Pool" "run" then Some "Pool.run"
-  else if hit "Pool" "iter" then Some "Pool.iter"
   else if hit "Explore" "sweep" then Some "Explore.sweep"
   else None
 

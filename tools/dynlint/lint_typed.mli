@@ -2,10 +2,10 @@
     [.cmt] units that [dune build @check] produces; D11 (zero-alloc) is
     {!Lint_alloc}.
 
-    - [D7]: a closure passed to [Pool.map]/[Pool.run]/[Pool.iter]/
-      [Explore.sweep] captures a value of mutable type ([ref], [Hashtbl.t],
-      [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t], [Rng.t],
-      [Dtree.t], [Metrics.t], [Sink.t]) bound outside the closure, or reads
+    - [D7]: a closure passed to [Pool.map] or [Explore.sweep] captures a
+      value of mutable type ([ref], [Hashtbl.t], [Buffer.t], [Queue.t],
+      [Stack.t], [Atomic.t], [Net.t], [Rng.t], [Dtree.t], [Metrics.t],
+      [Sink.t]) bound outside the closure, or reads
       module-level mutable state — either way the value is shared across
       Pool domains. Closures need not be literal at the call site: a
       closure bound to a local ident first ([let worker x = ... in

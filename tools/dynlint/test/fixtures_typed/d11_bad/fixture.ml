@@ -32,3 +32,6 @@ let chased x = helper x [@@dynlint.zero_alloc]
 
 (* [=] on a type variable cannot be specialized: it calls caml_equal *)
 let poly_op (a : 'a array) x = a.(0) = x [@@dynlint.zero_alloc]
+
+(* nor on a locally abstract type, which the compiler knows nothing of *)
+let poly_abstract (type a) (a : a array) (x : a) = a.(0) = x [@@dynlint.zero_alloc]

@@ -1,4 +1,4 @@
 type h = { k_ping : int -> unit }
 
 let ping t h =
-  Net.send t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping
+  Net.send_to t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping

@@ -5,9 +5,9 @@
 type h = { k_ping : int -> unit }
 
 let ping t h =
-  Net.send t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping
+  Net.send_to t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping
 
 let pong t =
-  Net.send t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Pong) ~bits:8 ignore
+  Net.send_to t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Pong) ~bits:8 ignore
 
-let opaque t tagger k = Net.send t ~src:0 ~dst:1 ~tag:(tagger ()) ~bits:8 k
+let opaque t tagger k = Net.send_to t ~src:0 ~dst:1 ~tag:(tagger ()) ~bits:8 k

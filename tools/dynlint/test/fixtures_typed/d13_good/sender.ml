@@ -1,7 +1,7 @@
 type h = { k_ping : int -> unit; k_pong : int -> unit }
 
 let ping t h =
-  Net.send t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping
+  Net.send_to t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Ping) ~bits:8 h.k_ping
 
 let pong t h =
-  Net.send t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Pong) ~bits:8 h.k_pong
+  Net.send_to t ~src:0 ~dst:1 ~tag:(Protocol.tag Protocol.Pong) ~bits:8 h.k_pong

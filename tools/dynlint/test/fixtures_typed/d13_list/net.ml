@@ -1,6 +1,6 @@
 (* Stand-in for the real Net: just enough surface for a send call site. *)
 type t = unit
 
-let send (_ : t) ~src ~addr ~tag ~bits k =
-  ignore (src, addr, tag, bits);
+let send_to (_ : t) ~src ~dst ~tag ~bits k =
+  ignore (src, dst, tag, bits);
   k 0

@@ -4,6 +4,6 @@ type id = int
 
 let intern_tag (_ : t) (s : string) : id = String.length s
 
-let send (_ : t) ~src ~addr ~tag ~bits k =
-  ignore (src, addr, (tag : id), bits);
+let send_to (_ : t) ~src ~dst ~tag ~bits k =
+  ignore (src, dst, (tag : id), bits);
   k 0

@@ -1,10 +1,11 @@
 let total_serial items =
   let total = ref 0 in
-  Pool.iter
-    (fun x ->
-      (* dynlint: allow parallel-race -- single-domain smoke fixture *)
-      total := !total + x)
-    items;
+  ignore
+    (Pool.map
+       (fun x ->
+         (* dynlint: allow parallel-race -- single-domain smoke fixture *)
+         total := !total + x)
+       items);
   !total
 
 let double_named items =

@@ -4,11 +4,3 @@
 let map ?jobs f xs =
   ignore jobs;
   List.map f xs
-
-let iter ?jobs f xs =
-  ignore jobs;
-  List.iter f xs
-
-let run ?jobs thunks =
-  ignore jobs;
-  List.iter (fun t -> t ()) thunks

@@ -110,8 +110,9 @@ let typed_ids dir =
   List.map (fun f -> Lint.rule_id f.Lint.rule) (typed_findings dir)
 
 let test_d7 () =
-  (* the local ref, the module-level Hashtbl, the Buffer under Pool.run,
-     and the Hashtbl captured by the ident-bound closure Pool.map chases *)
+  (* the local ref, the module-level Hashtbl, the Buffer under a second
+     Pool.map, and the Hashtbl captured by the ident-bound closure Pool.map
+     chases *)
   check_ids "d7_bad" [ "D7"; "D7"; "D7"; "D7" ] (typed_ids "d7_bad");
   (match
      List.find_opt
@@ -156,7 +157,7 @@ let test_d9 () =
 
 let test_d11 () =
   let findings = typed_findings "d11_bad" in
-  check_ids "d11_bad" (List.init 11 (fun _ -> "D11"))
+  check_ids "d11_bad" (List.init 12 (fun _ -> "D11"))
     (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
   let has sub = List.exists (fun f -> contains f.Lint.msg sub) findings in
   (* one spot-check per allocation kind, in fixture order *)
@@ -175,6 +176,8 @@ let test_d11 () =
   Alcotest.(check bool) "chased callee" true (has "calls 'helper'");
   Alcotest.(check bool) "compare operator on a type variable" true
     (has "polymorphic = dispatches");
+  Alcotest.(check bool) "compare operator on a locally abstract type" true
+    (has "(in zero-alloc Fixture.poly_abstract)");
   (* findings name the annotated owner *)
   Alcotest.(check bool) "owner attribution" true
     (has "(in zero-alloc Fixture.pair)");
