@@ -2,121 +2,109 @@
    drives it through three callbacks ([on_change], [on_epoch],
    [on_applied]); the pointers read its estimates back directly.
 
-   Per-node state is dense, indexed by the arena node id ([Dtree.node]s are
-   small ints bounded by [ever_created]): [mu] is a flat int array and the
-   per-parent report maps hang off an option array — the per-report hot
-   path touches no outer hash and boxes nothing. Arrays grow on demand as
-   the arena does. *)
+   The rule needs each node's pointer to its heaviest child and the
+   estimate each child last reported. A child reports only to its current
+   parent, and it has exactly one, so the reports need no map per parent:
+   they are one column indexed by the reporting child, [rep], which a
+   parent reads across its [Dtree] children. A splice or an adoption gives
+   a child a new parent, and the child re-reports there, rewriting its own
+   slot. [rep] and [mu] are flat int arrays indexed by the arena node id
+   ([Dtree.node]s are small ints below [ever_created]) that grow by
+   doubling as the arena does, so a report is two array writes and boxes
+   nothing.
+
+   Ties: a pointer moves only to a strictly heavier child, so an equally
+   heavy child never displaces the one it points at. When a pointer is
+   picked afresh, the first heaviest child scanned wins: the lowest id at
+   an epoch rebuild, and the first in [Dtree]'s child order when the heavy
+   child leaves. *)
 
 type t = {
   tree : Dtree.t;
   est : Subtree_estimator.t;
-  mutable reports : (Dtree.node, int) Hashtbl.t option array;
-      (* parent -> child -> last reported estimate *)
+  mutable rep : int array;  (* child -> estimate it last reported to its parent *)
   mutable mu : int array;  (* node -> heaviest child; -1 = none *)
   mutable report_messages : int;
 }
 
-let ensure t v =
-  if v >= Array.length t.mu then begin
-    let cap = max 64 (max (2 * Array.length t.mu) (v + 1)) in
-    let mu = Array.make cap (-1) in
-    Array.blit t.mu 0 mu 0 (Array.length t.mu);
-    t.mu <- mu;
-    let reports = Array.make cap None in
-    Array.blit t.reports 0 reports 0 (Array.length t.reports);
-    t.reports <- reports
+(* Cover every id the arena has handed out. *)
+let ensure t =
+  let n = Dtree.ever_created t.tree in
+  if n > Array.length t.mu then begin
+    let cap = max 64 (max (2 * Array.length t.mu) n) in
+    let grow a fill =
+      let bigger = Array.make cap fill in
+      Array.blit a 0 bigger 0 (Array.length a);
+      bigger
+    in
+    t.rep <- grow t.rep 0;
+    t.mu <- grow t.mu (-1)
   end
 
 let estimate t v = Subtree_estimator.estimate t.est v
-
-let reports_of t v =
-  ensure t v;
-  match t.reports.(v) with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 4 in
-      t.reports.(v) <- Some h;
-      h
-
 let mu_of t v = if v < Array.length t.mu then t.mu.(v) else -1
 
-let recompute_mu t v =
-  let h = reports_of t v in
-  let best_c = ref (-1) and best_e = ref min_int in
-  Hashtbl.iter
-    (fun c e ->
-      if !best_c < 0 || e > !best_e then begin
-        best_c := c;
-        best_e := e
-      end)
-    h;
-  t.mu.(v) <- !best_c
+(* [p]'s pointer after its child [c] reported: it moves only to a strictly
+   heavier child. *)
+let offer t p c =
+  let m = t.mu.(p) in
+  if m < 0 || t.rep.(c) > t.rep.(m) then t.mu.(p) <- c
 
-(* A child reports a (grown) estimate to its parent; pointers only move to
-   strictly heavier children. *)
+let recompute_mu t p =
+  t.mu.(p) <- -1;
+  Dtree.iter_children t.tree p ~f:(fun c -> offer t p c)
+
+(* A child reports a (grown) estimate to its parent (one message). *)
 let report t child value =
   let p = Dtree.parent_id t.tree child in
   if p >= 0 then begin
+    ensure t;
     t.report_messages <- t.report_messages + 1;
-    let h = reports_of t p in
-    Hashtbl.replace h child value;
-    let current = t.mu.(p) in
-    if current < 0 then t.mu.(p) <- child
-    else
-      match Hashtbl.find h current with
-      | cur_val -> if cur_val < value then t.mu.(p) <- child
-      | exception Not_found -> t.mu.(p) <- child
+    t.rep.(child) <- value;
+    offer t p child
   end
 
 (* The node's estimate grew: report to its parent (one message). *)
 let on_change t v = if Dtree.live t.tree v then report t v (estimate t v)
 
-(* Epoch rebuild: reseed every report (one broadcast, counted). *)
+(* Epoch rebuild: every node reports afresh (one broadcast, counted), then
+   every parent points at its heaviest child, the lowest id among equals. *)
 let on_epoch t () =
-  Array.fill t.reports 0 (Array.length t.reports) None;
-  Array.fill t.mu 0 (Array.length t.mu) (-1);
+  ensure t;
   t.report_messages <- t.report_messages + Dtree.size t.tree;
   Dtree.iter_nodes t.tree ~f:(fun v ->
+      t.rep.(v) <- estimate t v;
+      t.mu.(v) <- -1);
+  Dtree.iter_nodes t.tree ~f:(fun v ->
       let p = Dtree.parent_id t.tree v in
-      if p >= 0 then Hashtbl.replace (reports_of t p) v (estimate t v));
-  Array.iteri (fun v h -> match h with Some _ -> recompute_mu t v | None -> ()) t.reports
+      if p >= 0 then offer t p v)
 
 (* Maintain reports and pointers across a topological change. *)
 let on_applied t info =
+  ensure t;
   match info with
   | Workload.Leaf_added { leaf; _ } -> report t leaf (estimate t leaf)
   | Workload.Internal_added { below; fresh } ->
+      (* [fresh] takes [below]'s place under [p] and reports there; [below]
+         re-reports to [fresh], whose only child it is *)
       let p = Dtree.parent_id t.tree fresh in
       assert (p >= 0);  (* fresh was spliced above below, so it has a parent *)
-      let hp = reports_of t p in
-      Hashtbl.remove hp below;
-      if mu_of t p = below then t.mu.(p) <- -1;
-      t.report_messages <- t.report_messages + 1;
-      Hashtbl.replace hp fresh (estimate t fresh);
-      recompute_mu t p;
-      t.report_messages <- t.report_messages + 1;
-      Hashtbl.replace (reports_of t fresh) below (estimate t below);
-      ensure t fresh;
-      t.mu.(fresh) <- below
-  | Workload.Leaf_removed { node; parent } ->
-      Hashtbl.remove (reports_of t parent) node;
-      ensure t node;
-      t.reports.(node) <- None;
-      if mu_of t parent = node then recompute_mu t parent;
-      t.mu.(node) <- -1
+      t.report_messages <- t.report_messages + 2;
+      t.rep.(fresh) <- estimate t fresh;
+      t.rep.(below) <- estimate t below;
+      t.mu.(fresh) <- below;
+      if t.mu.(p) = below then recompute_mu t p else offer t p fresh
+  | Workload.Leaf_removed { node; parent } -> if t.mu.(parent) = node then recompute_mu t parent
   | Workload.Internal_removed { node; parent; children } ->
-      let hp = reports_of t parent in
-      Hashtbl.remove hp node;
+      (* [parent] adopts [node]'s children, and each re-reports there *)
       List.iter
         (fun c ->
           t.report_messages <- t.report_messages + 1;
-          Hashtbl.replace hp c (estimate t c))
+          t.rep.(c) <- estimate t c)
         children;
-      ensure t node;
-      t.reports.(node) <- None;
       t.mu.(node) <- -1;
-      recompute_mu t parent
+      if t.mu.(parent) = node then recompute_mu t parent
+      else List.iter (fun c -> offer t parent c) children
   | Workload.Event_occurred _ -> ()
 
 let create ~tree () =
@@ -129,9 +117,7 @@ let create ~tree () =
     Subtree_estimator.create ~on_change:(with_self on_change) ~on_epoch:(with_self on_epoch)
       ~on_applied:(with_self on_applied) ~tree ()
   in
-  let t =
-    { tree; est; reports = Array.make 64 None; mu = Array.make 64 (-1); report_messages = 0 }
-  in
+  let t = { tree; est; rep = [||]; mu = [||]; report_messages = 0 } in
   self := Some t;
   on_epoch t ();
   t

@@ -127,6 +127,54 @@ let prop_light_bound =
       let worst, bound = light_bound () tree hc in
       float_of_int worst <= bound)
 
+(* Theorem 5.4's rule, read off the live tree: every internal node points at
+   one of its children of the largest current estimate, and a leaf points
+   nowhere. Returns the first node that breaks it. *)
+let argmax_violation hc tree =
+  let est = Estimator.Subtree_estimator.estimate (Estimator.Heavy_child.estimator hc) in
+  Dtree.fold_dfs tree ~init:None ~f:(fun found v ->
+      if Option.is_some found then found
+      else
+        let best = Dtree.fold_children tree v ~init:min_int ~f:(fun m c -> max m (est c)) in
+        match (Estimator.Heavy_child.heavy hc v, Dtree.is_leaf tree v) with
+        | None, true -> None
+        | None, false -> Some (Printf.sprintf "internal node %d has no heavy child" v)
+        | Some c, true -> Some (Printf.sprintf "leaf %d points at %d" v c)
+        | Some c, false ->
+            if not (List.mem c (Dtree.children tree v)) then
+              Some (Printf.sprintf "mu(%d) = %d is not a child" v c)
+            else if est c <> best then
+              Some (Printf.sprintf "mu(%d) = %d has estimate %d, a sibling has %d" v c
+                   (est c) best)
+            else None)
+
+let prop_heavy_argmax =
+  Helpers.qcheck ~count:10 "heavy pointer is an argmax after every change"
+    QCheck2.Gen.(int_range 0 9999)
+    (fun seed ->
+      List.iter
+        (fun shape ->
+          List.iter
+            (fun (mix_name, mix) ->
+              let rng = Rng.create ~seed in
+              let tree = Workload.Shape.build rng shape in
+              let hc = Estimator.Heavy_child.create ~tree () in
+              let wl = Workload.make ~seed:(seed + 1) ~mix () in
+              for i = 1 to 200 do
+                Estimator.Heavy_child.submit hc (Workload.next_op wl tree);
+                Option.iter
+                  (QCheck2.Test.fail_reportf "%s, %s, change %d: %s"
+                     (Workload.Shape.name shape) mix_name i)
+                  (argmax_violation hc tree)
+              done;
+              let epochs = Estimator.Heavy_child.epochs hc in
+              if epochs < 2 then
+                QCheck2.Test.fail_reportf "%s, %s: %d epoch rebuilds, want at least 2"
+                  (Workload.Shape.name shape) mix_name epochs)
+            Workload.Mix.[ ("churn", churn); ("grow-only", grow_only); ("shrink-heavy", shrink_heavy) ])
+        Workload.Shape.[ Random 40; Star 40; Balanced (2, 40); Caterpillar 40; Path 40 ];
+      true)
+
 (* --- distributed subtree estimator (Lemma 5.3 over the simulator) ------ *)
 
 module Sd = Estimator.Subtree_estimator_dist
@@ -191,6 +239,7 @@ let suite =
       Alcotest.test_case "light ancestors logarithmic" `Quick test_light_ancestors_logarithmic;
       Alcotest.test_case "path decomposition" `Quick test_heavy_points_to_heaviest_on_path;
       prop_light_bound;
+      prop_heavy_argmax;
       Alcotest.test_case "distributed estimates cover super-weights" `Quick
         test_dist_estimates_cover_sw;
       prop_dist_subtree;

@@ -71,8 +71,9 @@ let info = function
       { id = "D13"; name = "message-flow"; pass = "flow";
         help =
           "Every constructor of a variant tag universe must have at least one \
-           Net.send site and at least one installed delivery continuation: an \
-           orphan or unreceivable tag is a protocol hole no runtime test walks." }
+           Net.send_to/Net.send_up site and at least one installed delivery \
+           continuation: an orphan or unreceivable tag is a protocol hole no \
+           runtime test walks." }
 
 let rule_id r = (info r).id
 let rule_name r = (info r).name

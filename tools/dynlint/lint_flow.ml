@@ -258,7 +258,7 @@ let lint_units ~emitter units =
                   [ Lint.related_of_loc ~msg:"tag universe declared here" u.u_loc ]
                 emitter Lint.Message_flow a.a_loc
                 (Printf.sprintf
-                   "constructor %s of tag universe %s has no Net.send site: an orphan protocol arm no execution reaches"
+                   "constructor %s of tag universe %s has no Net.send_to/Net.send_up site: an orphan protocol arm no execution reaches"
                    a.a_ctor u.u_key)
           | first :: _ ->
               if List.for_all (fun e -> e.e_receiver = None) arm_edges then

@@ -289,7 +289,7 @@ let test_d13 () =
       Alcotest.(check bool) "orphan at the arm" true
         (contains orphan.Lint.file "protocol.ml"
         && contains orphan.Lint.msg "Orphan_arm"
-        && contains orphan.Lint.msg "no Net.send site");
+        && contains orphan.Lint.msg "no Net.send_to/Net.send_up site");
       Alcotest.(check bool) "orphan links the universe" true
         (match orphan.Lint.related with
         | r :: _ -> contains r.Lint.r_file "protocol.ml"
