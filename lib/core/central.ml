@@ -92,7 +92,7 @@ let notify t ev =
             (Telemetry.Event.Package_join { ctrl; from_; to_ }))
 
 (* The store of [v], or [t.vacant] when [v] has none: a bounds check and
-   one array read, the whole cost of a climb hop's lookup. *)
+   one array read. *)
 let find_store t v = if v < Array.length t.stores then t.stores.(v) else t.vacant
   [@@dynlint.zero_alloc]
 
@@ -207,46 +207,53 @@ let grant t u op =
   t.granted <- t.granted + 1;
   apply_event t op
 
-(* Climb from [w] at distance [d] in band [j] to the closest filler or to
-   the root; return the distance where it stopped, with the node in
-   [t.stop]. Band [j] ends at distance [2^(j+1) psi], and its fillers host
-   a level-[j] package; past level [max_level + 1] there are none, as
-   [Params.filler_level_index] says. *)
-let rec climb t parents j w d =
+(* Climb from [u] to the closest filler or to the root; return the
+   distance where it stopped, with the node in [t.stop]. The climb runs
+   one distance band at a time: band [j] ends at distance [2^(j+1) psi],
+   and its fillers host a level-[j] package; past level [max_level + 1]
+   there are none, as [Params.filler_level_index] says. Band [j]'s landing
+   distance, where the node passed goes to [t.lands.(j)], doubles from
+   band to band like its end. The loop makes no call: a hop loads the
+   store's level mask (a node past the column has no store, and the
+   vacant store hosts nothing) and the parent column in place, so its
+   state stays in registers. *)
+let climb t u =
   let p = t.params in
-  let bit = if j <= p.Params.max_level + 1 then 1 lsl j else 0 in
-  climb_band t parents ~bit ~landing:(Params.landing_distance p j)
-    ~hi:((1 lsl (j + 1)) * p.Params.psi) j w d
-  [@@dynlint.zero_alloc]
-
-(* A hop: one mask test (the vacant store hosts nothing, so absent stores
-   stay absent) and one read of the parent column. The node at the band's
-   landing distance goes to [t.lands.(j)]. *)
-and climb_band t parents ~bit ~landing ~hi j w d =
-  if Store.mask (find_store t w) land bit <> 0 then begin
-    t.stop <- w;
-    d
-  end
-  else begin
-    if d = landing then t.lands.(j) <- w;
-    let p = parents.(w) in
-    if p >= 0 then
-      if d = hi then climb t parents (j + 1) p (d + 1)
-      else climb_band t parents ~bit ~landing ~hi j p (d + 1)
-    else begin
-      (* a dead node's parent is cleared, so only the root may end a climb *)
-      if w <> Dtree.root t.tree then
-        invalid_arg (Printf.sprintf "Central: node %d is not live" w);
-      t.stop <- w;
-      d
-    end
-  end
+  let landing0 = Params.landing_distance p 0 in
+  let parents = Dtree.parent_column t.tree in
+  (* no call from here to the end of the loop, so nothing it updates is
+     live across one and has to live on the stack *)
+  let stores = t.stores and lands = t.lands and top = p.Params.max_level + 1 in
+  let w = ref u and d = ref 0 and j = ref 0 and bit = ref 1 in
+  let landing = ref landing0 and hi = ref (2 * p.Params.psi) in
+  while
+    let v = !w in
+    (v >= Array.length stores || stores.(v).Store.mask land !bit = 0) && parents.(v) >= 0
+  do
+    let v = !w in
+    if !d = !landing then lands.(!j) <- v;
+    if !d = !hi then begin
+      incr j;
+      bit := if !j <= top then 1 lsl !j else 0;
+      landing := 2 * !landing;
+      hi := 2 * !hi
+    end;
+    w := parents.(v);
+    incr d
+  done;
+  let v = !w and dist = !d in
+  (* a dead node's parent is cleared, so only the root may end a climb
+     without a filler *)
+  if parents.(v) < 0 && v <> Dtree.root t.tree then
+    invalid_arg (Printf.sprintf "Central: node %d is not live" v);
+  t.stop <- v;
+  dist
   [@@dynlint.zero_alloc]
 
 (* GrantOrReject's item 3: take the closest filler's package, or have the
    root create one, and carry it down to [u]. *)
 let fill t u =
-  let d = climb t (Dtree.parent_column t.tree) 0 u 0 in
+  let d = climb t u in
   let s = find_store t t.stop in
   let j = Params.filler_level_index t.params d in
   if j >= 0 && Store.hosts s j then begin

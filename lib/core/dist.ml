@@ -104,6 +104,10 @@ type t = {
   mutable wbs : wb array;
     (* indexed by node id; [blank] marks a node with no whiteboard *)
   blank : wb;
+  mutable spare : wb array;
+  mutable spare_n : int;
+    (* [spare.(0 .. spare_n - 1)]: wiped whiteboards of the controller this
+       one was restarted from, minted again before any is allocated *)
   tag_ids : Tag.id array;
     (* indexed by [suffix_index]; interned once at [create] so a send is
        an array read, no string join or hash per message *)
@@ -142,7 +146,7 @@ let find_wb t v = if v < Array.length t.wbs then t.wbs.(v) else t.blank
   [@@dynlint.zero_alloc]
 
 (* First touch of [v]: grow the column by doubling so that slot [v] exists,
-   and mint its whiteboard. *)
+   and mint its whiteboard, a spare one if any is left. *)
 let install t v =
   if v >= Array.length t.wbs then begin
     let cap = max 64 (max (2 * Array.length t.wbs) (v + 1)) in
@@ -150,7 +154,16 @@ let install t v =
     Array.blit t.wbs 0 bigger 0 (Array.length t.wbs);
     t.wbs <- bigger
   end;
-  let w = fresh_wb () in
+  let w =
+    if t.spare_n = 0 then fresh_wb ()
+    else begin
+      let n = t.spare_n - 1 in
+      t.spare_n <- n;
+      let w = t.spare.(n) in
+      t.spare.(n) <- t.blank;
+      w
+    end
+  in
   t.wbs.(v) <- w;
   w
 
@@ -569,7 +582,9 @@ let init_agent_ks t a =
           a.distance <- a.distance - 1;
           release_walk t a ~at:x)
 
-let create ?(config = default_config) ~params ~net () =
+(* A controller whose whiteboard column is [wbs], all [blank], with
+   [spare] to mint from. *)
+let make ~config ~params ~net ~wbs ~blank ~spare =
   let tag_ids =
     Array.of_list
       (List.map
@@ -584,8 +599,10 @@ let create ?(config = default_config) ~params ~net () =
       net;
       config;
       alloc = Package.allocator ();
-      wbs = [||];
-      blank = fresh_wb ();
+      wbs;
+      blank;
+      spare;
+      spare_n = Array.length spare;
       tag_ids;
       k_flood = ignore;
       storage = params.Params.m;
@@ -611,6 +628,37 @@ let create ?(config = default_config) ~params ~net () =
         flood_reject t c'
       end);
   t
+
+let create ?(config = default_config) ~params ~net () =
+  make ~config ~params ~net ~wbs:[||] ~blank:(fresh_wb ()) ~spare:[||]
+
+(* An epoch rotation retires a controller whose whiteboards cover every
+   node it touched. Minting a fresh set as the next controller touches the
+   same nodes would hold both sets in the heap until the GC reached the
+   old one, and how far it had got when the rotation came decided the
+   heap's peak; the next controller mints the wiped old set instead. *)
+let restart t ~params =
+  if t.outstanding > 0 then invalid_arg "Dist.restart: requests outstanding";
+  let spare = Array.make (fold_wbs t ~init:t.spare_n ~f:(fun n _ _ -> n + 1)) t.blank in
+  Array.blit t.spare 0 spare 0 t.spare_n;
+  let n = ref t.spare_n in
+  Array.iteri
+    (fun v b ->
+      if b != t.blank then begin
+        Store.clear b.store;
+        b.locked <- false;
+        b.down_child <- -1;
+        Queue.clear b.queue;
+        spare.(!n) <- b;
+        incr n;
+        t.wbs.(v) <- t.blank
+      end)
+    t.wbs;
+  let wbs = t.wbs in
+  t.wbs <- [||];
+  t.spare <- [||];
+  t.spare_n <- 0;
+  make ~config:t.config ~params ~net:t.net ~wbs ~blank:t.blank ~spare
 
 let submit t op ~k =
   t.outstanding <- t.outstanding + 1;

@@ -58,6 +58,14 @@ val create : ?config:config -> params:Params.t -> net:Net.t -> unit -> t
     [pkg_splits_total{level}]) / [Package_static] / [Package_join] /
     [Reject_wave] events tagged with the controller's [config.name]. *)
 
+val restart : t -> params:Params.t -> t
+(** [restart t ~params] behaves exactly as
+    [create ~config ~params ~net ()] with [t]'s config and network, but
+    mints its whiteboards from [t]'s, wiped, before allocating any: the
+    rotation of an epoch engine allocates no whiteboards for nodes the
+    retired controller had touched. Afterwards [t] holds no whiteboard.
+    @raise Invalid_argument if [t] has requests outstanding. *)
+
 type suffix =
   | Agent_down
   | Agent_reject

@@ -52,12 +52,15 @@ let is_empty t = t.mask = 0 && t.static = 0 && not t.reject
 let permits t =
   List.fold_left (fun acc (p : Package.t) -> acc + p.size) t.static t.mobiles
 
+let clear t =
+  t.mobiles <- [];
+  t.mask <- 0;
+  t.static <- 0;
+  t.reject <- false
+
 let absorb parent child =
   parent.mobiles <- child.mobiles @ parent.mobiles;
   parent.mask <- parent.mask lor child.mask;
   parent.static <- parent.static + child.static;
   parent.reject <- parent.reject || child.reject;
-  child.mobiles <- [];
-  child.mask <- 0;
-  child.static <- 0;
-  child.reject <- false
+  clear child

@@ -6,9 +6,20 @@
     whiteboard adds only what Section 4 adds (the lock, the down pointer
     and the queue) next to one. The map from nodes to stores is owned by
     the controller; a node without an entry is equivalent to an empty
-    store. *)
+    store.
 
-type t
+    The record is [private]: other modules read its fields in place (a
+    climb hop's mask test is one load, with no call into this module,
+    which the dev build compiles opaque), but they cannot build one or
+    write a field, so every write goes through the functions below and
+    keeps [mask] in step with [mobiles]. *)
+
+type t = private {
+  mutable mask : int;  (** as {!mask} *)
+  mutable mobiles : Package.t list;  (** as {!mobiles} *)
+  mutable static : int;  (** as {!static} *)
+  mutable reject : bool;  (** as {!rejecting} *)
+}
 
 val empty : unit -> t
 
@@ -21,9 +32,9 @@ val mask : t -> int
 
 val hosts : t -> int -> bool
 (** [hosts t j]: whether a level-[j] mobile package is hosted — one mask
-    test, the whole cost of a climb hop's filler check. A node at distance
-    [d] above a requester is a filler for it (Section 3) iff it hosts a
-    package of the one level [Params.filler_level_index p d]. *)
+    test. A node at distance [d] above a requester is a filler for it
+    (Section 3) iff it hosts a package of the one level
+    [Params.filler_level_index p d]. *)
 
 val add_mobile : t -> Package.t -> unit
 
@@ -52,3 +63,6 @@ val absorb : t -> t -> unit
 (** [absorb parent child]: move every package and flag of [child] into
     [parent] (used when [child]'s node is deleted), [child]'s packages
     ahead of [parent]'s in {!mobiles}. Empties [child]. *)
+
+val clear : t -> unit
+(** Drop every package and flag: afterwards [t] is as {!empty} makes it. *)

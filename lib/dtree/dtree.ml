@@ -407,6 +407,36 @@ let fold_subtree t v0 ~env ~init ~f =
   !acc
   [@@dynlint.zero_alloc]
 
+(* Stackless postorder walk over the whole tree: descend first children
+   to a leaf, visit it, then go to its next sibling's leftmost leaf or, if
+   it has none, up to its parent, whose children are all visited by then.
+   The walk carries the current node's parent along, so it reads the
+   parent column once per internal node, not once per node. O(1) memory
+   and no per-step allocation, like [fold_subtree]. *)
+let iter_postorder t ~env ~f =
+  let cur = ref 0 and par = ref nil and stop = ref false in
+  while t.first_child.(!cur) <> nil do
+    par := !cur;
+    cur := t.first_child.(!cur)
+  done;
+  while not !stop do
+    let v = !cur and p = !par in
+    f env v p;
+    if p = nil then stop := true
+    else if t.next_sibling.(v) <> nil then begin
+      cur := t.next_sibling.(v);
+      while t.first_child.(!cur) <> nil do
+        par := !cur;
+        cur := t.first_child.(!cur)
+      done
+    end
+    else begin
+      cur := p;
+      par := t.parent.(p)
+    end
+  done
+  [@@dynlint.zero_alloc]
+
 let subtree_size t v =
   check_live "subtree_size" t v;
   fold_subtree t v ~env:() ~init:0 ~f:(fun () n _ _ -> n + 1)

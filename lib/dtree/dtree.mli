@@ -143,6 +143,13 @@ val fold_dfs_depth : t -> init:'a -> f:('a -> node -> int -> 'a) -> 'a
     the walk itself, so every live node's depth costs O(size) in total,
     where calling [depth] per node costs the sum of all depths. *)
 
+val iter_postorder : t -> env:'e -> f:('e -> node -> node -> unit) -> unit
+(** [iter_postorder t ~env ~f] calls [f env v p] on every live node [v]
+    and its parent [p] ([-1] at the root), each node after all of its
+    descendants, the root last. O(size), stackless, with no per-node
+    allocation; [env] carries what [f] would otherwise capture, so a closed
+    [f] builds no closure per walk. [f] must not change the topology. *)
+
 val iter_nodes : t -> f:(node -> unit) -> unit
 (** Iterate over all live nodes in increasing id order. *)
 

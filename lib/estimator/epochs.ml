@@ -86,11 +86,15 @@ module Dist = struct
     t.ctrl <-
       (if m <= 0 then None
        else
-         Some
-           (Dist.create
-              ~config:
-                { Dist.exhaustion = `Hold; name = t.name; on_permits_down = t.on_permits_down }
-              ~params:(Params.make ~m ~w ~u) ~net:t.net ()))
+         let params = Params.make ~m ~w ~u in
+         match t.ctrl with
+         | Some retired -> Some (Dist.restart retired ~params)
+         | None ->
+             Some
+               (Dist.create
+                  ~config:
+                    { Dist.exhaustion = `Hold; name = t.name; on_permits_down = t.on_permits_down }
+                  ~params ~net:t.net ()))
 
   let create ?(on_permits_down = fun ~node:_ ~size:_ -> ()) ~name ~budget ~boundary ~net () =
     let t =

@@ -52,6 +52,8 @@ end
     A request that finds the epoch exhausted is parked; the engine waits
     until the controller has nothing outstanding (a granted change still
     waiting to apply counts), rotates, and re-routes the parked requests.
+    A rotation builds the next controller with {!Controller.Dist.restart},
+    so the whiteboards the retired one minted are wiped and minted again.
     Each rotation is recorded by {!Controller.Central.record_epoch} on the
     network's sink. *)
 module Dist : sig

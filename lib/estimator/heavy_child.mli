@@ -7,9 +7,11 @@
     Built on {!Subtree_estimator} with [beta = sqrt 3]: whenever a node's
     estimate grows it reports the new value to its parent (one message,
     counted; at most doubling the total); each node points at the child with
-    the largest reported estimate. Estimates are monotone within an epoch,
-    so pointers only ever move to strictly heavier children; each epoch
-    rebuild re-seeds the reports (one broadcast, counted). The paper shows
+    the largest reported estimate. Reports are synchronous here, so that is
+    the child's current estimate, read in place. Estimates are monotone
+    within an epoch, so pointers only ever move to strictly heavier
+    children; each epoch rebuild re-seeds the reports (one broadcast,
+    counted). The paper shows
     the rule keeps [SW(u) <= 3/4 SW(v)] for every light child [u] of [v],
     whence the logarithmic bound. *)
 

@@ -1,8 +1,10 @@
 (** The per-node counters of the subtree estimator (Lemma 5.3), shared by
-    {!Subtree_estimator} and {!Subtree_estimator_dist}: the epoch-start
-    subtree size [omega_0(v)], the permits [S(v)] seen passing down via
-    [v], and the ground-truth super-weight [SW(v)]. Each transport observes
-    the permit flow on its own controller and calls {!observe}. *)
+    {!Subtree_estimator} and {!Subtree_estimator_dist}: the estimate
+    [omega~(v) = omega_0(v) + S(v)], kept as its sum, where [omega_0(v)]
+    is [v]'s subtree size at the epoch start and [S(v)] counts the permits
+    seen passing down via [v]; and the ground-truth super-weight [SW(v)].
+    Each transport observes the permit flow on its own controller and
+    calls {!observe}. *)
 
 type t
 
@@ -10,7 +12,9 @@ val create : on_change:(Dtree.node -> unit) -> tree:Dtree.t -> t
 (** [on_change v] fires whenever [omega~(v)] increased. *)
 
 val start_epoch : t -> unit
-(** Reset [S] and reseed [omega_0 = SW] to the current subtree sizes. *)
+(** Reseed [omega~ = SW] to the current subtree sizes ([S] restarts at
+    zero), in one stackless postorder walk that allocates nothing beyond
+    growing the columns. *)
 
 val observe : t -> node:Dtree.node -> size:int -> unit
 (** [size] permits entered [node] moving down. *)
@@ -21,5 +25,13 @@ val note_applied : t -> Workload.applied -> unit
 
 val estimate : t -> Dtree.node -> int
 (** [omega~(v) = omega_0(v) + S(v)]. *)
+
+val estimates : t -> int array
+(** The [omega~] column itself, read-only, for loops that compare many
+    estimates with no call per read: slot [v] holds [estimate v] for every
+    live node [v], and every live node has a slot. The array is the
+    estimator's own: it is valid until the next {!start_epoch}, {!observe}
+    or {!note_applied} (growth replaces it), and writing to it corrupts the
+    estimates. *)
 
 val super_weight : t -> Dtree.node -> int

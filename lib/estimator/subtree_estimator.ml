@@ -4,30 +4,20 @@ type t = { core : Subtree_core.t; engine : Epochs.Central.t }
    requester enter every node strictly below the source; a package leaving
    the root's storage also "enters" the root itself (otherwise permits
    created at the root would never be charged to it, and by induction nodes
-   served out of such packages could under-count). *)
+   served out of such packages could under-count). One climb from the
+   requester to the source observes each such node on the way up, nearest
+   first, and learns only at the source whether it is the root. *)
 let observe_package core tree ~requester ~from_dist ~to_dist ~size =
-  let top =
-    match Dtree.ancestor_at tree requester from_dist with
-    | Some v when v = Dtree.root tree -> from_dist
-    | Some _ | None -> from_dist - 1
-  in
-  if to_dist <= top then begin
-    (* one climb from the [to_dist] ancestor instead of an O(d) ancestor
-       walk per distance: the loop body sees each node exactly once *)
-    match Dtree.ancestor_at tree requester to_dist with
-    | None -> assert false  (* dynlint: allow unsafe -- to_dist <= depth of requester, so the ancestor exists *)
-    | Some v0 ->
-        let v = ref v0 in
-        for d = to_dist to top do
-          let u = !v in
-          Subtree_core.observe core ~node:u ~size;
-          if d < top then begin
-            let p = Dtree.parent_id tree u in
-            assert (p >= 0);  (* d < top <= depth, so an ancestor remains *)
-            v := p
-          end
-        done
-  end
+  let parents = Dtree.parent_column tree in
+  let v = ref requester in
+  for d = 0 to from_dist - 1 do
+    let u = !v in
+    if d >= to_dist then Subtree_core.observe core ~node:u ~size;
+    v := parents.(u);
+    assert (!v >= 0)  (* the source, [from_dist] above, is an ancestor *)
+  done;
+  if !v = Dtree.root tree && to_dist <= from_dist then
+    Subtree_core.observe core ~node:!v ~size
 
 (* Lemma 5.3's approximation factor *)
 let beta = sqrt 3.0
@@ -66,6 +56,7 @@ let create ?(on_change = fun _ -> ()) ?(on_epoch = fun () -> ()) ?(on_applied = 
 
 let submit t op = Epochs.Central.request t.engine op
 let estimate t v = Subtree_core.estimate t.core v
+let estimates t = Subtree_core.estimates t.core
 let super_weight t v = Subtree_core.super_weight t.core v
 let epochs t = Epochs.Central.epochs t.engine
 let moves t = Epochs.Central.moves t.engine

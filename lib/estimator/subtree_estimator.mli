@@ -37,6 +37,9 @@ val submit : t -> Workload.op -> unit
 val estimate : t -> Dtree.node -> int
 (** [omega~(v)] for a live node. *)
 
+val estimates : t -> int array
+(** The [omega~] column, read-only, as {!Subtree_core.estimates}. *)
+
 val super_weight : t -> Dtree.node -> int
 (** Ground-truth [SW(v)] (maintained for analysis and tests). *)
 

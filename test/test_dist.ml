@@ -336,6 +336,68 @@ let test_removal_clears_whiteboard () =
     [ leaf; internal ];
   Alcotest.(check bool) "only live nodes named" true (List.for_all (Dtree.live tree) named)
 
+(* [Dist.restart] is [Dist.create] with the retired controller's config
+   and network. Two twin networks serve the same first stream, which
+   leaves permits on whiteboards; then one restarts its controller and the
+   other creates one afresh, and both serve the same second stream, which
+   exhausts them, with the same answers, messages, bits and whiteboards. *)
+let test_restart_is_fresh () =
+  let config = { Dist.default_config with exhaustion = `Hold; name = "epoch" } in
+  let first_params = Params.make ~m:100_000 ~w:1600 ~u:400
+  and params = Params.make ~m:40 ~w:10 ~u:400 in
+  let serve net d ~seed =
+    let submit op ~k =
+      Dist.submit d op ~k:(function
+        | Types.Granted -> Dist.apply d op ~k:(fun _ -> k Types.Granted)
+        | outcome -> k outcome)
+    in
+    Dist_harness.run_on ~seed ~concurrency:6 ~net ~mix:Workload.Mix.churn ~requests:120 ~submit ()
+  in
+  let second_epoch rotate =
+    let tree = Workload.Shape.build (Rng.create ~seed:81) (Workload.Shape.Path 150) in
+    let net = Net.create ~seed:82 ~max_delay:8 ~tree () in
+    let first = Dist.create ~config ~params:first_params ~net () in
+    ignore (serve net first ~seed:83);
+    Alcotest.(check bool) "whiteboards hold permits" true
+      (Dist.leftover first > Dist.storage first);
+    let d = rotate first net in
+    let ((_, _, unanswered) as answers) = serve net d ~seed:84 in
+    Alcotest.(check bool) "the second stream exhausts" true (unanswered > 0);
+    Dtree.check tree;
+    (first, d, answers, Net.messages net, Net.total_bits net)
+  in
+  let retired, d, answers, messages, bits =
+    second_epoch (fun first _ -> Dist.restart first ~params)
+  in
+  let _, fresh, answers', messages', bits' =
+    second_epoch (fun _ net -> Dist.create ~config ~params ~net ())
+  in
+  let counts = Alcotest.(triple int int int) in
+  Alcotest.(check counts) "answers" answers' answers;
+  Alcotest.(check int) "messages" messages' messages;
+  Alcotest.(check int) "bits" bits' bits;
+  Alcotest.(check (list (triple int (list int) int))) "whiteboards" (Dist.snapshot fresh)
+    (Dist.snapshot d);
+  Alcotest.(check int) "leftover" (Dist.leftover fresh) (Dist.leftover d);
+  Alcotest.(check int) "whiteboard bits" (Dist.max_wb_bits fresh) (Dist.max_wb_bits d);
+  Alcotest.(check int) "no locks left" 0 (Dist.locked_count d);
+  Alcotest.(check (list (triple int (list int) int))) "the retired controller holds none" []
+    (Dist.snapshot retired)
+
+let test_restart_refuses_outstanding () =
+  let tree = Workload.Shape.build (Rng.create ~seed:85) (Workload.Shape.Path 20) in
+  let net = Net.create ~seed:86 ~tree () in
+  let params = Params.make ~m:100 ~w:10 ~u:40 in
+  let d = Dist.create ~params ~net () in
+  Dist.submit d (Workload.Non_topological (Dtree.any_leaf tree)) ~k:ignore;
+  Alcotest.check_raises "outstanding" (Invalid_argument "Dist.restart: requests outstanding")
+    (fun () -> ignore (Dist.restart d ~params));
+  Net.run net;
+  let d' = Dist.restart d ~params in
+  Alcotest.(check int) "the retired controller granted" 1 (Dist.granted d);
+  Alcotest.(check int) "the restarted one starts afresh" 0 (Dist.granted d');
+  Alcotest.(check int) "with full storage" 100 (Dist.storage d')
+
 let suite =
   ( "dist",
     [
@@ -356,4 +418,7 @@ let suite =
       Alcotest.test_case "request far past initial capacity" `Quick test_far_node_id;
       Alcotest.test_case "removal clears the whiteboard slot" `Quick
         test_removal_clears_whiteboard;
+      Alcotest.test_case "restart behaves as a fresh controller" `Quick test_restart_is_fresh;
+      Alcotest.test_case "restart refuses outstanding requests" `Quick
+        test_restart_refuses_outstanding;
     ] )

@@ -175,6 +175,60 @@ let prop_heavy_argmax =
         Workload.Shape.[ Random 40; Star 40; Balanced (2, 40); Caterpillar 40; Path 40 ];
       true)
 
+(* --- epoch start: omega_0 and SW reseeded to live subtree sizes -------- *)
+
+module Core = Estimator.Subtree_core
+
+(* The first live node whose estimate or super-weight is not [size v]. *)
+let seed_violation core tree ~size =
+  Dtree.fold_dfs tree ~init:None ~f:(fun found v ->
+      match found with
+      | Some _ -> found
+      | None ->
+          let want = size v and e = Core.estimate core v and sw = Core.super_weight core v in
+          if e = want && sw = want then None
+          else Some (Printf.sprintf "node %d: estimate %d, super-weight %d, subtree size %d" v e sw want))
+
+(* Churn a random tree through the counters (stale estimates, permits and
+   super-weights left behind), then start an epoch. Internal insertions
+   give parents larger ids than their children, so no id order is a
+   bottom-up order. *)
+let prop_epoch_seeds_subtree_sizes =
+  Helpers.qcheck ~count:10 "epoch start seeds every estimate with its subtree size"
+    QCheck2.Gen.(int_range 0 9999)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let tree = Workload.Shape.build rng (Workload.Shape.Random 150) in
+      let core = Core.create ~on_change:ignore ~tree in
+      Core.start_epoch core;
+      let wl = Workload.make ~seed:(seed + 1) ~mix:Workload.Mix.churn () in
+      for _ = 1 to 400 do
+        let info = Workload.apply_info tree (Workload.next_op wl tree) in
+        Core.note_applied core info;
+        Core.observe core ~node:(Dtree.any_leaf tree) ~size:(1 + Rng.int rng 5)
+      done;
+      let inverted =
+        List.exists (fun v -> Dtree.parent_id tree v > v) (Dtree.live_nodes tree)
+      in
+      if not inverted then QCheck2.Test.fail_report "no parent holds a larger id than its child";
+      Core.start_epoch core;
+      match seed_violation core tree ~size:(Dtree.subtree_size tree) with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_report msg)
+
+(* A 100,000-node path: a recursive or closure-per-node walk would blow the
+   stack or the budget here. Node [v] at depth [d] roots [n - d] nodes. *)
+let test_epoch_seeds_long_path () =
+  let n = 100_000 in
+  let tree = Workload.Shape.build (Rng.create ~seed:7) (Workload.Shape.Path n) in
+  let core = Core.create ~on_change:ignore ~tree in
+  Core.start_epoch core;
+  Core.observe core ~node:(Dtree.any_leaf tree) ~size:3;
+  Core.start_epoch core;
+  let depth = Array.make (Dtree.ever_created tree) (-1) in
+  Dtree.fold_dfs_depth tree ~init:() ~f:(fun () v d -> depth.(v) <- d);
+  Option.iter (fun msg -> Alcotest.fail msg) (seed_violation core tree ~size:(fun v -> n - depth.(v)))
+
 (* --- distributed subtree estimator (Lemma 5.3 over the simulator) ------ *)
 
 module Sd = Estimator.Subtree_estimator_dist
@@ -240,6 +294,8 @@ let suite =
       Alcotest.test_case "path decomposition" `Quick test_heavy_points_to_heaviest_on_path;
       prop_light_bound;
       prop_heavy_argmax;
+      prop_epoch_seeds_subtree_sizes;
+      Alcotest.test_case "epoch start on a 100,000-node path" `Quick test_epoch_seeds_long_path;
       Alcotest.test_case "distributed estimates cover super-weights" `Quick
         test_dist_estimates_cover_sw;
       prop_dist_subtree;
