@@ -29,6 +29,13 @@ let pop_member t path =
 
 let member t path pos = !(Hashtbl.find t.members path).(pos)
 
+(* Subtree sizes: each node, visited after its descendants, adds itself to
+   what they handed it and hands its total to its parent. *)
+let add_size sizes v p =
+  let s = sizes.(v) + 1 in
+  sizes.(v) <- s;
+  if p >= 0 then sizes.(p) <- sizes.(p) + s
+
 (* Heavy-path relabeling: each node's heavy child is the one with the
    largest subtree (the snapshot the Theorem 5.4 protocol maintains up to a
    constant factor). Costs 2n messages. *)
@@ -37,21 +44,15 @@ let relabel t e =
   Epochs.Central.charge e (2 * Dtree.size t.tree);
   Hashtbl.reset t.labels;
   Hashtbl.reset t.members;
-  let sizes = Hashtbl.create 64 in
-  let rec fill v =
-    let s = Dtree.fold_children t.tree v ~init:1 ~f:(fun acc c -> acc + fill c) in
-    Hashtbl.replace sizes v s;
-    s
-  in
-  ignore (fill (Dtree.root t.tree));
+  let sizes = Array.make (Dtree.ever_created t.tree) 0 in
+  Dtree.iter_postorder t.tree ~env:sizes ~f:add_size;
   let rec go v prefix path pos =
     let label = Array.append prefix [| { path; pos } |] in
     Hashtbl.replace t.labels v label;
     push_member t path v;
     let heavy =
       Dtree.fold_children t.tree v ~init:(-1) ~f:(fun best c ->
-          if best < 0 || Hashtbl.find sizes c > Hashtbl.find sizes best then c
-          else best)
+          if best < 0 || sizes.(c) > sizes.(best) then c else best)
     in
     if heavy >= 0 then
       Dtree.iter_children t.tree v ~f:(fun c ->

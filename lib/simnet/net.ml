@@ -33,13 +33,10 @@ type t = {
       (* node id -> adopting parent, -1 = not forwarded; ids past its end
          are not forwarded *)
   tags : Tag.table;  (* this net's wire-tag intern table *)
-  (* Dense per-tag / per-link tallies, indexed by the interned ids: the hot
-     path is a bare array read-increment — no string join, no hashing, no
-     [Some] box. [link_last] starts at -1 ("nothing delivered yet"); the
-     arrays grow in step with the intern tables. *)
+  (* Dense per-tag tallies, indexed by the interned ids: the hot path is a
+     bare array read-increment — no string join, no hashing, no [Some]
+     box. The per-link state lives in [sched]. *)
   mutable by_tag : int array;
-  mutable link_last : int array;  (* link_id -> last delivered sseq *)
-  mutable link_reorders : int array;
   dummy : cell;  (* fills empty queue slots and pool growth *)
   mutable pool : cell array;  (* free list of released cells *)
   mutable pool_n : int;
@@ -92,8 +89,6 @@ let create ?(seed = 0x5EED) ?(max_delay = 8) ?scheduler ?sink ~tree () =
     forwards = [||];
     tags = Tag.create ();
     by_tag = Array.make 16 0;
-    link_last = Array.make 64 (-1);
-    link_reorders = Array.make 64 0;
     dummy = fresh_cell ();
     pool = [||];
     pool_n = 0;
@@ -146,22 +141,6 @@ let forward_hops t v =
     if p < 0 then n else count p (n + 1)
   in
   count v 0
-
-let grow_link_tables t n =
-  let cap = max 64 (2 * n) in
-  let last = Array.make cap (-1) in
-  Array.blit t.link_last 0 last 0 (Array.length t.link_last);
-  t.link_last <- last;
-  let re = Array.make cap 0 in
-  Array.blit t.link_reorders 0 re 0 (Array.length t.link_reorders);
-  t.link_reorders <- re
-
-let ensure_link_capacity t =
-  let n = Scheduler.link_count t.sched in
-  if n > Array.length t.link_last then
-    (* dynlint: allow zero-alloc — amortized growth, doubling *)
-    grow_link_tables t n
-  [@@dynlint.zero_alloc]
 
 (* The dummies filling empty queue slots and pool growth are not counted:
    [minted] is exactly the cells that circulate through acquire/release. *)
@@ -277,7 +256,6 @@ let send_cell t ~src ~exact ~node ~tag ~bits k =
     if exact then Scheduler.intern_direct t.sched ~src ~dst:(resolve t node)
     else Scheduler.intern_up t.sched (resolve t node)
   in
-  ensure_link_capacity t;
   let sseq = t.send_seq in
   t.send_seq <- sseq + 1;
   let time =
@@ -397,18 +375,8 @@ let deliver t c =
       else r (* the sender became the root: deliver locally *)
     end
   in
-  let reordered =
-    let last = t.link_last.(link) in
-    if last > sseq then begin
-      t.link_reorders.(link) <- t.link_reorders.(link) + 1;
-      t.reorder_count <- t.reorder_count + 1;
-      true
-    end
-    else begin
-      t.link_last.(link) <- sseq;
-      false
-    end
-  in
+  let reordered = Scheduler.delivered t.sched link ~sseq in
+  if reordered then t.reorder_count <- t.reorder_count + 1;
   match t.sink with
   | None -> k target
   | Some s ->
@@ -437,21 +405,6 @@ let run t = while step t do () done [@@dynlint.zero_alloc]
 let now t = t.clock
 let messages t = t.message_count
 let reorders t = t.reorder_count
-
-(* Reporting: decorate with the string key once, sort on it, strip —
-   [link_to_string]/[to_string] never run inside the comparator. *)
-let reorders_by_link t =
-  let acc = ref [] in
-  let n = min (Scheduler.link_count t.sched) (Array.length t.link_reorders) in
-  for id = n - 1 downto 0 do
-    let count = t.link_reorders.(id) in
-    if count > 0 then begin
-      let l = Scheduler.link_of_id t.sched id in
-      acc := (Scheduler.link_to_string l, l, count) :: !acc
-    end
-  done;
-  List.sort (fun (ka, _, _) (kb, _, _) -> String.compare ka kb) !acc
-  |> List.map (fun (_, l, count) -> (l, count))
 
 let messages_by_tag t =
   let acc = ref [] in

@@ -31,15 +31,19 @@
     behaviour (not FIFO); {!Scheduler.Adversarial_lifo} and
     {!Scheduler.Bursty} are worst-case reordering and batching adversaries.
     Link identity is frozen at send time (destination resolved through the
-    deletion-forwarding chain, the link interned to a dense id) and survives
-    later deletions, so the FIFO guarantee spans [node_deleted] adoption.
-    Every delivery is checked against the per-link send order; violations
-    feed the {!reorders} counters, so a trace proves which model actually
-    ran.
+    deletion-forwarding chain, the link interned to a scheduler id) and
+    survives later deletions, so the FIFO guarantee spans [node_deleted]
+    adoption. Every delivery is checked against the per-link send order;
+    violations feed the {!reorders} counter, so a trace proves which model
+    actually ran. All per-link state is the scheduler's, and it lives only
+    while the link has a message in flight or a FIFO bound ahead of the
+    clock, so the network holds state for the links in use, not for every
+    link ever used.
 
     {b Allocation.} A sink-less send and its delivery allocate nothing in
-    steady state, forwarded or not: tag and link state are dense int
-    arrays, link ids come from the scheduler's open-addressed int table,
+    steady state, forwarded or not: tag and link state are int arrays,
+    link ids come from the scheduler's open-addressed int table, which
+    recycles the ids of idle links instead of growing,
     the deletion-forwarding map is an int column indexed by node id, the
     event queue is a struct-of-arrays heap, and the in-flight message cells
     are pooled on a free list — a delivered cell is stripped and reused by
@@ -156,11 +160,6 @@ val reorders : t -> int
     (src, send-time-resolved dst), frozen at send). Always 0 under
     [Fifo_link] and [Bursty]; expected nonzero under [Adversarial_lifo]
     whenever two messages share a link and window. *)
-
-val reorders_by_link : t -> (Scheduler.link * int) list
-(** Per-link reorder counts, sorted by the link's rendered name, omitting
-    links with none. The sort key is precomputed per link, not rendered
-    inside the comparator. *)
 
 val messages_by_tag : t -> (string * int) list
 (** Per-tag message counts, {b sorted by tag} (lexicographically), omitting

@@ -22,15 +22,28 @@
     A scheduler instance holds the per-link bookkeeping for one {!Net};
     the pure {!discipline} value is what callers pass around.
 
-    {b Link interning.} The hot path never constructs a {!link} value: a
-    link is interned at send time ({!intern_direct} / {!intern_up}) to a
-    dense {!link_id} that indexes flat per-link state here and in {!Net}'s
-    reorder accounting. Ids are assigned in first-send order and are stable
-    for the life of the scheduler; {!link_of_id} recovers the structured
-    form at the reporting boundary. The intern table is open-addressed over
-    the link packed into one int: a power-of-two array of ids, probed
-    linearly from a multiplicative hash at load at most 1/2, so a found
-    link costs a multiply, a shift and a few array reads. *)
+    {b Link interning.} The hot path never constructs a link value. A link
+    is a direct [(src, dst)] pair, [dst] resolved through the
+    deletion-forwarding chain at send time, or the up-link of a sender,
+    whoever its parent is at delivery time. It is interned at send time
+    ({!intern_direct} / {!intern_up}) to a small {!link_id} that indexes
+    flat per-link state: the FIFO bound, the messages in flight and the
+    highest send delivered, from which {!delivered} tells a reordered
+    delivery. The intern table is open-addressed over the link packed into
+    one int: a power-of-two array of ids, probed linearly from a
+    multiplicative hash of the node the link is keyed on (its destination,
+    or the sender of an up-link) at load at most 1/2, so a found link costs
+    a multiply, a shift and a few array reads, and a deletion reads only
+    the one probe run of the deleted node's links.
+
+    A link's state lives only while it can matter. A link is {e dead} once
+    every message decided on it has been {!delivered} and its FIFO bound is
+    not ahead of the [now] of the latest {!decide}; a dead link behaves
+    exactly as a link never seen. When an intern finds no free id, the
+    scheduler frees the ids of dead links and rebuilds the table, and it
+    grows only when more than half of its ids are still live. So it holds at
+    most [max 64 (2 * peak)] ids, [peak] being the most links live at once,
+    and retiring links changes no delivery time and no reorder flag. *)
 
 type discipline =
   | Fifo_link
@@ -38,17 +51,10 @@ type discipline =
   | Adversarial_lifo of { window : int }
   | Bursty of { period : int }
 
-type link =
-  | Direct of Dtree.node * Dtree.node
-      (** a concrete (src, dst) pair; [dst] resolved through the
-          deletion-forwarding chain at send time *)
-  | Up of Dtree.node
-      (** the upward link of a node — "to my parent" sends, whoever the
-          parent turns out to be at delivery time *)
-
 type link_id = int
-(** Dense per-scheduler link index, assigned by the [intern_*] functions
-    in first-send order; [0 <= id < link_count]. *)
+(** A link's index while the link is live, from the [intern_*] functions;
+    [0 <= id < link_count]. A dead link's id may be handed to another
+    link. *)
 
 type t
 
@@ -77,24 +83,22 @@ val defaults : discipline list
     schedule-exploration sweeps. *)
 
 val intern_direct : t -> src:Dtree.node -> dst:Dtree.node -> link_id
-(** The id of [Direct (src, dst)], interning it on first sight.
-    Allocation-free on the found path. *)
+(** The id of the direct link [(src, dst)], interning it if it is not
+    held. Allocation-free on the found path. *)
 
 val intern_up : t -> Dtree.node -> link_id
-(** The id of [Up v], interning it on first sight. Allocation-free on the
-    found path. *)
+(** The id of the up-link of [v], interning it if it is not held.
+    Allocation-free on the found path. *)
 
 val link_count : t -> int
-(** Number of links interned so far; grows monotonically, so callers can
-    size id-indexed side tables. *)
-
-val link_of_id : t -> link_id -> link
-(** The structured link behind an id, for reporting. Allocates.
-    @raise Invalid_argument on an id never returned by [intern_*]. *)
+(** Number of ids the scheduler holds, live or free: at least 64 and at
+    most twice the most links live at once. *)
 
 val decide : t -> rng:Rng.t -> max_delay:int -> now:int -> link:link_id -> int
 (** Delivery time for a message sent at [now] on [link]; always [> now].
-    The priority of the decision is left in {!last_priority} rather than
+    Counts the message in flight on [link] until {!delivered}. [now] must
+    not decrease from one call to the next ({!Net}'s clock does not). The
+    priority of the decision is left in {!last_priority} rather than
     returned — one [decide] per send, and a tuple here put an allocation
     on every message. [Fifo_link] and [Random_delay] consume one draw from
     [rng] per call; the other disciplines consume none. Allocation-free. *)
@@ -105,11 +109,15 @@ val last_priority : t -> int
     {!Adversarial_lifo} is the only discipline using a non-zero priority
     (strictly decreasing, so same-time messages release newest-first). *)
 
+val delivered : t -> link_id -> sseq:int -> bool
+(** Record the delivery of a message decided on [link] whose send sequence
+    number is [sseq], and return whether it was reordered: whether a later
+    send on the link was delivered before it. Send sequence numbers must
+    rise in send order. Allocation-free. *)
+
 val on_node_deleted : t -> deleted:Dtree.node -> resolve:(Dtree.node -> Dtree.node) -> unit
-(** Fold the FIFO state of every link ending at [deleted] into the
+(** Fold the FIFO bound of every link keyed on [deleted] into the
     corresponding link of its adopter (via [resolve]), so the per-link
     ordering guarantee survives the deletion-forwarding indirection: a
     message sent to [deleted] before the deletion and one sent to the
     adopter after it still deliver in send order. *)
-
-val link_to_string : link -> string
