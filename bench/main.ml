@@ -63,8 +63,11 @@ let micro_tests () =
             let p = Package.create alloc ~params ~level:10 in
             ignore (Package.split alloc p)))
   in
+  (* phi = max(W/(2U), 1) = 4: three calls in four are static hits at the
+     leaf and the fourth climbs (66-132 moves once the first climb to the
+     root has placed packages) *)
   let t_grant =
-    Test.make ~name:"controller: request (static hit)"
+    Test.make ~name:"controller: request (phi=4, one climb in four)"
       (Staged.stage
          (let tree = path_tree 256 in
           let params = Params.make ~m:10_000_000 ~w:(8 * 512) ~u:512 in

@@ -58,7 +58,8 @@ val run :
     ([U = n0 + requests]) against [requests] workload requests with the given
     concurrency (default 8), drain the network, and report. [scheduler] and
     [sink] are passed to {!Net.create}, so the run can pick its delivery
-    discipline and records full telemetry. *)
+    discipline and records full telemetry.
+    @raise Failure as {!run_on} does. *)
 
 val run_on :
   ?seed:int ->
@@ -71,4 +72,6 @@ val run_on :
   int * int * int
 (** {!drive} a fresh workload ([seed + 7]) through a controller's [submit]
     over an existing network, run the network dry, and return
-    [(granted, rejected, unanswered)]. *)
+    [(granted, rejected, unanswered)].
+    @raise Failure with {!Net.pool_check}'s message when the drained
+    network has lost a message cell, or parks one unscrubbed. *)

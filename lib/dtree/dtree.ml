@@ -73,7 +73,7 @@ let alloc t =
   t.degree.(v) <- 0;
   Bytes.set t.state v '\001';
   v
-  [@@dynlint.zero_alloc] [@@dynlint.pool_acquire]
+  [@@dynlint.zero_alloc]
 
 (* The caller has unlinked [v], which cleared its sibling links. *)
 let free_slot t v =
@@ -81,7 +81,7 @@ let free_slot t v =
   t.parent.(v) <- nil;
   t.port.(v) <- nil;
   t.degree.(v) <- 0
-  [@@dynlint.zero_alloc] [@@dynlint.pool_release]
+  [@@dynlint.zero_alloc]
 
 let create () =
   let t =
@@ -101,7 +101,7 @@ let create () =
       port_counter = 0;
     }
   in
-  (* dynlint: allow pool-discipline — the root slot is never freed *)
+  (* slot 0 is the root, never freed *)
   ignore (alloc t : node);
   t
 
@@ -179,7 +179,6 @@ let add_internal t ~above =
   t.parent.(u) <- p;
   t.prev_sibling.(u) <- prev;
   t.next_sibling.(u) <- next;
-  (* dynlint: allow pool-discipline — arena ids live in the tree's columns *)
   if prev <> nil then t.next_sibling.(prev) <- u else t.first_child.(p) <- u;
   if next <> nil then t.prev_sibling.(next) <- u;
   t.first_child.(u) <- above;

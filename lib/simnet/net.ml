@@ -157,7 +157,7 @@ let acquire t =
   else
     (* dynlint: allow zero-alloc — pool miss mints the cell the pool keeps *)
     mint_cell t
-  [@@dynlint.zero_alloc] [@@dynlint.pool_acquire]
+  [@@dynlint.zero_alloc]
 
 let grow_pool t =
   let bigger = Array.make (max 16 (2 * t.pool_n)) t.dummy in
@@ -176,7 +176,7 @@ let release t c =
     grow_pool t;
   t.pool.(t.pool_n) <- c;
   t.pool_n <- t.pool_n + 1
-  [@@dynlint.zero_alloc] [@@dynlint.pool_release]
+  [@@dynlint.zero_alloc]
 
 (* Pool conservation check, for tests and debug assertions: every cell
    this net ever minted is accounted for — in flight in the event queue or
@@ -383,7 +383,7 @@ let deliver t c =
       (* dynlint: allow zero-alloc — traced runs pay for their telemetry *)
       trace_deliver t s ~ctx ~src ~target ~tag_i ~sseq
         ~forwarded:(r <> anode) ~reordered k
-  [@@dynlint.zero_alloc] [@@dynlint.transfers_ownership]
+  [@@dynlint.zero_alloc]
 
 let step t =
   if Event_queue.is_empty t.events then false

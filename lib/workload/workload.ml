@@ -360,6 +360,7 @@ let pick_target w tree ~pred =
         Some !found
       end
 
+(* dynlint: allow global-state -- read-only: only this literal writes it *)
 let kinds = [| K_add_leaf; K_remove_leaf; K_add_internal; K_remove_internal; K_event |]
 
 let kind_of_mix w =

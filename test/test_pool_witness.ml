@@ -1,11 +1,11 @@
-(* Runtime witness for the invariant dynlint's D12 pool-discipline pass
-   proves statically: every cell the network mints is either in flight or
-   parked scrubbed in the pool, at every point user code can observe the
-   network — between steps, inside a delivery continuation, inside a
-   scheduled action, and even after one of those raises. The guarantee
-   rests on deliver/step releasing the cell *before* invoking its closure,
-   which is exactly the copy-then-release shape the static pass blesses
-   via [@dynlint.transfers_ownership]. *)
+(* Cell conservation ([Net.pool_check]) at every point user code can
+   observe the network: every cell the network mints is either in flight
+   or parked scrubbed in the pool — between steps, inside a delivery
+   continuation, inside a scheduled action, and even after one of those
+   raises. The guarantee rests on deliver/step releasing the cell *before*
+   invoking its closure. [Dist_harness.run_on] checks the same law once a
+   harness run has drained; these cases check it mid-run, and across an
+   exception, where no harness looks. *)
 
 exception Kaboom
 

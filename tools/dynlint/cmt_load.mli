@@ -1,5 +1,5 @@
 (** The shared typed layer of dynlint: one [.cmt] load for every typed
-    pass (D7, D9, D11, D12, D13), a per-unit index built once at load, and
+    pass (D1, D7, D11, D13), a per-unit index built once at load, and
     the one place that knows how a name in a [.cmt] resolves to a
     (unit, value).
 
@@ -25,7 +25,7 @@ type decl = {
           included) rather than by an expression-level [let] *)
 }
 (** One value binding or external of a unit, as the annotation-driven
-    rules (D11 summaries, D12 roles, D13 universes) read it. *)
+    rules (D11 summaries, D13 universes) read it. *)
 
 type unit_info = {
   ui_name : string;
@@ -79,8 +79,7 @@ val ends_with : suffix:string list -> string list -> bool
 val qualify : unit_name:string -> string list -> (string * string) option
 (** The (unit, name) key of a head: its last two components, or
     [unit_name] and the name for an unqualified one. Cross-module tables
-    (D11's proven values, D12's roles, D13's universe keys) all key by
-    it. *)
+    (D11's proven values, D13's universe keys) both key by it. *)
 
 val raises : string list -> bool
 (** Is the head [invalid_arg], [failwith], [raise], [raise_notrace] or

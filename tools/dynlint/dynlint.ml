@@ -4,13 +4,13 @@
                   [--graph FILE]... [--time-budget-ms N] [PATH...]
 
    Each PATH is a directory walked recursively or a single .ml file; the
-   parsetree pass (D1-D4, D6) runs over those. Each --cmt DIR is searched
+   parsetree pass (D2-D4, D6) runs over those. Each --cmt DIR is searched
    for .cmt files; the cmts are read ONCE into a shared unit list and
-   every typed pass runs over it: the typedtree scan (D7, D9), the alloc
-   pass (D11), the pool pass (D12) and the flow pass (D13). Every pass
-   emits through one shared emitter. PATHs, --cmt DIRs and the source
-   files the cmts name (read for inline-allow suppression) are all
-   relative to the working directory, the workspace root under dune. A
+   every typed pass runs over it: the typedtree scan (D1, D7), the alloc
+   pass (D11) and the flow pass (D13). Every pass emits through one
+   shared emitter. PATHs, --cmt DIRs and the source files the cmts name
+   (read for inline-allow suppression) are all relative to the working
+   directory, the workspace root under dune. A
    PATH that does not exist, a --cmt DIR yielding no .cmt files, or a cmt
    that cannot be read is a hard error (exit 2), because silently linting
    nothing would green-wash a broken build graph. After every pass, any
@@ -21,7 +21,7 @@
    .dot for Graphviz, anything else as JSON. --rules prints the rule table
    and exits. Per-pass wall time is reported on stderr as
    "dynlint: timings(ms) parsetree=... load=... typed=... alloc=...
-   pool=... flow=... total=..."; --time-budget-ms N exits 3 when the total
+   flow=... total=..."; --time-budget-ms N exits 3 when the total
    exceeds N, which CI uses to keep the lint gate honest about its own
    cost.
 
@@ -107,13 +107,13 @@ let () =
       if not (Sys.file_exists p) then fail "%s: no such file or directory" p)
     paths;
   (* An empty --cmt DIR means @check didn't run (or the dir is wrong): the
-     typed passes (D7, D9, D11-D13) would silently vacuously pass. *)
+     typed passes (D1, D7, D11, D13) would silently vacuously pass. *)
   List.iter
     (fun d ->
       if Cmt_load.collect_cmt_files [ d ] = [] then
         fail
           "--cmt %s contains no .cmt files; run `dune build @check` first \
-           (typed rules D7/D9/D11-D13 cannot run without cmts)"
+           (typed rules D1/D7/D11/D13 cannot run without cmts)"
           d)
     cmt_dirs;
   let timings = ref [] in
@@ -129,7 +129,7 @@ let () =
   let graph =
     if cmt_dirs = [] then None
     else begin
-      (* one read of every cmt, shared by all four typed passes; every
+      (* one read of every cmt, shared by all three typed passes; every
          unit's source is registered for D10 before any pass runs *)
       let units =
         timed "load" (fun () ->
@@ -141,7 +141,6 @@ let () =
       in
       timed "typed" (fun () -> Lint_typed.lint_units ~emitter units);
       timed "alloc" (fun () -> Lint_alloc.lint_units ~emitter units);
-      timed "pool" (fun () -> Lint_pool.lint_units ~emitter units);
       Some (timed "flow" (fun () -> Lint_flow.lint_units ~emitter units))
     end
   in

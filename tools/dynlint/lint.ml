@@ -5,10 +5,8 @@ type rule =
   | Unsafe
   | Stdout
   | Parallel_race
-  | Rng_taint
   | Zero_alloc
   | Stale_allow
-  | Pool_discipline
   | Message_flow
 
 (* One record per rule: the allow key, the owning pass (the `--rules` table
@@ -18,8 +16,11 @@ type rule_info = { id : string; name : string; pass : string; help : string }
 
 let info = function
   | Global_state ->
-      { id = "D1"; name = "global-state"; pass = "parsetree";
-        help = "Top-level mutable allocation in lib/ is shared across Pool domains." }
+      { id = "D1"; name = "global-state"; pass = "typedtree";
+        help =
+          "A module-level value that builds or reaches mutable state (a ref, an \
+           array, bytes, a mutable record, or a mutable container such as \
+           Hashtbl.t or Rng.t) is shared by every caller and every Pool domain." }
   | Ambient ->
       { id = "D2"; name = "ambient"; pass = "parsetree";
         help =
@@ -42,12 +43,6 @@ let info = function
           "A closure handed to Pool.map/Explore.sweep captures a mutable value \
            defined outside it: that value is shared across domains and the \
            -j N = -j 1 byte-determinism contract breaks." }
-  | Rng_taint ->
-      { id = "D9"; name = "rng-taint"; pass = "typedtree";
-        help =
-          "Every Rng.t must flow from a function parameter or an explicit \
-           Rng.create ~seed, never from a module-level binding: module-level RNG \
-           state is drawn from in whatever order domains interleave." }
   | Stale_allow ->
       { id = "D10"; name = "stale-allow"; pass = "driver";
         help =
@@ -60,13 +55,6 @@ let info = function
            any non-raising path: no closures, tuples, records, boxed floats, \
            refs, partial applications, polymorphic compares, or calls into \
            functions not themselves proven or assumed zero-alloc." }
-  | Pool_discipline ->
-      { id = "D12"; name = "pool-discipline"; pass = "pool";
-        help =
-          "A value acquired from a [@@dynlint.pool_acquire] function must be \
-           released exactly once on every path, including exception paths: a \
-           leaked or double-released cell silently corrupts the pool. Hand-offs \
-           go through [@dynlint.transfers_ownership] functions or a tail return." }
   | Message_flow ->
       { id = "D13"; name = "message-flow"; pass = "flow";
         help =
@@ -83,7 +71,7 @@ let rule_help r = (info r).help
 let all_rules =
   [
     Global_state; Ambient; Poly_compare; Unsafe; Stdout; Parallel_race;
-    Rng_taint; Stale_allow; Zero_alloc; Pool_discipline; Message_flow;
+    Stale_allow; Zero_alloc; Message_flow;
   ]
 
 (* The `dynlint --rules` table: one line per rule. Kept as data (not
@@ -98,9 +86,9 @@ let rules_table () =
 
 let rule_of_name s = List.find_opt (fun r -> rule_name r = s) all_rules
 
-(* A secondary location attached to a finding: D12 links the acquire site
-   to the path that leaks it, D13 links the universe declaration to its
-   orphan constructor. Rendered as SARIF relatedLocations. *)
+(* A secondary location attached to a finding: D13 links the universe
+   declaration to its orphan constructor and an unreceivable send to its
+   arm. Rendered as SARIF relatedLocations. *)
 type related = {
   r_file : string;
   r_line : int;
@@ -385,18 +373,6 @@ let loc_pos (loc : Location.t) =
 (* ------------------------------------------------------------------ *)
 (* ident classification per rule                                       *)
 
-(* D1: allocators of shared mutable state; flagged in application position
-   at module top level *)
-let is_mutable_alloc = function
-  | [ "ref" ]
-  | [ "Hashtbl"; "create" ]
-  | [ "Buffer"; "create" ]
-  | [ "Queue"; "create" ]
-  | [ "Stack"; "create" ]
-  | [ "Atomic"; "make" ] ->
-      true
-  | _ -> false
-
 (* D2: ambient nondeterminism — wall clock and the global Random state *)
 let ambient_msg = function
   | "Random" :: _ ->
@@ -464,36 +440,6 @@ let ctx_of_path path =
   { lib; test }
 
 let lint_structure em ~ctx str =
-  (* D1: scan a top-level binding's RHS, stopping at function boundaries —
-     allocation inside a function body happens per call, not at module
-     init. *)
-  let scan_toplevel_rhs e0 =
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            match e.pexp_desc with
-            | Pexp_fun _ | Pexp_function _ -> ()
-            | Pexp_apply (f, _) ->
-                (match (strip_expr f).pexp_desc with
-                | Pexp_ident { txt; loc } ->
-                    let p = path_of_lid txt in
-                    if is_mutable_alloc p then
-                      emit em Global_state loc
-                        (String.concat "." p
-                       ^ " at module top level is shared mutable state and \
-                          races under Pool domains; allocate inside the \
-                          value's owner or annotate with (* dynlint: allow \
-                          global-state -- reason *)")
-                | _ -> ());
-                Ast_iterator.default_iterator.expr self e
-            | _ -> Ast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it e0
-  in
-  (* Everything else: one full walk. *)
   let on_ident lid loc =
     let p = path_of_lid lid in
     if ctx.lib then (
@@ -533,24 +479,7 @@ let lint_structure em ~ctx str =
     | _ -> ());
     Ast_iterator.default_iterator.expr self e
   in
-  let structure_item_rule self item =
-    (match item.pstr_desc with
-    | Pstr_value (_, bindings) when ctx.lib ->
-        List.iter (fun vb -> scan_toplevel_rhs vb.pvb_expr) bindings
-    | _ -> ());
-    (* default iterator recurses into nested modules' structure items, so
-       bindings inside [module M = struct ... end] are still top level for
-       D1 purposes — but bindings inside expressions are not, because we
-       only hook structure items. *)
-    Ast_iterator.default_iterator.structure_item self item
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr = expr_rule;
-      structure_item = structure_item_rule;
-    }
-  in
+  let it = { Ast_iterator.default_iterator with expr = expr_rule } in
   it.structure it str
 
 (* The lexer's filename is the display path and the line cache is keyed by

@@ -1,20 +1,22 @@
 (** dynlint: repo-specific determinism & domain-safety lint rules.
 
     Each rule is motivated by a bug this repo already shipped (or nearly
-    shipped); see DESIGN.md "Static analysis". D1-D4 and D6 operate on the
+    shipped); see DESIGN.md "Static analysis". D2-D4 and D6 operate on the
     parsetree (compiler-libs [Parse] + [Ast_iterator]) — no typing pass —
     so they are fast and run on any file that parses, at the cost of a few
-    syntactic heuristics. D7 and D9 need types and cross-module visibility
-    and live in the typedtree pass ({!Lint_typed}, reading [.cmt] files);
-    D10 is computed by the driver from the {!emitter} every pass shares.
+    syntactic heuristics. D1 and D7 need types and live in the typedtree
+    pass ({!Lint_typed}, reading [.cmt] files); D10 is computed by
+    [dynlint.exe] from the {!emitter} every pass shares.
 
     {2 Rules}
 
-    - [D1 global-state]: top-level bindings in [lib/] that allocate mutable
-      state ([ref]/[Hashtbl.create]/[Buffer.create]/[Queue.create]/
-      [Stack.create]/[Atomic.make]), including inside nested modules and
-      under [lazy]. These race under [Pool] domains and broke [-j]
-      byte-determinism in PR 3.
+    - [D1 global-state] (typed): a module-level binding (nested modules
+      included) whose value, outside any function body, builds or reaches
+      a [ref], an array, [bytes], a record literal with a mutable field, or
+      a mutable container ([Hashtbl.t], [Rng.t], ...). Such state races
+      under [Pool] domains and once broke [-j] byte-determinism;
+      module-level [Rng.t] state also breaks seeded replay. [let () =]
+      entry points keep nothing under a name and are skipped.
     - [D2 ambient]: [Random.*], [Sys.time], [Unix.gettimeofday]/[time]/
       [gmtime]/[localtime] in [lib/] outside [lib/util/rng.ml]. Only the
       seeded [Rng] and simulated time exist in the paper's model.
@@ -31,21 +33,12 @@
       [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t], [Rng.t],
       [Dtree.t], [Metrics.t], [Sink.t]) defined outside the closure, or
       touches module-level mutable state: shared across domains.
-    - [D9 rng-taint] (typed): an [Rng.t] bound at module level, or drawn
-      from another module's value, instead of flowing from a function
-      parameter or an explicit [Rng.create ~seed].
     - [D10 stale-allow] (driver): an allow-file entry or inline allow
       comment that suppressed no finding across the whole run.
     - [D11 zero-alloc] (typed, {!Lint_alloc}): a function annotated
       [[@@dynlint.zero_alloc]] is conservatively verified to allocate
       nothing on any non-raising path; [[@@dynlint.zero_alloc assume]]
       vouches for externals and wrappers the checker cannot see into.
-    - [D12 pool-discipline] (typed, {!Lint_pool}): every value acquired
-      from a [[@@dynlint.pool_acquire]] function is released exactly once
-      on every path, exception paths included; leaks, double releases and
-      escapes (module state, closures, containers) are findings.
-      [[@dynlint.transfers_ownership]] marks functions that legitimately
-      hand the value onward.
     - [D13 message-flow] (typed, {!Lint_flow}): every constructor of a
       variant [[@@dynlint.tag_universe]] must have at least one
       [Net.send_to]/[Net.send_up] site and at least one installed delivery
@@ -53,10 +46,12 @@
       renderer; the reconstructed send/receive graph is emitted via
       [dynlint --graph].
 
-    Ids D5 (interface coverage) and D8 (tag literals against declared
-    universes) are retired and not reused: the compiler's warning 70, on
-    for [lib/] in [lib/dune], makes a missing interface a build error, and
-    D13 covers every tag D8 did.
+    Ids D5, D8, D9 and D12 are retired and not reused. D5 (interface
+    coverage): the compiler's warning 70, on for [lib/] in [lib/dune],
+    makes a missing interface a build error. D8 (tag literals): D13
+    covers every tag D8 did. D9 (module-level [Rng.t]): D1 finds an
+    [Rng.t] like any other mutable container. D12 (pool discipline):
+    [Net.pool_check] checks cell conservation after every harness run.
 
     {2 Allowlisting}
 
@@ -70,26 +65,23 @@
     documents a contract even while nothing currently violates it. *)
 
 type rule =
-  | Global_state  (** D1 *)
+  | Global_state  (** D1, typedtree pass *)
   | Ambient  (** D2 *)
   | Poly_compare  (** D3 *)
   | Unsafe  (** D4 *)
   | Stdout  (** D6 *)
   | Parallel_race  (** D7, typedtree pass *)
-  | Rng_taint  (** D9, typedtree pass *)
   | Zero_alloc  (** D11, alloc pass *)
   | Stale_allow  (** D10, driver *)
-  | Pool_discipline  (** D12, pool pass *)
   | Message_flow  (** D13, flow pass *)
 
 val rule_id : rule -> string
-(** ["D1"] .. ["D13"]; D5 and D8 are retired. *)
+(** ["D1"] .. ["D13"]; D5, D8, D9 and D12 are retired. *)
 
 val rule_name : rule -> string
 (** The allowlist token: ["global-state"], ["ambient"], ["poly-compare"],
-    ["unsafe"], ["stdout"], ["parallel-race"], ["rng-taint"],
-    ["stale-allow"], ["zero-alloc"], ["pool-discipline"],
-    ["message-flow"]. *)
+    ["unsafe"], ["stdout"], ["parallel-race"], ["stale-allow"],
+    ["zero-alloc"], ["message-flow"]. *)
 
 val rule_help : rule -> string
 (** One-sentence rationale, used as the SARIF rule description. *)
@@ -98,10 +90,10 @@ val all_rules : rule list
 (** Every rule, in id order. *)
 
 val rule_pass : rule -> string
-(** Which phase owns the rule: ["parsetree"] (D1-D4, D6), ["typedtree"]
-    (D7, D9), ["alloc"] (D11), ["pool"] (D12), ["flow"] (D13) or
-    ["driver"] (D10). The driver's per-pass timing summary and its D10
-    scope use the same names. *)
+(** Which phase owns the rule: ["parsetree"] (D2-D4, D6), ["typedtree"]
+    (D1, D7), ["alloc"] (D11), ["flow"] (D13) or ["driver"] (D10).
+    [dynlint.exe]'s per-pass timing summary and its D10 scope use the
+    same names. *)
 
 val rules_table : unit -> string
 (** The [dynlint --rules] listing: a header line plus one line per rule
@@ -115,9 +107,9 @@ type related = {
   r_col : int;
   r_msg : string;
 }
-(** A secondary location attached to a finding: D12 links the acquire site
-    to the path that leaks it, D13 links the universe declaration to its
-    orphan constructor. Rendered as SARIF [relatedLocations]. *)
+(** A secondary location attached to a finding: D13 links the universe
+    declaration to its orphan constructor and an unreceivable send to its
+    arm. Rendered as SARIF [relatedLocations]. *)
 
 type finding = {
   file : string;
@@ -146,7 +138,7 @@ val load_allow_file : string -> allow
 
 (** Which rule groups apply to a file, by where it lives in the tree. *)
 type ctx = {
-  lib : bool;  (** under [lib/]: D1, D2, D3, D6 *)
+  lib : bool;  (** under [lib/]: D2, D3, D6 *)
   test : bool;  (** test code: D4 does not apply *)
 }
 
@@ -192,7 +184,7 @@ val stale_findings : ?in_scope:(rule -> bool) -> emitter -> finding list
 
 val lint_file : emitter -> ?display:string -> ctx:ctx -> string -> unit
 (** Parse one [.ml] file and emit every applicable syntactic finding
-    (D1-D4, D6) under [display] (default: the path itself). A file that
+    (D2-D4, D6) under [display] (default: the path itself). A file that
     does not parse yields a single, unsuppressible D4 finding at the error
     location (an unparseable file cannot be vouched for). *)
 

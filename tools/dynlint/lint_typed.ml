@@ -1,8 +1,8 @@
-(* The typedtree pass: D7/D9 over the shared cmt units.
+(* The typedtree pass: D1/D7 over the shared cmt units.
 
    Where lint.ml works purely syntactically, these rules need types (is
-   this captured value a Hashtbl.t?) and cross-module visibility (is this
-   Rng.t another module's value?), so they read the .cmt files that
+   this captured value a Hashtbl.t? does this module-level value hold an
+   Rng.t in a record field?), so they read the .cmt files that
    `dune build @check` leaves under _build/**/.objs/byte/. Name
    resolution and the binding table come from Cmt_load's per-unit
    index. *)
@@ -30,11 +30,6 @@ let mutable_type_name ty =
   | Some ("ref" :: _) -> Some "ref"
   | Some ("t" :: m :: _) when List.mem m mutable_containers -> Some (m ^ ".t")
   | _ -> None
-
-let is_rng_type ty =
-  match Cmt_load.type_head ty with
-  | Some h -> Cmt_load.ends_with ~suffix:[ "Rng"; "t" ] h
-  | None -> false
 
 (* ---------- D7: closure-capture analysis ---------- *)
 
@@ -111,78 +106,81 @@ let analyze_closures ~binds ~target ~emit (e : expression) =
   in
   go e
 
-(* ---------- D9: module-level generators ---------- *)
+(* ---------- D1: module-level mutable state ---------- *)
 
-(* D9 part one: Rng.t bound at module level (top-level structure items and
-   nested module structures — not expression-local bindings, which are
-   exactly where an Rng *should* live). A binding whose own pattern says
-   nothing about Rng can still smuggle a generator inside a record field
-   or tuple slot of its value, so when the pattern is clean the defining
-   expression is walked too — stopping at function boundaries, since a
-   module-level *function* that creates a local generator is exactly the
-   sanctioned shape. *)
-let rec d9_structure ~emit (str : structure) =
-  List.iter
-    (fun (item : structure_item) ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let hit = ref false in
-              d9_pattern ~emit:(fun r l m -> hit := true; emit r l m) vb.vb_pat;
-              if not !hit then d9_smuggled ~emit vb)
-            vbs
-      | Tstr_module mb -> d9_module ~emit mb.mb_expr
-      | Tstr_recmodule mbs -> List.iter (fun mb -> d9_module ~emit mb.mb_expr) mbs
-      | _ -> ())
-    str.str_items
+(* What D1 looks for in a module-level value: D7's mutable types, arrays,
+   bytes and record literals with a mutable field. *)
+let state_kind (e : expression) =
+  match (e.exp_desc, Cmt_load.type_head e.exp_type) with
+  | Texp_record { fields; _ }, _
+    when Array.exists
+           (fun ((l : Types.label_description), _) -> l.lbl_mut = Asttypes.Mutable)
+           fields ->
+      Some "mutable record"
+  | _, Some [ "array" ] -> Some "array"
+  | _, Some [ "bytes" ] -> Some "bytes"
+  | _ -> mutable_type_name e.exp_type
 
-and d9_module ~emit (me : module_expr) =
-  match me.mod_desc with
-  | Tmod_structure s -> d9_structure ~emit s
-  | Tmod_constraint (me', _, _, _) -> d9_module ~emit me'
-  | _ -> ()
-
-and d9_pattern ~emit (p : pattern) =
-  match (p.pat_desc, Cmt_load.pat_ident p) with
-  | _, Some id when is_rng_type p.pat_type ->
-      emit Lint.Rng_taint p.pat_loc
-        (Printf.sprintf
-           "module-level Rng.t '%s': every generator must flow from a function parameter or a local Rng.create ~seed, or replays stop being reproducible"
-           (Ident.name id))
-  | Tpat_alias (sub, _, _), _ -> d9_pattern ~emit sub
-  | (Tpat_tuple ps | Tpat_construct (_, _, ps, _)), _ ->
-      List.iter (d9_pattern ~emit) ps
-  | _ -> ()
-
-and d9_smuggled ~emit (vb : value_binding) =
-  let name = Option.fold ~none:"_" ~some:Ident.name (Cmt_load.pat_ident vb.vb_pat) in
+(* The first place a value builds or reaches mutable state outside any
+   function body. A body runs per call and keeps nothing at module level;
+   what a module-level closure captures is built outside its body, so the
+   walk still finds it. *)
+let first_state (e : expression) =
   let found = ref None in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun self e ->
-          match e.exp_desc with
-          | Texp_function _ -> ()
-          | _ ->
-              (match !found with
-              | None when is_rng_type e.exp_type -> found := Some e.exp_loc
-              | _ -> ());
-              Tast_iterator.default_iterator.expr self e);
+          match (!found, e.exp_desc) with
+          | Some _, _ | None, Texp_function _ -> ()
+          | None, _ -> (
+              match state_kind e with
+              | Some kind -> found := Some (kind, e.exp_loc)
+              | None -> Tast_iterator.default_iterator.expr self e));
     }
   in
-  it.expr it vb.vb_expr;
-  Option.iter
-    (fun loc ->
-      emit Lint.Rng_taint loc
-        (Printf.sprintf
-           "module-level value '%s' smuggles an Rng.t inside its structure (a record field or tuple slot); thread the generator through as a parameter instead"
-           name))
-    !found
+  it.expr it e;
+  !found
 
-(* One walk per unit: D7 at parallel call sites, D9 cross-module Rng
-   reads; then D9's module-level bindings. *)
+(* Module-level bindings, nested module structures included; a functor
+   body runs per application, like a function's. [let () =] is an entry
+   point: whatever it builds is kept under no name. *)
+let rec d1_structure ~emit (str : structure) =
+  List.iter
+    (fun (item : structure_item) ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) -> List.iter (d1_binding ~emit) vbs
+      | Tstr_module mb -> d1_module ~emit mb.mb_expr
+      | Tstr_recmodule mbs -> List.iter (fun mb -> d1_module ~emit mb.mb_expr) mbs
+      | _ -> ())
+    str.str_items
+
+and d1_module ~emit (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_structure s -> d1_structure ~emit s
+  | Tmod_constraint (me', _, _, _) -> d1_module ~emit me'
+  | _ -> ()
+
+and d1_binding ~emit (vb : value_binding) =
+  match vb.vb_pat.pat_desc with
+  | Tpat_construct (_, { cstr_name = "()"; _ }, [], _) -> ()
+  | _ ->
+      Option.iter
+        (fun (kind, loc) ->
+          let name =
+            match pat_bound_idents vb.vb_pat with
+            | [] -> "_"
+            | ids -> String.concat ", " (List.map Ident.name ids)
+          in
+          emit Lint.Global_state loc
+            (Printf.sprintf
+               "module-level '%s' keeps mutable state (%s), shared by every caller and every Pool domain; build it inside a function and pass it on, or annotate with (* dynlint: allow global-state -- reason *)"
+               name kind))
+        (first_state vb.vb_expr)
+
+(* One walk per unit for D7 at parallel call sites; then D1's module-level
+   bindings. *)
 let scan_unit ~emit (u : Cmt_load.unit_info) =
   let it =
     {
@@ -200,21 +198,16 @@ let scan_unit ~emit (u : Cmt_load.unit_info) =
                       | _, None -> ())
                     args)
                 (parallel_target p)
-          | Texp_ident ((Path.Pdot _ as p), _, _) when is_rng_type e.exp_type ->
-              emit Lint.Rng_taint e.exp_loc
-                (Printf.sprintf
-                   "Rng.t read from module-level value '%s'; thread the generator through as a parameter instead"
-                   (display_path p))
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
   in
   it.structure it u.ui_str;
-  d9_structure ~emit u.ui_str
+  d1_structure ~emit u.ui_str
 
 (* ---------- the pass over preloaded units ---------- *)
 
 (* The caller loads the cmts once (Cmt_load) and shares the unit list —
-   and the emitter — with the alloc/pool/flow passes. *)
+   and the emitter — with the alloc and flow passes. *)
 let lint_units ~emitter units =
   List.iter (scan_unit ~emit:(Lint.emit emitter)) units

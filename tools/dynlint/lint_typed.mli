@@ -1,7 +1,17 @@
-(** The typedtree pass: D7 (parallel-race) and D9 (rng-taint) over the
+(** The typedtree pass: D1 (global-state) and D7 (parallel-race) over the
     [.cmt] units that [dune build @check] produces; D11 (zero-alloc) is
     {!Lint_alloc}.
 
+    - [D1]: a module-level binding (nested modules included, functor
+      bodies not) whose value, outside any function body, builds or
+      reaches mutable state: a sub-expression whose type is a [ref], an
+      array, [bytes] or one of D7's mutable containers ([Rng.t] among
+      them), or a record literal with a mutable field. The walk stops at
+      function boundaries, so a module-level function that builds any of
+      these per call is silent, while a closure that captures a
+      module-level [Hashtbl.t] is not. One finding per binding, at the
+      first such sub-expression. [let () =] entry points are skipped:
+      they keep nothing under a name.
     - [D7]: a closure passed to [Pool.map] or [Explore.sweep] captures a
       value of mutable type ([ref], [Hashtbl.t], [Buffer.t], [Queue.t],
       [Stack.t], [Atomic.t], [Net.t], [Rng.t], [Dtree.t], [Metrics.t],
@@ -13,20 +23,14 @@
       visited set guarding cycles. Limitation: only idents let-bound in
       the same compilation unit are chased; a closure imported from
       another unit is not.
-    - [D9]: an [Rng.t] bound at module level (including nested modules), or
-      read from another module's value, is flagged; generators must flow
-      from function parameters or a local [Rng.create ~seed]. A module-
-      level value whose pattern says nothing about Rng but whose defining
-      expression carries an [Rng.t] inside a record field or tuple slot is
-      flagged too (the walk stops at function boundaries — a module-level
-      function creating a local generator is the sanctioned shape).
 
     Path and type heads are matched by suffix on "__"-split components
     ({!Cmt_load.norm_path}), so wrapped libraries ([Mylib__Pool.map]) and
-    module aliases both match.
+    module aliases both match. Types are read as written, not expanded: a
+    local abbreviation of [Hashtbl.t] is not recognized.
 
     Findings respect the same allow file and inline [dynlint: allow]
     comments as the parsetree pass, through the shared {!Lint.emitter}. *)
 
 val lint_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
-(** D7 and D9 over preloaded units, one scan per unit. *)
+(** D1 and D7 over preloaded units, one scan per unit. *)

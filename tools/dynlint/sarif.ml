@@ -4,8 +4,8 @@
    it keeps its indentation); strings are escaped through Telemetry.Json.
    One run, one driver, every live rule in the table (so ruleIndex is stable
    whether or not a rule fired), one result per finding. A finding's
-   [related] entries (D12's acquire-site <-> leak-path links, D13's
-   universe <-> orphan links) become SARIF relatedLocations. Columns are
+   [related] entries (D13's universe <-> orphan and send <-> arm links)
+   become SARIF relatedLocations. Columns are
    1-based per the SARIF spec; dynlint's text output is 0-based, so
    startColumn = col + 1. *)
 

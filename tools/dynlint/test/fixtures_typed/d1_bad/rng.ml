@@ -1,4 +1,4 @@
-(* Stand-in for the real seeded Rng: the type name is what D9 keys on. *)
+(* Stand-in for the real seeded Rng: the type name is what D1 keys on. *)
 type t = { mutable state : int }
 
 let create ~seed = { state = seed }

@@ -1,11 +1,11 @@
 (* dynlint's own test suite: a fixture corpus with one bad + one
    allow-annotated file per rule, exact rule-id assertions, the allow-file
-   and context gates, the typed (cmt) fixtures for D7/D9 and
-   D11/D12/D13, the D13 graph artifact (DOT, and JSON read back field by
-   field), SARIF output with relatedLocations, the byte-exact SARIF and
-   typed-findings goldens, stale-suppression reporting, rule-table sync
-   across --rules / SARIF / DESIGN.md, the executable's exit codes, and
-   clean-tree silence on the repo's lib/ under every pass. *)
+   and context gates, the typed (cmt) fixtures for D1/D7 and D11/D13, the
+   D13 graph artifact (DOT, and JSON read back field by field), SARIF
+   output with relatedLocations, the byte-exact SARIF and typed-findings
+   goldens, stale-suppression reporting, rule-table sync across --rules /
+   SARIF / DESIGN.md (retired ids included), the executable's exit codes,
+   and clean-tree silence on the repo's lib/ under every pass. *)
 
 let lib_ctx = { Lint.lib = true; test = false }
 
@@ -32,7 +32,6 @@ let read_file path =
   s
 
 let test_bad_fixtures () =
-  check_ids "d1_bad" [ "D1"; "D1"; "D1"; "D1" ] (ids "fixtures/d1_bad.ml");
   check_ids "d2_bad" [ "D2"; "D2"; "D2" ] (ids "fixtures/d2_bad.ml");
   check_ids "d3_bad" [ "D3"; "D3"; "D3" ] (ids "fixtures/d3_bad.ml");
   check_ids "d4_bad" [ "D4"; "D4"; "D4" ] (ids "fixtures/d4_bad.ml");
@@ -41,12 +40,11 @@ let test_bad_fixtures () =
 let test_allow_fixtures () =
   List.iter
     (fun p -> check_ids p [] (ids ("fixtures/" ^ p)))
-    [ "d1_allow.ml"; "d2_allow.ml"; "d3_allow.ml"; "d4_allow.ml"; "d6_allow.ml" ]
+    [ "d2_allow.ml"; "d3_allow.ml"; "d4_allow.ml"; "d6_allow.ml" ]
 
 let test_context_gates () =
   (* lib-only rules are silent outside lib/ ... *)
   let exe_ctx = { Lint.lib = false; test = false } in
-  check_ids "d1 outside lib" [] (ids ~ctx:exe_ctx "fixtures/d1_bad.ml");
   check_ids "d2 outside lib" [] (ids ~ctx:exe_ctx "fixtures/d2_bad.ml");
   check_ids "d3 outside lib" [] (ids ~ctx:exe_ctx "fixtures/d3_bad.ml");
   check_ids "d6 outside lib" [] (ids ~ctx:exe_ctx "fixtures/d6_bad.ml");
@@ -65,7 +63,7 @@ let test_ctx_of_path () =
   in
   check "lib/core/dist.ml" true false;
   check "test/main.ml" false true;
-  check "tools/dynlint/test/fixtures/d1_bad.ml" false true;
+  check "tools/dynlint/test/fixtures/d2_bad.ml" false true;
   check "bench/experiments.ml" false false
 
 let test_allow_file () =
@@ -79,14 +77,14 @@ let test_allow_file () =
     (ids ~allow "fixtures/d3_bad.ml")
 
 let test_report_format () =
-  match file_findings "fixtures/d1_bad.ml" with
+  match file_findings "fixtures/d2_bad.ml" with
   | f :: _ ->
       let line = Lint.finding_to_string f in
-      let prefix = "fixtures/d1_bad.ml:4:12 [D1 global-state]" in
+      let prefix = "fixtures/d2_bad.ml:3:16 [D2 ambient]" in
       let lp = String.length prefix in
       Alcotest.(check string) "report prefix" prefix
         (if String.length line >= lp then String.sub line 0 lp else line)
-  | [] -> Alcotest.fail "d1_bad.ml should have findings"
+  | [] -> Alcotest.fail "d2_bad.ml should have findings"
 
 (* ---------------------------------------------------------------- *)
 (* Typed (cmt) passes over the fixtures_typed mini-projects. Each fixture
@@ -97,7 +95,7 @@ let test_report_format () =
 let fixture_units dir = Cmt_load.load_dirs [ "fixtures_typed/" ^ dir ]
 let fixture_emitter () = Lint.make_emitter ~source_root:"../../.." ()
 
-(* D7, D9 and D11 *)
+(* D1, D7 and D11 *)
 let typed_run ?(emitter = fixture_emitter ()) units =
   Lint.register_units emitter units;
   Lint_typed.lint_units ~emitter units;
@@ -133,27 +131,33 @@ let test_d7_cross_module () =
       Alcotest.failf "d7_cross: expected exactly 1 finding, got %d"
         (List.length fs)
 
-let test_d9 () =
-  (match typed_findings "d9_bad" with
-  | [ use; binding; smuggle ] ->
-      check_ids "d9_bad ids" [ "D9"; "D9"; "D9" ]
-        [
-          Lint.rule_id use.Lint.rule;
-          Lint.rule_id binding.Lint.rule;
-          Lint.rule_id smuggle.Lint.rule;
-        ];
-      Alcotest.(check bool) "cross-module read flagged" true
-        (contains use.Lint.file "fixture.ml" && contains use.Lint.msg "Globals.ambient");
-      Alcotest.(check bool) "module-level binding flagged" true
-        (contains binding.Lint.file "globals.ml" && contains binding.Lint.msg "ambient");
-      Alcotest.(check bool) "record-field smuggling flagged" true
-        (contains smuggle.Lint.file "globals.ml"
-        && contains smuggle.Lint.msg "hidden"
-        && contains smuggle.Lint.msg "smuggles")
-  | fs ->
-      Alcotest.failf "d9_bad: expected exactly 3 findings, got %d"
-        (List.length fs));
-  check_ids "d9_allow" [] (typed_ids "d9_allow")
+let test_d1 () =
+  (* one finding per shape, in source order, naming the binding and what
+     it keeps; the module-level function, the [let () =] entry point and
+     the function reading [ambient] are not among them *)
+  let findings = typed_findings "d1_bad" in
+  check_ids "d1_bad" (List.init 11 (fun _ -> "D1"))
+    (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
+  List.iter2
+    (fun (name, kind) (f : Lint.finding) ->
+      Alcotest.(check bool) (name ^ " keeps " ^ kind) true
+        (contains f.msg
+           ("module-level '" ^ name ^ "' keeps mutable state (" ^ kind ^ ")")))
+    [
+      ("table", "Hashtbl.t");
+      ("total", "ref");
+      ("buf", "Buffer.t");
+      ("lazy_queue", "Queue.t");
+      ("made", "array");
+      ("literal", "array");
+      ("scratch", "bytes");
+      ("counter", "mutable record");
+      ("ambient", "Rng.t");
+      ("hidden", "Rng.t");
+      ("remember", "Hashtbl.t");
+    ]
+    findings;
+  check_ids "d1_allow" [] (typed_ids "d1_allow")
 
 let test_d11 () =
   let findings = typed_findings "d11_bad" in
@@ -215,13 +219,7 @@ let test_d11_allow () =
         (List.length fs)
 
 (* ---------------------------------------------------------------- *)
-(* D12 (pool discipline) and D13 (message flow). *)
-
-let pool_findings ?(emitter = fixture_emitter ()) dir =
-  let units = fixture_units dir in
-  Lint.register_units emitter units;
-  Lint_pool.lint_units ~emitter units;
-  Lint.emitter_findings emitter
+(* D13 (message flow). *)
 
 let flow_run ?(emitter = fixture_emitter ()) units =
   Lint.register_units emitter units;
@@ -229,49 +227,6 @@ let flow_run ?(emitter = fixture_emitter ()) units =
   (Lint.emitter_findings emitter, g)
 
 let flow_findings ?emitter dir = fst (flow_run ?emitter (fixture_units dir))
-
-let test_d12 () =
-  let findings = pool_findings "d12_bad" in
-  check_ids "d12_bad" [ "D12"; "D12"; "D12"; "D12"; "D12"; "D12" ]
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
-  let has sub = List.exists (fun f -> contains f.Lint.msg sub) findings in
-  (* one spot-check per violation class, in fixture order *)
-  Alcotest.(check bool) "branch leak" true (has "not released on every path");
-  Alcotest.(check bool) "exception-path leak" true
-    (has "leaks if this scope raises");
-  Alcotest.(check bool) "double release" true (has "already consumed");
-  Alcotest.(check bool) "container escape" true
-    (has "escapes into the heap-allocated constructor");
-  Alcotest.(check bool) "closure escape" true (has "closure that may outlive");
-  Alcotest.(check bool) "dropped acquire" true (has "is dropped");
-  (* all findings are in the fixture's user module, none in the pool stub *)
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "located in user.ml" true
-        (contains f.Lint.file "d12_bad/user.ml"))
-    findings;
-  check_ids "d12_good" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (pool_findings "d12_good"));
-  check_ids "d12_allow" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (pool_findings "d12_allow"))
-
-let test_d12_related () =
-  (* every D12 finding on a bound value carries a related location tying
-     the report back to the acquire site (or, for exception-path leaks
-     reported at the acquire, forward to the raise site); the drop finding
-     is self-contained — it IS the acquire site *)
-  List.iter
-    (fun (f : Lint.finding) ->
-      match f.related with
-      | [] when contains f.Lint.msg "is dropped" -> ()
-      | [] -> Alcotest.failf "finding at line %d has no related location" f.line
-      | r :: _ ->
-          Alcotest.(check bool) "related stays in the fixture" true
-            (contains r.Lint.r_file "d12_bad/");
-          Alcotest.(check bool) "related message is meaningful" true
-            (contains r.Lint.r_msg "acquired here"
-            || contains r.Lint.r_msg "still held"))
-    (pool_findings "d12_bad")
 
 let test_d13 () =
   let findings, g = flow_run (fixture_units "d13_bad") in
@@ -376,20 +331,20 @@ let test_d13_variant () =
     [ "Ping" ]
     (List.map (fun (e : Lint_flow.edge) -> e.e_ctor) g.Lint_flow.g_edges)
 
-let test_d12_d13_allow_not_stale () =
+let test_d1_d13_allow_not_stale () =
   (* the inline allows in the allow fixtures suppress something, so the
      D10 staleness pass must not report them *)
   let emitter = fixture_emitter () in
-  check_ids "d12_allow suppressed" []
+  check_ids "d1_allow suppressed" []
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
-       (pool_findings ~emitter "d12_allow"));
+       (typed_findings ~emitter "d1_allow"));
   check_ids "d13_allow suppressed" []
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
        (flow_findings ~emitter "d13_allow"));
   let scope =
-    function Lint.Pool_discipline | Lint.Message_flow -> true | _ -> false
+    function Lint.Global_state | Lint.Message_flow -> true | _ -> false
   in
   Alcotest.(check int) "used inline allows are not stale" 0
     (List.length (Lint.stale_findings ~in_scope:scope emitter))
@@ -527,7 +482,7 @@ let test_stale_allow () =
         (List.length fs));
   (* a typed-only run must not call parsetree-rule suppressions stale *)
   let typed_only =
-    function Lint.Parallel_race | Lint.Rng_taint -> true | _ -> false
+    function Lint.Parallel_race | Lint.Global_state -> true | _ -> false
   in
   Alcotest.(check int) "out-of-scope suppressions are not stale" 0
     (List.length (Lint.stale_findings ~in_scope:typed_only em))
@@ -552,11 +507,23 @@ let test_rules_table_sync () =
       Alcotest.(check bool) (id ^ " row in DESIGN.md") true
         (contains design ("| " ^ id ^ " | `" ^ name ^ "` |")))
     Lint.all_rules;
-  (* the new generation is owned by its own passes, and --rules says so *)
-  Alcotest.(check string) "D12 owned by the pool pass" "pool"
-    (Lint.rule_pass Lint.Pool_discipline);
+  (* the typed rules are owned by their own passes, and --rules says so *)
+  Alcotest.(check string) "D1 owned by the typedtree pass" "typedtree"
+    (Lint.rule_pass Lint.Global_state);
   Alcotest.(check string) "D13 owned by the flow pass" "flow"
-    (Lint.rule_pass Lint.Message_flow)
+    (Lint.rule_pass Lint.Message_flow);
+  (* retired ids stay retired: no row in either table, and DESIGN.md's
+     table says so *)
+  let rows = String.split_on_char '\n' table in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " not in --rules table") false
+        (List.exists (String.starts_with ~prefix:(id ^ " ")) rows);
+      Alcotest.(check bool) (id ^ " not in SARIF rule table") false
+        (contains sarif ("\"id\": \"" ^ id ^ "\""));
+      Alcotest.(check bool) (id ^ " retired in DESIGN.md") true
+        (contains design ("| " ^ id ^ " | retired (was `")))
+    [ "D5"; "D8"; "D9"; "D12" ]
 
 (* ---------------------------------------------------------------- *)
 (* The installed executable: --rules output, and the hard error on a
@@ -621,7 +588,7 @@ let test_exe_unwritable_artifact () =
       Alcotest.(check bool) (args ^ " names the file") true
         (contains stderr "cannot write /nonexistent/dir/"))
     [
-      "--sarif /nonexistent/dir/x.sarif fixtures/d1_allow.ml";
+      "--sarif /nonexistent/dir/x.sarif fixtures/d2_allow.ml";
       "--cmt fixtures_typed/d13_good --graph /nonexistent/dir/g.dot";
     ]
 
@@ -669,10 +636,9 @@ let test_exe_graph_artifact () =
 (* ---------------------------------------------------------------- *)
 (* SARIF output. *)
 
-(* One finding source per typed generation: D9 (no related locations),
-   D12 and D13 (both carry relatedLocations). *)
-let golden_findings () =
-  typed_findings "d9_bad" @ pool_findings "d12_bad" @ flow_findings "d13_bad"
+(* One finding source per typed generation: D1 (no related locations) and
+   D13 (relatedLocations). *)
+let golden_findings () = typed_findings "d1_bad" @ flow_findings "d13_bad"
 
 (* Regenerate with
      DYNLINT_REGEN_GOLDEN=1 dune build @tools/dynlint/runtest
@@ -711,7 +677,6 @@ let typed_findings_report () =
       Lint.register_units emitter units;
       Lint_typed.lint_units ~emitter units;
       Lint_alloc.lint_units ~emitter units;
-      Lint_pool.lint_units ~emitter units;
       ignore (Lint_flow.lint_units ~emitter units);
       let stale =
         Lint.stale_findings
@@ -836,17 +801,15 @@ let test_clean_tree_typed () =
   Alcotest.(check (list string)) "lib/ cmts are dynlint-clean" []
     (List.map Lint.finding_to_string findings)
 
-let test_clean_tree_pool_flow () =
-  (* the pool/flow sweep over the repo's own lib (the annotated Net/Dtree
-     pools, the Dist protocol) must be clean modulo the justified inline
-     allows, which the emitter resolves through source_root *)
+let test_clean_tree_flow () =
+  (* the flow sweep over the repo's own lib (the Dist protocol) must be
+     clean *)
   let allow = Lint.load_allow_file "../../../dynlint.allow" in
   let units = Cmt_load.load_dirs [ "../../../lib" ] in
   let emitter = Lint.make_emitter ~allow ~source_root:"../../.." () in
   Lint.register_units emitter units;
-  Lint_pool.lint_units ~emitter units;
   ignore (Lint_flow.lint_units ~emitter units);
-  Alcotest.(check (list string)) "lib/ is pool- and flow-clean" []
+  Alcotest.(check (list string)) "lib/ is flow-clean" []
     (List.map Lint.finding_to_string (Lint.emitter_findings emitter))
 
 let () =
@@ -864,7 +827,7 @@ let () =
           Alcotest.test_case "parallel-race fixtures (D7)" `Quick test_d7;
           Alcotest.test_case "cross-module capture (D7)" `Quick
             test_d7_cross_module;
-          Alcotest.test_case "rng taint (D9)" `Quick test_d9;
+          Alcotest.test_case "global state (D1)" `Quick test_d1;
           Alcotest.test_case "stale suppressions (D10)" `Quick
             test_stale_allow;
           Alcotest.test_case "zero-alloc (D11)" `Quick test_d11;
@@ -874,13 +837,11 @@ let () =
             test_d11_assume;
           Alcotest.test_case "inline allow + stale (D11)" `Quick
             test_d11_allow;
-          Alcotest.test_case "pool discipline (D12)" `Quick test_d12;
-          Alcotest.test_case "related locations (D12)" `Quick test_d12_related;
           Alcotest.test_case "message flow (D13)" `Quick test_d13;
           Alcotest.test_case "list-form universe (D13)" `Quick test_d13_list;
           Alcotest.test_case "variant universe (D13)" `Quick test_d13_variant;
-          Alcotest.test_case "inline allow + stale (D12/D13)" `Quick
-            test_d12_d13_allow_not_stale;
+          Alcotest.test_case "inline allow + stale (D1/D13)" `Quick
+            test_d1_d13_allow_not_stale;
           Alcotest.test_case "graph round-trip (D13)" `Quick
             test_d13_graph_roundtrip;
           Alcotest.test_case "graph over the real lib (D13)" `Quick
@@ -920,7 +881,7 @@ let () =
           Alcotest.test_case "clean tree is silent" `Quick test_clean_tree;
           Alcotest.test_case "clean tree is silent (typed)" `Quick
             test_clean_tree_typed;
-          Alcotest.test_case "clean tree is silent (pool/flow)" `Quick
-            test_clean_tree_pool_flow;
+          Alcotest.test_case "clean tree is silent (flow)" `Quick
+            test_clean_tree_flow;
         ] );
     ]
