@@ -147,8 +147,10 @@ let effective_jobs j = if j <= 0 then Pool.default_jobs () else j
 (* Build the sink for one task: a metrics registry always, plus a streaming
    JSONL channel when a trace was requested — [Sink.to_channel], so an
    arbitrarily long trace keeps O(1) heap instead of pinning every event
-   until the end of the run. [f sink] runs the task; the trace channel is
-   flushed and closed afterwards, and the trace line is reported to [ppf]. *)
+   until the end of the run. Events stay in memory only for a Perfetto
+   export with no trace file to re-read; a metrics-only sink keeps none.
+   [f sink] runs the task; the trace channel is flushed and closed
+   afterwards, and the trace line is reported to [ppf]. *)
 let with_sink ~metrics_out ~trace_out ?perfetto_out ppf f =
   match (metrics_out, trace_out, perfetto_out) with
   | None, None, None ->
@@ -159,9 +161,10 @@ let with_sink ~metrics_out ~trace_out ?perfetto_out ppf f =
   | _ ->
       let channel = Option.map (fun path -> (path, open_out path)) trace_out in
       let sink =
-        match channel with
-        | Some (_, oc) -> Telemetry.Sink.to_channel oc
-        | None -> Telemetry.Sink.create ()
+        match (channel, perfetto_out) with
+        | Some (_, oc), _ -> Telemetry.Sink.to_channel oc
+        | None, Some _ -> Telemetry.Sink.create ()
+        | None, None -> Telemetry.Sink.create ~on_event:ignore ()
       in
       Fun.protect
         ~finally:(fun () ->

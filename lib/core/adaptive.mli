@@ -34,10 +34,10 @@ val create :
 (** [variant] defaults to [By_changes].
 
     With a [telemetry] sink every request is recorded by {!Central.answer},
-    every epoch rotation records an [Epoch] event (and the
-    [ctrl_epochs_total] counter) in the trace of the request that closed
-    the epoch, and the inner iterated controllers are built instrumented,
-    so package life-cycle and reject-wave events flow to the same sink.
+    every epoch rotation records an [Epoch] event in the trace of the
+    request that closed the epoch, and the inner iterated controllers are
+    built instrumented, so package life-cycle and reject-wave events flow
+    to the same sink, which derives the metrics ({!Telemetry.Sink}).
     Event times are {!Central.clock}. *)
 
 val request : t -> Workload.op -> Types.outcome

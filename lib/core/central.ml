@@ -79,11 +79,7 @@ let notify t ev =
             (Telemetry.Event.Package_created
                { ctrl; level = pkg.Package.level; size = pkg.Package.size })
       | Split { parent = { Package.level; _ }; _ } ->
-          Telemetry.Sink.event s ~time:(clock s) (Telemetry.Event.Package_split { ctrl; level });
-          Telemetry.Metrics.inc
-            (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
-               ~labels:[ ("level", string_of_int level) ]
-               "pkg_splits_total")
+          Telemetry.Sink.event s ~time:(clock s) (Telemetry.Event.Package_split { ctrl; level })
       | Became_static { pkg; node; _ } ->
           Telemetry.Sink.event s ~time:(clock s)
             (Telemetry.Event.Package_static { ctrl; node; size = pkg.Package.size })
@@ -135,16 +131,6 @@ let wave_done t = t.wave
 let fold_stores t ~init ~f =
   fold_slots t ~init ~f:(fun acc v s -> if Store.is_empty s then acc else f acc v s)
 
-let record_wave sink ~time ~ctrl ~node =
-  Telemetry.Sink.event sink ~time (Telemetry.Event.Reject_wave { ctrl; node });
-  Telemetry.Metrics.inc
-    (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "ctrl_reject_waves_total")
-
-let record_epoch sink ~time ~ctrl ~epoch ~n =
-  Telemetry.Sink.event sink ~time (Telemetry.Event.Epoch { ctrl; epoch; n });
-  Telemetry.Metrics.inc
-    (Telemetry.Metrics.counter (Telemetry.Sink.metrics sink) "ctrl_epochs_total")
-
 (* Broadcast the reject wave: one reject package per live node, delivered by
    splitting along tree edges — one move per node (Lemma 3.3 charges at most
    U in total for rejects). *)
@@ -158,7 +144,9 @@ let reject_wave t =
     t.moves <- t.moves + Dtree.size t.tree;
     match t.telemetry with
     | None -> ()
-    | Some s -> record_wave s ~time:(clock s) ~ctrl:"central" ~node:(Dtree.root t.tree)
+    | Some s ->
+        Telemetry.Sink.event s ~time:(clock s)
+          (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root t.tree })
   end
 
 (* Apply a granted topological change. For removals, the deleted node's
@@ -300,9 +288,9 @@ let serve t op =
 (* The outermost layer of the centralized stack answers the caller, so it
    alone records the request: it roots a causal trace, whose id sets the
    [clock] every layer below stamps its events with, and records the permit
-   span and the request and move counters. A layer below finds the trace
-   ambient and serves. (The distributed controllers never reach here, their
-   chains root at [Net.schedule].) *)
+   span with the answer's moves. A layer below finds the trace ambient and
+   serves. (The distributed controllers never reach here, their chains root
+   at [Net.schedule].) *)
 let answer sink tree op ~moves serve =
   if Telemetry.Sink.current_span sink >= 0 then serve ()
   else begin
@@ -310,17 +298,18 @@ let answer sink tree op ~moves serve =
     Telemetry.Sink.set_ambient sink ~trace:id ~span:id;
     let aid = clock sink and node = Workload.request_site tree op and before = moves () in
     let outcome = serve () in
-    let outcome_s = Types.outcome_name outcome in
     Telemetry.Sink.event sink ~time:aid
       (Telemetry.Event.Permit_span
-         { ctrl = "central"; node; aid; outcome = outcome_s; submitted = aid; latency = 0 });
+         {
+           ctrl = "central";
+           node;
+           aid;
+           outcome = Types.outcome_name outcome;
+           submitted = aid;
+           latency = 0;
+           moves = moves () - before;
+         });
     Telemetry.Sink.clear_ambient sink;
-    let m = Telemetry.Sink.metrics sink in
-    Telemetry.Metrics.inc
-      (Telemetry.Metrics.counter m
-         ~labels:[ ("ctrl", "central"); ("outcome", outcome_s) ]
-         "ctrl_requests_total");
-    Telemetry.Metrics.add (Telemetry.Metrics.counter m "ctrl_moves_total") (moves () - before);
     outcome
   end
 

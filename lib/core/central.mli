@@ -84,9 +84,10 @@ val create :
     With a [telemetry] sink every request is recorded by {!answer} (the
     centralized controller is synchronous, so its permit spans have zero
     latency), and each package event also records its [Package_created] /
-    [Package_split] (with the [pkg_splits_total{level}] counter) /
-    [Package_static] / [Package_join] event, all timed by {!clock}, as does
-    the [Reject_wave]. Without a sink no telemetry code runs. *)
+    [Package_split] / [Package_static] / [Package_join] event, all timed by
+    {!clock}, as does the [Reject_wave]. The sink derives the metrics from
+    these events ({!Telemetry.Sink}). Without a sink no telemetry code
+    runs. *)
 
 val request : t -> Workload.op -> Types.outcome
 (** Serve one request arriving at [Workload.request_site]. In [Report] mode
@@ -115,8 +116,7 @@ val fold_stores : t -> init:'a -> f:('a -> Dtree.node -> Store.t -> 'a) -> 'a
 
     {!Central}, {!Iterated} and {!Adaptive} share {!answer} and {!clock},
     so that a request is recorded once, by the layer that answers the
-    caller. Both stacks, distributed included, record reject waves and
-    epoch rotations through {!record_wave} and {!record_epoch}. *)
+    caller. *)
 
 val answer :
   Telemetry.Sink.t ->
@@ -129,18 +129,9 @@ val answer :
     causal trace is ambient, the caller is the outermost layer: the request
     roots a fresh trace and records a zero-latency [Permit_span] (the
     [aid], [submitted] and [time] of which are the request's {!clock}) with
-    the answer's outcome, bumps [ctrl_requests_total{ctrl,outcome}], and
-    adds the growth of [moves ()] to [ctrl_moves_total]. Inside a trace it
-    only serves. *)
+    the answer's outcome and, as its [moves], the growth of [moves ()].
+    Inside a trace it only serves. *)
 
 val clock : Telemetry.Sink.t -> int
 (** The time of the request being answered: its root trace id plus one.
     For a fresh sink that no network shares, the running request count. *)
-
-val record_wave : Telemetry.Sink.t -> time:int -> ctrl:string -> node:Dtree.node -> unit
-(** Record the start of a reject wave from [node]: a [Reject_wave] event
-    and the [ctrl_reject_waves_total] counter. *)
-
-val record_epoch : Telemetry.Sink.t -> time:int -> ctrl:string -> epoch:int -> n:int -> unit
-(** Record an epoch rotation: an [Epoch] event and the [ctrl_epochs_total]
-    counter. *)

@@ -229,7 +229,9 @@ let start_wave t r =
           t.config.name r t.granted t.params.Params.m);
     (match Net.sink t.net with
     | None -> ()
-    | Some s -> Central.record_wave s ~time:(Net.now t.net) ~ctrl:t.config.name ~node:r);
+    | Some s ->
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Reject_wave { ctrl = t.config.name; node = r }));
     Store.set_rejecting (wb t r).store;
     touch_mem t r;
     flood_reject t r
@@ -332,18 +334,17 @@ let record_answer net ~ctrl ~node ~aid ~submitted outcome =
   | None -> ()
   | Some s ->
       let now = Net.now net in
-      let outcome_s = Types.outcome_name outcome in
       Telemetry.Sink.event s ~time:now
         (Telemetry.Event.Permit_span
-           { ctrl; node; aid; outcome = outcome_s; submitted; latency = now - submitted });
-      let m = Telemetry.Sink.metrics s in
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter m
-           ~labels:[ ("ctrl", ctrl); ("outcome", outcome_s) ]
-           "ctrl_requests_total");
-      Telemetry.Metrics.observe
-        (Telemetry.Metrics.histogram m ~labels:[ ("ctrl", ctrl) ] "permit_latency_time")
-        (now - submitted)
+           {
+             ctrl;
+             node;
+             aid;
+             outcome = Types.outcome_name outcome;
+             submitted;
+             latency = now - submitted;
+             moves = -1;
+           })
 
 let finish t a outcome =
   t.outstanding <- t.outstanding - 1;
@@ -553,11 +554,7 @@ let init_agent_ks t a =
         | None -> ()
         | Some s ->
             Telemetry.Sink.event s ~time:(Net.now t.net)
-              (Telemetry.Event.Package_split { ctrl = t.config.name; level = a.bag });
-            Telemetry.Metrics.inc
-              (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
-                 ~labels:[ ("level", string_of_int a.bag) ]
-                 "pkg_splits_total"));
+              (Telemetry.Event.Package_split { ctrl = t.config.name; level = a.bag }));
         a.bag <- a.bag - 1;
         touch_mem t x
       end;

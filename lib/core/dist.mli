@@ -54,9 +54,10 @@ val default_config : config
 val create : ?config:config -> params:Params.t -> net:Net.t -> unit -> t
 (** The tree is [Net.tree net]. Telemetry rides the network's sink
     ([Net.sink]): each answer is recorded by {!record_answer}, and the
-    package life cycle records [Package_created] / [Package_split] (plus
-    [pkg_splits_total{level}]) / [Package_static] / [Package_join] /
-    [Reject_wave] events tagged with the controller's [config.name]. *)
+    package life cycle records [Package_created] / [Package_split] /
+    [Package_static] / [Package_join] / [Reject_wave] events tagged with
+    the controller's [config.name]; the sink derives the metrics from them
+    ({!Telemetry.Sink}). *)
 
 val restart : t -> params:Params.t -> t
 (** [restart t ~params] behaves exactly as
@@ -131,9 +132,8 @@ val record_answer :
   Types.outcome ->
   unit
 (** Record one answer on the network's sink, if any: a [Permit_span] event
-    from [submitted] to now, one [ctrl_requests_total{ctrl,outcome}]
-    increment and one [permit_latency_time{ctrl}] sample. The layer that
-    answers the caller records its answers through this. *)
+    from [submitted] to now, with [moves = -1] (its cost is messages). The
+    layer that answers the caller records its answers through this. *)
 
 val wb_bits : t -> Dtree.node -> int
 (** Current whiteboard size in bits under the paper's encoding

@@ -87,7 +87,8 @@ let charge_wave t =
     match Net.sink t.net with
     | None -> ()
     | Some s ->
-        Central.record_wave s ~time:(Net.now t.net) ~ctrl:name ~node:(Dtree.root (tree t))
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Reject_wave { ctrl = name; node = Dtree.root (tree t) })
   end
 
 (* This layer answers the caller, so it records the answer. *)
@@ -176,7 +177,9 @@ and rotate t =
         (Dist.leftover t.main) t.main_exhausted);
   (match Net.sink t.net with
   | None -> ()
-  | Some s -> Central.record_epoch s ~time:(Net.now t.net) ~ctrl:name ~epoch:(t.epochs + 1) ~n);
+  | Some s ->
+      Telemetry.Sink.event s ~time:(Net.now t.net)
+        (Telemetry.Event.Epoch { ctrl = name; epoch = t.epochs + 1; n }));
   (* broadcast + upcast to count nodes and unused permits, plus the
      whiteboard-reset broadcast (Appendix A) *)
   t.overhead <- t.overhead + (5 * n);

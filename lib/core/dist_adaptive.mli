@@ -21,9 +21,10 @@
 
     Telemetry rides the network's sink. This layer answers the caller, so
     it records each answer through {!Dist.record_answer} under
-    ["dist-adaptive"], and its reject wave and epoch rotations through
-    {!Central.record_wave} and {!Central.record_epoch}; the main and
-    counter controllers record their own answers under their names. *)
+    ["dist-adaptive"], and its reject wave and epoch rotations as
+    [Reject_wave] and [Epoch] events; the main and counter controllers
+    record their own answers under their names. The sink derives the
+    metrics from these events ({!Telemetry.Sink}). *)
 
 type t
 

@@ -73,5 +73,4 @@ val run_on :
 (** {!drive} a fresh workload ([seed + 7]) through a controller's [submit]
     over an existing network, run the network dry, and return
     [(granted, rejected, unanswered)].
-    @raise Failure with {!Net.pool_check}'s message when the drained
-    network has lost a message cell, or parks one unscrubbed. *)
+    @raise Failure as {!Net.run} does. *)

@@ -92,8 +92,8 @@ module Make (B : BASE) = struct
       match t.telemetry with
       | None -> ()
       | Some s ->
-          Central.record_wave s ~time:(Central.clock s) ~ctrl:"central"
-            ~node:(Dtree.root t.tree)
+          Telemetry.Sink.event s ~time:(Central.clock s)
+            (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root t.tree })
     end
 
   let rec serve t op =

@@ -74,6 +74,7 @@ module Make (B : BASE) : sig
   (** [base ~m ~w] builds the report-mode [(m, w)] base of each stage.
       With a [telemetry] sink the controller answers through
       {!Central.answer}, so a request it serves without a base (the
-      [W = 0] endgame, a rejection) is recorded too, and the start of the
-      reject wave is recorded by {!Central.record_wave}. *)
+      [W = 0] endgame, a rejection) is recorded too, and so is the start
+      of the reject wave, as a [Reject_wave] event; the sink derives the
+      metrics ({!Telemetry.Sink}). *)
 end

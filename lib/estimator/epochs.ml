@@ -149,8 +149,8 @@ module Dist = struct
     (match Net.sink t.net with
     | None -> ()
     | Some s ->
-        Controller.Central.record_epoch s ~time:(Net.now t.net) ~ctrl:t.name ~epoch:t.epochs
-          ~n:(Dtree.size (tree t)));
+        Telemetry.Sink.event s ~time:(Net.now t.net)
+          (Telemetry.Event.Epoch { ctrl = t.name; epoch = t.epochs; n = Dtree.size (tree t) }));
     start t;
     t.rotating <- false;
     let parked = Queue.create () in

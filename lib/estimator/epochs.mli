@@ -54,8 +54,8 @@ end
     waiting to apply counts), rotates, and re-routes the parked requests.
     A rotation builds the next controller with {!Controller.Dist.restart},
     so the whiteboards the retired one minted are wiped and minted again.
-    Each rotation is recorded by {!Controller.Central.record_epoch} on the
-    network's sink. *)
+    Each rotation is recorded as an [Epoch] event on the network's
+    sink. *)
 module Dist : sig
   type t
 

@@ -72,12 +72,6 @@ let create ?(seed = 0x5EED) ?(max_delay = 8) ?scheduler ?sink ~tree () =
   (match sink with
   | None -> ()
   | Some s ->
-      let m = Telemetry.Sink.metrics s in
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge m
-           ~labels:[ ("discipline", Scheduler.name discipline) ]
-           "net_scheduler_info")
-        1;
       Telemetry.Sink.event s ~time:0
         (Telemetry.Event.Sched { discipline = Scheduler.name discipline }));
   {
@@ -178,7 +172,7 @@ let release t c =
   t.pool_n <- t.pool_n + 1
   [@@dynlint.zero_alloc]
 
-(* Pool conservation check, for tests and debug assertions: every cell
+(* Pool conservation check, run by [run] once it drains: every cell
    this net ever minted is accounted for — in flight in the event queue or
    parked in the pool — and parked cells retain nothing from the message
    they carried. Safe to call from inside a delivery continuation or a
@@ -216,22 +210,15 @@ let pool_check t =
 (* Cold traced-send path: mint the message's span — a fresh id, parented
    on the ambient span (the delivery continuation or scheduled action
    issuing this send) and inheriting its trace, or rooting a fresh trace
-   when sent from outside any causal context — then emit the send metrics
-   and event against it. Only runs under a sink; sink-less sends store the
-   shared [no_ctx] constant, allocate nothing and consume no ids. *)
+   when sent from outside any causal context — then emit the send event
+   against it. Only runs under a sink; sink-less sends store the shared
+   [no_ctx] constant, allocate nothing and consume no ids. *)
 let trace_send t s ~src ~exact ~node ~tag ~bits =
   let span = Telemetry.Sink.fresh_id s in
   let parent = Telemetry.Sink.current_span s in
   let trace = if parent < 0 then span else Telemetry.Sink.current_trace s in
   let ctx = { Telemetry.Event.trace; span; parent } in
   let tag_s = Tag.to_string t.tags tag in
-  let m = Telemetry.Sink.metrics s in
-  Telemetry.Metrics.inc (Telemetry.Metrics.counter m "net_messages_total");
-  Telemetry.Metrics.add (Telemetry.Metrics.counter m "net_bits_total") bits;
-  Telemetry.Metrics.inc
-    (Telemetry.Metrics.counter m ~labels:[ ("tag", tag_s) ]
-       "net_tag_messages_total");
-  Telemetry.Metrics.observe (Telemetry.Metrics.histogram m "net_message_bits") bits;
   let eaddr =
     if exact then Telemetry.Event.Exact node else Telemetry.Event.Parent_of node
   in
@@ -341,12 +328,6 @@ let trace_deliver t s ~ctx ~src ~target ~tag_i ~sseq ~forwarded ~reordered k =
          forwarded;
          reordered;
        });
-  let m = Telemetry.Sink.metrics s in
-  if forwarded then
-    Telemetry.Metrics.inc
-      (Telemetry.Metrics.counter m "net_forwarded_deliveries_total");
-  if reordered then
-    Telemetry.Metrics.inc (Telemetry.Metrics.counter m "net_reorders_total");
   let saved_trace = Telemetry.Sink.current_trace s in
   let saved_span = Telemetry.Sink.current_span s in
   Telemetry.Sink.set_ambient s ~trace:ctx.Telemetry.Event.trace
@@ -401,7 +382,9 @@ let step t =
   end
   [@@dynlint.zero_alloc]
 
-let run t = while step t do () done [@@dynlint.zero_alloc]
+let run t =
+  while step t do () done;
+  match pool_check t with Ok () -> () | Error m -> failwith m
 let now t = t.clock
 let messages t = t.message_count
 let reorders t = t.reorder_count

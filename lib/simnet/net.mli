@@ -78,16 +78,12 @@ val create :
 (** [max_delay] defaults to 8; [scheduler] defaults to
     {!Scheduler.default}[ ()] (i.e. [Fifo_link], or the [SIMNET_SCHEDULER]
     environment override). When a telemetry [sink] is given, the discipline
-    is recorded at creation (a [Sched] event plus the
-    [net_scheduler_info{discipline}] gauge), every send as a [Send] event
-    plus the [net_messages_total], [net_bits_total],
-    [net_tag_messages_total{tag}] counters and the [net_message_bits]
-    histogram, and every delivery as a [Deliver] event (with
-    [forwarded = true] when the deletion-forwarding chain redirected it,
-    also counted by [net_forwarded_deliveries_total], and
-    [reordered = true] when it overtook an earlier send on its link, counted
-    by [net_reorders_total]). Without a sink the telemetry paths cost one
-    branch and allocate nothing. *)
+    is recorded at creation as a [Sched] event, every send as a [Send]
+    event, and every delivery as a [Deliver] event (with [forwarded = true]
+    when the deletion-forwarding chain redirected it, and
+    [reordered = true] when it overtook an earlier send on its link); the
+    sink derives the [net_*] metrics from them ({!Telemetry.Sink}). Without
+    a sink the telemetry paths cost one branch and allocate nothing. *)
 
 val tree : t -> Dtree.t
 
@@ -122,7 +118,9 @@ val schedule : t -> ?delay:int -> (unit -> unit) -> unit
 (** A local (uncounted) action after [delay] (default 1) time units. *)
 
 val run : t -> unit
-(** Drain all events. *)
+(** Drain all events, then check cell conservation ({!pool_check}).
+    @raise Failure with {!pool_check}'s message on a lost or unscrubbed
+    cell. *)
 
 val step : t -> bool
 (** Execute one event; false if none remain. *)

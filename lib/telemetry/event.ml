@@ -26,6 +26,7 @@ type kind =
       outcome : string;
       submitted : int;
       latency : int;
+      moves : int;
     }
   | Package_created of { ctrl : string; level : int; size : int }
   | Package_split of { ctrl : string; level : int }
@@ -63,10 +64,11 @@ let to_json { time; ctx; kind } =
         [ ("ev", String "deliver"); ("src", Int src); ("dst", Int dst);
           ("tag", String tag); ("seq", Int seq); ("forwarded", Bool forwarded);
           ("reordered", Bool reordered) ]
-    | Permit_span { ctrl; node; aid; outcome; submitted; latency } ->
+    | Permit_span { ctrl; node; aid; outcome; submitted; latency; moves } ->
         [ ("ev", String "permit_span"); ("ctrl", String ctrl); ("node", Int node);
           ("aid", Int aid); ("outcome", String outcome); ("submitted", Int submitted);
           ("latency", Int latency) ]
+        @ (if moves >= 0 then [ ("moves", Int moves) ] else [])
     | Package_created { ctrl; level; size } ->
         [ ("ev", String "pkg_created"); ("ctrl", String ctrl); ("level", Int level);
           ("size", Int size) ]
@@ -144,6 +146,7 @@ let of_json j =
             outcome = str "outcome";
             submitted = int "submitted";
             latency = int "latency";
+            moves = opt_int "moves";
           }
     | "pkg_created" ->
         Package_created { ctrl = str "ctrl"; level = int "level"; size = int "size" }

@@ -53,6 +53,9 @@ type kind =
       outcome : string;  (** "granted" | "rejected" | "exhausted" *)
       submitted : int;  (** simulated submission time *)
       latency : int;  (** grant/reject time minus [submitted] *)
+      moves : int;
+          (** the moves a centralized answer cost; -1 for a distributed
+              answer, whose cost is its messages *)
     }
   | Package_created of { ctrl : string; level : int; size : int }
   | Package_split of { ctrl : string; level : int }
@@ -81,11 +84,11 @@ type t = { time : int; ctx : ctx; kind : kind }
 val to_json : t -> Json.t
 (** Causality fields ([trace]/[span]/[parent]) are emitted only when present
     (>= 0), so context-free events serialize exactly as before the causality
-    layer existed. *)
+    layer existed; likewise a [Permit_span]'s [moves] only when >= 0. *)
 
 val of_json : Json.t -> t
 (** @raise Failure on a JSON value that no [kind] produces. Absent causality
-    fields parse as [-1] (i.e. {!no_ctx}). *)
+    fields, and an absent [moves], parse as [-1] (i.e. {!no_ctx}). *)
 
 val to_line : t -> string
 (** The event as one line of JSON (no trailing newline). *)

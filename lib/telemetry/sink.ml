@@ -57,8 +57,38 @@ let clear_ambient t =
   t.amb_trace <- -1;
   t.amb_span <- -1
 
+let inc m ?labels name = Metrics.inc (Metrics.counter m ?labels name)
+
+(* The one place a metric is updated: each event feeds the instruments of
+   its kind (DESIGN.md, "Metrics"), so a registry is a view of the events
+   recorded into it, and replaying a trace through [record] rebuilds it. *)
+let fold_metrics m (e : Event.t) =
+  match e.kind with
+  | Sched { discipline } ->
+      Metrics.set (Metrics.gauge m ~labels:[ ("discipline", discipline) ] "net_scheduler_info") 1
+  | Send { tag; bits; _ } ->
+      inc m "net_messages_total";
+      Metrics.add (Metrics.counter m "net_bits_total") bits;
+      inc m ~labels:[ ("tag", tag) ] "net_tag_messages_total";
+      Metrics.observe (Metrics.histogram m "net_message_bits") bits
+  | Deliver { forwarded; reordered; _ } ->
+      if forwarded then inc m "net_forwarded_deliveries_total";
+      if reordered then inc m "net_reorders_total"
+  | Permit_span { ctrl; outcome; latency; moves; _ } ->
+      inc m ~labels:[ ("ctrl", ctrl); ("outcome", outcome) ] "ctrl_requests_total";
+      if moves >= 0 then Metrics.add (Metrics.counter m "ctrl_moves_total") moves
+      else
+        Metrics.observe
+          (Metrics.histogram m ~labels:[ ("ctrl", ctrl) ] "permit_latency_time") latency
+  | Package_split { level; _ } ->
+      inc m ~labels:[ ("level", string_of_int level) ] "pkg_splits_total"
+  | Reject_wave _ -> inc m "ctrl_reject_waves_total"
+  | Epoch _ -> inc m "ctrl_epochs_total"
+  | Package_created _ | Package_static _ | Package_join _ | Estimate _ | Phase _ -> ()
+
 let record t e =
   t.count <- t.count + 1;
+  fold_metrics t.metrics e;
   match t.mode with
   | Memory m -> m.rev_events <- e :: m.rev_events
   | Callback f -> f e

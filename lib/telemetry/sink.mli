@@ -3,7 +3,8 @@
     A sink is what the instrumented layers ([Net], the controllers, the
     estimators) accept: when absent they skip all telemetry work (the no-sink
     path stays allocation-free); when present every instrumented behaviour
-    increments metrics and appends one typed event.
+    records one typed event, and the sink folds each event into its metrics
+    registry (DESIGN.md, "Metrics"): the metrics are a view of the trace.
 
     Three trace modes:
     - {e in-memory} (the {!create} default): events accumulate in a reversed
@@ -50,9 +51,10 @@ val event : ?ctx:Event.ctx -> t -> time:int -> Event.kind -> unit
     span rather than the ambient one. *)
 
 val record : t -> Event.t -> unit
-(** Append an already-built event verbatim (no ambient stamping). For
-    merging per-task sink traces back into a parent sink; pair with
-    {!reserve_ids} so the merged ids stay disjoint. *)
+(** Record an already-built event verbatim (no ambient stamping) and fold
+    it into the registry, as {!event} does: replaying a trace into a fresh
+    sink rebuilds its run's metrics. To merge per-task traces into a parent
+    sink, pair with {!reserve_ids} so the merged ids stay disjoint. *)
 
 (** {2 Causality: span ids and the ambient context}
 

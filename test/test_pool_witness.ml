@@ -3,9 +3,9 @@
    or parked scrubbed in the pool — between steps, inside a delivery
    continuation, inside a scheduled action, and even after one of those
    raises. The guarantee rests on deliver/step releasing the cell *before*
-   invoking its closure. [Dist_harness.run_on] checks the same law once a
-   harness run has drained; these cases check it mid-run, and across an
-   exception, where no harness looks. *)
+   invoking its closure. [Net.run] checks the same law whenever it
+   drains; these cases check it mid-run, and across an exception, where
+   no drain looks. *)
 
 exception Kaboom
 

@@ -10,11 +10,6 @@ let seeds = [ 201; 202; 203; 204; 205; 206 ]
 
 let check violations cond msg = if not cond then violations := msg :: !violations
 
-(* Cell conservation after a run this file drives itself;
-   [Dist_harness.run_on] checks its own. *)
-let check_pool violations net =
-  Result.iter_error (fun m -> violations := m :: !violations) (Net.pool_check net)
-
 (* --- fixed-U distributed controller (Dist) ----------------------------- *)
 
 let dist_scenario ~budget ~discipline ~seed =
@@ -80,7 +75,6 @@ let size_scenario ~discipline ~seed =
     (Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn ());
   Net.run net;
   let v = ref [] in
-  check_pool v net;
   check v
     (Estimator.Size_estimation.changes se = changes)
     (Printf.sprintf "only %d/%d changes served"
@@ -112,7 +106,6 @@ let names_scenario ~discipline ~seed =
     ~submit:(Estimator.Name_assignment.submit na) ~on_answer:observe
     (Workload.make ~seed:(seed + 2) ~mix:Workload.Mix.churn ());
   Net.run net;
-  check_pool v net;
   check v
     (Estimator.Name_assignment.max_id_ever_ratio na <= 4.0)
     (Printf.sprintf "max id ratio ever %.2f > 4"

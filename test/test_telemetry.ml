@@ -1,6 +1,7 @@
 (* The telemetry library: histogram bucketing, snapshot determinism, JSONL
-   round-trips and the end-to-end agreement between the metrics registry and
-   the network's legacy counters. *)
+   round-trips, the end-to-end agreement between the metrics registry and
+   the network's legacy counters, and metrics as a view of the trace: a
+   run's events, replayed through a fresh sink, rebuild its registry. *)
 
 module M = Telemetry.Metrics
 module E = Telemetry.Event
@@ -115,6 +116,19 @@ let sample_events =
            outcome = "granted";
            submitted = 2;
            latency = 7;
+           moves = -1;
+         });
+    (* a centralized answer carries its moves *)
+    ev 8
+      (E.Permit_span
+         {
+           ctrl = "central";
+           node = 3;
+           aid = 8;
+           outcome = "rejected";
+           submitted = 8;
+           latency = 0;
+           moves = 41;
          });
     ev 9 (E.Package_created { ctrl = "main"; level = 3; size = 8 });
     ev 10 (E.Package_split { ctrl = "main"; level = 3 });
@@ -143,7 +157,15 @@ let test_event_roundtrip () =
       let e' = E.of_line (E.to_line e) in
       if e' <> e then
         Alcotest.failf "round-trip changed %s into %s" (E.to_line e) (E.to_line e'))
-    sample_events
+    sample_events;
+  (* a span written without [moves] is a distributed answer *)
+  match
+    (E.of_line
+       {|{"time":9,"ev":"permit_span","ctrl":"main","node":5,"aid":12,"outcome":"granted","submitted":2,"latency":7}|})
+      .E.kind
+  with
+  | E.Permit_span { moves; _ } -> Alcotest.(check int) "absent moves" (-1) moves
+  | _ -> Alcotest.fail "not a permit span"
 
 let test_jsonl_file_roundtrip () =
   let sink = Telemetry.Sink.create () in
@@ -256,6 +278,16 @@ let test_streaming_sink_retains_nothing () =
 (* ------------------------------------------------------------------ *)
 (* end to end: a distributed run under a sink                          *)
 
+(* The run's events, recorded into a fresh sink, give the run's metrics. *)
+let check_replay label sink =
+  let replay = Telemetry.Sink.create ~on_event:ignore () in
+  List.iter (Telemetry.Sink.record replay) (Telemetry.Sink.events sink);
+  let snap s = M.snapshot (Telemetry.Sink.metrics s) in
+  if snap replay <> snap sink then
+    Alcotest.failf "%s: the replayed trace gives\n%s\nbut the run recorded\n%s" label
+      (Telemetry.Export.prometheus (Telemetry.Sink.metrics replay))
+      (Telemetry.Export.prometheus (Telemetry.Sink.metrics sink))
+
 let find_counter snapshot name =
   List.fold_left
     (fun acc e ->
@@ -311,7 +343,8 @@ let test_dist_run_matches_net_counters () =
   in
   Alcotest.(check int) "one span per answer"
     (Controller.Dist.granted d + Controller.Dist.rejected d)
-    spans
+    spans;
+  check_replay "dist run" sink
 
 let test_forwarded_delivery_recorded () =
   (* a message to a node deleted in flight is recorded as forwarded *)
@@ -359,7 +392,8 @@ let test_epoch_events_per_rotation () =
     Alcotest.(check bool) (name ^ ": rotated") true (epochs () > 0);
     Alcotest.(check int) (name ^ ": one Epoch event per rotation") (epochs ()) events;
     Alcotest.(check int) (name ^ ": ctrl_epochs_total") (epochs ())
-      (find_counter (M.snapshot (Telemetry.Sink.metrics sink)) "ctrl_epochs_total")
+      (find_counter (M.snapshot (Telemetry.Sink.metrics sink)) "ctrl_epochs_total");
+    check_replay name sink
   in
   let module Se = Estimator.Size_estimation in
   let module Na = Estimator.Name_assignment in
@@ -420,7 +454,8 @@ let test_centralized_stack_records_each_answer () =
       (find_counter snap "ctrl_reject_waves_total");
     Alcotest.(check int) (label "one Reject_wave event") 1
       (List.length
-         (List.filter (fun e -> match e.E.kind with E.Reject_wave _ -> true | _ -> false) events))
+         (List.filter (fun e -> match e.E.kind with E.Reject_wave _ -> true | _ -> false) events));
+    check_replay (label "metrics") sink
   in
   List.iter
     (fun w ->
@@ -496,7 +531,8 @@ let test_distributed_stack_records_each_answer () =
         let n = counter snap ~ctrl:inner "ctrl_requests_total" in
         Alcotest.(check bool) (label (inner ^ " answers recorded")) true (n > 0);
         Alcotest.(check int) (label (inner ^ " spans")) n (List.length (spans inner)))
-      [ "main"; "counter" ]
+      [ "main"; "counter" ];
+    check_replay (label "metrics") sink
   in
   List.iter
     (fun w ->

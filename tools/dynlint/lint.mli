@@ -51,7 +51,8 @@
     makes a missing interface a build error. D8 (tag literals): D13
     covers every tag D8 did. D9 (module-level [Rng.t]): D1 finds an
     [Rng.t] like any other mutable container. D12 (pool discipline):
-    [Net.pool_check] checks cell conservation after every harness run.
+    [Net.run] checks cell conservation ([Net.pool_check]) whenever it
+    drains.
 
     {2 Allowlisting}
 

@@ -8,6 +8,8 @@
                                           any violation (the CI smoke)
      tracecat export t.jsonl -o t.trace.json
                                           Chrome/Perfetto trace_event JSON
+     tracecat metrics t.jsonl             the run's metrics, folded from its
+                                          events (Prometheus text)
 
    The analysis itself lives in Telemetry.Causal (shared with the causality
    tests); this binary is parsing, arithmetic and printing. *)
@@ -19,7 +21,8 @@ let usage () =
   prerr_endline
     "usage: tracecat analyze FILE [--diff FILE2]\n\
     \       tracecat check FILE\n\
-    \       tracecat export FILE [-o OUT.trace.json]";
+    \       tracecat export FILE [-o OUT.trace.json]\n\
+    \       tracecat metrics FILE";
   exit 2
 
 let load file =
@@ -197,6 +200,13 @@ let export file out =
       Printf.eprintf "tracecat: %s\n" e;
       exit 2
 
+(* A sink derives its metrics from the events it records, so replaying a
+   trace rebuilds the run's registry. *)
+let metrics file =
+  let sink = Telemetry.Sink.create ~on_event:ignore () in
+  List.iter (Telemetry.Sink.record sink) (load file);
+  print_string (Telemetry.Export.prometheus (Telemetry.Sink.metrics sink))
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "analyze" :: file :: rest -> (
@@ -205,6 +215,7 @@ let () =
       | [ "--diff"; f2 ] -> analyze file (Some f2)
       | _ -> usage ())
   | [ _; "check"; file ] -> run_check file
+  | [ _; "metrics"; file ] -> metrics file
   | _ :: "export" :: file :: rest -> (
       match rest with
       | [] -> export file (Filename.remove_extension file ^ ".trace.json")
