@@ -316,56 +316,51 @@ let () =
         | d -> d
         | exception Invalid_argument e -> usage_error "SIMNET_SCHEDULER: %s" e)
   in
-  (* each output must be creatable before any experiment runs *)
-  List.iter
-    (Option.iter (fun path ->
-         match open_out path with
-         | oc -> close_out oc
-         | exception Sys_error msg -> usage_error "%s" msg))
-    [ !json_file; !trace_file ];
-  let json_file = !json_file and trace_file = !trace_file in
+  (* each output must be creatable before any experiment runs; the trace
+     file stays open for the experiments to stream into *)
+  let create path =
+    match open_out path with oc -> oc | exception Sys_error msg -> usage_error "%s" msg
+  in
+  Option.iter (fun path -> close_out (create path)) !json_file;
+  let trace = Option.map (fun path -> (path, create path)) !trace_file in
+  let json_file = !json_file in
   let baseline = Option.map (fun p -> (p, read_baseline p)) !baseline in
   let results = ref [] in
-  let trace_events = ref [] in
-  let trace_sink () =
-    (* one memory sink per experiment; each sink mints span ids from a
-       disjoint block so the concatenated trace stays collision-free *)
-    match trace_file with
-    | None -> None
-    | Some _ ->
-        Some (Telemetry.Sink.create ~next_id:(List.length !results * (1 lsl 48)) ())
-  in
+  let trace_count = ref 0 in
   List.iter
     (fun (name, experiment) ->
       match experiment with
       | None -> run_micro ()
       | Some f ->
-          let sink = trace_sink () in
+          (* one streaming sink per experiment, minting span ids from a
+             disjoint block so the concatenated trace stays collision-free *)
+          let sink =
+            Option.map
+              (fun (_, oc) ->
+                Telemetry.Sink.to_channel ~next_id:(List.length !results * (1 lsl 48)) oc)
+              trace
+          in
           let clock = Unix.gettimeofday in
           let profile = Telemetry.Profile.create ~clock () in
           let ctx = Experiments.make_ctx ~scheduler ~jobs ?sink ~profile ~clock () in
           let t0 = Unix.gettimeofday () in
           Telemetry.Profile.run profile ~name (fun () -> f ctx);
           let wall_s = Unix.gettimeofday () -. t0 in
-          (match sink with
-          | None -> ()
-          | Some s ->
+          Option.iter
+            (fun s ->
               Telemetry.Profile.emit profile s ~time:0;
-              trace_events := Telemetry.Sink.events s :: !trace_events);
+              Telemetry.Sink.flush s;
+              trace_count := !trace_count + Telemetry.Sink.event_count s)
+            sink;
           results :=
             { name; tally = ctx.Experiments.tally; wall_s; profile } :: !results)
     wanted;
   let outcomes = List.rev !results in
-  (match trace_file with
-  | None -> ()
-  | Some path ->
-      let all = Telemetry.Sink.create () in
-      List.iter
-        (fun events -> List.iter (Telemetry.Sink.record all) events)
-        (List.rev !trace_events);
-      Telemetry.Sink.write_jsonl all path;
-      Format.printf "trace (%d events) -> %s@." (Telemetry.Sink.event_count all)
-        path);
+  Option.iter
+    (fun (path, oc) ->
+      close_out oc;
+      Format.printf "trace (%d events) -> %s@." !trace_count path)
+    trace;
   let discipline = Scheduler.name scheduler in
   (match json_file with
   | None -> ()

@@ -21,8 +21,6 @@ type t = {
   mutable main : Dist.t;
   mutable counter : Dist.t;
   mutable phase : phase;
-  mutable epochs : int;
-  mutable rotating : bool;
   mutable main_exhausted : bool;  (* reason flag for the pending rotation *)
   mutable wave_charged : bool;
   mutable outstanding : int;
@@ -30,7 +28,7 @@ type t = {
   mutable rejected : int;
   mutable overhead : int;
   mutable next_aid : int;
-  held : request Queue.t;  (* requests parked during a rotation *)
+  rot : (t, request) Rotation.t;
 }
 
 let tree t = Net.tree t.net
@@ -38,47 +36,16 @@ let tree t = Net.tree t.net
 let tag_universe =
   Dist.tag_universe ~name:"main" @ Dist.tag_universe ~name:"counter"
 
-(* An epoch's main (m, w)-controller and its (U_i/2, U_i/4) change counter,
-   both in hold mode, with U_i = 2 N_i. *)
+(* The parameters of an epoch's main (m, w)-controller and of its
+   (U_i/2, U_i/4) change counter, with U_i = 2 N_i. *)
 let pair net ~m ~w =
   let u = max 4 (2 * Dtree.size (Net.tree net)) in
-  let hold name params =
-    Dist.create ~config:{ Dist.default_config with exhaustion = `Hold; name } ~params ~net ()
-  in
-  let main = hold "main" (Params.make ~m ~w ~u) in
-  (main, hold "counter" (Params.make ~m:(u / 2) ~w:(u / 4) ~u))
+  (Params.make ~m ~w ~u, Params.make ~m:(u / 2) ~w:(u / 4) ~u)
 
 let phase_of = function
   | Iterate.Stage (stage, budget, _) -> Epoch (stage, budget)
   | Iterate.Trivial -> Endgame
   | Iterate.Reject -> Dead
-
-let create ~m ~w ~net () =
-  if m < 0 || w < 0 then invalid_arg "Dist_adaptive.create: bad parameters";
-  let first = Iterate.schedule ~w m in
-  (* a start without an epoch still makes its (empty) pair *)
-  let main, counter =
-    match first with
-    | Iterate.Stage (_, budget, stage_w) -> pair net ~m:budget ~w:stage_w
-    | Iterate.Trivial | Iterate.Reject -> pair net ~m:0 ~w:1
-  in
-  {
-    net;
-    w;
-    main;
-    counter;
-    phase = phase_of first;
-    epochs = 0;
-    rotating = false;
-    main_exhausted = false;
-    wave_charged = false;
-    outstanding = 0;
-    granted = 0;
-    rejected = 0;
-    overhead = 0;
-    next_aid = 0;
-    held = Queue.create ();
-  }
 
 let charge_wave t =
   if not t.wave_charged then begin
@@ -111,7 +78,7 @@ let rec route t r =
   | Dead ->
       charge_wave t;
       finish t r Types.Rejected
-  | (Epoch _ | Endgame) when t.rotating -> Queue.push r t.held
+  | (Epoch _ | Endgame) when Rotation.rotating t.rot -> Rotation.park t.rot t r
   | Epoch _ when r.main_granted -> route_counter t r
   | Endgame ->
       (* the (1,0)-controller: the last permit walks from the root *)
@@ -124,13 +91,12 @@ let rec route t r =
           | Types.Granted ->
               if Workload.is_topological r.op then begin
                 r.main_granted <- true;
-                if t.rotating then Queue.push r t.held else route_counter t r
+                if Rotation.rotating t.rot then Rotation.park t.rot t r else route_counter t r
               end
               else finish t r Types.Granted
           | Types.Exhausted ->
-              (* park first: the rotation can complete synchronously *)
-              Queue.push r t.held;
-              trigger_rotation t ~main_exhausted:true
+              t.main_exhausted <- true;
+              Rotation.park t.rot t r
           | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- main controller runs in report mode and never rejects *)
 
 and apply_trivial t r =
@@ -153,38 +119,22 @@ and route_counter t r =
       | Types.Granted ->
           Dist.apply ~partner:t.counter t.main r.op ~k:(fun _ -> finish t r Types.Granted)
       | Types.Exhausted ->
-          (* between U_i/4 and U_i/2 changes happened: rotate the epoch.
-             Park first: the rotation can complete synchronously. *)
-          Queue.push r t.held;
-          trigger_rotation t ~main_exhausted:false
+          (* between U_i/4 and U_i/2 changes happened: rotate the epoch *)
+          Rotation.park t.rot t r
       | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- counter runs in report mode and never rejects *)
 
-and trigger_rotation t ~main_exhausted =
-  t.main_exhausted <- t.main_exhausted || main_exhausted;
-  if not t.rotating then begin
-    t.rotating <- true;
-    await_drain t
-  end
+let drained t = Dist.outstanding t.main = 0 && Dist.outstanding t.counter = 0
 
-and await_drain t =
-  if Dist.outstanding t.main = 0 && Dist.outstanding t.counter = 0 then rotate t
-  else Net.schedule t.net ~delay:2 (fun () -> await_drain t)
-
-and rotate t =
+(* The next epoch, once both controllers have drained. *)
+let next t =
   let n = Dtree.size (tree t) in
   Central.Log.debug (fun m ->
-      m "epoch %d rotation: n=%d, budget left %d, main exhausted %b" t.epochs n
-        (Dist.leftover t.main) t.main_exhausted);
-  (match Net.sink t.net with
-  | None -> ()
-  | Some s ->
-      Telemetry.Sink.event s ~time:(Net.now t.net)
-        (Telemetry.Event.Epoch { ctrl = name; epoch = t.epochs + 1; n }));
+      m "epoch %d rotation: n=%d, budget left %d, main exhausted %b"
+        (Rotation.epochs t.rot - 1) n (Dist.leftover t.main) t.main_exhausted);
   (* broadcast + upcast to count nodes and unused permits, plus the
      whiteboard-reset broadcast (Appendix A) *)
   t.overhead <- t.overhead + (5 * n);
   let leftover = Dist.leftover t.main in
-  t.epochs <- t.epochs + 1;
   let next =
     match t.phase with
     | Epoch (stage, budget) when t.main_exhausted ->
@@ -197,18 +147,42 @@ and rotate t =
   in
   t.main_exhausted <- false;
   t.phase <- phase_of next;
-  (match next with
+  match next with
   | Iterate.Stage (_, budget, stage_w) ->
       let main, counter = pair t.net ~m:budget ~w:stage_w in
-      t.main <- main;
-      t.counter <- counter
+      t.main <- Dist.restart t.main ~params:main;
+      t.counter <- Dist.restart t.counter ~params:counter
   | Iterate.Trivial -> ()
-  | Iterate.Reject -> charge_wave t);
-  t.rotating <- false;
-  (* release the parked requests into the new epoch *)
-  let parked = Queue.create () in
-  Queue.transfer t.held parked;
-  Queue.iter (fun r -> Net.schedule t.net ~delay:1 (fun () -> route t r)) parked
+  | Iterate.Reject -> charge_wave t
+
+let create ~m ~w ~net () =
+  if m < 0 || w < 0 then invalid_arg "Dist_adaptive.create: bad parameters";
+  let first = Iterate.schedule ~w m in
+  (* a start without an epoch still makes its (empty) pair, in hold mode *)
+  let main, counter =
+    match first with
+    | Iterate.Stage (_, budget, stage_w) -> pair net ~m:budget ~w:stage_w
+    | Iterate.Trivial | Iterate.Reject -> pair net ~m:0 ~w:1
+  in
+  let hold name params =
+    Dist.create ~config:{ Dist.default_config with exhaustion = `Hold; name } ~params ~net ()
+  in
+  let main = hold "main" main in
+  {
+    net;
+    w;
+    main;
+    counter = hold "counter" counter;
+    phase = phase_of first;
+    main_exhausted = false;
+    wave_charged = false;
+    outstanding = 0;
+    granted = 0;
+    rejected = 0;
+    overhead = 0;
+    next_aid = 0;
+    rot = Rotation.create ~net ~name ~drained ~next ~route;
+  }
 
 let submit t op ~k =
   t.outstanding <- t.outstanding + 1;
@@ -228,6 +202,6 @@ let submit t op ~k =
 let granted t = t.granted
 let rejected t = t.rejected
 let outstanding t = t.outstanding
-let epochs t = t.epochs
+let epochs t = Rotation.epochs t.rot
 let rejecting t = match t.phase with Dead -> true | Epoch _ | Endgame -> false
 let overhead_messages t = t.overhead

@@ -13,18 +13,19 @@
     change counter exhausts, between [U_i/4] and [U_i/2] changes have
     happened: the epoch rotates — outstanding work drains, a broadcast and
     upcast (charged at [2n] messages each) computes [N_{i+1}] and the unused
-    permits [M_{i+1} = M_i - Y_i], whiteboards reset (one broadcast), and a
-    fresh pair starts with [U_{i+1} = 2 N_{i+1}]. Requests caught by the
-    rotation are re-submitted to the new epoch internally. When the {e main}
+    permits [M_{i+1} = M_i - Y_i], whiteboards reset (one broadcast), and
+    the pair restarts with [U_{i+1} = 2 N_{i+1}] ({!Dist.restart}).
+    Requests caught by the rotation are re-submitted to the new epoch
+    internally; the boundary itself is {!Rotation}'s. When the {e main}
     controller exhausts, the budget is globally spent to within [W]: a reject
     wave is flooded and every subsequent request is rejected.
 
     Telemetry rides the network's sink. This layer answers the caller, so
     it records each answer through {!Dist.record_answer} under
-    ["dist-adaptive"], and its reject wave and epoch rotations as
-    [Reject_wave] and [Epoch] events; the main and counter controllers
-    record their own answers under their names. The sink derives the
-    metrics from these events ({!Telemetry.Sink}). *)
+    ["dist-adaptive"], its reject wave as a [Reject_wave] event and, through
+    {!Rotation}, each epoch rotation as an [Epoch] event; the main and
+    counter controllers record their own answers under their names. The
+    sink derives the metrics from these events ({!Telemetry.Sink}). *)
 
 type t
 

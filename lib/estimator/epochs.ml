@@ -60,6 +60,7 @@ end
 
 module Dist = struct
   module Dist = Controller.Dist
+  module Rotation = Controller.Rotation
 
   type request = { op : Workload.op; k : Workload.applied option -> unit }
 
@@ -71,10 +72,8 @@ module Dist = struct
     boundary : t -> unit;
     mutable ctrl : Dist.t option;  (* [None] once retired *)
     mutable size : int;
-    mutable epochs : int;
-    mutable rotating : bool;
     mutable overhead : int;
-    held : request Queue.t;
+    rot : (t, request) Rotation.t;
   }
 
   let tree t = Net.tree t.net
@@ -96,6 +95,25 @@ module Dist = struct
                     { Dist.exhaustion = `Hold; name = t.name; on_permits_down = t.on_permits_down }
                   ~params ~net:t.net ()))
 
+  let drained t = match t.ctrl with None -> true | Some ctrl -> Dist.outstanding ctrl = 0
+
+  let route t r =
+    match t.ctrl with
+    | None -> r.k None
+    | Some _ when Rotation.rotating t.rot -> Rotation.park t.rot t r
+    | Some _ when not (Workload.valid_op (tree t) r.op) -> r.k None
+    | Some ctrl ->
+        Dist.submit ctrl r.op ~k:(fun outcome ->
+            match outcome with
+            | Types.Granted ->
+                (* the granting controller applies the change; its pending
+                   application holds the rotation back *)
+                Dist.apply ctrl r.op ~k:(fun change -> r.k (Some change))
+            | Types.Exhausted ->
+                (* the epoch's controller has terminated: wait for the next *)
+                Rotation.park t.rot t r
+            | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- `Hold mode: the controller never rejects *)
+
   let create ?(on_permits_down = fun ~node:_ ~size:_ -> ()) ~name ~budget ~boundary ~net () =
     let t =
       {
@@ -106,61 +124,17 @@ module Dist = struct
         boundary;
         ctrl = None;
         size = 0;
-        epochs = 0;
-        rotating = false;
         overhead = 0;
-        held = Queue.create ();
+        rot = Rotation.create ~net ~name ~drained ~next:start ~route;
       }
     in
     start t;
     t
 
-  let rec route t r =
-    match t.ctrl with
-    | None -> r.k None
-    | Some _ when t.rotating -> Queue.push r t.held
-    | Some _ when not (Workload.valid_op (tree t) r.op) -> r.k None
-    | Some ctrl ->
-        Dist.submit ctrl r.op ~k:(fun outcome ->
-            match outcome with
-            | Types.Granted ->
-                (* the granting controller applies the change; its pending
-                   application holds the rotation back *)
-                Dist.apply ctrl r.op ~k:(fun change -> r.k (Some change))
-            | Types.Exhausted ->
-                (* the epoch's controller has terminated. Park the
-                   request first: the rotation completes synchronously
-                   when it was the last one outstanding. *)
-                Queue.push r t.held;
-                if not t.rotating then begin
-                  t.rotating <- true;
-                  await_drain t
-                end
-            | Types.Rejected -> assert false)  (* dynlint: allow unsafe -- `Hold mode: the controller never rejects *)
-
-  and await_drain t =
-    match t.ctrl with
-    | Some ctrl when Dist.outstanding ctrl > 0 ->
-        Net.schedule t.net ~delay:2 (fun () -> await_drain t)
-    | Some _ | None -> rotate t
-
-  and rotate t =
-    t.epochs <- t.epochs + 1;
-    (match Net.sink t.net with
-    | None -> ()
-    | Some s ->
-        Telemetry.Sink.event s ~time:(Net.now t.net)
-          (Telemetry.Event.Epoch { ctrl = t.name; epoch = t.epochs; n = Dtree.size (tree t) }));
-    start t;
-    t.rotating <- false;
-    let parked = Queue.create () in
-    Queue.transfer t.held parked;
-    Queue.iter (fun r -> Net.schedule t.net ~delay:1 (fun () -> route t r)) parked
-
   let submit t op ~k = Net.schedule t.net ~delay:1 (fun () -> route t { op; k })
   let retire t = t.ctrl <- None
   let charge t k = t.overhead <- t.overhead + k
-  let epochs t = t.epochs
+  let epochs t = Rotation.epochs t.rot
   let size t = t.size
   let overhead t = t.overhead
 end

@@ -49,13 +49,12 @@ end
 
 (** Over the message-passing simulator: {!Controller.Dist} in [`Hold] mode,
     whose granted changes the engine applies with {!Controller.Dist.apply}.
-    A request that finds the epoch exhausted is parked; the engine waits
-    until the controller has nothing outstanding (a granted change still
-    waiting to apply counts), rotates, and re-routes the parked requests.
-    A rotation builds the next controller with {!Controller.Dist.restart},
-    so the whiteboards the retired one minted are wiped and minted again.
-    Each rotation is recorded as an [Epoch] event on the network's
-    sink. *)
+    The epoch boundary is {!Controller.Rotation}'s: a request that finds
+    the epoch exhausted is parked until the controller has nothing
+    outstanding (a granted change still waiting to apply counts). The next
+    epoch's controller is {!Controller.Dist.restart} of the retired one,
+    so the whiteboards the retired one minted are wiped and minted
+    again. *)
 module Dist : sig
   type t
 

@@ -6,8 +6,8 @@
     controller epoch rotations, and estimator updates.
 
     Events serialize to single-line JSON (see {!to_json} / {!of_json}) and
-    round-trip exactly; JSONL traces written by {!Sink.write_jsonl} are
-    re-readable with {!of_line}. *)
+    round-trip exactly; the JSONL traces a sink writes ({!Sink.to_channel},
+    {!Sink.to_jsonl}) are re-readable with {!of_line}. *)
 
 type addr = Exact of int | Parent_of of int
 (** A send's address: [Exact v] for [Net.send_to ~dst:v], [Parent_of v]

@@ -1,7 +1,7 @@
 type mode =
   | Memory of { mutable rev_events : Event.t list }
   | Callback of (Event.t -> unit)
-  | Channel of { oc : out_channel; buf : Buffer.t; flush_bytes : int }
+  | Channel of { oc : out_channel; buf : Buffer.t }
 
 type t = {
   metrics : Metrics.t;
@@ -16,7 +16,7 @@ type t = {
   mutable amb_span : int;
 }
 
-let default_flush_bytes = 64 * 1024
+let flush_bytes = 64 * 1024
 
 let make ?(next_id = 0) mode =
   if next_id < 0 then invalid_arg "Sink: negative next_id";
@@ -28,10 +28,8 @@ let create ?next_id ?on_event () =
     | Some f -> Callback f
     | None -> Memory { rev_events = [] })
 
-let to_channel ?next_id ?(flush_bytes = default_flush_bytes) oc =
-  let flush_bytes = max 1 flush_bytes in
-  make ?next_id
-    (Channel { oc; buf = Buffer.create (min flush_bytes default_flush_bytes); flush_bytes })
+let to_channel ?next_id oc =
+  make ?next_id (Channel { oc; buf = Buffer.create flush_bytes })
 
 let metrics t = t.metrics
 
@@ -95,7 +93,7 @@ let record t e =
   | Channel c ->
       Buffer.add_string c.buf (Event.to_line e);
       Buffer.add_char c.buf '\n';
-      if Buffer.length c.buf >= c.flush_bytes then begin
+      if Buffer.length c.buf >= flush_bytes then begin
         Buffer.output_buffer c.oc c.buf;
         Buffer.clear c.buf
       end
@@ -133,12 +131,6 @@ let to_jsonl t =
       Buffer.add_char buf '\n')
     (events t);
   Buffer.contents buf
-
-let write_jsonl t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
 
 let read_jsonl path =
   let ic = open_in path in

@@ -29,12 +29,12 @@ val create : ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
     trace ids — give sinks that will be merged disjoint id blocks (see
     {!reserve_ids}) so spans never collide. *)
 
-val to_channel : ?next_id:int -> ?flush_bytes:int -> out_channel -> t
-(** A streaming sink with a new metrics registry: events are written to the channel as JSONL (one line
-    per event, as {!write_jsonl} would), buffered and flushed to the channel
-    every [flush_bytes] (default 64 KiB, the value is clamped to at least
-    1). Call {!flush} before reading the file or closing the channel; the
-    channel itself stays owned by the caller. *)
+val to_channel : ?next_id:int -> out_channel -> t
+(** A streaming sink with a new metrics registry: events are written to the
+    channel as JSONL (one line per event, the lines {!to_jsonl} renders),
+    buffered and flushed to the channel every 64 KiB. Call {!flush} before
+    reading the file or closing the channel; the channel itself stays owned
+    by the caller. *)
 
 val flush : t -> unit
 (** Push any buffered output of a {!to_channel} sink through to its channel
@@ -91,9 +91,6 @@ val event_count : t -> int
 
 val to_jsonl : t -> string
 (** The retained trace as JSONL (one event per line, trailing newline). *)
-
-val write_jsonl : t -> string -> unit
-(** Write {!to_jsonl} to a file. *)
 
 val read_jsonl : string -> Event.t list
 (** Parse a JSONL trace file back into events (blank lines skipped).

@@ -398,6 +398,88 @@ let test_restart_refuses_outstanding () =
   Alcotest.(check int) "the restarted one starts afresh" 0 (Dist.granted d');
   Alcotest.(check int) "with full storage" 100 (Dist.storage d')
 
+(* A fake client of the epoch engine ([Rotation]): it drains when told
+   to, and logs the time of each epoch start and each routed request. *)
+type fake = {
+  net : Net.t;
+  mutable drained : bool;
+  mutable starts : int list;  (* latest first *)
+  mutable routed : (int * int) list;  (* (request, time), latest first *)
+}
+
+let fake_drained c = c.drained
+let fake_next c = c.starts <- Net.now c.net :: c.starts
+let fake_route c r = c.routed <- (r, Net.now c.net) :: c.routed
+
+let fake_client ?sink () =
+  let tree = Workload.Shape.build (Rng.create ~seed:87) (Workload.Shape.Path 8) in
+  let net = Net.create ~seed:88 ?sink ~tree () in
+  let c = { net; drained = false; starts = []; routed = [] } in
+  (c, Rotation.create ~net ~name:"fake" ~drained:fake_drained ~next:fake_next ~route:fake_route)
+
+let routed = Alcotest.(list (pair int int))
+
+let test_rotation_drained_at_once () =
+  let c, e = fake_client () in
+  c.drained <- true;
+  Rotation.park e c 1;
+  Alcotest.(check int) "rotated" 1 (Rotation.epochs e);
+  Alcotest.(check bool) "no rotation pending" false (Rotation.rotating e);
+  Alcotest.(check (list int)) "the next epoch started at once" [ 0 ] c.starts;
+  Alcotest.(check routed) "not routed yet" [] c.routed;
+  Net.run c.net;
+  Alcotest.(check routed) "routed one tick later" [ (1, 1) ] c.routed
+
+let test_rotation_polls_until_drained () =
+  let c, e = fake_client () in
+  Rotation.park e c 1;
+  Alcotest.(check bool) "rotation pending" true (Rotation.rotating e);
+  Alcotest.(check int) "not rotated" 0 (Rotation.epochs e);
+  (* polls at 2 and 4: the client drains in between *)
+  Net.schedule c.net ~delay:3 (fun () -> c.drained <- true);
+  Net.run c.net;
+  Alcotest.(check (list int)) "started at the first poll after draining" [ 4 ] c.starts;
+  Alcotest.(check routed) "routed one tick later" [ (1, 5) ] c.routed;
+  Alcotest.(check int) "one rotation" 1 (Rotation.epochs e)
+
+let test_rotation_parks_while_pending () =
+  let c, e = fake_client () in
+  Rotation.park e c 1;
+  Net.schedule c.net ~delay:1 (fun () -> Rotation.park e c 2);
+  Net.schedule c.net ~delay:3 (fun () ->
+      Rotation.park e c 3;
+      c.drained <- true;
+      (* a park while a rotation is pending only queues, drained or not *)
+      Rotation.park e c 4;
+      Alcotest.(check (list int)) "no epoch started by a park" [] c.starts);
+  Net.run c.net;
+  Alcotest.(check int) "one rotation" 1 (Rotation.epochs e);
+  Alcotest.(check (list int)) "one epoch start" [ 4 ] c.starts;
+  Alcotest.(check routed) "in park order, one tick after the rotation"
+    [ (1, 5); (2, 5); (3, 5); (4, 5) ]
+    (List.rev c.routed)
+
+let test_rotation_records_epochs () =
+  let sink = Telemetry.Sink.create () in
+  let c, e = fake_client ~sink () in
+  c.drained <- true;
+  Rotation.park e c 1;
+  ignore (Dtree.add_leaf (Net.tree c.net) ~parent:(Dtree.root (Net.tree c.net)));
+  Rotation.park e c 2;
+  Net.run c.net;
+  let epochs =
+    List.filter_map
+      (fun ev ->
+        match ev.Telemetry.Event.kind with
+        | Telemetry.Event.Epoch { ctrl; epoch; n } -> Some (ctrl, epoch, n)
+        | _ -> None)
+      (Telemetry.Sink.events sink)
+  in
+  Alcotest.(check (list (triple string int int))) "one event per rotation"
+    [ ("fake", 1, 8); ("fake", 2, 9) ]
+    epochs;
+  Alcotest.(check int) "epochs" 2 (Rotation.epochs e)
+
 let suite =
   ( "dist",
     [
@@ -421,4 +503,12 @@ let suite =
       Alcotest.test_case "restart behaves as a fresh controller" `Quick test_restart_is_fresh;
       Alcotest.test_case "restart refuses outstanding requests" `Quick
         test_restart_refuses_outstanding;
+      Alcotest.test_case "rotation on a drained client is immediate" `Quick
+        test_rotation_drained_at_once;
+      Alcotest.test_case "rotation polls until the client drains" `Quick
+        test_rotation_polls_until_drained;
+      Alcotest.test_case "parks during a rotation queue in order" `Quick
+        test_rotation_parks_while_pending;
+      Alcotest.test_case "each rotation records one epoch event" `Quick
+        test_rotation_records_epochs;
     ] )

@@ -54,6 +54,26 @@ let test_growth () =
     true
     (per_change < float_of_int (Dtree.size tree) /. 2.0)
 
+(* An op that is no longer valid for the tree when the engine routes it
+   is refused, and the engine keeps serving: the second change names the
+   leaf the first one removed. *)
+let test_dead_op_refused () =
+  let tree = Workload.Shape.build (Rng.create ~seed:84) (Workload.Shape.Path 12) in
+  let net = Net.create ~seed:85 ~tree () in
+  let se = Estimator.Size_estimation.create ~net () in
+  let v = Dtree.any_leaf tree and answers = ref 0 in
+  let answer () = incr answers in
+  Estimator.Size_estimation.submit se (Workload.Remove_leaf v) ~k:(fun () ->
+      answer ();
+      Estimator.Size_estimation.submit se (Workload.Add_leaf v) ~k:(fun () ->
+          answer ();
+          Estimator.Size_estimation.submit se (Workload.Add_leaf (Dtree.root tree)) ~k:answer));
+  Net.run net;
+  Alcotest.(check int) "every change answered" 3 !answers;
+  Alcotest.(check int) "the dead node's change is not applied" 2
+    (Estimator.Size_estimation.changes se);
+  Alcotest.(check int) "size" 12 (Dtree.size tree)
+
 let prop_approximation =
   Helpers.qcheck ~count:14 "beta-approximation at every change"
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
@@ -70,5 +90,6 @@ let suite =
       Alcotest.test_case "approximation across betas" `Quick test_approximation_holds;
       Alcotest.test_case "all changes served" `Quick test_all_changes_served;
       Alcotest.test_case "unbounded growth" `Quick test_growth;
+      Alcotest.test_case "an op on a dead node is refused" `Quick test_dead_op_refused;
       prop_approximation;
     ] )

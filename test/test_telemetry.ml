@@ -167,54 +167,36 @@ let test_event_roundtrip () =
   | E.Permit_span { moves; _ } -> Alcotest.(check int) "absent moves" (-1) moves
   | _ -> Alcotest.fail "not a permit span"
 
-let test_jsonl_file_roundtrip () =
-  let sink = Telemetry.Sink.create () in
-  List.iter (Telemetry.Sink.record sink) sample_events;
-  let path = Filename.temp_file "telemetry" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Telemetry.Sink.write_jsonl sink path;
-      let back = Telemetry.Sink.read_jsonl path in
-      Alcotest.(check int) "event count" (List.length sample_events) (List.length back);
-      if back <> sample_events then Alcotest.fail "file round-trip changed the trace")
-
 (* A channel sink must write exactly what a memory sink would have rendered
    with to_jsonl: same events back through read_jsonl, including the JSON
    escaping edge cases in [sample_events], and it must retain nothing. *)
 let test_channel_sink_roundtrip () =
-  (* flush_bytes=32 forces many intermediate flushes; the default exercises
-     the single-flush-at-the-end path *)
-  List.iter
-    (fun flush_bytes ->
-      let path = Filename.temp_file "telemetry" ".jsonl" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out path in
-          let sink = Telemetry.Sink.to_channel ?flush_bytes oc in
-          List.iter (Telemetry.Sink.record sink) sample_events;
-          Alcotest.(check int) "nothing retained" 0
-            (List.length (Telemetry.Sink.events sink));
-          Alcotest.(check int) "count" (List.length sample_events)
-            (Telemetry.Sink.event_count sink);
-          Telemetry.Sink.flush sink;
-          close_out oc;
-          let back = Telemetry.Sink.read_jsonl path in
-          if back <> sample_events then
-            Alcotest.fail "channel round-trip changed the trace";
-          (* byte-for-byte the same file a memory sink would have written *)
-          let mem = Telemetry.Sink.create () in
-          List.iter (Telemetry.Sink.record mem) sample_events;
-          let written =
-            In_channel.with_open_text path In_channel.input_all
-          in
-          Alcotest.(check string) "bytes equal to_jsonl"
-            (Telemetry.Sink.to_jsonl mem) written))
-    [ Some 32; None ]
+  (* the whole trace fits the buffer: one flush at the end (the multi-flush
+     case below crosses several buffer boundaries) *)
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      let sink = Telemetry.Sink.to_channel oc in
+      List.iter (Telemetry.Sink.record sink) sample_events;
+      Alcotest.(check int) "nothing retained" 0
+        (List.length (Telemetry.Sink.events sink));
+      Alcotest.(check int) "count" (List.length sample_events)
+        (Telemetry.Sink.event_count sink);
+      Telemetry.Sink.flush sink;
+      close_out oc;
+      let back = Telemetry.Sink.read_jsonl path in
+      if back <> sample_events then
+        Alcotest.fail "channel round-trip changed the trace";
+      (* byte-for-byte the same file a memory sink would have written *)
+      let mem = Telemetry.Sink.create () in
+      List.iter (Telemetry.Sink.record mem) sample_events;
+      let written = In_channel.with_open_text path In_channel.input_all in
+      Alcotest.(check string) "bytes equal to_jsonl" (Telemetry.Sink.to_jsonl mem) written)
 
 let test_channel_sink_multi_flush () =
-  (* a trace well past the 64 KiB default buffer crosses several flush
+  (* a trace well past the 64 KiB buffer crosses several flush
      boundaries; every line must still come back intact *)
   let n = 5_000 in
   let path = Filename.temp_file "telemetry" ".jsonl" in
@@ -562,7 +544,6 @@ let suite =
       Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
       Alcotest.test_case "re-registration shares" `Quick test_reregistration_shares_instrument;
       Alcotest.test_case "event json round-trip" `Quick test_event_roundtrip;
-      Alcotest.test_case "jsonl file round-trip" `Quick test_jsonl_file_roundtrip;
       Alcotest.test_case "channel sink round-trip" `Quick test_channel_sink_roundtrip;
       Alcotest.test_case "channel sink multi-flush" `Quick test_channel_sink_multi_flush;
       Alcotest.test_case "metrics merge" `Quick test_metrics_merge;

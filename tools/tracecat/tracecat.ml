@@ -1,5 +1,6 @@
 (* tracecat: offline analyzer for dynnet telemetry traces (JSONL, one event
-   per line, as written by Sink.write_jsonl / --trace-out).
+   per line, as a Sink.to_channel sink writes them: ctrl_sim's and bench's
+   --trace-out).
 
      tracecat analyze t.jsonl             causal + latency + queue summary
      tracecat analyze t.jsonl --diff u.jsonl
